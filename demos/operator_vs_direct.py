@@ -13,8 +13,6 @@ operator gives the same result as the reduced one because every cutset
 product of reflection differences annihilates the integral.
 """
 
-import itertools
-
 import numpy as np
 
 from matsum import engine, fixtures
@@ -30,9 +28,7 @@ for name, g in [("G3", fixtures.g3()), ("G4", fixtures.g4())]:
     print(f"  full == reduced    : {s_full == s_operator}  "
           f"({len(engine.operator_full(g))} vs {len(engine.operator_reduced(g))} subsets)")
 
-    ids = sorted(g.line_ids)
-    cutsets = [c for size in (1, 2, 3)
-               for c in itertools.combinations(ids, size) if gr.is_cutset(g, c)]
+    cutsets = gr.cutset_subsets(g, 3)
     print(f"  cutsets (size<=3)  : {cutsets}")
     print(f"  all annihilate I   : "
           f"{all(engine.annihilator_check(g, c, integral) for c in cutsets)}")

@@ -36,6 +36,7 @@ from .graph import (
     incidence_sign,
     is_cutset,
     make_graph,
+    cutset_subsets,
     non_cutset_subsets,
     validate_graph,
 )

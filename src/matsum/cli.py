@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -42,27 +43,72 @@ def _load_graph(path: str) -> graph.MatsubaraGraph:
     return graph.validate_graph(raw)
 
 
-def _parse_hierarchy(text: str | None):
+class _UsageError(Exception):
+    """An option value the command cannot use; reported in one line, exit 64."""
+
+
+def _items(text: str, option: str):
+    """(key, value) pairs of "k1:v1,k2:v2"; each key at most once."""
+    seen = set()
+    for item in text.split(","):
+        key, sep, val = item.partition(":")
+        key, val = key.strip(), val.strip()
+        if not sep or not key or not val:
+            raise _UsageError(f"{option}: malformed item {item!r}, expected key:value")
+        if key in seen:
+            raise _UsageError(f"{option}: {key} given twice")
+        seen.add(key)
+        yield key, val
+
+
+def _parse_hierarchy(text: str | None, g: graph.MatsubaraGraph):
     if text is None:
         return None
-    return [int(x) for x in text.split(",") if x.strip()]
+    try:
+        hierarchy = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise _UsageError(
+            f"--hierarchy: {text!r} is not a comma-separated list of line ids"
+        ) from None
+    if sorted(hierarchy) != sorted(g.line_ids):
+        ids = ",".join(str(l) for l in sorted(g.line_ids))
+        raise _UsageError(f"--hierarchy must be a permutation of the line ids {ids}")
+    return hierarchy
 
 
-def _parse_q(text: str) -> dict[int, float]:
-    # "1:0.7,2:1.1" -> {1: 0.7, 2: 1.1}
+def _parse_q(text: str, g: graph.MatsubaraGraph) -> dict[int, float]:
+    # "1:0.7,2:1.1" -> {1: 0.7, 2: 1.1}, one positive finite value per line
     out = {}
-    for item in text.split(","):
-        key, val = item.split(":")
-        out[int(key)] = float(val)
+    for key, val in _items(text, "--q"):
+        try:
+            lid, q = int(key), float(val)
+        except ValueError:
+            raise _UsageError(f"--q: malformed item {key}:{val}") from None
+        if lid not in g.line_ids:
+            raise _UsageError(f"--q: the graph has no line {lid}")
+        if not (math.isfinite(q) and q > 0):
+            raise _UsageError(f"--q: q{lid} = {val} is not a positive finite number")
+        out[lid] = q
+    missing = sorted(set(g.line_ids) - out.keys())
+    if missing:
+        raise _UsageError(f"--q: no value for line {', '.join(map(str, missing))}")
     return out
 
 
-def _parse_n(text: str) -> dict[str, int]:
-    # "a:1,b:-2" -> {"a": 1, "b": -2}
+def _parse_n(text: str, g: graph.MatsubaraGraph) -> dict[str, int]:
+    # "a:1,b:-2" -> {"a": 1, "b": -2}, one integer per non-root vertex
+    non_root = g.vertices[:-1]
     out = {}
-    for item in text.split(","):
-        key, val = item.split(":")
-        out[key.strip()] = int(val)
+    for key, val in _items(text, "--n"):
+        if key not in non_root:
+            raise _UsageError(f"--n: {key!r} is not a non-root vertex")
+        try:
+            out[key] = int(val)
+        except ValueError:
+            raise _UsageError(f"--n: N_{key} = {val} is not an integer") from None
+    missing = [v for v in non_root if v not in out]
+    if missing:
+        raise _UsageError(f"--n: no value for vertex {', '.join(missing)}")
     return out
 
 
@@ -137,6 +183,14 @@ def run(argv: list[str]) -> int:
         print(f"cannot read graph: {exc}", file=sys.stderr)
         return 1
 
+    try:
+        return _dispatch(args, g)
+    except _UsageError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 64
+
+
+def _dispatch(args, g: graph.MatsubaraGraph) -> int:
     if args.command == "validate":
         print(f"valid Matsubara graph: V={g.num_vertices} I={g.num_lines} "
               f"L={graph.cycle_rank(g)} root={g.root}")
@@ -151,20 +205,13 @@ def run(argv: list[str]) -> int:
 
     if args.command == "cutsets":
         max_size = args.max_size if args.max_size is not None else graph.cycle_rank(g)
-        import itertools
-
-        found = []
-        ids = sorted(g.line_ids)
-        for size in range(1, max_size + 1):
-            for combo in itertools.combinations(ids, size):
-                if graph.is_cutset(g, combo):
-                    found.append(combo)
+        found = graph.cutset_subsets(g, max_size)
         for c in found:
             print("{" + ",".join(str(x) for x in c) + "}")
         print(f"count: {len(found)} (sizes 1..{max_size})")
         return 0
 
-    hierarchy = _parse_hierarchy(getattr(args, "hierarchy", None))
+    hierarchy = _parse_hierarchy(getattr(args, "hierarchy", None), g)
 
     if args.command == "operator":
         spec = engine.operator_full(g) if args.full else engine.operator_reduced(g)
@@ -180,12 +227,16 @@ def run(argv: list[str]) -> int:
         return 0
 
     if args.command == "eval":
+        q_values, n_values = _parse_q(args.q, g), _parse_n(args.n, g)
         expr = (engine.matsubara_sum(g) if args.target == "sum"
                 else engine.matsubara_integral(g))
         try:
-            value = expressions.eval_numeric(expr, _parse_q(args.q), _parse_n(args.n))
+            value = expressions.eval_numeric(expr, q_values, n_values)
         except expressions.ZeroDenominator as exc:
             print(f"degenerate evaluation point: {exc}", file=sys.stderr)
+            return 1
+        if not math.isfinite(value.real):
+            print(f"evaluation overflowed: {value.real!r}", file=sys.stderr)
             return 1
         print(f"{value.real!r}")
         if abs(value.imag) > 1e-9 * (abs(value.real) + 1):
@@ -194,12 +245,18 @@ def run(argv: list[str]) -> int:
         return 0
 
     if args.command == "verify":
+        if args.cutoff < 10:
+            raise _UsageError(f"--cutoff must be at least 10, got {args.cutoff}")
         header = {"seed": args.seed, "target": args.target, "trials": args.trials,
                   "tolerance": args.tol}
         if args.target == "sum":
             header["cutoff"] = args.cutoff
-            reports = oracles.verify_sum(g, args.trials, args.cutoff, args.tol,
-                                         seed=args.seed)
+            try:
+                reports = oracles.verify_sum(g, args.trials, args.cutoff, args.tol,
+                                             seed=args.seed)
+            except oracles.BoxTooLarge as exc:
+                print(f"cannot verify sum: {exc}", file=sys.stderr)
+                return 1
         else:
             try:
                 reports = oracles.verify_integral(g, args.trials, args.tol,
@@ -234,8 +291,7 @@ def run(argv: list[str]) -> int:
                               "pass": residual < args.tol}))
         return 0 if worst < args.tol else 2
 
-    parser.error(f"unknown command {args.command!r}")
-    return 64
+    raise _UsageError(f"unknown command {args.command!r}")
 
 
 def entry_point() -> None:

@@ -17,6 +17,14 @@ Stages, per graph G with V vertices, I lines and cycle rank L = I - V + 1:
      restricted to non-tree lines (direct route). Both canonicalize to the
      same expression (matsubara_sum).
 
+Both routes, and apply_operator for any operator, share one packed kernel:
+the input terms are packed once into interned denominator forms, interned
+(pi power, q monomial) heads and integer coefficients over a common
+denominator; each factor nbe_i (1 - R_i) is then dict arithmetic through a
+memoized signed permutation of term shapes, with cancelled terms dropped at
+once. Nothing is sorted during the walk: the accumulated result is turned
+back into a canonical Expression exactly once per route.
+
 Cutset subsets of reflection-differences annihilate the integral
 (annihilator_check), which is what collapses the full 2^I-term operator to
 the reduced one.
@@ -24,6 +32,8 @@ the reduced one.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -152,24 +162,25 @@ def tree_integral(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
 def matsubara_integral(
     graph: MatsubaraGraph, hierarchy: Sequence[int] | None = None
 ) -> Expression:
-    """Closed-form evaluation of the Matsubara integral: sum over all trees."""
-    total = ex.EMPTY
-    for tree in gr.enumerate_spanning_trees(graph):
-        total = ex.add(total, tree_integral(graph, solve_tree(graph, tree, hierarchy)))
-    return total
+    """Closed-form evaluation of the Matsubara integral: sum over all trees,
+    canonicalized once."""
+    return Expression.from_terms(
+        t
+        for tree in gr.enumerate_spanning_trees(graph)
+        for t in tree_integral(graph, solve_tree(graph, tree, hierarchy)).terms
+    )
+
+
+def _all_subsets(ids: Sequence[int]) -> list[LineSubset]:
+    """Every subset of `ids`, by size, then lexicographic."""
+    return [c for size in range(len(ids) + 1) for c in itertools.combinations(ids, size)]
 
 
 def operator_full(graph: MatsubaraGraph) -> OperatorSpec:
     """The full thermal operator: one summand per subset of lines (2^I)."""
     if graph.num_lines > gr.MAX_LINES:
         raise gr.GraphTooLarge(f"operator expansion capped at {gr.MAX_LINES} lines")
-    import itertools
-
-    ids = sorted(graph.line_ids)
-    subsets = []
-    for size in range(len(ids) + 1):
-        subsets.extend(itertools.combinations(ids, size))
-    return OperatorSpec(tuple(subsets))
+    return OperatorSpec(tuple(_all_subsets(sorted(graph.line_ids))))
 
 
 def operator_reduced(graph: MatsubaraGraph) -> OperatorSpec:
@@ -177,48 +188,196 @@ def operator_reduced(graph: MatsubaraGraph) -> OperatorSpec:
     return OperatorSpec(tuple(gr.non_cutset_subsets(graph, gr.cycle_rank(graph))))
 
 
-def _kernel_factor(e: Expression, line_id: int) -> Expression:
-    """nbe_i (1 - R_i) applied to e, in a single canonicalization pass."""
-    def emit():
-        for t in e.terms:
-            kern = tuple(sorted(t.kernels + (line_id,)))
-            yield t._replace(kernels=kern)
-            rt = ex.reflect_term(t, line_id)
-            yield rt._replace(coeff=-rt.coeff, kernels=kern)
-
-    return Expression.from_terms(emit())
+def _intern(ids: dict, items: list, value) -> int:
+    i = ids.get(value)
+    if i is None:
+        i = ids[value] = len(items)
+        items.append(value)
+    return i
 
 
-def apply_operator(spec: OperatorSpec, e: Expression) -> Expression:
-    """Apply a thermal operator to a kernel-free expression.
+def _ranks(items: list) -> list[int]:
+    """rank[i] = position of items[i] in sorted order."""
+    rank = [0] * len(items)
+    for r, i in enumerate(sorted(range(len(items)), key=items.__getitem__)):
+        rank[i] = r
+    return rank
 
-    Factors for distinct lines commute; within each subset they are applied
-    in ascending line order for determinism, and subsets sharing a prefix
-    share the intermediate expression (depth-first over the prefix trie).
-    An empty subset list gives the empty expression.
+
+class _Packed:
+    """Interning tables shared by every term of one operator application.
+
+    Denominator forms, (pi_power, q_exponents) heads and term shapes
+    (head id, sorted form-id tuple) are interned to ints, and coefficients
+    become ints over `scale`, the common denominator of the inputs. A packed
+    expression maps kernel tuple -> {shape id: int coefficient}.
     """
+
+    def __init__(self, inputs: Iterable[Expression]):
+        self.scale = math.lcm(*(t.coeff.denominator for e in inputs for t in e.terms))
+        self.forms: list[ex.LinearForm] = []
+        self.heads: list[tuple] = []
+        self.odd: list[frozenset[int]] = []  # per head: lines of odd q exponent
+        self.shapes: list[tuple[int, tuple[int, ...]]] = []
+        self._form_ids: dict = {}
+        self._head_ids: dict = {}
+        self._shape_ids: dict = {}
+        self._flips: dict[tuple[int, int], tuple[int, int]] = {}
+        self._reflections: dict[int, _Reflection] = {}
+
+    def _head(self, pi_power: int, q_exponents: tuple) -> int:
+        key = (pi_power, q_exponents)
+        head = self._head_ids.get(key)
+        if head is None:
+            head = self._head_ids[key] = len(self.heads)
+            self.heads.append(key)
+            self.odd.append(frozenset(l for l, exp in q_exponents if exp % 2))
+        return head
+
+    def shape(self, head: int, form_ids: Iterable[int]) -> int:
+        return _intern(self._shape_ids, self.shapes, (head, tuple(sorted(form_ids))))
+
+    def pack(self, e: Expression) -> dict[tuple, dict[int, int]]:
+        groups: dict[tuple, dict[int, int]] = {}
+        for t in e.terms:
+            shape = self.shape(
+                self._head(t.pi_power, t.q_exponents),
+                (_intern(self._form_ids, self.forms, f) for f in t.denominators),
+            )
+            group = groups.setdefault(t.kernels, {})
+            coeff = t.coeff.numerator * (self.scale // t.coeff.denominator)
+            group[shape] = group.get(shape, 0) + coeff
+        return groups
+
+    def flip(self, form: int, line_id: int) -> tuple[int, int]:
+        """R_l on one form: (form id', +-1), memoized."""
+        key = (form, line_id)
+        out = self._flips.get(key)
+        if out is None:
+            flipped, sign = ex._flip_form(self.forms[form], line_id)
+            out = self._flips[key] = (_intern(self._form_ids, self.forms, flipped), sign)
+        return out
+
+    def reflection(self, line_id: int) -> "_Reflection":
+        table = self._reflections.get(line_id)
+        if table is None:
+            table = self._reflections[line_id] = _Reflection(self, line_id)
+        return table
+
+    def unpack(self, total: dict[tuple, dict[int, int]]) -> Expression:
+        """The canonical Expression, sorted once in Term.key order: heads and
+        sorted form tuples compare as their integer ranks do."""
+        form_rank, head_rank = _ranks(self.forms), _ranks(self.heads)
+        order, parts = [], []
+        for head, dens in self.shapes:
+            dens = sorted(dens, key=form_rank.__getitem__)
+            order.append((head_rank[head], tuple(form_rank[f] for f in dens)))
+            parts.append((self.heads[head], tuple(self.forms[f] for f in dens)))
+        rows = []
+        for kernels, terms in total.items():
+            for shape, c in terms.items():
+                if c:
+                    rank, dens_rank = order[shape]
+                    rows.append((rank, kernels, dens_rank, shape, c))
+        rows.sort()
+        fractions: dict[int, Fraction] = {}
+        out = []
+        for _, kernels, _, shape, c in rows:
+            (pi_power, q_exponents), dens = parts[shape]
+            coeff = fractions.get(c)
+            if coeff is None:
+                coeff = fractions[c] = Fraction(c, self.scale)
+            out.append(ex.Term(coeff, pi_power, q_exponents, kernels, dens))
+        return Expression(tuple(out))
+
+
+class _Reflection(dict):
+    """R_l as a signed permutation of term shapes: shape -> (shape', +-1),
+    filled on first use from the form table and the head's q parity."""
+
+    def __init__(self, packed: _Packed, line_id: int):
+        super().__init__()
+        self.packed = packed
+        self.line_id = line_id
+
+    def __missing__(self, shape: int) -> tuple[int, int]:
+        p, line_id = self.packed, self.line_id
+        head, dens = p.shapes[shape]
+        sign = -1 if line_id in p.odd[head] else 1
+        flipped = []
+        for form in dens:
+            form, s = p.flip(form, line_id)
+            sign *= s
+            flipped.append(form)
+        out = self[shape] = (p.shape(head, flipped), sign)
+        return out
+
+
+_LEAF = None
+
+
+def _trie(subsets: Iterable[LineSubset]) -> dict:
+    """Prefix trie of the subsets in ascending line order; _LEAF marks a subset."""
     trie: dict = {}
-    TERMINAL = None
-    for subset in spec.subsets:
+    for subset in subsets:
         node = trie
         for lid in sorted(subset):
             node = node.setdefault(lid, {})
-        node[TERMINAL] = True
+        node[_LEAF] = True
+    return trie
 
-    collected: list[ex.Term] = []
 
-    def walk(expr: Expression, node: dict) -> None:
-        if TERMINAL in node:
-            collected.extend(expr.terms)
-        if expr.is_empty():
-            return
-        for lid, child in node.items():
-            if lid is TERMINAL:
-                continue
-            walk(_kernel_factor(expr, lid), child)
+def _walk(packed: _Packed, node: dict, terms: dict[int, int], kernels: tuple,
+          total: dict[tuple, dict[int, int]]) -> None:
+    """Depth-first over the trie: each edge applies nbe_l (1 - R_l) to the
+    packed terms, dropping zeros; each subset's terms accumulate into total."""
+    if _LEAF in node:
+        acc = total.get(kernels)
+        if acc is None:
+            total[kernels] = dict(terms)
+        else:
+            for shape, c in terms.items():
+                acc[shape] = acc.get(shape, 0) + c
+    for lid, child in node.items():
+        if lid is _LEAF:
+            continue
+        if lid in kernels:
+            raise ex.KernelReflection(lid)
+        reflect = packed.reflection(lid)
+        out = dict(terms)
+        for shape, c in terms.items():
+            image, sign = reflect[shape]
+            out[image] = out.get(image, 0) - sign * c
+        out = {shape: c for shape, c in out.items() if c}
+        if out:
+            _walk(packed, child, out, tuple(sorted(kernels + (lid,))), total)
 
-    walk(e, trie)
-    return Expression.from_terms(collected)
+
+def _apply_packed(packed: _Packed, subsets: Iterable[LineSubset], e: Expression,
+                  total: dict[tuple, dict[int, int]]) -> None:
+    trie = _trie(subsets)
+    for kernels, terms in packed.pack(e).items():
+        _walk(packed, trie, terms, kernels, total)
+
+
+def apply_operator(spec: OperatorSpec, e: Expression) -> Expression:
+    """Apply a thermal operator to an expression.
+
+    The expression is packed once (see _Packed). Factors for distinct lines
+    commute; within each subset they are applied in ascending line order,
+    and subsets sharing a prefix share the intermediate terms (depth-first
+    over the prefix trie). Each factor nbe_l (1 - R_l) is dict arithmetic
+    on packed terms through a memoized signed permutation of term shapes;
+    terms that cancel are dropped at once, so cutset branches die early.
+    The subsets' results are summed into one packed total, which is
+    canonicalized once. An empty subset list gives the empty expression.
+    Reflecting a line whose kernel a term already carries raises
+    KernelReflection.
+    """
+    packed = _Packed([e])
+    total: dict[tuple, dict[int, int]] = {}
+    _apply_packed(packed, spec.subsets, e, total)
+    return packed.unpack(total)
 
 
 def matsubara_sum(
@@ -229,22 +388,25 @@ def matsubara_sum(
     """Closed-form evaluation of the Matsubara sum.
 
     method="operator": reduced thermal operator applied to the integral.
-    method="direct":   per-tree operators over the non-tree lines applied to
-                       each tree contribution, then summed.
-    The two canonicalize identically.
+    method="direct":   each tree contribution gets the operator of all
+                       subsets of its non-tree lines,
+                       prod_l (1 + nbe_l (1 - R_l)); every tree accumulates
+                       into one packed total, canonicalized once.
+    Both run the packed walk of apply_operator and canonicalize identically.
     """
     if method == "operator":
         return apply_operator(operator_reduced(graph), matsubara_integral(graph, hierarchy))
     if method == "direct":
-        total = ex.EMPTY
-        tree_ids_all = set(graph.line_ids)
-        for tree in gr.enumerate_spanning_trees(graph):
-            sol = solve_tree(graph, tree, hierarchy)
-            contrib = tree_integral(graph, sol)
-            for lid in sorted(tree_ids_all - set(tree)):
-                contrib = ex.add(contrib, _kernel_factor(contrib, lid))
-            total = ex.add(total, contrib)
-        return total
+        parts = [
+            (tree, tree_integral(graph, solve_tree(graph, tree, hierarchy)))
+            for tree in gr.enumerate_spanning_trees(graph)
+        ]
+        packed = _Packed(part for _, part in parts)
+        total: dict[tuple, dict[int, int]] = {}
+        for tree, part in parts:
+            free = sorted(set(graph.line_ids) - set(tree))
+            _apply_packed(packed, _all_subsets(free), part, total)
+        return packed.unpack(total)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -58,6 +58,10 @@ class GraphTooLarge(GraphError):
     pass
 
 
+class MalformedGraph(GraphError):
+    """The description does not have the documented JSON shape."""
+
+
 @dataclass(frozen=True)
 class Line:
     id: int
@@ -134,15 +138,20 @@ def validate_graph(raw: dict) -> MatsubaraGraph:
     """Validate a raw description {"vertices": [...], "edges": [{"id", "from", "to"}...]}.
 
     Vertex order in the array fixes the N-symbol order; the last vertex is the
-    root. Edge ids must be unique positive integers. Raises a GraphError
-    subclass naming the first offending element.
+    root. Vertex names are strings; edge ids must be unique positive integers
+    (not booleans). Raises a GraphError subclass naming the first offending
+    element.
     """
-    vertices = list(raw.get("vertices", []))
-    edges = list(raw.get("edges", []))
+    if not isinstance(raw, dict):
+        raise MalformedGraph(f"graph description must be an object, not {type(raw).__name__}")
+    vertices = _array(raw, "vertices")
+    edges = _array(raw, "edges")
     if not vertices:
         raise Disconnected("graph has no vertices")
     seen_v: set[str] = set()
     for v in vertices:
+        if not isinstance(v, str):
+            raise MalformedGraph(f"vertex name {v!r} is not a string")
         if v in seen_v:
             raise DuplicateId(f"vertex {v!r} listed twice")
         seen_v.add(v)
@@ -150,14 +159,16 @@ def validate_graph(raw: dict) -> MatsubaraGraph:
     lines: list[Line] = []
     seen_ids: set[int] = set()
     for e in edges:
+        if not isinstance(e, dict) or not {"id", "from", "to"} <= e.keys():
+            raise MalformedGraph(f"edge {e!r} is not an object with id, from and to")
         lid, tail, head = e["id"], e["from"], e["to"]
-        if not isinstance(lid, int) or lid <= 0:
+        if not isinstance(lid, int) or isinstance(lid, bool) or lid <= 0:
             raise DuplicateId(f"edge id {lid!r} is not a positive integer")
         if lid in seen_ids:
             raise DuplicateId(f"edge id {lid} listed twice")
         seen_ids.add(lid)
         for v in (tail, head):
-            if v not in seen_v:
+            if not isinstance(v, str) or v not in seen_v:
                 raise UnknownVertex(f"edge {lid} references unknown vertex {v!r}")
         if tail == head:
             raise SelfLoop(lid)
@@ -179,6 +190,13 @@ def validate_graph(raw: dict) -> MatsubaraGraph:
 
     lines.sort(key=lambda ln: ln.id)
     return MatsubaraGraph(tuple(vertices), tuple(lines))
+
+
+def _array(raw: dict, key: str) -> list:
+    value = raw.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise MalformedGraph(f"{key!r} must be an array, not {type(value).__name__}")
+    return list(value)
 
 
 def make_graph(vertices: Sequence[str], edges: Sequence[tuple[int, str, str]]) -> MatsubaraGraph:
@@ -284,20 +302,29 @@ def is_cutset(graph: MatsubaraGraph, subset: Iterable[int]) -> bool:
     return not _connected(graph.vertices, remaining)
 
 
-def non_cutset_subsets(graph: MatsubaraGraph, max_size: int) -> list[LineSubset]:
-    """All line subsets of size 0..max_size that do not disconnect the graph.
+def _labelled_subsets(graph: MatsubaraGraph, max_size: int):
+    """Each line subset of size 0..max_size once, as (subset, is_cutset).
 
     Deterministic order: by size, then lexicographic on sorted line ids.
     """
     if graph.num_lines > MAX_LINES:
         raise GraphTooLarge(f"subset enumeration capped at {MAX_LINES} lines")
     ids = sorted(graph.line_ids)
-    out: list[LineSubset] = []
     for size in range(0, max_size + 1):
         for combo in itertools.combinations(ids, size):
-            if not is_cutset(graph, combo):
-                out.append(combo)
-    return out
+            yield combo, is_cutset(graph, combo)
+
+
+def non_cutset_subsets(graph: MatsubaraGraph, max_size: int) -> list[LineSubset]:
+    """All line subsets of size 0..max_size that do not disconnect the graph,
+    by size, then lexicographic on sorted line ids."""
+    return [s for s, cut in _labelled_subsets(graph, max_size) if not cut]
+
+
+def cutset_subsets(graph: MatsubaraGraph, max_size: int) -> list[LineSubset]:
+    """All line subsets of size 1..max_size that disconnect the graph, in the
+    order of non_cutset_subsets."""
+    return [s for s, cut in _labelled_subsets(graph, max_size) if cut]
 
 
 def fundamental_cutset(

@@ -33,6 +33,10 @@ class RankTooHigh(ValueError):
     """Quadrature supports cycle rank <= 2 only."""
 
 
+class BoxTooLarge(ValueError):
+    """The lattice box holds more points than the oracle will sum."""
+
+
 class ConstraintViolated(ValueError):
     """A summation-variable tuple does not satisfy the vertex constraints."""
 
@@ -79,6 +83,13 @@ def _line_values(graph, sol, free, grids, n_values):
     return by_line
 
 
+def _check_lattice_box(cutoff: int, rank: int) -> None:
+    if cutoff < 10:
+        raise ValueError("cutoff must be at least 10")
+    if (2 * cutoff + 1) ** rank > _MAX_LATTICE_POINTS:
+        raise BoxTooLarge(f"lattice box (2*{cutoff}+1)^{rank} is too large")
+
+
 def brute_force_sum(
     graph: MatsubaraGraph,
     n_values: Mapping[str, int],
@@ -93,12 +104,9 @@ def brute_force_sum(
     convergence estimate. Summation order is fixed, so results are
     reproducible bit-for-bit per configuration.
     """
-    if cutoff < 10:
-        raise ValueError("cutoff must be at least 10")
     sol, free = _independent_layout(graph)
     rank = len(free)
-    if (2 * cutoff + 1) ** rank > _MAX_LATTICE_POINTS:
-        raise ValueError(f"lattice box (2*{cutoff}+1)^{rank} is too large")
+    _check_lattice_box(cutoff, rank)
     axis = np.arange(-cutoff, cutoff + 1, dtype=np.int64)
     grids = list(np.meshgrid(*([axis] * rank), indexing="ij"))
     by_line = _line_values(graph, sol, free, grids, n_values)
@@ -127,7 +135,7 @@ def constrained_box_sum(
     """
     ids = list(graph.line_ids)
     if (2 * box + 1) ** len(ids) > _MAX_LATTICE_POINTS:
-        raise ValueError("box too large for a full delta-checked sum")
+        raise BoxTooLarge("box too large for a full delta-checked sum")
     axis = np.arange(-box, box + 1, dtype=np.int64)
     grids = np.meshgrid(*([axis] * len(ids)), indexing="ij")
     by_line = {lid: g for lid, g in zip(ids, grids)}
@@ -279,6 +287,7 @@ def verify_sum(
     seed: int = 0,
 ) -> list[VerificationReport]:
     """Compare the evaluated closed-form sum against brute force on random draws."""
+    _check_lattice_box(cutoff, gr.cycle_rank(graph))
     expr = eng.matsubara_sum(graph)
     rng = np.random.default_rng(seed)
     reports = []

@@ -59,6 +59,15 @@ def test_validate_bad_graph_exits_1(capsys, tmp_path):
     assert "invalid graph" in err
 
 
+def test_validate_array_top_level_exits_1(capsys, tmp_path):
+    bad = tmp_path / "array.json"
+    bad.write_text("[1]")
+    code, _, err = run(capsys, "validate", "--graph", str(bad))
+    assert code == 1
+    assert err.startswith("invalid graph: ")
+    assert "Traceback" not in err
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "validate", "--graph", "/nope/missing.json")
     assert code == 1
@@ -176,3 +185,75 @@ def test_hierarchy_flag(capsys, g2_path):
     _, out2, _ = run(capsys, "integral", "--graph", g2_path, "--format", "json",
                      "--hierarchy", "2,1")
     assert out1 == out2  # two-vertex closed form is hierarchy independent
+
+
+def assert_usage_error(result, *words):
+    code, out, err = result
+    assert code == 64
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith("matsum: error: ")
+    for word in words:
+        assert word in err
+
+
+def test_eval_malformed_items_exit_64(capsys, g2_path):
+    assert_usage_error(run(capsys, "eval", "--graph", g2_path,
+                           "--q", "1=0.7,2:0.5", "--n", "a:1"), "--q", "1=0.7")
+    assert_usage_error(run(capsys, "eval", "--graph", g2_path,
+                           "--q", "1:0.7,2:0.5", "--n", "a=1"), "--n", "a=1")
+    assert_usage_error(run(capsys, "eval", "--graph", g2_path,
+                           "--q", "x:0.7,2:0.5", "--n", "a:1"), "--q")
+    assert_usage_error(run(capsys, "eval", "--graph", g2_path,
+                           "--q", "1:0.7,2:0.5", "--n", "a:1.5"), "--n")
+
+
+def test_eval_missing_line_or_vertex_exits_64(capsys, g2_path):
+    assert_usage_error(run(capsys, "eval", "--graph", g2_path,
+                           "--q", "1:0.7", "--n", "a:1"), "line 2")
+    assert_usage_error(run(capsys, "eval", "--graph", g2_path,
+                           "--q", "1:0.7,2:0.5,9:1.0", "--n", "a:1"), "line 9")
+    assert_usage_error(run(capsys, "eval", "--graph", g2_path,
+                           "--q", "1:0.7,2:0.5", "--n", "b:1"), "'b'")
+
+
+def test_eval_missing_non_root_vertex_exits_64(capsys, g4_path):
+    assert_usage_error(run(capsys, "eval", "--graph", g4_path,
+                           "--q", "1:0.7,2:0.5,3:1.1,4:0.9,5:1.3", "--n", "a:1,c:2"),
+                       "vertex b")
+
+
+def test_eval_nonpositive_or_nonfinite_q_exits_64(capsys, g2_path):
+    for q in ("1:-0.7,2:0.5", "1:0,2:0.5", "1:inf,2:0.5", "1:0.7,2:nan"):
+        assert_usage_error(run(capsys, "eval", "--graph", g2_path,
+                               "--q", q, "--n", "a:1"), "--q")
+
+
+def test_eval_overflow_exits_1(capsys, g2_path):
+    code, out, err = run(capsys, "eval", "--graph", g2_path, "--target", "integral",
+                         "--q", "1:1e-300,2:1e-300", "--n", "a:1")
+    assert code == 1
+    assert out == ""
+    assert "overflowed" in err
+
+
+def test_bad_hierarchy_exits_64(capsys, g2_path):
+    assert_usage_error(run(capsys, "integral", "--graph", g2_path,
+                           "--hierarchy", "x"), "--hierarchy")
+    for hierarchy in ("1,1", "1", "1,2,3"):
+        assert_usage_error(run(capsys, "sum", "--graph", g2_path,
+                               "--hierarchy", hierarchy), "permutation")
+
+
+def test_verify_cutoff_below_10_exits_64(capsys, g3_path):
+    assert_usage_error(run(capsys, "verify", "--graph", g3_path,
+                           "--cutoff", "5"), "--cutoff")
+
+
+def test_verify_box_too_large_exits_1(capsys, g3_path):
+    # rank 2 at the default cutoff 10000 exceeds the lattice oracle's cap
+    code, out, err = run(capsys, "verify", "--graph", g3_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("cannot verify sum: ")
+    assert len(err.strip().splitlines()) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -241,6 +242,81 @@ def test_denominator_coefficients_stay_unit_on_corpus():
             for t in e.terms:
                 for f in t.denominators:
                     assert all(c in (-1, 1) for _, c in f.q)
+
+
+# ---------------------------------------------------------------------------
+# packed operator kernel
+# ---------------------------------------------------------------------------
+
+def _reference_operator(spec, e):
+    """The operator folded subset by subset through the public term algebra:
+    each subset's image extends the memoized image of its prefix, and the
+    images are summed pairwise with ex.add."""
+    images = {(): e}
+
+    def image(subset):
+        if subset not in images:
+            part = image(subset[:-1])
+            if not part.is_empty():
+                lid = subset[-1]
+                part = ex.kernel_multiply(ex.reflection_difference(part, lid), lid)
+            images[subset] = part
+        return images[subset]
+
+    parts = [image(tuple(sorted(subset))) for subset in spec.subsets] or [ex.EMPTY]
+    while len(parts) > 1:
+        parts = [ex.add(*parts[k:k + 2]) if k + 1 < len(parts) else parts[k]
+                 for k in range(0, len(parts), 2)]
+    return parts[0]
+
+
+def _kernel_graphs():
+    rng = np.random.default_rng(20260810)
+    return [fixtures.g2(), fixtures.g3(), fixtures.g4()] + [
+        fixtures.random_graph(rng, 5, 7) for _ in range(10)
+    ]
+
+
+@pytest.mark.parametrize("index", range(13))
+def test_operator_routes_match_subset_by_subset_reference(index):
+    g = _kernel_graphs()[index]
+    integral = engine.matsubara_integral(g)
+    reduced = _reference_operator(engine.operator_reduced(g), integral)
+    assert engine.apply_operator(engine.operator_reduced(g), integral) == reduced
+    full = _reference_operator(engine.operator_full(g), integral)
+    assert engine.apply_operator(engine.operator_full(g), integral) == full
+    assert engine.matsubara_sum(g, "direct") == reduced
+
+
+def test_apply_operator_carries_kernels_and_rejects_reflecting_them(g2):
+    e = ex.kernel_multiply(reference_integral_g2(), 1)
+    with pytest.raises(ex.KernelReflection):
+        engine.apply_operator(engine.OperatorSpec(((1,),)), e)
+    with pytest.raises(ex.KernelReflection):
+        engine.apply_operator(engine.OperatorSpec(((), (2,), (1, 2))), e)
+    spec = engine.OperatorSpec(((), (2,)))
+    assert engine.apply_operator(spec, e) == _reference_operator(spec, e)
+    # the cutset {1, 2} annihilates the terms before line 3's kernel is reached
+    e3 = ex.kernel_multiply(reference_integral_g2(), 3)
+    assert engine.apply_operator(engine.OperatorSpec(((1, 2, 3),)), e3).is_empty()
+
+
+#: Term count and sha256 of the JSON render of the rank-6 stress sum
+#: (random_graph(default_rng(3), 4, 8), redrawn until it has 8 lines), as
+#: the Fraction-based walk before the packed kernel produced it.
+STRESS_SUM_TERMS = 39586
+STRESS_SUM_JSON_SHA256 = "6abe2eeb64556b9748c7f745cf86612cc94c84a302a6e7acb943301f9d811382"
+
+
+def test_stress_sum_is_byte_identical():
+    rng = np.random.default_rng(3)
+    g = fixtures.random_graph(rng, 4, 8)
+    while g.num_lines != 8:
+        g = fixtures.random_graph(rng, 4, 8)
+    s = engine.matsubara_sum(g)
+    assert len(s) == STRESS_SUM_TERMS
+    digest = hashlib.sha256(ex.render(s, "json").encode("utf-8")).hexdigest()
+    assert digest == STRESS_SUM_JSON_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,40 @@ def test_validate_rejects_too_many_lines():
         gr.make_graph(["a", "b"], edges)
 
 
+def test_validate_rejects_boolean_edge_id():
+    with pytest.raises(gr.GraphError):
+        gr.validate_graph({"vertices": ["a", "b"],
+                           "edges": [{"id": True, "from": "a", "to": "b"},
+                                     {"id": 2, "from": "b", "to": "a"}]})
+
+
+def test_validate_rejects_non_string_vertex_names():
+    with pytest.raises(gr.MalformedGraph):
+        gr.validate_graph({"vertices": [1, 2],
+                           "edges": [{"id": 1, "from": 1, "to": 2},
+                                     {"id": 2, "from": 2, "to": 1}]})
+
+
+def test_validate_rejects_string_vertex_or_edge_list():
+    edges = [{"id": 1, "from": "a", "to": "b"}, {"id": 2, "from": "b", "to": "a"}]
+    with pytest.raises(gr.MalformedGraph):
+        gr.validate_graph({"vertices": "ab", "edges": edges})
+    with pytest.raises(gr.MalformedGraph):
+        gr.validate_graph({"vertices": ["a", "b"], "edges": "12"})
+
+
+def test_validate_rejects_non_object_top_level():
+    for raw in ([1], "ab", 3, None):
+        with pytest.raises(gr.MalformedGraph):
+            gr.validate_graph(raw)
+
+
+def test_validate_rejects_malformed_edges():
+    for edge in (1, ["a", "b"], {"id": 1, "from": "a"}):
+        with pytest.raises(gr.MalformedGraph):
+            gr.validate_graph({"vertices": ["a", "b"], "edges": [edge]})
+
+
 def test_incidence_signs_g4(g4):
     assert gr.incidence_sign(g4, "a", 1) == 1
     assert gr.incidence_sign(g4, "b", 5) == -1
@@ -142,6 +176,19 @@ def test_non_cutset_subsets_counts(g2, g3, g4):
     assert len(gr.non_cutset_subsets(g4, 2)) == 14
     assert len(gr.non_cutset_subsets(g3, 2)) == 7
     assert gr.non_cutset_subsets(g2, 1) == [(), (1,), (2,)]
+
+
+def test_cutset_and_non_cutset_subsets_partition_all_subsets():
+    import itertools
+
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        g = fixtures.random_graph(rng, max_vertices=5, max_lines=7)
+        ids = sorted(g.line_ids)
+        every = [c for size in range(4) for c in itertools.combinations(ids, size)]
+        cuts = gr.cutset_subsets(g, 3)
+        assert cuts == [c for c in every if not _bfs_connected(g, set(c))]
+        assert sorted(cuts + gr.non_cutset_subsets(g, 3)) == sorted(every)
 
 
 def test_non_cutset_subsets_properties(g4):
