@@ -33,10 +33,7 @@ for _ in range(5):
     n = {v: int(rng.integers(-3, 4)) for v in g.vertices[:-1]}
     tup = {l: int(rng.integers(-5, 6)) for l in free}
     for j in sol.tree:
-        om = sol.omega[j]
-        tup[j] = sum(a * n[v] for v, a in om.n_part) + sum(
-            b * tup[l] for l, b in om.line_part
-        )
+        tup[j] = sol.omega[j].value(n, tup)
     residual = oracles.check_gaudin_identity(g, q, tup, claimed_n=n)
     print(f"  n = {tup}   residual = {residual:.2e}")
 

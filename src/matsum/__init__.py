@@ -25,11 +25,8 @@ from .expressions import (
     Term,
     add,
     eval_numeric,
-    kernel_multiply,
     parse_expression,
-    reflect,
     render,
-    scale,
 )
 from .graph import (
     MatsubaraGraph,

@@ -209,6 +209,8 @@ def _dispatch(args, g: graph.MatsubaraGraph) -> int:
 
     if args.command == "cutsets":
         max_size = args.max_size if args.max_size is not None else graph.cycle_rank(g)
+        if max_size < 1:
+            raise _UsageError(f"--max-size must be at least 1, got {max_size}")
         found = graph.cutset_subsets(g, max_size)
         for c in found:
             print("{" + ",".join(str(x) for x in c) + "}")
@@ -216,6 +218,12 @@ def _dispatch(args, g: graph.MatsubaraGraph) -> int:
         return 0
 
     hierarchy = _parse_hierarchy(getattr(args, "hierarchy", None), g)
+
+    if args.command in ("verify", "gaudin-check"):
+        if args.trials < 1:
+            raise _UsageError(f"--trials must be at least 1, got {args.trials}")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise _UsageError(f"--tol must be a positive finite number, got {args.tol}")
 
     if args.command == "operator":
         spec = engine.operator_full(g) if args.full else engine.operator_reduced(g)
@@ -284,10 +292,7 @@ def _dispatch(args, g: graph.MatsubaraGraph) -> int:
             n_values = {v: int(rng.integers(-3, 4)) for v in g.vertices[:-1]}
             n_tuple = {lid: int(rng.integers(-5, 6)) for lid in free}
             for j in sol.tree:
-                om = sol.omega[j]
-                n_tuple[j] = sum(a * n_values[v] for v, a in om.n_part) + sum(
-                    b * n_tuple[l] for l, b in om.line_part
-                )
+                n_tuple[j] = sol.omega[j].value(n_values, n_tuple)
             residual = oracles.check_gaudin_identity(g, q_values, n_tuple)
             worst = max(worst, residual)
             print(json.dumps({"n": {str(k): v for k, v in sorted(n_tuple.items())},

@@ -67,6 +67,13 @@ class OmegaForm(NamedTuple):
     n_part: tuple[tuple[str, int], ...]
     line_part: tuple[tuple[int, int], ...]
 
+    def value(self, n_values, line_values):
+        """n_j at the given N values and values of the independent variables
+        (numbers or NumPy arrays); a bridge line, with an empty line_part,
+        gives a number."""
+        return sum(a * n_values[v] for v, a in self.n_part) + sum(
+            b * line_values[l] for l, b in self.line_part)
+
 
 class TreeSolution(NamedTuple):
     tree: LineSubset
@@ -553,16 +560,9 @@ def _rewrite(product: tuple[int, ...], member: int, lower: int) -> tuple[int, ..
     return rest[:j] + (lower,) + rest[j:]
 
 
-def _all_subsets(ids: Sequence[int]) -> list[LineSubset]:
-    """Every subset of `ids`, by size, then lexicographic."""
-    return [c for size in range(len(ids) + 1) for c in itertools.combinations(ids, size)]
-
-
 def operator_full(graph: MatsubaraGraph) -> OperatorSpec:
     """The full thermal operator: one summand per subset of lines (2^I)."""
-    if graph.num_lines > gr.MAX_LINES:
-        raise gr.GraphTooLarge(f"operator expansion capped at {gr.MAX_LINES} lines")
-    return OperatorSpec(tuple(_all_subsets(sorted(graph.line_ids))), graph)
+    return OperatorSpec(tuple(gr.line_subsets(graph.line_ids)), graph)
 
 
 def operator_reduced(graph: MatsubaraGraph) -> OperatorSpec:
@@ -867,7 +867,7 @@ def matsubara_sum(
     if method == "operator":
         _walk(packed, [(operator_reduced(graph).subsets, integral)], total)
         return packed.unpack(total)
-    _walk(packed, [(_all_subsets(sorted(set(graph.line_ids) - set(tree))), {(): part})
+    _walk(packed, [(gr.line_subsets(set(graph.line_ids) - set(tree)), {(): part})
                    for tree, part in zip(trees, parts)], total, normal=False)
     return packed.unpack(packed.normalize_all(total))
 
@@ -875,19 +875,17 @@ def matsubara_sum(
 def annihilator_check(
     graph: MatsubaraGraph, subset: Iterable[int], e: Expression
 ) -> bool:
-    """True iff prod_{i in subset} (1 - R_i) maps e to zero: its normal
-    form over the graph's cut arrangement is empty.
+    """True iff prod_{i in subset} (1 - R_i) maps e to zero: the image under
+    the one-subset operator, whose kernels do not affect emptiness, has an
+    empty normal form over the graph's cut arrangement.
 
     For any cutset of the graph this holds on the integral evaluation; for
     non-cutsets it generally does not.
     """
-    out = e
-    for lid in sorted(set(subset)):
+    lines = tuple(sorted(set(subset)))
+    for lid in lines:
         graph.line(lid)  # id check
-        out = ex.reflection_difference(out, lid)
-        if out.is_empty():
-            return True
-    return normal_form(graph, out).is_empty()
+    return apply_operator(OperatorSpec((lines,), graph), e).is_empty()
 
 
 def render_operator(spec: OperatorSpec, fmt: str = "text") -> str:

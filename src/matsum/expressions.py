@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .kernels import nbe
 
@@ -143,15 +143,6 @@ def add(e1: Expression, e2: Expression) -> Expression:
     return Expression.from_terms(e1.terms + e2.terms)
 
 
-def scale(e: Expression, factor) -> Expression:
-    f = Fraction(factor)
-    if f == 0:
-        return EMPTY
-    if f == -1:
-        return Expression(tuple(t._replace(coeff=-t.coeff) for t in e.terms))
-    return Expression(tuple(t._replace(coeff=t.coeff * f) for t in e.terms))
-
-
 def _flip_form(form: LinearForm, line_id: int) -> tuple[LinearForm, int]:
     """Negate q_{line_id} in a canonical form, restoring sign normalization.
 
@@ -170,67 +161,6 @@ def _flip_form(form: LinearForm, line_id: int) -> tuple[LinearForm, int]:
     # leading coefficient flipped negative: negate the whole form
     new_q = ((line_id, c),) + tuple((l2, -c2) for l2, c2 in q[1:])
     return LinearForm(form.n, new_q), -1
-
-
-def reflect_term(t: Term, line_id: int) -> Term:
-    """Full reflection of one term: flip the line in every denominator and
-    pick up (-1)^exponent from the q-monomial."""
-    if line_id in t.kernels:
-        raise KernelReflection(line_id)
-    coeff = t.coeff
-    for l, exp in t.q_exponents:
-        if l == line_id:
-            if exp % 2:
-                coeff = -coeff
-            break
-    dens = []
-    for form in t.denominators:
-        form, sign = _flip_form(form, line_id)
-        if sign < 0:
-            coeff = -coeff
-        dens.append(form)
-    return Term(coeff, t.pi_power, t.q_exponents, t.kernels, tuple(sorted(dens)))
-
-
-def reflect(e: Expression, line_id: int) -> Expression:
-    """Negate q_{line_id} everywhere. Errors if any term carries that kernel."""
-    return Expression.from_terms(reflect_term(t, line_id) for t in e.terms)
-
-
-def kernel_multiply(e: Expression, line_id: int) -> Expression:
-    """Multiply every term by nbe(q_{line_id})."""
-    new_terms = []
-    for t in e.terms:
-        if line_id in t.kernels:
-            raise DuplicateKernel(line_id)
-        new_terms.append(t._replace(kernels=tuple(sorted(t.kernels + (line_id,)))))
-    return Expression.from_terms(new_terms)
-
-
-def reflection_difference(e: Expression, line_id: int) -> Expression:
-    """(1 - R_i) e, the reflection-difference of the whole expression."""
-    def emit():
-        for t in e.terms:
-            yield t
-            rt = reflect_term(t, line_id)
-            yield rt._replace(coeff=-rt.coeff)
-
-    return Expression.from_terms(emit())
-
-
-def reflection_pair(e: Expression, line_id: int) -> Expression:
-    """(1 + R_i) e.
-
-    On terms carrying the 1/(2 q_i) prefactor (odd q_i exponent) this is the
-    folded image of a bare reflection-difference acting on the denominators
-    alone, via (1/q)(1 - R)f = (1 + R)[(1/q) f].
-    """
-    def emit():
-        for t in e.terms:
-            yield t
-            yield reflect_term(t, line_id)
-
-    return Expression.from_terms(emit())
 
 
 def _form_value(form: LinearForm, q_values, n_values) -> complex:
@@ -309,10 +239,6 @@ def _signed(c: int, sym: str, first: bool) -> str:
     return f"-{mag}" if first else f" - {mag}"
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _render_kernel_sum(group: list[Term], fmt: str, negate: bool = False) -> str:
     """Numerator like '1 + nbe(q1) - nbe(q2)' for terms sharing denominators."""
     bits: list[str] = []
@@ -321,7 +247,7 @@ def _render_kernel_sum(group: list[Term], fmt: str, negate: bool = False) -> str
         kparts = [f"nbe(q{l})" if fmt == "text" else f"n_B(q_{{{l}}})" for l in t.kernels]
         pieces = []
         if abs(coeff) != 1 or not kparts:
-            pieces.append(_coeff_str(abs(coeff)))
+            pieces.append(str(abs(coeff)))
         pieces.extend(kparts)
         joiner = "*" if fmt == "text" else " "
         body = joiner.join(pieces)
@@ -391,7 +317,7 @@ def render(e: Expression, fmt: str = "text") -> str:
 def _render_plain(e: Expression, fmt: str) -> str:
     parts: list[str] = []
     for t in e.terms:
-        bits = [_coeff_str(abs(t.coeff))]
+        bits = [str(abs(t.coeff))]
         if t.pi_power:
             bits.append("(2π)" if fmt == "text" else "(2\\pi)")
             if t.pi_power != 1:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 #: Hard cap on line count; subset enumeration is exponential in I.
 MAX_LINES = 16
@@ -338,29 +338,28 @@ def bonds(graph: MatsubaraGraph) -> list[tuple[frozenset[str], LineSubset]]:
     return out
 
 
-def _labelled_subsets(graph: MatsubaraGraph, max_size: int):
-    """Each line subset of size 0..max_size once, as (subset, is_cutset).
+def line_subsets(ids: Iterable[int], max_size: int | None = None) -> Iterator[LineSubset]:
+    """Each subset of the line ids of size 0..max_size (default: all) once.
 
     Deterministic order: by size, then lexicographic on sorted line ids.
     """
-    if graph.num_lines > MAX_LINES:
+    ids = sorted(ids)
+    if len(ids) > MAX_LINES:
         raise GraphTooLarge(f"subset enumeration capped at {MAX_LINES} lines")
-    ids = sorted(graph.line_ids)
-    for size in range(0, max_size + 1):
-        for combo in itertools.combinations(ids, size):
-            yield combo, is_cutset(graph, combo)
+    for size in range(len(ids) + 1 if max_size is None else max_size + 1):
+        yield from itertools.combinations(ids, size)
 
 
 def non_cutset_subsets(graph: MatsubaraGraph, max_size: int) -> list[LineSubset]:
     """All line subsets of size 0..max_size that do not disconnect the graph,
     by size, then lexicographic on sorted line ids."""
-    return [s for s, cut in _labelled_subsets(graph, max_size) if not cut]
+    return [s for s in line_subsets(graph.line_ids, max_size) if not is_cutset(graph, s)]
 
 
 def cutset_subsets(graph: MatsubaraGraph, max_size: int) -> list[LineSubset]:
     """All line subsets of size 1..max_size that disconnect the graph, in the
     order of non_cutset_subsets."""
-    return [s for s, cut in _labelled_subsets(graph, max_size) if cut]
+    return [s for s in line_subsets(graph.line_ids, max_size) if is_cutset(graph, s)]
 
 
 def fundamental_cutset(

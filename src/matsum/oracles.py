@@ -55,13 +55,6 @@ class QuadratureResult(NamedTuple):
     error_estimate: float
 
 
-def single_sum(q: float, cutoff: int) -> float:
-    """Machinery check: sum_{|n| <= M} 1/(n^2 + q^2), which tends to
-    pi*coth(pi q)/q."""
-    n = np.arange(-cutoff, cutoff + 1, dtype=float)
-    return float(np.sum(1.0 / (n * n + q * q)))
-
-
 def _independent_layout(graph: MatsubaraGraph):
     """First spanning tree, its solution, and the sorted non-tree lines."""
     tree = gr.enumerate_spanning_trees(graph)[0]
@@ -70,16 +63,12 @@ def _independent_layout(graph: MatsubaraGraph):
     return sol, free
 
 
-def _line_values(graph, sol, free, grids, n_values):
-    """Value of every summation variable on the grid (integer arithmetic)."""
+def _line_values(sol, free, grids, n_values):
+    """Value of every summation variable on the grid (integer arithmetic);
+    a bridge line, which no free variable enters, is broadcast to grid shape."""
     by_line = {lid: g for lid, g in zip(free, grids)}
     for j in sol.tree:
-        om = sol.omega[j]
-        val = sum(a * n_values[v] for v, a in om.n_part)
-        arr = np.full(grids[0].shape, val, dtype=np.int64) if grids else val
-        for l, b in om.line_part:
-            arr = arr + b * by_line[l]
-        by_line[j] = arr
+        by_line[j] = np.broadcast_to(sol.omega[j].value(n_values, by_line), grids[0].shape)
     return by_line
 
 
@@ -109,7 +98,7 @@ def brute_force_sum(
     _check_lattice_box(cutoff, rank)
     axis = np.arange(-cutoff, cutoff + 1, dtype=np.int64)
     grids = list(np.meshgrid(*([axis] * rank), indexing="ij"))
-    by_line = _line_values(graph, sol, free, grids, n_values)
+    by_line = _line_values(sol, free, grids, n_values)
     summand = np.ones(grids[0].shape, dtype=float)
     for lid in graph.line_ids:
         nvals = by_line[lid].astype(float)
@@ -119,39 +108,6 @@ def brute_force_sum(
     for g in grids:
         mask &= np.abs(g) <= half
     return BruteForceResult(float(np.sum(summand)), float(np.sum(summand * mask)))
-
-
-def constrained_box_sum(
-    graph: MatsubaraGraph,
-    full_n_values: Mapping[str, int],
-    q_values: Mapping[int, float],
-    box: int,
-) -> float:
-    """Direct delta-checked sum over all I variables on [-box, box]^I.
-
-    Takes the complete N assignment (including the root) and enforces every
-    vertex constraint pointwise, so it also witnesses the vanishing of the
-    sum when sum_v N_v != 0. Exponential in I; keep the box small.
-    """
-    ids = list(graph.line_ids)
-    if (2 * box + 1) ** len(ids) > _MAX_LATTICE_POINTS:
-        raise BoxTooLarge("box too large for a full delta-checked sum")
-    axis = np.arange(-box, box + 1, dtype=np.int64)
-    grids = np.meshgrid(*([axis] * len(ids)), indexing="ij")
-    by_line = {lid: g for lid, g in zip(ids, grids)}
-    ok = np.ones(grids[0].shape, dtype=bool)
-    for v in graph.vertices:
-        t_v = np.zeros(grids[0].shape, dtype=np.int64)
-        for ln in graph.lines:
-            s = gr.incidence_sign(graph, v, ln.id)
-            if s:
-                t_v = t_v + s * by_line[ln.id]
-        ok &= t_v == full_n_values[v]
-    summand = np.ones(grids[0].shape, dtype=float)
-    for lid in ids:
-        nvals = by_line[lid].astype(float)
-        summand = summand / (nvals * nvals + q_values[lid] ** 2)
-    return float(np.sum(summand * ok))
 
 
 def quadrature_integral(
@@ -358,16 +314,13 @@ def check_gaudin_identity(
     for ln in graph.lines:
         lhs /= q_values[ln.id] - 1j * n_tuple[ln.id]
 
+    saddle = {lid: -1j * q_values[lid] for lid in graph.line_ids}
     rhs = 0j
     for tree in gr.enumerate_spanning_trees(graph):
         sol = eng.solve_tree(graph, tree)
         contrib = 1.0 + 0j
         for j in sol.tree:
-            om = sol.omega[j]
-            omega_val = sum(a * t_values[v] for v, a in om.n_part) + sum(
-                b * (-1j * q_values[l]) for l, b in om.line_part
-            )
-            contrib /= q_values[j] - 1j * omega_val
+            contrib /= q_values[j] - 1j * sol.omega[j].value(t_values, saddle)
         for l in sorted(set(graph.line_ids) - set(tree)):
             contrib /= q_values[l] - 1j * n_tuple[l]
         rhs += contrib

@@ -247,6 +247,26 @@ def test_bad_hierarchy_exits_64(capsys, g2_path):
                                "--hierarchy", hierarchy), "permutation")
 
 
+def test_trials_below_1_exits_64(capsys, g2_path):
+    for command in ("verify", "gaudin-check"):
+        for trials in ("0", "-3"):
+            assert_usage_error(run(capsys, command, "--graph", g2_path,
+                                   "--trials", trials), "--trials")
+
+
+def test_tol_not_positive_and_finite_exits_64(capsys, g2_path):
+    for command in ("verify", "gaudin-check"):
+        for tol in ("nan", "inf", "0", "-1e-6"):
+            assert_usage_error(run(capsys, command, "--graph", g2_path,
+                                   f"--tol={tol}"), "--tol")
+
+
+def test_cutsets_max_size_below_1_exits_64(capsys, g4_path):
+    for size in ("0", "-2"):
+        assert_usage_error(run(capsys, "cutsets", "--graph", g4_path,
+                               "--max-size", size), "--max-size")
+
+
 def test_verify_cutoff_below_10_exits_64(capsys, g3_path):
     assert_usage_error(run(capsys, "verify", "--graph", g3_path,
                            "--cutoff", "5"), "--cutoff")

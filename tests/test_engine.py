@@ -22,6 +22,7 @@ from conftest import (
     reference_integral_g4_value,
     reference_sum_g2,
 )
+from reference import kernel_multiply, reflection_difference
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,7 @@ def _reference_operator(spec, e):
             part = image(subset[:-1])
             if not part.is_empty():
                 lid = subset[-1]
-                part = ex.kernel_multiply(ex.reflection_difference(part, lid), lid)
+                part = kernel_multiply(reflection_difference(part, lid), lid)
             images[subset] = part
         return images[subset]
 
@@ -311,7 +312,7 @@ def test_operator_routes_match_subset_by_subset_reference(index):
 
 
 def test_apply_operator_carries_kernels_and_rejects_reflecting_them(g2):
-    e = ex.kernel_multiply(reference_integral_g2(), 1)
+    e = kernel_multiply(reference_integral_g2(), 1)
     with pytest.raises(ex.KernelReflection):
         engine.apply_operator(engine.OperatorSpec(((1,),), g2), e)
     with pytest.raises(ex.KernelReflection):
@@ -319,7 +320,7 @@ def test_apply_operator_carries_kernels_and_rejects_reflecting_them(g2):
     spec = engine.OperatorSpec(((), (2,)), g2)
     assert engine.apply_operator(spec, e) == engine.normal_form(g2, _reference_operator(spec, e))
     # the cutset {1, 2} annihilates the terms before line 3's kernel is reached
-    e3 = ex.kernel_multiply(reference_integral_g2(), 3)
+    e3 = kernel_multiply(reference_integral_g2(), 3)
     assert engine.apply_operator(engine.OperatorSpec(((1, 2, 3),), g2), e3).is_empty()
 
 

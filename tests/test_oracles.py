@@ -14,6 +14,8 @@ from matsum import expressions as ex
 from matsum import graph as gr
 from matsum.kernels import ZeroArgument, nbe
 
+from reference import constrained_box_sum, single_sum
+
 
 # ---------------------------------------------------------------------------
 # kernel
@@ -55,7 +57,7 @@ def test_nbe_zero_raises():
 
 def test_single_sum_machinery_check():
     # sum_n 1/(n^2+1) -> pi coth(pi)
-    val = oracles.single_sum(1.0, 100_000)
+    val = single_sum(1.0, 100_000)
     target = math.pi / math.tanh(math.pi)
     assert val == pytest.approx(target, abs=1e-4)
 
@@ -77,6 +79,16 @@ def test_brute_force_convergence_shrinks(g3):
     assert all(a > b for a, b in zip(diffs, diffs[1:]))
 
 
+def test_brute_force_fills_a_bridge_line_across_the_grid():
+    # line 3 is a bridge: its variable is fixed by the N's alone
+    g = gr.make_graph(["a", "b", "c", "d"], [(1, "a", "b"), (2, "b", "a"), (3, "b", "c"),
+                                             (4, "c", "d"), (5, "d", "c")])
+    n, q = {"a": 1, "b": 0, "c": -1}, {lid: 0.5 + 0.2 * lid for lid in g.line_ids}
+    res = oracles.brute_force_sum(g, n, q, 400)
+    closed = ex.eval_numeric(engine.matsubara_sum(g), q, n).real
+    assert res.value == pytest.approx(closed, rel=1e-6)
+
+
 def test_brute_force_rejects_tiny_cutoff(g2):
     with pytest.raises(ValueError):
         oracles.brute_force_sum(g2, {"a": 0}, {1: 1.0, 2: 1.0}, 5)
@@ -85,8 +97,8 @@ def test_brute_force_rejects_tiny_cutoff(g2):
 def test_constrained_box_sum_vanishes_without_balance(g2):
     # constraints are unsatisfiable when the vertex integers do not sum to 0
     q = {1: 1.0, 2: 1.0}
-    assert oracles.constrained_box_sum(g2, {"a": 3, "b": 0}, q, 6) == 0.0
-    assert oracles.constrained_box_sum(g2, {"a": 1, "b": 2}, q, 6) == 0.0
+    assert constrained_box_sum(g2, {"a": 3, "b": 0}, q, 6) == 0.0
+    assert constrained_box_sum(g2, {"a": 1, "b": 2}, q, 6) == 0.0
 
 
 def test_constrained_box_sum_matches_solved_iteration(g2, g3):
@@ -100,7 +112,7 @@ def test_constrained_box_sum_matches_solved_iteration(g2, g3):
         n = {"a": 1}
         full_n = {"a": 1, "b": -1}
         box = 4
-        boxed = oracles.constrained_box_sum(g, full_n, q, box)
+        boxed = constrained_box_sum(g, full_n, q, box)
         sol = engine.solve_tree(g, gr.enumerate_spanning_trees(g)[0])
         free = sorted(set(g.line_ids) - set(sol.tree))
         total = 0.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from matsum import engine, fixtures
 from matsum import expressions as ex
+from matsum import graph as gr
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -32,3 +33,18 @@ def test_normal_form_is_hierarchy_independent_and_idempotent(seed):
     assert engine.matsubara_sum(g, "direct", hierarchy=hierarchy) == total
     assert engine.normal_form(g, integral) == integral
     assert engine.normal_form(g, total) == total
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_sum_is_real_and_equivariant_under_line_relabelling(seed):
+    rng = np.random.default_rng(seed)
+    g = fixtures.random_graph(rng, 4, 6)
+    relabel = dict(zip(g.line_ids, (int(x) + 1 for x in rng.permutation(g.num_lines))))
+    h = gr.make_graph(g.vertices, [(relabel[ln.id], ln.tail, ln.head) for ln in g.lines])
+    q = {lid: float(rng.uniform(0.3, 3.0)) for lid in g.line_ids}
+    n = {v: int(rng.integers(-3, 4)) for v in g.vertices[:-1]}
+    value = ex.eval_numeric(engine.matsubara_sum(g), q, n)
+    relabelled = ex.eval_numeric(engine.matsubara_sum(h),
+                                 {relabel[lid]: x for lid, x in q.items()}, n)
+    assert abs(relabelled - value) <= 1e-9 * abs(value)
+    assert abs(value.imag) <= 1e-9 * (abs(value.real) + 1)
