@@ -30,15 +30,17 @@ normal form can be much longer than the tree basis on long cycles, so one
 call rewrites at most MAX_REDUCED_PRODUCTS products and raises
 NormalFormTooLarge past that.
 
-Both routes, and apply_operator for any operator, share one packed kernel:
-the input terms are packed once into interned denominator forms, interned
-(pi power, q monomial) heads and integer coefficients over a common
-denominator; each factor nbe_i (1 - R_i) is then dict arithmetic through a
-memoized signed permutation of term shapes, with cancelled terms dropped at
-once, and each level of the walk is brought to normal form with its new
-denominator products reduced in one batch. Nothing is sorted during the
-walk: the accumulated result is turned back into a canonical Expression
-exactly once per route.
+Both routes, and apply_operator for any operator, share one packed kernel
+(_Packed, an expressions.Packer over the cut arrangement): tree products
+are packed as they are built, and an input Expression is packed from its
+tables, into interned denominator forms, interned (pi power, q monomial)
+heads and integer coefficients over a common denominator. Each factor
+nbe_i (1 - R_i) is then dict arithmetic through a memoized signed
+permutation of term shapes, with cancelled terms dropped at once, and each
+level of the walk is brought to normal form with its new denominator
+products reduced in one batch. Nothing is sorted during the walk: each
+route freezes its packed result into an Expression once, which ranks the
+tables and sorts the rows by integer ranks and builds no per-term objects.
 
 Cutset subsets of reflection-differences annihilate the integral: the
 normal form of the image is empty (annihilator_check), which is what
@@ -149,17 +151,6 @@ def solve_tree(
     return TreeSolution(tree_ids, omega, epsilon_signs(graph, tree_ids, hierarchy))
 
 
-def _folded_prefactor_term(graph: MatsubaraGraph, denominators) -> ex.Term:
-    """(2 pi)^L / prod_k (2 q_k) with the given denominator forms."""
-    nlines = graph.num_lines
-    return ex.make_term(
-        Fraction(1, 2**nlines),
-        pi_power=gr.cycle_rank(graph),
-        q_exponents={lid: -1 for lid in graph.line_ids},
-        denominators=denominators,
-    )
-
-
 def tree_product(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
     """Contribution of one spanning tree to the integral, in the tree basis.
 
@@ -170,32 +161,28 @@ def tree_product(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
     1/(q_j - i Omega_j) - 1/(-q_j - i Omega_j). The result has 2^(V-1)
     terms and depends on the regulator signs of the solution.
     """
-    base = _tree_base(graph, solution)
-    packed = _Packed([base])
-    return packed.unpack({(): _pack_tree_product(packed, base, solution.tree)})
+    packed = _Packed(2 ** graph.num_lines)
+    return packed.freeze({(): _pack_tree_product(packed, graph, solution)})
 
 
-def _tree_base(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
-    """The tree product before its reflection pairs: one term."""
-    coeff_sign = 1
-    dens = []
+def _pack_tree_product(packed: "_Packed", graph: MatsubaraGraph,
+                       solution: TreeSolution) -> dict[int, int]:
+    """The packed tree product, over a packer of scale 2^I: the base term
+    (2 pi)^L / prod_k (2 q_k) over the tree lines' denominators, then
+    (1 + R_j) for each tree line j."""
+    sign, dens = 1, []
     for j in solution.tree:
         om = solution.omega[j]
         q_pairs = [(j, 1)] + [
             (l, solution.epsilon[l] * b) for l, b in om.line_part if b != 0
         ]
-        n_pairs = [(v, -a) for v, a in om.n_part]
-        form, sign = ex.normalize_form(n_pairs, q_pairs)
-        coeff_sign *= sign
-        dens.append(form)
-    base = _folded_prefactor_term(graph, dens)
-    return Expression((base._replace(coeff=base.coeff * coeff_sign),))
-
-
-def _pack_tree_product(packed: "_Packed", base: Expression, tree: LineSubset) -> dict[int, int]:
-    """The packed tree product: (1 + R_j) for each tree line j on the base term."""
-    terms = packed.pack(base)[()]
-    for j in tree:
+        form, s = ex.normalize_form([(v, -a) for v, a in om.n_part], q_pairs)
+        sign *= s
+        dens.append(packed.form(form))
+    head = packed.head(gr.cycle_rank(graph),
+                       tuple((lid, -1) for lid in sorted(graph.line_ids)))
+    terms = {packed.shape(head, dens): sign}
+    for j in solution.tree:
         reflect = packed.reflection(j)
         out = dict(terms)
         for shape, c in terms.items():
@@ -220,17 +207,16 @@ def matsubara_integral(
     result does not depend on the regulator hierarchy."""
     trees = gr.enumerate_spanning_trees(graph)
     packed, _, total = _tree_products(graph, trees, hierarchy)
-    return packed.unpack(packed.normalize_all(total))
+    return packed.freeze(packed.normalize_all(total))
 
 
 def _tree_products(graph: MatsubaraGraph, trees: Sequence[LineSubset],
                    hierarchy: Sequence[int] | None):
     """The packed tree products of the trees, over the graph's cut
     arrangement, and their sum as a packed expression."""
-    solutions = [solve_tree(graph, tree, hierarchy) for tree in trees]
-    bases = [_tree_base(graph, sol) for sol in solutions]
-    packed = _Packed(bases, _Arrangement(graph))
-    parts = [_pack_tree_product(packed, base, sol.tree) for base, sol in zip(bases, solutions)]
+    packed = _Packed(2 ** graph.num_lines, _Arrangement(graph))
+    parts = [_pack_tree_product(packed, graph, solve_tree(graph, tree, hierarchy))
+             for tree in trees]
     total: dict[int, int] = {}
     for part in parts:
         for shape, c in part.items():
@@ -248,8 +234,8 @@ def normal_form(graph: MatsubaraGraph, e: Expression) -> Expression:
     a cut form of the graph, and NormalFormTooLarge when the rewriting needs
     more than MAX_REDUCED_PRODUCTS products.
     """
-    packed = _Packed([e], _Arrangement(graph))
-    return packed.unpack(packed.normalize_all(packed.pack(e)))
+    packed = _Packed(e.scale, _Arrangement(graph))
+    return packed.freeze(packed.normalize_all(packed.pack(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -570,29 +556,10 @@ def operator_reduced(graph: MatsubaraGraph) -> OperatorSpec:
     return OperatorSpec(tuple(gr.non_cutset_subsets(graph, gr.cycle_rank(graph))), graph)
 
 
-def _intern(ids: dict, items: list, value) -> int:
-    i = ids.get(value)
-    if i is None:
-        i = ids[value] = len(items)
-        items.append(value)
-    return i
-
-
-def _ranks(items: list) -> list[int]:
-    """rank[i] = position of items[i] in sorted order."""
-    rank = [0] * len(items)
-    for r, i in enumerate(sorted(range(len(items)), key=items.__getitem__)):
-        rank[i] = r
-    return rank
-
-
-class _Packed:
-    """Interning tables shared by every term of one operator application.
-
-    Denominator forms, (pi_power, q_exponents) heads and term shapes
-    (head id, sorted form-id tuple) are interned to ints, and coefficients
-    become ints over `scale`, the common denominator of the inputs. A packed
-    expression maps kernel tuple -> {shape id: int coefficient}.
+class _Packed(ex.Packer):
+    """The packer of one operator application or route: every term it
+    handles is interned here (see expressions.Packer), with coefficients
+    over `scale`.
 
     With a cut arrangement, its forms are interned first, so the id of a
     cut form is its rank and a shape's form tuple is its product in the
@@ -601,42 +568,18 @@ class _Packed:
     normal form.
     """
 
-    def __init__(self, inputs: Iterable[Expression], arrangement: _Arrangement | None = None):
-        self.scale = math.lcm(*(t.coeff.denominator for e in inputs for t in e.terms))
+    def __init__(self, scale: int, arrangement: _Arrangement | None = None):
+        super().__init__(scale, arrangement.forms if arrangement else ())
         self.arrangement = arrangement
-        self.forms: list[ex.LinearForm] = list(arrangement.forms) if arrangement else []
-        self.heads: list[tuple] = []
         self.odd: list[frozenset[int]] = []  # per head: lines of odd q exponent
-        self.shapes: list[tuple[int, tuple[int, ...]]] = []
-        self._form_ids: dict = {f: i for i, f in enumerate(self.forms)}
-        self._head_ids: dict = {}
-        self._shape_ids: dict = {}
         self._reflections: dict[int, _Reflection] = {}
         self.normal: dict[int, tuple] = {}
 
-    def _head(self, pi_power: int, q_exponents: tuple) -> int:
-        key = (pi_power, q_exponents)
-        head = self._head_ids.get(key)
-        if head is None:
-            head = self._head_ids[key] = len(self.heads)
-            self.heads.append(key)
+    def head(self, pi_power: int, q_exponents: tuple) -> int:
+        head = super().head(pi_power, q_exponents)
+        if head == len(self.odd):
             self.odd.append(frozenset(l for l, exp in q_exponents if exp % 2))
         return head
-
-    def shape(self, head: int, form_ids: Iterable[int]) -> int:
-        return _intern(self._shape_ids, self.shapes, (head, tuple(sorted(form_ids))))
-
-    def pack(self, e: Expression) -> dict[tuple, dict[int, int]]:
-        groups: dict[tuple, dict[int, int]] = {}
-        for t in e.terms:
-            shape = self.shape(
-                self._head(t.pi_power, t.q_exponents),
-                (_intern(self._form_ids, self.forms, f) for f in t.denominators),
-            )
-            group = groups.setdefault(t.kernels, {})
-            coeff = t.coeff.numerator * (self.scale // t.coeff.denominator)
-            group[shape] = group.get(shape, 0) + coeff
-        return groups
 
     def reflection(self, line_id: int) -> "_Reflection":
         table = self._reflections.get(line_id)
@@ -662,7 +605,7 @@ class _Packed:
             head, product = self.shapes[shape]
             image = reduced[product]
             normal[shape] = image and tuple(
-                (_intern(self._shape_ids, self.shapes, (head, monomial)), c)
+                (self.shape(head, monomial), c)
                 for monomial, c in image)
 
     def normalize_all(self, groups: dict[tuple, dict[int, int]]) -> dict[tuple, dict[int, int]]:
@@ -685,44 +628,6 @@ class _Packed:
                 out[kernels] = acc
         return out
 
-    def unpack(self, total: dict[tuple, dict[int, int]]) -> Expression:
-        """The canonical Expression in Term.key order: by head, then kernel
-        tuple, then denominators. The shapes in use are ranked once (sorted
-        form tuples compare as their integer form ranks do), each kernel
-        group is sorted by shape rank and split into runs of one head, and
-        the runs are put in (head, kernels) order."""
-        form_rank, head_rank = _ranks(self.forms), _ranks(self.heads)
-        keyed = []
-        for shape in {shape for terms in total.values() for shape in terms}:
-            head, dens = self.shapes[shape]
-            dens = sorted(dens, key=form_rank.__getitem__)
-            keyed.append((head_rank[head], [form_rank[f] for f in dens], shape, head, dens))
-        keyed.sort()
-        position, rank_of, parts = {}, {}, {}
-        for i, (rank, _, shape, head, dens) in enumerate(keyed):
-            position[shape] = i
-            rank_of[shape] = rank
-            parts[shape] = self.heads[head] + (tuple(self.forms[f] for f in dens),)
-        runs = []
-        for kernels, terms in total.items():
-            shapes = sorted((s for s, c in terms.items() if c), key=position.__getitem__)
-            for rank, run in itertools.groupby(shapes, key=rank_of.__getitem__):
-                runs.append((rank, kernels, list(run)))
-        runs.sort(key=lambda run: run[:2])
-        fractions: dict[int, Fraction] = {}
-        out = []
-        new, term = tuple.__new__, ex.Term
-        for _, kernels, shapes in runs:
-            terms = total[kernels]
-            for shape in shapes:
-                pi_power, q_exponents, dens = parts[shape]
-                c = terms[shape]
-                coeff = fractions.get(c)
-                if coeff is None:
-                    coeff = fractions[c] = Fraction(c, self.scale)
-                out.append(new(term, (coeff, pi_power, q_exponents, kernels, dens)))
-        return Expression(tuple(out))
-
 
 class _Reflection(dict):
     """R_l as a signed permutation of term shapes: shape -> (shape', +-1),
@@ -737,7 +642,7 @@ class _Reflection(dict):
     def _flip(self, form: int) -> tuple[int, int]:
         p = self.packed
         flipped, sign = ex._flip_form(p.forms[form], self.line_id)
-        out = self.flips[form] = (_intern(p._form_ids, p.forms, flipped), sign)
+        out = self.flips[form] = (p.form(flipped), sign)
         return out
 
     def __missing__(self, shape: int) -> tuple[int, int]:
@@ -831,14 +736,14 @@ def apply_operator(spec: OperatorSpec, e: Expression) -> Expression:
     level are kept in normal form over the cut arrangement of the spec's
     graph, so cutset branches die early and the result is the normal form.
     The subsets' results are summed into one packed total, which is
-    canonicalized once. An empty subset list gives the empty expression.
+    frozen into an Expression once. An empty subset list gives the empty expression.
     Reflecting a line whose kernel a term already carries raises
     KernelReflection.
     """
-    packed = _Packed([e], _Arrangement(spec.graph))
+    packed = _Packed(e.scale, _Arrangement(spec.graph))
     total: dict[tuple, dict[int, int]] = {}
     _walk(packed, [(spec.subsets, packed.pack(e))], total)
-    return packed.unpack(total)
+    return packed.freeze(total)
 
 
 def matsubara_sum(
@@ -866,10 +771,10 @@ def matsubara_sum(
     packed, parts, integral = _tree_products(graph, trees, hierarchy)
     if method == "operator":
         _walk(packed, [(operator_reduced(graph).subsets, integral)], total)
-        return packed.unpack(total)
+        return packed.freeze(total)
     _walk(packed, [(gr.line_subsets(set(graph.line_ids) - set(tree)), {(): part})
                    for tree, part in zip(trees, parts)], total, normal=False)
-    return packed.unpack(packed.normalize_all(total))
+    return packed.freeze(packed.normalize_all(total))
 
 
 def annihilator_check(

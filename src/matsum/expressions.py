@@ -12,15 +12,38 @@ into the coefficient; terms with equal structure are merged; zero terms drop;
 terms are stored in a fixed sorted order. Equality of canonical expressions
 is therefore exact structural equality.
 
+An Expression is stored packed, as integer tables:
+
+  * its distinct linear forms, in LinearForm order;
+  * its denominator products, as sorted tuples of form ids, in sorted order;
+  * its (pi power, q monomial) heads and its kernel tuples, each sorted;
+  * its distinct coefficients, as ascending integer numerators over one
+    positive denominator that shares no factor with all of them;
+  * one row per term with the ids of its head, kernel tuple, product and
+    numerator, the rows in Term.key order (head, kernels, denominators).
+
+The tables hold only what the rows use, so equal expressions have equal
+fields. A Packer interns terms into the same kinds of tables, with integer
+coefficients over a common denominator, and its freeze() ranks the tables
+and sorts the rows: the one merge-and-sort of the package. Every
+constructor, add, JSON parsing and the engine build expressions through it.
+Rendering, JSON, equality and evaluation read the tables, so each distinct
+factor is formatted, parsed or evaluated once. `Expression.terms` builds
+Term tuples on access, for callers that read terms one at a time.
+
 Everything is an immutable value and all operations are pure functions.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+import math
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .kernels import nbe
 
@@ -110,37 +133,207 @@ def make_term(
     return Term(Fraction(coeff), pi_power, qexp, kern, dens)
 
 
-@dataclass(frozen=True)
-class Expression:
-    """Canonical sum of terms."""
+#: Columns of Expression.rows: ids into heads, kernel_sets, products and
+#: numerators.
+HEAD, KERNELS, PRODUCT, COEFF = range(4)
 
-    terms: tuple[Term, ...] = ()
+
+class Expression:
+    """Canonical sum of terms, stored packed (see the module docstring).
+
+    Expression(terms) and Expression.from_terms(terms) canonicalize any
+    iterable of Terms; `terms` gives the canonical terms back.
+    """
+
+    __slots__ = ("forms", "products", "heads", "kernel_sets", "numerators", "scale",
+                 "rows")
+
+    def __new__(cls, terms: Iterable[Term] = ()) -> "Expression":
+        return cls.from_terms(terms)
 
     @classmethod
     def from_terms(cls, terms: Iterable[Term]) -> "Expression":
-        merged: dict[tuple, Fraction] = {}
+        terms = tuple(terms)
+        packer = Packer(math.lcm(*(t.coeff.denominator for t in terms)))
+        groups: dict[tuple, dict[int, int]] = {}
         for t in terms:
-            merged[t.key] = merged.get(t.key, Fraction(0)) + t.coeff
-        out = [
-            Term(c, *key)
-            for key, c in merged.items()
-            if c != 0
-        ]
-        out.sort(key=lambda t: t.key)
-        return cls(tuple(out))
+            shape = packer.shape(packer.head(t.pi_power, t.q_exponents),
+                                 map(packer.form, t.denominators))
+            group = groups.setdefault(t.kernels, {})
+            coeff = t.coeff.numerator * (packer.scale // t.coeff.denominator)
+            group[shape] = group.get(shape, 0) + coeff
+        return packer.freeze(groups)
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """The terms in canonical order, built on each access."""
+        coeffs = [Fraction(c, self.scale) for c in self.numerators]
+        dens = [tuple(self.forms[f] for f in product) for product in self.products]
+        return tuple(Term(coeffs[c], *self.heads[h], self.kernel_sets[k], dens[p])
+                     for h, k, p, c in self.rows.tolist())
 
     def is_empty(self) -> bool:
-        return not self.terms
+        return not len(self.rows)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.rows)
+
+    def _tables(self) -> tuple:
+        return (self.scale, self.numerators, self.heads, self.kernel_sets, self.forms,
+                self.products)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Expression):
+            return NotImplemented
+        return self is other or (self.rows.shape == other.rows.shape
+                                 and self._tables() == other._tables()
+                                 and np.array_equal(self.rows, other.rows))
+
+    def __hash__(self) -> int:
+        return hash(self._tables() + (self.rows.tobytes(),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Expression is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Expression is immutable")
+
+    def __reduce__(self):
+        return _frozen, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"Expression({render(self)!r})"
 
 
-EMPTY = Expression()
+def _frozen(forms, products, heads, kernel_sets, numerators, scale, rows) -> Expression:
+    rows.flags.writeable = False
+    e = object.__new__(Expression)
+    for name, value in zip(Expression.__slots__,
+                           (forms, products, heads, kernel_sets, numerators, scale, rows)):
+        object.__setattr__(e, name, value)
+    return e
+
+
+EMPTY = _frozen((), (), (), (), (), 1, np.empty((0, 4), dtype=np.int64))
+
+
+def _intern(ids: dict, items: list, value) -> int:
+    i = ids.get(value)
+    if i is None:
+        i = ids[value] = len(items)
+        items.append(value)
+    return i
+
+
+class Packer:
+    """Interning tables for building expressions.
+
+    Linear forms, (pi_power, q_exponents) heads and term shapes (head id,
+    sorted form-id tuple) are interned to ints, in first-seen order after
+    the `forms` given up front; coefficients are ints over `scale`. Packed
+    terms map kernel tuple -> {shape id: coefficient}; freeze() turns them
+    into the canonical Expression.
+    """
+
+    def __init__(self, scale: int = 1, forms: Iterable[LinearForm] = ()):
+        self.scale = scale
+        self.forms: list[LinearForm] = list(forms)
+        self.heads: list[tuple] = []
+        self.shapes: list[tuple[int, tuple[int, ...]]] = []
+        self._form_ids: dict = {f: i for i, f in enumerate(self.forms)}
+        self._head_ids: dict = {}
+        self._shape_ids: dict = {}
+
+    def form(self, form: LinearForm) -> int:
+        return _intern(self._form_ids, self.forms, form)
+
+    def head(self, pi_power: int, q_exponents: tuple) -> int:
+        return _intern(self._head_ids, self.heads, (pi_power, q_exponents))
+
+    def shape(self, head: int, form_ids: Iterable[int]) -> int:
+        return _intern(self._shape_ids, self.shapes, (head, tuple(sorted(form_ids))))
+
+    def pack(self, e: Expression, groups: dict | None = None) -> dict[tuple, dict[int, int]]:
+        """The packed terms of e, added into `groups` when given; e.scale
+        must divide self.scale."""
+        groups = {} if groups is None else groups
+        factor, rest = divmod(self.scale, e.scale)
+        assert not rest, "the packer's scale is not a multiple of the expression's"
+        forms = [self.form(f) for f in e.forms]
+        heads = [self.head(*head) for head in e.heads]
+        products = [[forms[f] for f in product] for product in e.products]
+        targets = [groups.setdefault(kernels, {}) for kernels in e.kernel_sets]
+        numerators = [c * factor for c in e.numerators]
+        shapes: dict[tuple[int, int], int] = {}
+        for h, k, p, c in e.rows.tolist():
+            shape = shapes.get((h, p))
+            if shape is None:
+                shape = shapes[h, p] = self.shape(heads[h], products[p])
+            group = targets[k]
+            group[shape] = group.get(shape, 0) + numerators[c]
+        return groups
+
+    def freeze(self, groups: dict[tuple, dict[int, int]]) -> Expression:
+        """The canonical Expression of packed terms; zero terms drop.
+
+        The distinct coefficients, and the forms, heads, products and kernel
+        tuples the remaining terms use, are ranked once; the rows are then
+        sorted by integer ranks. Coefficients may be rationals (a rewrite
+        relation with a fractional coefficient); the scale absorbs them.
+        """
+        counts = [len(terms) for terms in groups.values()]
+        coeffs = list(itertools.chain.from_iterable(t.values() for t in groups.values()))
+        values = sorted(set(coeffs) - {0})
+        if not values:
+            return EMPTY
+        index = {c: i for i, c in enumerate(values)}
+        index[0] = -1
+        coeff_col = np.fromiter(map(index.__getitem__, coeffs), np.int64, len(coeffs))
+        shape_col = np.fromiter(itertools.chain.from_iterable(groups.values()), np.int64,
+                                len(coeffs))
+        kernel_col = np.repeat(np.arange(len(counts)), counts)
+        kept = coeff_col >= 0
+        if not kept.all():
+            coeff_col, shape_col, kernel_col = coeff_col[kept], shape_col[kept], kernel_col[kept]
+
+        used, shape_col = np.unique(shape_col, return_inverse=True)
+        shapes = [self.shapes[s] for s in used.tolist()]
+        form_ids = sorted({f for _, dens in shapes for f in dens}, key=self.forms.__getitem__)
+        form_rank = {f: r for r, f in enumerate(form_ids)}
+        head_ids = sorted({h for h, _ in shapes}, key=self.heads.__getitem__)
+        head_rank = {h: r for r, h in enumerate(head_ids)}
+        keyed = [tuple(sorted(form_rank[f] for f in dens)) for _, dens in shapes]
+        products = sorted(set(keyed))
+        product_rank = {p: r for r, p in enumerate(products)}
+        kernel_sets = list(groups)
+        kernel_ids = sorted(np.unique(kernel_col).tolist(), key=kernel_sets.__getitem__)
+        kernel_rank = np.zeros(len(kernel_sets), dtype=np.int64)
+        kernel_rank[kernel_ids] = np.arange(len(kernel_ids))
+
+        rows = np.column_stack([
+            np.array([head_rank[h] for h, _ in shapes], dtype=np.int64)[shape_col],
+            kernel_rank[kernel_col],
+            np.array([product_rank[p] for p in keyed], dtype=np.int64)[shape_col],
+            coeff_col,
+        ])
+        rows = rows[np.lexsort((rows[:, PRODUCT], rows[:, KERNELS], rows[:, HEAD]))]
+        common = math.lcm(*(c.denominator for c in values))
+        numerators = [c.numerator * (common // c.denominator) for c in values]
+        divisor = math.gcd(self.scale * common, *numerators)
+        return _frozen(
+            tuple(self.forms[f] for f in form_ids),
+            tuple(products),
+            tuple(self.heads[h] for h in head_ids),
+            tuple(kernel_sets[k] for k in kernel_ids),
+            tuple(c // divisor for c in numerators),
+            self.scale * common // divisor,
+            rows,
+        )
 
 
 def add(e1: Expression, e2: Expression) -> Expression:
-    return Expression.from_terms(e1.terms + e2.terms)
+    packer = Packer(math.lcm(e1.scale, e2.scale))
+    return packer.freeze(packer.pack(e2, packer.pack(e1)))
 
 
 def _flip_form(form: LinearForm, line_id: int) -> tuple[LinearForm, int]:
@@ -163,6 +356,10 @@ def _flip_form(form: LinearForm, line_id: int) -> tuple[LinearForm, int]:
     return LinearForm(form.n, new_q), -1
 
 
+# ---------------------------------------------------------------------------
+# numeric evaluation
+# ---------------------------------------------------------------------------
+
 def _form_value(form: LinearForm, q_values, n_values) -> complex:
     re = 0.0
     for l, c in form.q:
@@ -173,44 +370,106 @@ def _form_value(form: LinearForm, q_values, n_values) -> complex:
     return complex(re, im)
 
 
+def _smith(d: complex) -> tuple[bool, float, float]:
+    """CPython's division by d (Smith's method) as (by_imag, ratio, scale):
+    x / d is ((x.real + x.imag * ratio) / scale, (x.imag - x.real * ratio) / scale)
+    with ratio = d.imag / d.real when |d.real| >= |d.imag|, else
+    ((x.real * ratio + x.imag) / scale, (x.imag * ratio - x.real) / scale)
+    with ratio = d.real / d.imag; a NaN part of d gives NaN."""
+    if abs(d.real) >= abs(d.imag):
+        ratio = d.imag / d.real
+        return False, ratio, d.real + d.imag * ratio
+    if abs(d.imag) >= abs(d.real):
+        ratio = d.real / d.imag
+        return True, ratio, d.real * ratio + d.imag
+    return False, math.nan, math.nan
+
+
+def _padded(table: list[list], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(values padded with zeros to one width, lengths) of a ragged table."""
+    lengths = np.array([len(row) for row in table], dtype=np.int64)
+    out = np.zeros((len(table), lengths.max(initial=0)), dtype=dtype)
+    for i, row in enumerate(table):
+        out[i, :len(row)] = row
+    return out, lengths
+
+
+def _positions(ids: np.ndarray, lengths: np.ndarray):
+    """Per position j of a ragged table: (j, the rows whose entry has a j-th
+    element or None for all rows, their ids)."""
+    per_row = lengths[ids]
+    for j in range(int(per_row.max(initial=0))):
+        has = per_row > j
+        if has.all():
+            yield j, None, ids
+        else:
+            at = np.flatnonzero(has)
+            yield j, at, ids[at]
+
+
+def _update(re: np.ndarray, im: np.ndarray, at, step) -> None:
+    """re[at], im[at] = step(re[at], im[at]); every row when `at` is None."""
+    if at is None:
+        re[:], im[:] = step(re, im)
+    else:
+        re[at], im[at] = step(re[at], im[at])
+
+
 def eval_numeric(
     e: Expression, q_values: Mapping[int, float], n_values: Mapping[str, float]
 ) -> complex:
     """Substitute numeric values (q > 0, integer N over non-root vertices).
 
-    Raises ZeroDenominator when a linear form evaluates to exactly zero.
-    """
-    import math
+    Each distinct factor (coefficient, power of 2 pi, q power, kernel,
+    denominator) is computed once in Python; NumPy then applies them to all
+    terms in the order of a term-by-term loop: per term coeff * (2 pi)^k,
+    times each q power and each kernel in turn as CPython multiplies a
+    complex by a float, divided by each denominator in turn by CPython's
+    complex division (Smith's method), and the terms summed in order. The
+    value is bit for bit that loop's, as a Python complex.
 
-    # each factor is computed once per call; the arithmetic per term, and so
-    # the value, is the same as computing it afresh
-    powers: dict[tuple[int, int], float] = {}
-    kernels: dict[int, float] = {}
-    forms: dict[LinearForm, complex] = {}
-    total = 0j
-    two_pi = 2.0 * math.pi
-    for t in e.terms:
-        val = complex(float(t.coeff) * two_pi ** t.pi_power)
-        for factor in t.q_exponents:
-            p = powers.get(factor)
-            if p is None:
-                l, exp = factor
-                p = powers[factor] = q_values[l] ** exp
-            val *= p
-        for l in t.kernels:
-            k = kernels.get(l)
-            if k is None:
-                k = kernels[l] = nbe(q_values[l])
-            val *= k
-        for form in t.denominators:
-            d = forms.get(form)
-            if d is None:
-                d = forms[form] = _form_value(form, q_values, n_values)
-                if d == 0:
-                    raise ZeroDenominator(f"form {render_form(form, 'text')} vanished")
-            val /= d
-        total += val
-    return total
+    Raises ZeroDenominator when a linear form evaluates to exactly zero,
+    naming the first such form in term order.
+    """
+    if e.is_empty():
+        return 0j
+    # factors in the order the loop meets them in a term, so that a factor
+    # that cannot be computed raises as it did there
+    coeffs = np.array([c / e.scale for c in e.numerators])
+    pi_powers = np.array([(2.0 * math.pi) ** pi_power for pi_power, _ in e.heads])
+    powers = [[float(q_values[l] ** exp) for l, exp in q_exponents]
+              for _, q_exponents in e.heads]
+    kernel_of = {l: nbe(q_values[l]) for l in sorted({l for ks in e.kernel_sets for l in ks})}
+    kernels = [[kernel_of[l] for l in ks] for ks in e.kernel_sets]
+    forms = [_form_value(f, q_values, n_values) for f in e.forms]
+    vanished = [d == 0 for d in forms]
+    if any(vanished):
+        bad = np.array([any(vanished[f] for f in p) for p in e.products])
+        product = e.products[int(e.rows[np.argmax(bad[e.rows[:, PRODUCT]]), PRODUCT])]
+        form = e.forms[next(f for f in product if vanished[f])]
+        raise ZeroDenominator(f"form {render_form(form, 'text')} vanished")
+    smith = np.array([_smith(d) for d in forms], dtype=float).reshape(-1, 3)
+    by_imag, ratio, scale = smith[:, 0] != 0, smith[:, 1], smith[:, 2]
+
+    h, k, p, c = e.rows.T
+    # overflow and NaN follow IEEE arithmetic, as in the loop, without warnings
+    with np.errstate(all="ignore"):
+        re = coeffs[c] * pi_powers[h]
+        im = np.zeros(len(re))
+        for values, ids in ((powers, h), (kernels, k)):
+            table, lengths = _padded(values, float)
+            for j, at, ids_at in _positions(ids, lengths):
+                x = table[ids_at, j]
+                _update(re, im, at, lambda a, b: (a * x - b * 0.0, a * 0.0 + b * x))
+        table, lengths = _padded(e.products, np.int64)
+        for j, at, ids_at in _positions(p, lengths):
+            f = table[ids_at, j]
+            flip, r, s = by_imag[f], ratio[f], scale[f]
+            _update(re, im, at, lambda a, b: (np.where(flip, a * r + b, a + b * r) / s,
+                                              np.where(flip, b * r - a, b - a * r) / s))
+        total_re = np.cumsum(np.concatenate(([0.0], re)))[-1]
+        total_im = np.cumsum(np.concatenate(([0.0], im)))[-1]
+    return complex(float(total_re), float(total_im))
 
 
 # ---------------------------------------------------------------------------
@@ -239,48 +498,42 @@ def _signed(c: int, sym: str, first: bool) -> str:
     return f"-{mag}" if first else f" - {mag}"
 
 
-def _render_kernel_sum(group: list[Term], fmt: str, negate: bool = False) -> str:
-    """Numerator like '1 + nbe(q1) - nbe(q2)' for terms sharing denominators."""
-    bits: list[str] = []
-    for t in sorted(group, key=lambda t: (len(t.kernels), t.kernels)):
-        coeff = -t.coeff if negate else t.coeff
-        kparts = [f"nbe(q{l})" if fmt == "text" else f"n_B(q_{{{l}}})" for l in t.kernels]
-        pieces = []
-        if abs(coeff) != 1 or not kparts:
-            pieces.append(str(abs(coeff)))
-        pieces.extend(kparts)
-        joiner = "*" if fmt == "text" else " "
-        body = joiner.join(pieces)
-        if not bits:
-            bits.append(body if coeff > 0 else f"-{body}")
-        else:
-            bits.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(bits)
+def _ratio_str(numerator: int, denominator: int) -> str:
+    """numerator/denominator in lowest terms, written as str(Fraction) does."""
+    g = math.gcd(numerator, denominator)
+    n, d = numerator // g, denominator // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+#: Sign prefixes of a summand: (first, negative) -> prefix.
+_PREFIX = {(True, False): "", (True, True): "-", (False, False): " + ",
+           (False, True): " - "}
+
+
+def _kernel_bits(kernels: tuple[int, ...], fmt: str) -> list[str]:
+    return [f"nbe(q{l})" if fmt == "text" else f"n_B(q_{{{l}}})" for l in kernels]
 
 
 def render(e: Expression, fmt: str = "text") -> str:
     """Render an expression as text, latex, or json (lossless)."""
     if fmt == "json":
-        return json.dumps(to_dict(e), indent=None, separators=(", ", ": "))
+        return _render_json(e)
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown format {fmt!r}")
     if e.is_empty():
         return "0"
+    if len(e.heads) == 1 and all(exp == -1 for _, exp in e.heads[0][1]):
+        return _render_factored(e, fmt)
+    return _render_plain(e, fmt)
 
-    pis = {t.pi_power for t in e.terms}
-    qexps = {t.q_exponents for t in e.terms}
-    factored = len(pis) == 1 and len(qexps) == 1 and all(
-        exp == -1 for _, exp in next(iter(qexps))
-    )
-    if not factored:
-        return _render_plain(e, fmt)
 
-    pi_power = next(iter(pis))
-    qexp = next(iter(qexps))
+def _render_factored(e: Expression, fmt: str) -> str:
+    """(2 pi)^L/prod 2q_i [sum over denominator products of
+    (kernel sum)/(product)], for an expression with one head whose q
+    exponents are all -1; coefficients are shown times 2^I, so that the
+    1/2^I of the prefactor reads as the 2q_i."""
+    ((pi_power, qexp),) = e.heads
     nlines = len(qexp)
-    # scale coefficients so the 1/2^I of the prefactor is displayed as 2q_i
-    scaled = [t._replace(coeff=t.coeff * 2 ** nlines) for t in e.terms]
-
     if fmt == "text":
         two_pi = "2π" if pi_power == 1 else f"(2π)^{pi_power}" if pi_power else "1"
         denom = "·".join(f"2q{l}" for l, _ in qexp)
@@ -290,24 +543,50 @@ def render(e: Expression, fmt: str = "text") -> str:
         denom = " \\, ".join(f"2q_{{{l}}}" for l, _ in qexp)
         prefix = f"\\frac{{{two_pi}}}{{{denom}}}" if nlines else two_pi
 
-    groups: dict[tuple, list[Term]] = {}
-    for t in scaled:
-        groups.setdefault(t.denominators, []).append(t)
+    # each product's terms, by kernel count and then kernels; every product
+    # is used, so the groups are the products in order
+    rows = e.rows
+    kernel_rank = np.argsort(np.argsort(
+        np.array([len(ks) for ks in e.kernel_sets]), kind="stable"), kind="stable")
+    order = np.lexsort((kernel_rank[rows[:, KERNELS]], rows[:, PRODUCT]))
+    products, kernels, coeffs = (rows[order, col] for col in (PRODUCT, KERNELS, COEFF))
+    negative = np.array([c < 0 for c in e.numerators])[coeffs]
+    starts = np.flatnonzero(np.r_[True, products[1:] != products[:-1]])
+    group_negative = np.logical_and.reduceat(negative, starts)
+    first = np.zeros(len(order), dtype=bool)
+    first[starts] = True
+    # a group whose terms are all negative is shown negated
+    shown_negative = negative != np.repeat(group_negative, np.diff(np.r_[starts, len(order)]))
 
+    shown = [_ratio_str(abs(c) << nlines, e.scale) for c in e.numerators]
+    unit = [abs(c) << nlines == e.scale for c in e.numerators]
+    joiner = "*" if fmt == "text" else " "
+    bodies: dict[tuple[int, int], str] = {}
+    pieces = []
+    for is_first, neg, c, k in zip(first.tolist(), shown_negative.tolist(),
+                                   coeffs.tolist(), kernels.tolist()):
+        body = bodies.get((c, k))
+        if body is None:
+            kparts = _kernel_bits(e.kernel_sets[k], fmt)
+            body = bodies[c, k] = joiner.join(
+                ([shown[c]] if not unit[c] or not kparts else []) + kparts)
+        pieces.append(_PREFIX[is_first, neg] + body)
+
+    form_strs = [f"({render_form(f, fmt)})" for f in e.forms]
+    sep = "·" if fmt == "text" else ""
+    ends = np.r_[starts[1:], len(order)].tolist()
     chunks: list[str] = []
-    for dens in sorted(groups):
-        neg = all(t.coeff < 0 for t in groups[dens])
-        numer = _render_kernel_sum(groups[dens], fmt, negate=neg)
-        if fmt == "text":
-            dstr = "·".join(f"({render_form(f, fmt)})" for f in dens)
-            frac = f"({numer})/{dstr}" if dstr else f"({numer})"
+    for product, start, end, neg in zip(e.products, starts.tolist(), ends,
+                                        group_negative.tolist()):
+        numer = "".join(pieces[start:end])
+        dstr = sep.join(form_strs[f] for f in product)
+        if not dstr:
+            frac = f"({numer})"
+        elif fmt == "text":
+            frac = f"({numer})/{dstr}"
         else:
-            dstr = "".join(f"({render_form(f, fmt)})" for f in dens)
-            frac = f"\\frac{{{numer}}}{{{dstr}}}" if dstr else f"({numer})"
-        if neg:
-            chunks.append(f" - {frac}" if chunks else f"-{frac}")
-        else:
-            chunks.append(f" + {frac}" if chunks else frac)
+            frac = f"\\frac{{{numer}}}{{{dstr}}}"
+        chunks.append(_PREFIX[not chunks, neg] + frac)
     body = "".join(chunks)
     if fmt == "text":
         return f"{prefix}[{body}]"
@@ -315,106 +594,220 @@ def render(e: Expression, fmt: str = "text") -> str:
 
 
 def _render_plain(e: Expression, fmt: str) -> str:
-    parts: list[str] = []
-    for t in e.terms:
-        bits = [str(abs(t.coeff))]
-        if t.pi_power:
-            bits.append("(2π)" if fmt == "text" else "(2\\pi)")
-            if t.pi_power != 1:
-                bits[-1] += f"^{t.pi_power}" if fmt == "text" else f"^{{{t.pi_power}}}"
-        for l, exp in t.q_exponents:
-            bits.append(f"q{l}^{exp}" if fmt == "text" else f"q_{{{l}}}^{{{exp}}}")
-        for l in t.kernels:
-            bits.append(f"nbe(q{l})" if fmt == "text" else f"n_B(q_{{{l}}})")
-        for f in t.denominators:
-            bits.append(f"1/({render_form(f, fmt)})")
-        joiner = "·" if fmt == "text" else " \\, "
-        s = joiner.join(bits)
-        if not parts:
-            parts.append(s if t.coeff > 0 else f"-{s}")
-        else:
-            parts.append(f" + {s}" if t.coeff > 0 else f" - {s}")
-    return "".join(parts)
+    """Term by term: |coeff|, (2 pi)^k, q powers, kernels and 1/(form)s
+    joined, each term signed."""
+    text = fmt == "text"
+    joiner = "·" if text else " \\, "
+    coeffs = [_ratio_str(abs(c), e.scale) for c in e.numerators]
+    heads = []
+    for pi_power, q_exponents in e.heads:
+        bits = []
+        if pi_power:
+            bits.append("(2π)" if text else "(2\\pi)")
+            if pi_power != 1:
+                bits[-1] += f"^{pi_power}" if text else f"^{{{pi_power}}}"
+        bits.extend(f"q{l}^{exp}" if text else f"q_{{{l}}}^{{{exp}}}"
+                    for l, exp in q_exponents)
+        heads.append("".join(joiner + b for b in bits))
+    kernels = ["".join(joiner + b for b in _kernel_bits(ks, fmt)) for ks in e.kernel_sets]
+    forms = [f"{joiner}1/({render_form(f, fmt)})" for f in e.forms]
+    products = ["".join(forms[f] for f in product) for product in e.products]
+    negative = [c < 0 for c in e.numerators]
+    return "".join(
+        _PREFIX[i == 0, negative[c]] + coeffs[c] + heads[h] + kernels[k] + products[p]
+        for i, (h, k, p, c) in enumerate(e.rows.tolist()))
 
 
-def to_dict(e: Expression) -> dict:
-    """JSON-ready dict following the documented expression schema. Equal
-    forms and q monomials share one dict."""
-    forms: dict[LinearForm, dict] = {}
-    monomials: dict[tuple, dict] = {}
-
-    def form_dict(f: LinearForm) -> dict:
-        out = forms.get(f)
-        if out is None:
-            out = forms[f] = {"n": {v: c for v, c in f.n},
-                              "q": {str(l): c for l, c in f.q}}
-        return out
-
-    def monomial_dict(q_exponents: tuple) -> dict:
-        out = monomials.get(q_exponents)
-        if out is None:
-            out = monomials[q_exponents] = {str(l): exp for l, exp in q_exponents}
-        return out
-
-    return {
-        "terms": [
-            {
-                "coeff": str(t.coeff),
-                "two_pi_pow": t.pi_power,
-                "q_exp": monomial_dict(t.q_exponents),
-                "kernels": list(t.kernels),
-                "denoms": [form_dict(f) for f in t.denominators],
-            }
-            for t in e.terms
-        ]
-    }
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(", ", ": "))
 
 
-def _parse_form(fd: dict) -> LinearForm:
+def _render_json(e: Expression) -> str:
+    """The documented JSON schema, one object per term. Each part of a term
+    object (coefficient, head, kernels, denominators) is dumped once per
+    distinct value and the term objects are assembled from the parts."""
+    coeffs = ['{"coeff": ' + _dumps(_ratio_str(c, e.scale)) + ", " for c in e.numerators]
+    heads = [f'"two_pi_pow": {_dumps(pi_power)}, "q_exp": '
+             + _dumps({str(l): exp for l, exp in q_exponents}) + ", "
+             for pi_power, q_exponents in e.heads]
+    kernels = ['"kernels": ' + _dumps(list(ks)) + ", " for ks in e.kernel_sets]
+    forms = [{"n": dict(f.n), "q": {str(l): c for l, c in f.q}} for f in e.forms]
+    products = ['"denoms": ' + _dumps([forms[f] for f in product]) + "}"
+                for product in e.products]
+    return '{"terms": [' + ", ".join(
+        [coeffs[c] + heads[h] + kernels[k] + products[p]
+         for h, k, p, c in e.rows.tolist()]) + "]}"
+
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_TERM_KEYS = {"coeff", "two_pi_pow", "q_exp", "kernels", "denoms"}
+
+
+def _integer(value, what: str, key=None) -> int:
+    if type(value) is not int:
+        where = what if key is None else f"{what}[{key!r}]"
+        raise ExpressionError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+_JSON_NAMES = {dict: "object", list: "array", str: "string"}
+
+
+def _typed(value, kind: type, what: str):
+    if type(value) is not kind:
+        raise ExpressionError(f"{what} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _line_id(key, what: str) -> int:
+    """A line id written as an object key: the decimal string of an int."""
+    try:
+        lid = int(key)
+    except (TypeError, ValueError):
+        lid = None
+    if lid is None or str(lid) != key:
+        raise ExpressionError(f"{what}: {key!r} is not a line id")
+    return lid
+
+
+def _parse_rational(text: str, what: str) -> tuple[int, int]:
+    match = _RATIONAL.fullmatch(text)
+    if match is None or match[2] is not None and int(match[2]) == 0:
+        raise ExpressionError(f"{what} must be an integer or p/q, got {text!r}")
+    num, den = int(match[1]), int(match[2] or 1)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _parse_head(pi_power, q_exp, what: str) -> tuple[int, tuple]:
+    _integer(pi_power, f"{what}: two_pi_pow")
+    what = f"{what}: q_exp"
+    exps = sorted((_line_id(l, what), _integer(x, what, l))
+                  for l, x in _typed(q_exp, dict, what).items())
+    return pi_power, tuple((l, x) for l, x in exps if x)
+
+
+def _parse_kernels(kernels, what: str) -> tuple[int, ...]:
+    what = f"{what}: kernels"
+    out = tuple(sorted(_integer(l, what, i) for i, l in enumerate(_typed(kernels, list, what))))
+    if len(set(out)) != len(out):
+        raise DuplicateKernel(next(l for i, l in enumerate(out) if l in out[:i]))
+    return out
+
+
+def _parse_form(fd, what: str) -> LinearForm:
+    _typed(fd, dict, what)
+    if fd.keys() != {"n", "q"}:
+        raise ExpressionError(f"{what} must have exactly the keys 'n' and 'q'")
+    n_what, q_what = f"{what}: n", f"{what}: q"
     form, sign = normalize_form(
-        [(v, int(c)) for v, c in fd["n"].items()],
-        [(int(l), int(c)) for l, c in fd["q"].items()],
+        [(_typed(v, str, n_what), _integer(c, n_what, v))
+         for v, c in _typed(fd["n"], dict, n_what).items()],
+        [(_line_id(l, q_what), _integer(c, q_what, l))
+         for l, c in _typed(fd["q"], dict, q_what).items()],
     )
     if sign != 1:
         raise ExpressionError("denominator in JSON is not sign-normalized")
     return form
 
 
-def from_dict(data: dict) -> Expression:
-    """Inverse of to_dict. Key order inside each "n" map is significant: it
-    records the vertex symbol order used by sign normalization. Each
-    distinct form and coefficient is parsed once."""
-    forms: dict[tuple, LinearForm] = {}
-    coeffs: dict[str, Fraction] = {}
-    terms = []
-    for td in data["terms"]:
-        dens = []
-        for fd in td["denoms"]:
-            key = (tuple(fd["n"].items()), tuple(fd["q"].items()))
-            try:
-                form = forms[key]
-            except KeyError:
-                form = forms[key] = _parse_form(fd)
-            except TypeError:           # unhashable values: fail as parsing does
-                form = _parse_form(fd)
-            dens.append(form)
+# Memo keys of JSON values. They tell 1 from 1.0 and True, which compare
+# equal, so a value equal to one already parsed is valid and parses the same.
+
+def _head_key(td: dict) -> tuple:
+    pi_power, q_exp = td["two_pi_pow"], td["q_exp"]
+    return (type(pi_power), pi_power, type(q_exp), tuple(q_exp.items()),
+            tuple(map(type, q_exp.values())))
+
+
+def _kernels_key(td: dict) -> tuple:
+    kernels = td["kernels"]
+    return type(kernels), tuple(kernels), tuple(map(type, kernels))
+
+
+def _form_key(fd: dict) -> tuple:
+    n, q = fd["n"], fd["q"]
+    return (type(fd), len(fd), type(n), tuple(n.items()), tuple(map(type, n.values())),
+            type(q), tuple(q.items()), tuple(map(type, q.values())))
+
+
+class _Parser:
+    """Memo tables of one from_dict call: each distinct coefficient, head,
+    kernel list and form is validated and interned once, under a key of
+    its exact JSON value."""
+
+    def __init__(self):
+        self.packer = Packer()
+        self.coeffs: dict[str, tuple[int, int]] = {}
+        self.heads: dict[tuple, int] = {}
+        self.kernel_sets: dict[tuple, tuple[int, ...]] = {}
+        self.forms: dict[tuple, int] = {}
+
+    def term(self, td) -> tuple:
+        """(kernel tuple, shape, (numerator, denominator)) of a term object,
+        from the memo tables; a value not in them goes to `parse`."""
+        if type(td) is not dict or td.keys() != _TERM_KEYS or type(td["denoms"]) is not list:
+            return None
+        forms = self.forms
         try:
-            coeff = coeffs[td["coeff"]]
-        except KeyError:
-            coeff = coeffs[td["coeff"]] = Fraction(td["coeff"])
-        except TypeError:
-            coeff = Fraction(td["coeff"])
-        terms.append(
-            make_term(
-                coeff,
-                int(td["two_pi_pow"]),
-                {int(l): int(x) for l, x in td["q_exp"].items()},
-                td["kernels"],
-                dens,
-            )
-        )
-    return Expression.from_terms(terms)
+            shape = self.packer.shape(self.heads[_head_key(td)],
+                                      [forms[_form_key(fd)] for fd in td["denoms"]])
+            return self.kernel_sets[_kernels_key(td)], shape, self.coeffs[td["coeff"]]
+        except (AttributeError, KeyError, TypeError):   # not a dict, missing, unhashable
+            return None
+
+    def parse(self, td, what: str) -> None:
+        """Validate a term object and add its values to the memo tables;
+        anything outside the schema raises ExpressionError."""
+        if type(td) is not dict or td.keys() != _TERM_KEYS:
+            raise ExpressionError(f"{what} must be an object with exactly the keys "
+                                  f"{', '.join(sorted(_TERM_KEYS))}")
+        text = _typed(td["coeff"], str, f"{what}: coeff")
+        if text not in self.coeffs:
+            self.coeffs[text] = _parse_rational(text, f"{what}: coeff")
+        head = _parse_head(td["two_pi_pow"], td["q_exp"], what)
+        self.heads.setdefault(_head_key(td), self.packer.head(*head))
+        self.kernel_sets.setdefault(_kernels_key(td), _parse_kernels(td["kernels"], what))
+        for j, fd in enumerate(_typed(td["denoms"], list, f"{what}: denoms")):
+            form = _parse_form(fd, f"{what}: denoms[{j}]")
+            self.forms.setdefault(_form_key(fd), self.packer.form(form))
+
+
+def from_dict(data: dict) -> Expression:
+    """The Expression of a parsed JSON expression (see render(e, "json")).
+
+    Key order inside each "n" map is significant: it records the vertex
+    symbol order used by sign normalization. Anything outside the schema
+    raises ExpressionError: a missing or extra key, a value of the wrong
+    JSON type, a number that is not an integer where one is expected
+    (booleans included), a coefficient that is not an integer or p/q, a
+    repeated kernel, a denominator that is zero or not sign-normalized.
+    Each distinct coefficient, head, kernel list and form is parsed once.
+    """
+    if _typed(data, dict, "expression").keys() != {"terms"}:
+        raise ExpressionError("expression must be an object with exactly the key 'terms'")
+    parser = _Parser()
+    parsed = []
+    for i, td in enumerate(_typed(data["terms"], list, "expression: terms")):
+        term = parser.term(td)
+        if term is None:
+            parser.parse(td, f"term {i}")
+            term = parser.term(td)
+        parsed.append(term)
+
+    packer = parser.packer
+    packer.scale = math.lcm(*(den for _, den in parser.coeffs.values()))
+    groups: dict[tuple, dict[int, int]] = {}
+    for kernel_set, shape, (num, den) in parsed:
+        group = groups.setdefault(kernel_set, {})
+        group[shape] = group.get(shape, 0) + num * (packer.scale // den)
+    return packer.freeze(groups)
 
 
 def parse_expression(text: str) -> Expression:
-    return from_dict(json.loads(text))
+    """from_dict of a JSON text; text that is not JSON raises ExpressionError."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ExpressionError(f"expression is not JSON: {exc}") from None
+    return from_dict(data)

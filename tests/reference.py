@@ -5,11 +5,15 @@ exact Fraction arithmetic, so the tests can fold an operator subset by
 subset and compare with engine.apply_operator. The two lattice sums check
 the numeric machinery: a one-dimensional sum with a known limit, and a
 delta-checked sum over all I variables that enforces every vertex
-constraint pointwise.
+constraint pointwise. The term loops of evaluation, rendering and JSON
+read an expression through its Term view, one term at a time, as the
+library did before it worked on packed tables.
 """
 
 from __future__ import annotations
 
+import json
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -19,11 +23,17 @@ from matsum import oracles
 from matsum.expressions import (
     DuplicateKernel,
     Expression,
+    ExpressionError,
     KernelReflection,
+    LinearForm,
     Term,
+    ZeroDenominator,
     _flip_form,
+    make_term,
+    normalize_form,
 )
 from matsum.graph import MatsubaraGraph
+from matsum.kernels import nbe
 
 
 def reflect_term(t: Term, line_id: int) -> Term:
@@ -110,3 +120,260 @@ def constrained_box_sum(
         nvals = by_line[lid].astype(float)
         summand = summand / (nvals * nvals + q_values[lid] ** 2)
     return float(np.sum(summand * ok))
+
+
+# ---------------------------------------------------------------------------
+# term-by-term evaluation, rendering and JSON
+#
+# The library works on packed tables; these are the term loops it replaced,
+# kept as they were, so the tests can compare values bit for bit and
+# renders byte for byte.
+# ---------------------------------------------------------------------------
+
+def _form_value(form: LinearForm, q_values, n_values) -> complex:
+    re = 0.0
+    for l, c in form.q:
+        re += c * q_values[l]
+    im = 0.0
+    for v, c in form.n:
+        im += c * n_values[v]
+    return complex(re, im)
+
+
+def eval_numeric(
+    e: Expression, q_values: Mapping[int, float], n_values: Mapping[str, float]
+) -> complex:
+    """Substitute numeric values (q > 0, integer N over non-root vertices).
+
+    Raises ZeroDenominator when a linear form evaluates to exactly zero.
+    """
+    import math
+
+    # each factor is computed once per call; the arithmetic per term, and so
+    # the value, is the same as computing it afresh
+    powers: dict[tuple[int, int], float] = {}
+    kernels: dict[int, float] = {}
+    forms: dict[LinearForm, complex] = {}
+    total = 0j
+    two_pi = 2.0 * math.pi
+    for t in e.terms:
+        val = complex(float(t.coeff) * two_pi ** t.pi_power)
+        for factor in t.q_exponents:
+            p = powers.get(factor)
+            if p is None:
+                l, exp = factor
+                p = powers[factor] = q_values[l] ** exp
+            val *= p
+        for l in t.kernels:
+            k = kernels.get(l)
+            if k is None:
+                k = kernels[l] = nbe(q_values[l])
+            val *= k
+        for form in t.denominators:
+            d = forms.get(form)
+            if d is None:
+                d = forms[form] = _form_value(form, q_values, n_values)
+                if d == 0:
+                    raise ZeroDenominator(f"form {render_form(form, 'text')} vanished")
+            val /= d
+        total += val
+    return total
+
+
+def render_form(form: LinearForm, fmt: str) -> str:
+    parts: list[str] = []
+    for v, c in form.n:
+        sym = f"i*N_{v}" if fmt == "text" else f"i N_{{{v}}}"
+        parts.append(_signed(c, sym, first=not parts))
+    for l, c in form.q:
+        sym = f"q{l}" if fmt == "text" else f"q_{{{l}}}"
+        parts.append(_signed(c, sym, first=not parts))
+    return "".join(parts)
+
+
+def _signed(c: int, sym: str, first: bool) -> str:
+    if c == 1:
+        return sym if first else f" + {sym}"
+    if c == -1:
+        return f"-{sym}" if first else f" - {sym}"
+    mag = f"{abs(c)}*{sym}"
+    if c > 0:
+        return mag if first else f" + {mag}"
+    return f"-{mag}" if first else f" - {mag}"
+
+
+def _render_kernel_sum(group: list[Term], fmt: str, negate: bool = False) -> str:
+    """Numerator like '1 + nbe(q1) - nbe(q2)' for terms sharing denominators."""
+    bits: list[str] = []
+    for t in sorted(group, key=lambda t: (len(t.kernels), t.kernels)):
+        coeff = -t.coeff if negate else t.coeff
+        kparts = [f"nbe(q{l})" if fmt == "text" else f"n_B(q_{{{l}}})" for l in t.kernels]
+        pieces = []
+        if abs(coeff) != 1 or not kparts:
+            pieces.append(str(abs(coeff)))
+        pieces.extend(kparts)
+        joiner = "*" if fmt == "text" else " "
+        body = joiner.join(pieces)
+        if not bits:
+            bits.append(body if coeff > 0 else f"-{body}")
+        else:
+            bits.append(f" + {body}" if coeff > 0 else f" - {body}")
+    return "".join(bits)
+
+
+def render(e: Expression, fmt: str = "text") -> str:
+    """Render an expression as text, latex, or json (lossless)."""
+    if fmt == "json":
+        return json.dumps(to_dict(e), indent=None, separators=(", ", ": "))
+    if fmt not in ("text", "latex"):
+        raise ValueError(f"unknown format {fmt!r}")
+    if e.is_empty():
+        return "0"
+
+    pis = {t.pi_power for t in e.terms}
+    qexps = {t.q_exponents for t in e.terms}
+    factored = len(pis) == 1 and len(qexps) == 1 and all(
+        exp == -1 for _, exp in next(iter(qexps))
+    )
+    if not factored:
+        return _render_plain(e, fmt)
+
+    pi_power = next(iter(pis))
+    qexp = next(iter(qexps))
+    nlines = len(qexp)
+    # scale coefficients so the 1/2^I of the prefactor is displayed as 2q_i
+    scaled = [t._replace(coeff=t.coeff * 2 ** nlines) for t in e.terms]
+
+    if fmt == "text":
+        two_pi = "2π" if pi_power == 1 else f"(2π)^{pi_power}" if pi_power else "1"
+        denom = "·".join(f"2q{l}" for l, _ in qexp)
+        prefix = f"({two_pi}/({denom}))" if nlines else two_pi
+    else:
+        two_pi = "2\\pi" if pi_power == 1 else f"(2\\pi)^{{{pi_power}}}" if pi_power else "1"
+        denom = " \\, ".join(f"2q_{{{l}}}" for l, _ in qexp)
+        prefix = f"\\frac{{{two_pi}}}{{{denom}}}" if nlines else two_pi
+
+    groups: dict[tuple, list[Term]] = {}
+    for t in scaled:
+        groups.setdefault(t.denominators, []).append(t)
+
+    chunks: list[str] = []
+    for dens in sorted(groups):
+        neg = all(t.coeff < 0 for t in groups[dens])
+        numer = _render_kernel_sum(groups[dens], fmt, negate=neg)
+        if fmt == "text":
+            dstr = "·".join(f"({render_form(f, fmt)})" for f in dens)
+            frac = f"({numer})/{dstr}" if dstr else f"({numer})"
+        else:
+            dstr = "".join(f"({render_form(f, fmt)})" for f in dens)
+            frac = f"\\frac{{{numer}}}{{{dstr}}}" if dstr else f"({numer})"
+        if neg:
+            chunks.append(f" - {frac}" if chunks else f"-{frac}")
+        else:
+            chunks.append(f" + {frac}" if chunks else frac)
+    body = "".join(chunks)
+    if fmt == "text":
+        return f"{prefix}[{body}]"
+    return f"{prefix}\\left[{body}\\right]"
+
+
+def _render_plain(e: Expression, fmt: str) -> str:
+    parts: list[str] = []
+    for t in e.terms:
+        bits = [str(abs(t.coeff))]
+        if t.pi_power:
+            bits.append("(2π)" if fmt == "text" else "(2\\pi)")
+            if t.pi_power != 1:
+                bits[-1] += f"^{t.pi_power}" if fmt == "text" else f"^{{{t.pi_power}}}"
+        for l, exp in t.q_exponents:
+            bits.append(f"q{l}^{exp}" if fmt == "text" else f"q_{{{l}}}^{{{exp}}}")
+        for l in t.kernels:
+            bits.append(f"nbe(q{l})" if fmt == "text" else f"n_B(q_{{{l}}})")
+        for f in t.denominators:
+            bits.append(f"1/({render_form(f, fmt)})")
+        joiner = "·" if fmt == "text" else " \\, "
+        s = joiner.join(bits)
+        if not parts:
+            parts.append(s if t.coeff > 0 else f"-{s}")
+        else:
+            parts.append(f" + {s}" if t.coeff > 0 else f" - {s}")
+    return "".join(parts)
+
+
+def to_dict(e: Expression) -> dict:
+    """JSON-ready dict following the documented expression schema. Equal
+    forms and q monomials share one dict."""
+    forms: dict[LinearForm, dict] = {}
+    monomials: dict[tuple, dict] = {}
+
+    def form_dict(f: LinearForm) -> dict:
+        out = forms.get(f)
+        if out is None:
+            out = forms[f] = {"n": {v: c for v, c in f.n},
+                              "q": {str(l): c for l, c in f.q}}
+        return out
+
+    def monomial_dict(q_exponents: tuple) -> dict:
+        out = monomials.get(q_exponents)
+        if out is None:
+            out = monomials[q_exponents] = {str(l): exp for l, exp in q_exponents}
+        return out
+
+    return {
+        "terms": [
+            {
+                "coeff": str(t.coeff),
+                "two_pi_pow": t.pi_power,
+                "q_exp": monomial_dict(t.q_exponents),
+                "kernels": list(t.kernels),
+                "denoms": [form_dict(f) for f in t.denominators],
+            }
+            for t in e.terms
+        ]
+    }
+
+
+def _parse_form(fd: dict) -> LinearForm:
+    form, sign = normalize_form(
+        [(v, int(c)) for v, c in fd["n"].items()],
+        [(int(l), int(c)) for l, c in fd["q"].items()],
+    )
+    if sign != 1:
+        raise ExpressionError("denominator in JSON is not sign-normalized")
+    return form
+
+
+def from_dict(data: dict) -> Expression:
+    """Inverse of to_dict. Key order inside each "n" map is significant: it
+    records the vertex symbol order used by sign normalization. Each
+    distinct form and coefficient is parsed once."""
+    forms: dict[tuple, LinearForm] = {}
+    coeffs: dict[str, Fraction] = {}
+    terms = []
+    for td in data["terms"]:
+        dens = []
+        for fd in td["denoms"]:
+            key = (tuple(fd["n"].items()), tuple(fd["q"].items()))
+            try:
+                form = forms[key]
+            except KeyError:
+                form = forms[key] = _parse_form(fd)
+            except TypeError:           # unhashable values: fail as parsing does
+                form = _parse_form(fd)
+            dens.append(form)
+        try:
+            coeff = coeffs[td["coeff"]]
+        except KeyError:
+            coeff = coeffs[td["coeff"]] = Fraction(td["coeff"])
+        except TypeError:
+            coeff = Fraction(td["coeff"])
+        terms.append(
+            make_term(
+                coeff,
+                int(td["two_pi_pow"]),
+                {int(l): int(x) for l, x in td["q_exp"].items()},
+                td["kernels"],
+                dens,
+            )
+        )
+    return Expression.from_terms(terms)

@@ -135,6 +135,8 @@ def test_eval_value(capsys, g2_path):
     code, out, _ = run(capsys, "eval", "--graph", g2_path, "--target", "integral",
                        "--q", "1:1.0,2:1.0", "--n", "a:1")
     assert code == 0
+    # a plain float literal, not the repr of a NumPy scalar
+    assert out == f"{float(out)!r}\n"
     assert float(out) == pytest.approx(2 * math.pi / 5, rel=1e-12)
 
 
@@ -231,12 +233,14 @@ def test_eval_nonpositive_or_nonfinite_q_exits_64(capsys, g2_path):
                                "--q", q, "--n", "a:1"), "--q")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eval_overflow_exits_1(capsys, g2_path):
     code, out, err = run(capsys, "eval", "--graph", g2_path, "--target", "integral",
                          "--q", "1:1e-300,2:1e-300", "--n", "a:1")
     assert code == 1
     assert out == ""
-    assert "overflowed" in err
+    # one line: no NumPy warning beside it
+    assert err == "evaluation overflowed: inf\n"
 
 
 def test_bad_hierarchy_exits_64(capsys, g2_path):

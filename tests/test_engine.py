@@ -22,6 +22,7 @@ from conftest import (
     reference_integral_g4_value,
     reference_sum_g2,
 )
+import reference
 from reference import kernel_multiply, reflection_difference
 
 
@@ -334,6 +335,16 @@ STRESS_SUM_JSON_SHA256 = "6abe2eeb64556b9748c7f745cf86612cc94c84a302a6e7acb94330
 #: The same for the normal form of that sum, matsubara_sum's output.
 STRESS_NORMAL_SUM_TERMS = 28590
 STRESS_NORMAL_SUM_JSON_SHA256 = "dad16e9455843cdeadd6797803d4d74b17f1195840931c2ebfa61114ad7b2d77"
+#: sha256 of its text and latex renders, and the repr of its value at the
+#: three points drawn from default_rng(31) below, all as the term-by-term
+#: renderer and evaluator gave them.
+STRESS_NORMAL_SUM_TEXT_SHA256 = "e1eae88a1dbd883d18bcc6ac890704eb40a21961934052940aea34ec12e16182"
+STRESS_NORMAL_SUM_LATEX_SHA256 = "45a63f5d7542b536877990c5bd0336c3c97cc0bf4fd8dc67a42020eabba1e652"
+STRESS_NORMAL_SUM_VALUES = (
+    "(21.234630812077505+0j)",
+    "(10.459523661552641+1.8648277366750676e-17j)",
+    "(1.8019627001100758-6.723324018831009e-21j)",
+)
 
 
 def test_stress_sum_is_byte_identical():
@@ -348,14 +359,40 @@ def test_stress_sum_is_byte_identical():
     s = engine.matsubara_sum(g)
     assert engine.normal_form(g, raw) == s
     assert len(s) == STRESS_NORMAL_SUM_TERMS
-    digest = hashlib.sha256(ex.render(s, "json").encode("utf-8")).hexdigest()
-    assert digest == STRESS_NORMAL_SUM_JSON_SHA256
+    for fmt, pinned in (("json", STRESS_NORMAL_SUM_JSON_SHA256),
+                        ("text", STRESS_NORMAL_SUM_TEXT_SHA256),
+                        ("latex", STRESS_NORMAL_SUM_LATEX_SHA256)):
+        assert hashlib.sha256(ex.render(s, fmt).encode("utf-8")).hexdigest() == pinned, fmt
     # the two sums are the same function
     rng = np.random.default_rng(31)
-    for _ in range(3):
+    for pinned in STRESS_NORMAL_SUM_VALUES:
         q = {lid: float(rng.uniform(0.5, 2.0)) for lid in g.line_ids}
         n = {v: int(rng.integers(-3, 4)) for v in g.vertices[:-1]}
-        assert ex.eval_numeric(s, q, n) == pytest.approx(ex.eval_numeric(raw, q, n), rel=1e-9)
+        value = ex.eval_numeric(s, q, n)
+        assert repr(value) == pinned
+        assert value == pytest.approx(ex.eval_numeric(raw, q, n), rel=1e-9)
+
+
+def test_hot_paths_stay_on_the_packed_tables(g4, monkeypatch):
+    # building, rendering, parsing, comparing and evaluating a sum read the
+    # expression's tables; none of them builds Term tuples or Fractions
+    q, n = {i: 0.4 + 0.3 * i for i in range(1, 6)}, {"a": 1, "b": -2, "c": 1}
+    expected = engine.matsubara_sum(g4)
+    renders = {fmt: reference.render(expected, fmt) for fmt in ("text", "latex", "json")}
+    value = reference.eval_numeric(expected, q, n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-term object was built")
+
+    monkeypatch.setattr(ex.Expression, "terms", property(refuse))
+    monkeypatch.setattr(ex, "Term", refuse)
+    monkeypatch.setattr(ex, "Fraction", refuse)
+    s = engine.matsubara_sum(g4)
+    for fmt, text in renders.items():
+        assert ex.render(s, fmt) == text
+    assert ex.parse_expression(renders["json"]) == s
+    assert s == expected and s == engine.matsubara_sum(g4, "direct")
+    assert repr(ex.eval_numeric(s, q, n)) == repr(value)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -167,6 +169,7 @@ def test_json_roundtrip():
     for e in (reference_integral_g2(), reference_sum_g2(), ex.EMPTY):
         again = ex.parse_expression(ex.render(e, "json"))
         assert again == e
+        assert pickle.loads(pickle.dumps(e)) == e and copy.deepcopy(e) == e
 
 
 def test_render_deterministic():
@@ -184,3 +187,69 @@ def test_json_rejects_a_form_that_is_not_sign_normalized():
     data = json.loads(ex.render(reference_sum_g2(), "json"))
     forms = [t.denominators for t in ex.from_dict(data).terms]
     assert forms == [t.denominators for t in reference_sum_g2().terms]
+
+
+def _set(path, value):
+    """A change to a parsed JSON expression: set the item at `path`."""
+    def change(data):
+        *head, last = path
+        target = data
+        for key in head:
+            target = target[key]
+        target[last] = value
+    return change
+
+
+def _drop(path):
+    def change(data):
+        *head, last = path
+        target = data
+        for key in head:
+            target = target[key]
+        del target[last]
+    return change
+
+
+@pytest.mark.parametrize("change", [
+    # numbers that are not integers are rejected, not truncated
+    pytest.param(_set(("terms", 0, "q_exp", "1"), -1.5), id="q_exp_float"),
+    pytest.param(_set(("terms", 0, "two_pi_pow"), 1.7), id="two_pi_pow_float"),
+    pytest.param(_set(("terms", 0, "two_pi_pow"), 1.0), id="two_pi_pow_whole_float"),
+    pytest.param(_set(("terms", 0, "denoms", 0, "n", "a"), 1.9), id="n_float"),
+    pytest.param(_set(("terms", 0, "denoms", 0, "q", "1"), True), id="q_bool"),
+    # kernels are an array of integers
+    pytest.param(_set(("terms", 1, "kernels"), "12"), id="kernels_string"),
+    pytest.param(_set(("terms", 1, "kernels"), [True]), id="kernels_bool"),
+    pytest.param(_set(("terms", 1, "kernels"), [1.0]), id="kernels_float"),
+    pytest.param(_set(("terms", 1, "kernels"), [1, 1]), id="kernels_repeated"),
+    # missing keys, extra keys and values of the wrong type
+    pytest.param(_drop(("terms", 0, "coeff")), id="no_coeff"),
+    pytest.param(_drop(("terms", 0, "denoms", 0, "q")), id="form_without_q"),
+    pytest.param(_drop(("terms",)), id="no_terms"),
+    pytest.param(_set(("terms", 0, "extra"), 1), id="term_extra_key"),
+    pytest.param(_set(("terms", 0, "denoms", 0, "extra"), {}), id="form_extra_key"),
+    pytest.param(_set(("terms",), {}), id="terms_object"),
+    pytest.param(_set(("terms", 0), []), id="term_array"),
+    pytest.param(_set(("terms", 0, "coeff"), 0.25), id="coeff_number"),
+    pytest.param(_set(("terms", 0, "coeff"), "1/0"), id="coeff_zero_denominator"),
+    pytest.param(_set(("terms", 0, "coeff"), "one"), id="coeff_word"),
+    pytest.param(_set(("terms", 0, "q_exp"), [[1, -1]]), id="q_exp_array"),
+    pytest.param(_set(("terms", 0, "q_exp", "01"), -1), id="q_exp_padded_line_id"),
+    pytest.param(_set(("terms", 0, "denoms"), {"n": {}, "q": {}}), id="denoms_object"),
+    pytest.param(_set(("terms", 0, "denoms", 0, "n"), [["a", 1]]), id="n_array"),
+    pytest.param(_set(("terms", 0, "denoms", 0, "q", "x"), 1), id="q_not_a_line_id"),
+    pytest.param(_set(("terms", 0, "denoms", 0, "q", "1"), [1]), id="q_array_value"),
+    pytest.param(_set(("terms", 0, "denoms", 0), {"n": {}, "q": {}}), id="zero_form"),
+])
+def test_json_outside_the_schema_raises_expression_error(change):
+    # each change follows an unchanged copy of the same terms, so a value
+    # already parsed once must still be told apart from the bad one
+    data = json.loads(ex.render(reference_sum_g2(), "json"))
+    good = json.loads(ex.render(reference_sum_g2(), "json"))["terms"]
+    change(data)
+    if isinstance(data.get("terms"), list):
+        data["terms"] = good + data["terms"]
+    with pytest.raises(ex.ExpressionError):
+        ex.from_dict(data)
+    with pytest.raises(ex.ExpressionError):
+        ex.parse_expression(json.dumps(data))
