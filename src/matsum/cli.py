@@ -62,21 +62,6 @@ def _items(text: str, option: str):
         yield key, val
 
 
-def _parse_hierarchy(text: str | None, g: graph.MatsubaraGraph):
-    if text is None:
-        return None
-    try:
-        hierarchy = [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise _UsageError(
-            f"--hierarchy: {text!r} is not a comma-separated list of line ids"
-        ) from None
-    if sorted(hierarchy) != sorted(g.line_ids):
-        ids = ",".join(str(l) for l in sorted(g.line_ids))
-        raise _UsageError(f"--hierarchy must be a permutation of the line ids {ids}")
-    return hierarchy
-
-
 def _parse_q(text: str, g: graph.MatsubaraGraph) -> dict[int, float]:
     # "1:0.7,2:1.1" -> {1: 0.7, 2: 1.1}, one positive finite value per line
     out = {}
@@ -121,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", required=True, help="graph JSON file")
         if fmt:
             p.add_argument("--format", choices=["text", "latex", "json"], default="text")
-            p.add_argument("--hierarchy", default=None,
-                           help="regulator hierarchy, comma-separated line ids")
         if numeric:
             p.add_argument("--trials", type=int, default=10)
             p.add_argument("--tol", type=float, default=1e-6)
@@ -180,7 +163,8 @@ def run(argv: list[str]) -> int:
     except graph.GraphError as exc:
         print(f"invalid graph: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError,
+            TypeError) as exc:
         print(f"cannot read graph: {exc}", file=sys.stderr)
         return 1
 
@@ -217,8 +201,6 @@ def _dispatch(args, g: graph.MatsubaraGraph) -> int:
         print(f"count: {len(found)} (sizes 1..{max_size})")
         return 0
 
-    hierarchy = _parse_hierarchy(getattr(args, "hierarchy", None), g)
-
     if args.command in ("verify", "gaudin-check"):
         if args.trials < 1:
             raise _UsageError(f"--trials must be at least 1, got {args.trials}")
@@ -231,11 +213,11 @@ def _dispatch(args, g: graph.MatsubaraGraph) -> int:
         return 0
 
     if args.command == "integral":
-        _emit_expression(engine.matsubara_integral(g, hierarchy), args.format)
+        _emit_expression(engine.matsubara_integral(g), args.format)
         return 0
 
     if args.command == "sum":
-        _emit_expression(engine.matsubara_sum(g, args.method, hierarchy), args.format)
+        _emit_expression(engine.matsubara_sum(g, args.method), args.format)
         return 0
 
     if args.command == "eval":
@@ -246,6 +228,9 @@ def _dispatch(args, g: graph.MatsubaraGraph) -> int:
             value = expressions.eval_numeric(expr, q_values, n_values)
         except expressions.ZeroDenominator as exc:
             print(f"degenerate evaluation point: {exc}", file=sys.stderr)
+            return 1
+        except OverflowError as exc:    # a power of a subnormal q
+            print(f"evaluation overflowed: {exc.args[-1]}", file=sys.stderr)
             return 1
         if not math.isfinite(value.real):
             print(f"evaluation overflowed: {value.real!r}", file=sys.stderr)

@@ -27,9 +27,11 @@ fields. A Packer interns terms into the same kinds of tables, with integer
 coefficients over a common denominator, and its freeze() ranks the tables
 and sorts the rows: the one merge-and-sort of the package. Every
 constructor, add, JSON parsing and the engine build expressions through it.
-Rendering, JSON, equality and evaluation read the tables, so each distinct
-factor is formatted, parsed or evaluated once. `Expression.terms` builds
-Term tuples on access, for callers that read terms one at a time.
+Rendering, equality and evaluation read the tables, so each distinct factor
+is formatted or evaluated once. The JSON form of an expression is its
+tables (see from_dict), written by one json.dumps and parsed by checking
+each table entry once. `Expression.terms` builds Term tuples on access, for
+callers that read terms one at a time.
 
 Everything is an immutable value and all operations are pure functions.
 """
@@ -517,7 +519,15 @@ def _kernel_bits(kernels: tuple[int, ...], fmt: str) -> list[str]:
 def render(e: Expression, fmt: str = "text") -> str:
     """Render an expression as text, latex, or json (lossless)."""
     if fmt == "json":
-        return _render_json(e)
+        return json.dumps({
+            "forms": [{"n": dict(f.n), "q": {str(l): c for l, c in f.q}} for f in e.forms],
+            "heads": [{"two_pi_pow": pi_power, "q_exp": {str(l): x for l, x in q_exponents}}
+                      for pi_power, q_exponents in e.heads],
+            "kernels": [list(ks) for ks in e.kernel_sets],
+            "products": [list(product) for product in e.products],
+            "coeffs": [_ratio_str(c, e.scale) for c in e.numerators],
+            "terms": e.rows.tolist(),
+        })
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown format {fmt!r}")
     if e.is_empty():
@@ -618,29 +628,7 @@ def _render_plain(e: Expression, fmt: str) -> str:
         for i, (h, k, p, c) in enumerate(e.rows.tolist()))
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(", ", ": "))
-
-
-def _render_json(e: Expression) -> str:
-    """The documented JSON schema, one object per term. Each part of a term
-    object (coefficient, head, kernels, denominators) is dumped once per
-    distinct value and the term objects are assembled from the parts."""
-    coeffs = ['{"coeff": ' + _dumps(_ratio_str(c, e.scale)) + ", " for c in e.numerators]
-    heads = [f'"two_pi_pow": {_dumps(pi_power)}, "q_exp": '
-             + _dumps({str(l): exp for l, exp in q_exponents}) + ", "
-             for pi_power, q_exponents in e.heads]
-    kernels = ['"kernels": ' + _dumps(list(ks)) + ", " for ks in e.kernel_sets]
-    forms = [{"n": dict(f.n), "q": {str(l): c for l, c in f.q}} for f in e.forms]
-    products = ['"denoms": ' + _dumps([forms[f] for f in product]) + "}"
-                for product in e.products]
-    return '{"terms": [' + ", ".join(
-        [coeffs[c] + heads[h] + kernels[k] + products[p]
-         for h, k, p, c in e.rows.tolist()]) + "]}"
-
-
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-_TERM_KEYS = {"coeff", "two_pi_pow", "q_exp", "kernels", "denoms"}
 
 
 def _integer(value, what: str, key=None) -> int:
@@ -671,15 +659,21 @@ def _line_id(key, what: str) -> int:
 
 
 def _parse_rational(text: str, what: str) -> tuple[int, int]:
-    match = _RATIONAL.fullmatch(text)
+    match = _RATIONAL.fullmatch(_typed(text, str, what))
     if match is None or match[2] is not None and int(match[2]) == 0:
         raise ExpressionError(f"{what} must be an integer or p/q, got {text!r}")
-    num, den = int(match[1]), int(match[2] or 1)
-    g = math.gcd(num, den)
-    return num // g, den // g
+    return int(match[1]), int(match[2] or 1)
 
 
-def _parse_head(pi_power, q_exp, what: str) -> tuple[int, tuple]:
+def _object(value, keys: tuple[str, ...], what: str) -> dict:
+    if _typed(value, dict, what).keys() != set(keys):
+        raise ExpressionError(f"{what} must have exactly the keys {', '.join(map(repr, keys))}")
+    return value
+
+
+def _parse_head(hd, what: str) -> tuple[int, tuple]:
+    _object(hd, ("two_pi_pow", "q_exp"), what)
+    pi_power, q_exp = hd["two_pi_pow"], hd["q_exp"]
     _integer(pi_power, f"{what}: two_pi_pow")
     what = f"{what}: q_exp"
     exps = sorted((_line_id(l, what), _integer(x, what, l))
@@ -688,7 +682,6 @@ def _parse_head(pi_power, q_exp, what: str) -> tuple[int, tuple]:
 
 
 def _parse_kernels(kernels, what: str) -> tuple[int, ...]:
-    what = f"{what}: kernels"
     out = tuple(sorted(_integer(l, what, i) for i, l in enumerate(_typed(kernels, list, what))))
     if len(set(out)) != len(out):
         raise DuplicateKernel(next(l for i, l in enumerate(out) if l in out[:i]))
@@ -696,9 +689,7 @@ def _parse_kernels(kernels, what: str) -> tuple[int, ...]:
 
 
 def _parse_form(fd, what: str) -> LinearForm:
-    _typed(fd, dict, what)
-    if fd.keys() != {"n", "q"}:
-        raise ExpressionError(f"{what} must have exactly the keys 'n' and 'q'")
+    _object(fd, ("n", "q"), what)
     n_what, q_what = f"{what}: n", f"{what}: q"
     form, sign = normalize_form(
         [(_typed(v, str, n_what), _integer(c, n_what, v))
@@ -711,103 +702,59 @@ def _parse_form(fd, what: str) -> LinearForm:
     return form
 
 
-# Memo keys of JSON values. They tell 1 from 1.0 and True, which compare
-# equal, so a value equal to one already parsed is valid and parses the same.
-
-def _head_key(td: dict) -> tuple:
-    pi_power, q_exp = td["two_pi_pow"], td["q_exp"]
-    return (type(pi_power), pi_power, type(q_exp), tuple(q_exp.items()),
-            tuple(map(type, q_exp.values())))
+#: Keys of an expression document: its tables, in Expression order.
+_TABLES = ("forms", "heads", "kernels", "products", "coeffs", "terms")
 
 
-def _kernels_key(td: dict) -> tuple:
-    kernels = td["kernels"]
-    return type(kernels), tuple(kernels), tuple(map(type, kernels))
-
-
-def _form_key(fd: dict) -> tuple:
-    n, q = fd["n"], fd["q"]
-    return (type(fd), len(fd), type(n), tuple(n.items()), tuple(map(type, n.values())),
-            type(q), tuple(q.items()), tuple(map(type, q.values())))
-
-
-class _Parser:
-    """Memo tables of one from_dict call: each distinct coefficient, head,
-    kernel list and form is validated and interned once, under a key of
-    its exact JSON value."""
-
-    def __init__(self):
-        self.packer = Packer()
-        self.coeffs: dict[str, tuple[int, int]] = {}
-        self.heads: dict[tuple, int] = {}
-        self.kernel_sets: dict[tuple, tuple[int, ...]] = {}
-        self.forms: dict[tuple, int] = {}
-
-    def term(self, td) -> tuple:
-        """(kernel tuple, shape, (numerator, denominator)) of a term object,
-        from the memo tables; a value not in them goes to `parse`."""
-        if type(td) is not dict or td.keys() != _TERM_KEYS or type(td["denoms"]) is not list:
-            return None
-        forms = self.forms
-        try:
-            shape = self.packer.shape(self.heads[_head_key(td)],
-                                      [forms[_form_key(fd)] for fd in td["denoms"]])
-            return self.kernel_sets[_kernels_key(td)], shape, self.coeffs[td["coeff"]]
-        except (AttributeError, KeyError, TypeError):   # not a dict, missing, unhashable
-            return None
-
-    def parse(self, td, what: str) -> None:
-        """Validate a term object and add its values to the memo tables;
-        anything outside the schema raises ExpressionError."""
-        if type(td) is not dict or td.keys() != _TERM_KEYS:
-            raise ExpressionError(f"{what} must be an object with exactly the keys "
-                                  f"{', '.join(sorted(_TERM_KEYS))}")
-        text = _typed(td["coeff"], str, f"{what}: coeff")
-        if text not in self.coeffs:
-            self.coeffs[text] = _parse_rational(text, f"{what}: coeff")
-        head = _parse_head(td["two_pi_pow"], td["q_exp"], what)
-        self.heads.setdefault(_head_key(td), self.packer.head(*head))
-        self.kernel_sets.setdefault(_kernels_key(td), _parse_kernels(td["kernels"], what))
-        for j, fd in enumerate(_typed(td["denoms"], list, f"{what}: denoms")):
-            form = _parse_form(fd, f"{what}: denoms[{j}]")
-            self.forms.setdefault(_form_key(fd), self.packer.form(form))
+def _indices(ids, sizes: Iterable[int], what: str) -> list[int]:
+    """A JSON array of indices, the j-th an integer in range(sizes[j])."""
+    for j, (i, size) in enumerate(zip(_typed(ids, list, what), sizes)):
+        if type(i) is not int or not 0 <= i < size:
+            raise ExpressionError(f"{what}[{j}] must be an index below {size}, got {i!r}")
+    return ids
 
 
 def from_dict(data: dict) -> Expression:
     """The Expression of a parsed JSON expression (see render(e, "json")).
 
-    Key order inside each "n" map is significant: it records the vertex
-    symbol order used by sign normalization. Anything outside the schema
-    raises ExpressionError: a missing or extra key, a value of the wrong
-    JSON type, a number that is not an integer where one is expected
-    (booleans included), a coefficient that is not an integer or p/q, a
-    repeated kernel, a denominator that is zero or not sign-normalized.
-    Each distinct coefficient, head, kernel list and form is parsed once.
+    The document is an Expression's tables: "forms", "heads", "kernels",
+    "products" (arrays of form indices), "coeffs" (integer or p/q strings)
+    and "terms", whose rows are [head, kernels, product, coeff] indices.
+    Key order inside each "n" map records the vertex symbol order used by
+    sign normalization. Anything outside the schema raises ExpressionError:
+    a missing or extra key, a wrong JSON type, a number that is not an
+    integer where one is expected (booleans included), an index out of
+    range, a bad coefficient, a repeated kernel, a form that is zero or not
+    sign-normalized. The tables need not be canonical: repeated entries and
+    rows merge and zero terms drop.
     """
-    if _typed(data, dict, "expression").keys() != {"terms"}:
-        raise ExpressionError("expression must be an object with exactly the key 'terms'")
-    parser = _Parser()
-    parsed = []
-    for i, td in enumerate(_typed(data["terms"], list, "expression: terms")):
-        term = parser.term(td)
-        if term is None:
-            parser.parse(td, f"term {i}")
-            term = parser.term(td)
-        parsed.append(term)
+    _object(data, _TABLES, "expression")
+    tables = {name: enumerate(_typed(data[name], list, f"expression: {name}"))
+              for name in _TABLES}
+    forms = tuple(_parse_form(fd, f"forms[{i}]") for i, fd in tables["forms"])
+    heads = tuple(_parse_head(hd, f"heads[{i}]") for i, hd in tables["heads"])
+    kernel_sets = tuple(_parse_kernels(ks, f"kernels[{i}]") for i, ks in tables["kernels"])
+    products = tuple(tuple(_indices(p, itertools.repeat(len(forms)), f"products[{i}]"))
+                     for i, p in tables["products"])
+    coeffs = [_parse_rational(c, f"coeffs[{i}]") for i, c in tables["coeffs"]]
+    sizes = (len(heads), len(kernel_sets), len(products), len(coeffs))
+    for i, row in tables["terms"]:
+        if len(_indices(row, sizes, f"terms[{i}]")) != len(sizes):
+            raise ExpressionError(f"terms[{i}] must have {len(sizes)} indices, got {row!r}")
 
-    packer = parser.packer
-    packer.scale = math.lcm(*(den for _, den in parser.coeffs.values()))
-    groups: dict[tuple, dict[int, int]] = {}
-    for kernel_set, shape, (num, den) in parsed:
-        group = groups.setdefault(kernel_set, {})
-        group[shape] = group.get(shape, 0) + num * (packer.scale // den)
-    return packer.freeze(groups)
+    # the document's tables as they stand, for the packer to merge and rank
+    scale = math.lcm(*(den for _, den in coeffs))
+    raw = _frozen(forms, products, heads, kernel_sets,
+                  tuple(num * (scale // den) for num, den in coeffs), scale,
+                  np.array(data["terms"], dtype=np.int64).reshape(-1, len(sizes)))
+    packer = Packer(scale)
+    return packer.freeze(packer.pack(raw))
 
 
 def parse_expression(text: str) -> Expression:
     """from_dict of a JSON text; text that is not JSON raises ExpressionError."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ExpressionError(f"expression is not JSON: {exc}") from None
     return from_dict(data)

@@ -7,7 +7,9 @@ the numeric machinery: a one-dimensional sum with a known limit, and a
 delta-checked sum over all I variables that enforces every vertex
 constraint pointwise. The term loops of evaluation, rendering and JSON
 read an expression through its Term view, one term at a time, as the
-library did before it worked on packed tables.
+library did before it worked on packed tables; the JSON writer keeps the
+one-object-per-term schema of that time, and the reader reads the
+library's table schema term by term.
 """
 
 from __future__ import annotations
@@ -301,8 +303,9 @@ def _render_plain(e: Expression, fmt: str) -> str:
 
 
 def to_dict(e: Expression) -> dict:
-    """JSON-ready dict following the documented expression schema. Equal
-    forms and q monomials share one dict."""
+    """JSON-ready dict with one object per term, the schema the library
+    wrote before it wrote an expression as its tables; the pinned JSON
+    digests are of it. Equal forms and q monomials share one dict."""
     forms: dict[LinearForm, dict] = {}
     monomials: dict[tuple, dict] = {}
 
@@ -344,36 +347,13 @@ def _parse_form(fd: dict) -> LinearForm:
 
 
 def from_dict(data: dict) -> Expression:
-    """Inverse of to_dict. Key order inside each "n" map is significant: it
-    records the vertex symbol order used by sign normalization. Each
-    distinct form and coefficient is parsed once."""
-    forms: dict[tuple, LinearForm] = {}
-    coeffs: dict[str, Fraction] = {}
-    terms = []
-    for td in data["terms"]:
-        dens = []
-        for fd in td["denoms"]:
-            key = (tuple(fd["n"].items()), tuple(fd["q"].items()))
-            try:
-                form = forms[key]
-            except KeyError:
-                form = forms[key] = _parse_form(fd)
-            except TypeError:           # unhashable values: fail as parsing does
-                form = _parse_form(fd)
-            dens.append(form)
-        try:
-            coeff = coeffs[td["coeff"]]
-        except KeyError:
-            coeff = coeffs[td["coeff"]] = Fraction(td["coeff"])
-        except TypeError:
-            coeff = Fraction(td["coeff"])
-        terms.append(
-            make_term(
-                coeff,
-                int(td["two_pi_pow"]),
-                {int(l): int(x) for l, x in td["q_exp"].items()},
-                td["kernels"],
-                dens,
-            )
-        )
-    return Expression.from_terms(terms)
+    """The Expression of a document in the library's JSON schema (tables
+    of forms, heads, kernels, products and coefficients, and one row of
+    indices per term), read term by term in Fraction arithmetic."""
+    forms = [_parse_form(fd) for fd in data["forms"]]
+    heads = data["heads"]
+    return Expression.from_terms(
+        make_term(Fraction(data["coeffs"][c]), heads[h]["two_pi_pow"],
+                  {int(l): x for l, x in heads[h]["q_exp"].items()},
+                  data["kernels"][k], [forms[f] for f in data["products"][p]])
+        for h, k, p, c in data["terms"])

@@ -70,6 +70,20 @@ def test_validate_array_top_level_exits_1(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\xfe{}", id="not_utf8"),
+    pytest.param(b"[" * 200_000, id="nested_too_deeply"),
+])
+def test_unreadable_graph_exits_1(capsys, tmp_path, content):
+    path = tmp_path / "graph.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "validate", "--graph", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("cannot read graph: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "validate", "--graph", "/nope/missing.json")
     assert code == 1
@@ -184,13 +198,6 @@ def test_gaudin_check(capsys, g4_path):
         assert json.loads(line)["residual"] < 1e-12
 
 
-def test_hierarchy_flag(capsys, g2_path):
-    _, out1, _ = run(capsys, "integral", "--graph", g2_path, "--format", "json")
-    _, out2, _ = run(capsys, "integral", "--graph", g2_path, "--format", "json",
-                     "--hierarchy", "2,1")
-    assert out1 == out2  # two-vertex closed form is hierarchy independent
-
-
 def assert_usage_error(result, *words):
     code, out, err = result
     assert code == 64
@@ -241,14 +248,22 @@ def test_eval_overflow_exits_1(capsys, g2_path):
     assert out == ""
     # one line: no NumPy warning beside it
     assert err == "evaluation overflowed: inf\n"
+    # 1e-320 ** -1 overflows in Python's float power, which raises
+    code, out, err = run(capsys, "eval", "--graph", g2_path,
+                         "--q", "1:1e-320,2:1", "--n", "a:1")
+    assert (code, out) == (1, "")
+    assert err.startswith("evaluation overflowed: ") and err.count("\n") == 1
 
 
-def test_bad_hierarchy_exits_64(capsys, g2_path):
-    assert_usage_error(run(capsys, "integral", "--graph", g2_path,
-                           "--hierarchy", "x"), "--hierarchy")
-    for hierarchy in ("1,1", "1", "1,2,3"):
-        assert_usage_error(run(capsys, "sum", "--graph", g2_path,
-                               "--hierarchy", hierarchy), "permutation")
+def test_hierarchy_is_an_unrecognized_option(capsys, g2_path):
+    # closed forms are normal forms, so no subcommand takes a hierarchy
+    for command in ("operator", "integral", "sum"):
+        with pytest.raises(SystemExit) as info:
+            cli.run([command, "--graph", g2_path, "--hierarchy", "2,1"])
+        assert info.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().endswith("matsum: error: unrecognized arguments: --hierarchy 2,1")
 
 
 def test_trials_below_1_exits_64(capsys, g2_path):

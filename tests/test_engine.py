@@ -329,7 +329,8 @@ def test_apply_operator_carries_kernels_and_rejects_reflecting_them(g2):
 #: (random_graph(default_rng(3), 4, 8), redrawn until it has 8 lines) in the
 #: tree basis: the reduced operator on the raw tree-product assembly, as the
 #: Fraction-based walk before the packed kernel produced it and as the
-#: subset-by-subset reference produces it.
+#: subset-by-subset reference produces it. The JSON digests are of the
+#: one-object-per-term schema that tests/reference.py writes.
 STRESS_SUM_TERMS = 39586
 STRESS_SUM_JSON_SHA256 = "6abe2eeb64556b9748c7f745cf86612cc94c84a302a6e7acb943301f9d811382"
 #: The same for the normal form of that sum, matsubara_sum's output.
@@ -354,15 +355,16 @@ def test_stress_sum_is_byte_identical():
         g = fixtures.random_graph(rng, 4, 8)
     raw = _reference_operator(engine.operator_reduced(g), _raw_integral(g))
     assert len(raw) == STRESS_SUM_TERMS
-    digest = hashlib.sha256(ex.render(raw, "json").encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(reference.render(raw, "json").encode("utf-8")).hexdigest()
     assert digest == STRESS_SUM_JSON_SHA256
     s = engine.matsubara_sum(g)
     assert engine.normal_form(g, raw) == s
     assert len(s) == STRESS_NORMAL_SUM_TERMS
-    for fmt, pinned in (("json", STRESS_NORMAL_SUM_JSON_SHA256),
-                        ("text", STRESS_NORMAL_SUM_TEXT_SHA256),
-                        ("latex", STRESS_NORMAL_SUM_LATEX_SHA256)):
-        assert hashlib.sha256(ex.render(s, fmt).encode("utf-8")).hexdigest() == pinned, fmt
+    for render, fmt, pinned in ((reference.render, "json", STRESS_NORMAL_SUM_JSON_SHA256),
+                                (ex.render, "text", STRESS_NORMAL_SUM_TEXT_SHA256),
+                                (ex.render, "latex", STRESS_NORMAL_SUM_LATEX_SHA256)):
+        assert hashlib.sha256(render(s, fmt).encode("utf-8")).hexdigest() == pinned, fmt
+    assert ex.parse_expression(ex.render(s, "json")) == s
     # the two sums are the same function
     rng = np.random.default_rng(31)
     for pinned in STRESS_NORMAL_SUM_VALUES:
@@ -378,7 +380,8 @@ def test_hot_paths_stay_on_the_packed_tables(g4, monkeypatch):
     # expression's tables; none of them builds Term tuples or Fractions
     q, n = {i: 0.4 + 0.3 * i for i in range(1, 6)}, {"a": 1, "b": -2, "c": 1}
     expected = engine.matsubara_sum(g4)
-    renders = {fmt: reference.render(expected, fmt) for fmt in ("text", "latex", "json")}
+    renders = {fmt: reference.render(expected, fmt) for fmt in ("text", "latex")}
+    renders["json"] = ex.render(expected, "json")
     value = reference.eval_numeric(expected, q, n)
 
     def refuse(*args, **kwargs):

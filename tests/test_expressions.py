@@ -7,10 +7,14 @@ import json
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import reference
+from matsum import engine, fixtures
 from matsum import expressions as ex
 
 from conftest import form, reference_integral_g2, reference_sum_g2
@@ -180,13 +184,36 @@ def test_render_deterministic():
 
 def test_json_rejects_a_form_that_is_not_sign_normalized():
     data = json.loads(ex.render(reference_integral_g2(), "json"))
-    data["terms"][1]["denoms"][0] = {"n": {"a": -1}, "q": {"1": 1, "2": 1}}
-    with pytest.raises(ex.ExpressionError):
+    data["forms"][1] = {"n": {"a": -1}, "q": {"1": 1, "2": 1}}
+    with pytest.raises(ex.ExpressionError, match="sign-normalized"):
         ex.from_dict(data)
-    # a form repeated across terms parses to the same form each time
-    data = json.loads(ex.render(reference_sum_g2(), "json"))
-    forms = [t.denominators for t in ex.from_dict(data).terms]
-    assert forms == [t.denominators for t in reference_sum_g2().terms]
+
+
+def test_json_of_the_per_term_schema_is_rejected():
+    # documents written one object per term, before expressions were
+    # written as their tables, have only the key "terms"
+    old = reference.render(reference_sum_g2(), "json")
+    with pytest.raises(ex.ExpressionError, match="exactly the keys 'forms', 'heads', "
+                       "'kernels', 'products', 'coeffs', 'terms'"):
+        ex.parse_expression(old)
+
+
+def test_json_nested_too_deeply_raises_expression_error():
+    with pytest.raises(ex.ExpressionError):
+        ex.parse_expression("[" * 200_000)
+
+
+def test_readme_expression_json_example():
+    # the documented example is the G2 sum's JSON, wrapped after commas,
+    # and the text form shown beside it
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## File formats"):]
+    shown_text, shown_json = re.search(r"```text\n(.*?)\n```.*?```json\n(.*?)```",
+                                       section, re.DOTALL).groups()
+    expected = engine.matsubara_sum(fixtures.g2())
+    assert ex.parse_expression(shown_json) == expected
+    assert " ".join(shown_json.split()) == ex.render(expected, "json")
+    assert shown_text == ex.render(expected, "text")
 
 
 def _set(path, value):
@@ -212,43 +239,55 @@ def _drop(path):
 
 @pytest.mark.parametrize("change", [
     # numbers that are not integers are rejected, not truncated
-    pytest.param(_set(("terms", 0, "q_exp", "1"), -1.5), id="q_exp_float"),
-    pytest.param(_set(("terms", 0, "two_pi_pow"), 1.7), id="two_pi_pow_float"),
-    pytest.param(_set(("terms", 0, "two_pi_pow"), 1.0), id="two_pi_pow_whole_float"),
-    pytest.param(_set(("terms", 0, "denoms", 0, "n", "a"), 1.9), id="n_float"),
-    pytest.param(_set(("terms", 0, "denoms", 0, "q", "1"), True), id="q_bool"),
+    pytest.param(_set(("heads", 0, "q_exp", "1"), -1.5), id="q_exp_float"),
+    pytest.param(_set(("heads", 0, "two_pi_pow"), 1.7), id="two_pi_pow_float"),
+    pytest.param(_set(("heads", 0, "two_pi_pow"), 1.0), id="two_pi_pow_whole_float"),
+    pytest.param(_set(("forms", 0, "n", "a"), 1.9), id="n_float"),
+    pytest.param(_set(("forms", 0, "q", "1"), True), id="q_bool"),
     # kernels are an array of integers
-    pytest.param(_set(("terms", 1, "kernels"), "12"), id="kernels_string"),
-    pytest.param(_set(("terms", 1, "kernels"), [True]), id="kernels_bool"),
-    pytest.param(_set(("terms", 1, "kernels"), [1.0]), id="kernels_float"),
-    pytest.param(_set(("terms", 1, "kernels"), [1, 1]), id="kernels_repeated"),
+    pytest.param(_set(("kernels", 1), "12"), id="kernels_string"),
+    pytest.param(_set(("kernels", 1), [True]), id="kernels_bool"),
+    pytest.param(_set(("kernels", 1), [1.0]), id="kernels_float"),
+    pytest.param(_set(("kernels", 1), [1, 1]), id="kernels_repeated"),
     # missing keys, extra keys and values of the wrong type
-    pytest.param(_drop(("terms", 0, "coeff")), id="no_coeff"),
-    pytest.param(_drop(("terms", 0, "denoms", 0, "q")), id="form_without_q"),
+    pytest.param(_drop(("coeffs",)), id="no_coeff"),
+    pytest.param(_drop(("forms", 0, "q")), id="form_without_q"),
     pytest.param(_drop(("terms",)), id="no_terms"),
-    pytest.param(_set(("terms", 0, "extra"), 1), id="term_extra_key"),
-    pytest.param(_set(("terms", 0, "denoms", 0, "extra"), {}), id="form_extra_key"),
+    pytest.param(_set(("heads", 0, "extra"), 1), id="term_extra_key"),
+    pytest.param(_set(("forms", 0, "extra"), {}), id="form_extra_key"),
     pytest.param(_set(("terms",), {}), id="terms_object"),
     pytest.param(_set(("terms", 0), []), id="term_array"),
-    pytest.param(_set(("terms", 0, "coeff"), 0.25), id="coeff_number"),
-    pytest.param(_set(("terms", 0, "coeff"), "1/0"), id="coeff_zero_denominator"),
-    pytest.param(_set(("terms", 0, "coeff"), "one"), id="coeff_word"),
-    pytest.param(_set(("terms", 0, "q_exp"), [[1, -1]]), id="q_exp_array"),
-    pytest.param(_set(("terms", 0, "q_exp", "01"), -1), id="q_exp_padded_line_id"),
-    pytest.param(_set(("terms", 0, "denoms"), {"n": {}, "q": {}}), id="denoms_object"),
-    pytest.param(_set(("terms", 0, "denoms", 0, "n"), [["a", 1]]), id="n_array"),
-    pytest.param(_set(("terms", 0, "denoms", 0, "q", "x"), 1), id="q_not_a_line_id"),
-    pytest.param(_set(("terms", 0, "denoms", 0, "q", "1"), [1]), id="q_array_value"),
-    pytest.param(_set(("terms", 0, "denoms", 0), {"n": {}, "q": {}}), id="zero_form"),
+    pytest.param(_set(("coeffs", 0), 0.25), id="coeff_number"),
+    pytest.param(_set(("coeffs", 0), "1/0"), id="coeff_zero_denominator"),
+    pytest.param(_set(("coeffs", 0), "one"), id="coeff_word"),
+    pytest.param(_set(("heads", 0, "q_exp"), [[1, -1]]), id="q_exp_array"),
+    pytest.param(_set(("heads", 0, "q_exp", "01"), -1), id="q_exp_padded_line_id"),
+    pytest.param(_set(("products", 0), {"n": {}, "q": {}}), id="denoms_object"),
+    pytest.param(_set(("forms", 0, "n"), [["a", 1]]), id="n_array"),
+    pytest.param(_set(("forms", 0, "q", "x"), 1), id="q_not_a_line_id"),
+    pytest.param(_set(("forms", 0, "q", "1"), [1]), id="q_array_value"),
+    pytest.param(_set(("forms", 0), {"n": {}, "q": {}}), id="zero_form"),
+    # tables and indices
+    pytest.param(_set(("extra",), []), id="document_extra_key"),
+    pytest.param(_drop(("heads", 0, "q_exp")), id="head_without_q_exp"),
+    pytest.param(_set(("forms",), {}), id="forms_object"),
+    pytest.param(_set(("terms", 0, 0), 1), id="head_index_out_of_range"),
+    pytest.param(_set(("terms", 0, 3), 2), id="coeff_index_out_of_range"),
+    pytest.param(_set(("terms", 0, 1), -1), id="kernels_index_negative"),
+    pytest.param(_set(("terms", 0, 2), True), id="product_index_bool"),
+    pytest.param(_set(("terms", 0, 2), 1.0), id="product_index_float"),
+    pytest.param(_set(("terms", 0, 0), 2**70), id="head_index_huge"),
+    pytest.param(_set(("terms", 0), [0, 0, 0]), id="term_row_too_short"),
+    pytest.param(_set(("terms", 0), [0, 0, 0, 0, 0]), id="term_row_too_long"),
+    pytest.param(_set(("terms", 0), "0000"), id="term_row_string"),
+    pytest.param(_set(("products", 0), [4]), id="product_names_a_missing_form"),
+    pytest.param(_set(("products", 0), [-1]), id="product_form_index_negative"),
+    pytest.param(_set(("products", 0), [True]), id="product_form_index_bool"),
 ])
 def test_json_outside_the_schema_raises_expression_error(change):
-    # each change follows an unchanged copy of the same terms, so a value
-    # already parsed once must still be told apart from the bad one
+    # each change breaks one value of a valid document
     data = json.loads(ex.render(reference_sum_g2(), "json"))
-    good = json.loads(ex.render(reference_sum_g2(), "json"))["terms"]
     change(data)
-    if isinstance(data.get("terms"), list):
-        data["terms"] = good + data["terms"]
     with pytest.raises(ex.ExpressionError):
         ex.from_dict(data)
     with pytest.raises(ex.ExpressionError):
