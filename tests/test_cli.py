@@ -255,15 +255,28 @@ def test_eval_overflow_exits_1(capsys, g2_path):
     assert err.startswith("evaluation overflowed: ") and err.count("\n") == 1
 
 
-def test_hierarchy_is_an_unrecognized_option(capsys, g2_path):
+def assert_unrecognized_hierarchy(capsys, command, g2_path, hierarchy):
+    with pytest.raises(SystemExit) as info:
+        cli.run([command, "--graph", g2_path, "--hierarchy", hierarchy])
+    assert info.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().endswith(
+        f"matsum: error: unrecognized arguments: --hierarchy {hierarchy}")
+
+
+def test_hierarchy_flag(capsys, g2_path):
     # closed forms are normal forms, so no subcommand takes a hierarchy
     for command in ("operator", "integral", "sum"):
-        with pytest.raises(SystemExit) as info:
-            cli.run([command, "--graph", g2_path, "--hierarchy", "2,1"])
-        assert info.value.code == 64
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.strip().endswith("matsum: error: unrecognized arguments: --hierarchy 2,1")
+        assert_unrecognized_hierarchy(capsys, command, g2_path, "2,1")
+
+
+def test_bad_hierarchy_exits_64(capsys, g2_path):
+    # a value that was once rejected as a bad permutation is now simply an
+    # unrecognized argument
+    assert_unrecognized_hierarchy(capsys, "integral", g2_path, "x")
+    for hierarchy in ("1,1", "1", "1,2,3"):
+        assert_unrecognized_hierarchy(capsys, "sum", g2_path, hierarchy)
 
 
 def test_trials_below_1_exits_64(capsys, g2_path):
