@@ -206,6 +206,8 @@ def _dispatch(args, g: graph.MatsubaraGraph) -> int:
             raise _UsageError(f"--trials must be at least 1, got {args.trials}")
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise _UsageError(f"--tol must be a positive finite number, got {args.tol}")
+        if args.seed < 0:
+            raise _UsageError(f"--seed must be a non-negative integer, got {args.seed}")
 
     if args.command == "operator":
         spec = engine.operator_full(g) if args.full else engine.operator_reduced(g)

@@ -30,17 +30,18 @@ normal form can be much longer than the tree basis on long cycles, so one
 call rewrites at most MAX_REDUCED_PRODUCTS products and raises
 NormalFormTooLarge past that.
 
-Both routes, and apply_operator for any operator, share one packed kernel
-(_Packed, an expressions.Packer over the cut arrangement): tree products
-are packed as they are built, and an input Expression is packed from its
-tables, into interned denominator forms, interned (pi power, q monomial)
-heads and integer coefficients over a common denominator. Each factor
-nbe_i (1 - R_i) is then dict arithmetic through a memoized signed
-permutation of term shapes, with cancelled terms dropped at once, and each
-level of the walk is brought to normal form with its new denominator
-products reduced in one batch. Nothing is sorted during the walk: each
-route freezes its packed result into an Expression once, which ranks the
-tables and sorts the rows by integer ranks and builds no per-term objects.
+Both routes, apply_operator for any operator and tree_product share one
+packed kernel (_Packed, an expressions.Packer built over the graph's cut
+arrangement): tree products are packed as they are built, and an input
+Expression from its tables, into cut-form ids (a form's rank), interned
+(pi power, q monomial) heads and integer coefficients over a common
+denominator. R_i flips i's bit of a cut form's sign pattern, and its only
+sign is the parity of q_i in the head; each factor nbe_i (1 - R_i) is dict
+arithmetic through a memoized signed permutation of term shapes, with
+cancelled terms dropped at once, and each level of the walk is brought to
+normal form with its new products reduced in one batch. Nothing is sorted
+during the walk: each route freezes its packed result into an Expression
+once, which ranks the tables and sorts the rows by integer ranks.
 
 Cutset subsets of reflection-differences annihilate the integral: the
 normal form of the image is empty (annihilator_check), which is what
@@ -161,7 +162,7 @@ def tree_product(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
     1/(q_j - i Omega_j) - 1/(-q_j - i Omega_j). The result has 2^(V-1)
     terms and depends on the regulator signs of the solution.
     """
-    packed = _Packed(2 ** graph.num_lines)
+    packed = _Packed(2 ** graph.num_lines, graph)
     return packed.freeze({(): _pack_tree_product(packed, graph, solution)})
 
 
@@ -196,7 +197,8 @@ def tree_integral(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
     """Contribution of one spanning tree to the integral evaluation: the
     normal form (see normal_form) of its tree_product. The contributions of
     all trees add up to matsubara_integral."""
-    return normal_form(graph, tree_product(graph, solution))
+    packed = _Packed(2 ** graph.num_lines, graph)
+    return packed.freeze(packed.normalize_all({(): _pack_tree_product(packed, graph, solution)}))
 
 
 def matsubara_integral(
@@ -214,7 +216,7 @@ def _tree_products(graph: MatsubaraGraph, trees: Sequence[LineSubset],
                    hierarchy: Sequence[int] | None):
     """The packed tree products of the trees, over the graph's cut
     arrangement, and their sum as a packed expression."""
-    packed = _Packed(2 ** graph.num_lines, _Arrangement(graph))
+    packed = _Packed(2 ** graph.num_lines, graph)
     parts = [_pack_tree_product(packed, graph, solve_tree(graph, tree, hierarchy))
              for tree in trees]
     total: dict[int, int] = {}
@@ -234,7 +236,7 @@ def normal_form(graph: MatsubaraGraph, e: Expression) -> Expression:
     a cut form of the graph, and NormalFormTooLarge when the rewriting needs
     more than MAX_REDUCED_PRODUCTS products.
     """
-    packed = _Packed(e.scale, _Arrangement(graph))
+    packed = _Packed(e.scale, graph)
     return packed.freeze(packed.normalize_all(packed.pack(e)))
 
 
@@ -253,22 +255,7 @@ def cut_forms(graph: MatsubaraGraph) -> tuple[ex.LinearForm, ...]:
     integral and sum evaluation of the graph is one of them: the tree lines
     of a spanning tree cut it along bonds, and reflections only flip signs.
     """
-    return tuple(form for form, _, _ in _cut_entries(graph))
-
-
-def _cut_entries(graph: MatsubaraGraph, bonds=None) -> list[tuple[ex.LinearForm, int, int]]:
-    """(form, bond index in gr.bonds order, sign pattern) in normal-form
-    order; bit len(C)-1-j of the pattern is set when line C[j] has -q, so
-    the patterns 0 and 2^len(C) - 1 are the same-sign forms."""
-    keyed = []
-    for b, (side, lines) in enumerate(bonds or gr.bonds(graph)):
-        n = tuple((v, 1) for v in graph.vertices[:-1] if v in side)
-        all_minus = (1 << len(lines)) - 1
-        for pattern, signs in enumerate(itertools.product((1, -1), repeat=len(lines))):
-            form = ex.LinearForm(n, tuple(zip(lines, signs)))
-            keyed.append((0 < pattern < all_minus, len(lines), form, b, pattern))
-    keyed.sort()
-    return [(form, b, pattern) for _, _, form, b, pattern in keyed]
+    return _Arrangement(graph).forms
 
 
 class NotACutForm(ex.ExpressionError):
@@ -315,11 +302,32 @@ class _Arrangement:
     def __init__(self, graph: MatsubaraGraph):
         self.graph = graph
         self._bonds = gr.bonds(graph)
-        self._entries = _cut_entries(graph, self._bonds)
-        self.forms = tuple(form for form, _, _ in self._entries)
+        # the forms in cut_forms order, each with its cut (bond b, sign
+        # pattern): bit len(C)-1-j of the pattern is set when line C[j] of the
+        # bond has -q, so the patterns 0 and 2^len(C) - 1 are the same-sign forms
+        keyed = []
+        for b, (side, lines) in enumerate(self._bonds):
+            n = tuple((v, 1) for v in graph.vertices[:-1] if v in side)
+            all_minus = (1 << len(lines)) - 1
+            for pattern, signs in enumerate(itertools.product((1, -1), repeat=len(lines))):
+                form = ex.LinearForm(n, tuple(zip(lines, signs)))
+                keyed.append((0 < pattern < all_minus, len(lines), form, b, pattern))
+        keyed.sort()
+        self.forms = tuple(form for _, _, form, _, _ in keyed)
+        self._cuts = [(b, pattern) for _, _, _, b, pattern in keyed]   # by rank
+        self._rank = {cut: rank for rank, cut in enumerate(self._cuts)}
         self.vectors: np.ndarray | None = None   # built on first search
         #: product -> ((nbc product, coefficient), ...), None for an nbc product
         self.reduced: dict[tuple[int, ...], tuple | None] = {}
+
+    def flip(self, rank: int, line_id: int) -> int:
+        """The rank of the form with q_{line_id} negated: the line's bit of
+        the pattern flipped, with no renormalization, as forms lead with +N(S)."""
+        b, pattern = self._cuts[rank]
+        lines = self._bonds[b][1]
+        if line_id not in lines:
+            return rank
+        return self._rank[b, pattern ^ (1 << (len(lines) - 1 - lines.index(line_id)))]
 
     def _build_tables(self) -> None:
         """Integer vectors of the forms over (non-root N's, q's), and the
@@ -336,10 +344,9 @@ class _Arrangement:
                 self._bond_lines[b, line_index[lid]] = 1
                 self._weight[b, line_index[lid]] = 1 << (len(lines) - 1 - j)
         self._offset = np.cumsum([0] + [1 << len(lines) for _, lines in bonds])
-        self._bond = np.array([b for _, b, _ in self._entries])
-        pattern = np.array([p for _, _, p in self._entries])
-        self._form_at = np.empty(len(self.forms), dtype=np.int64)
-        self._form_at[self._offset[self._bond] + pattern] = np.arange(len(self.forms))
+        self._form_at = np.array([self._rank[b, pattern] for b, (_, lines) in enumerate(bonds)
+                                  for pattern in range(1 << len(lines))])
+        self._bond, pattern = np.array(self._cuts).T
         self._n = self._bond_n[self._bond]
         self._q = self._bond_lines[self._bond] * (
             1 - 2 * ((pattern[:, None] & self._weight[self._bond]) > 0))
@@ -557,20 +564,19 @@ def operator_reduced(graph: MatsubaraGraph) -> OperatorSpec:
 
 
 class _Packed(ex.Packer):
-    """The packer of one operator application or route: every term it
-    handles is interned here (see expressions.Packer), with coefficients
-    over `scale`.
+    """The packer of one operator application or route over the cut
+    arrangement of a graph: every term it handles is interned here (see
+    expressions.Packer), with coefficients over `scale`.
 
-    With a cut arrangement, its forms are interned first, so the id of a
-    cut form is its rank and a shape's form tuple is its product in the
-    arrangement's terms; `normal` then memoizes the normal form of each
-    shape, shape -> ((shape', coeff), ...), or None for a shape that is in
-    normal form.
+    The arrangement's forms are interned first, so the id of a cut form is
+    its rank and a shape's form tuple is its product in the arrangement's
+    terms; `normal` memoizes the normal form of each shape, shape ->
+    ((shape', coeff), ...), or None for a shape that is in normal form.
     """
 
-    def __init__(self, scale: int, arrangement: _Arrangement | None = None):
-        super().__init__(scale, arrangement.forms if arrangement else ())
-        self.arrangement = arrangement
+    def __init__(self, scale: int, graph: MatsubaraGraph):
+        self.arrangement = _Arrangement(graph)
+        super().__init__(scale, self.arrangement.forms)
         self.odd: list[frozenset[int]] = []  # per head: lines of odd q exponent
         self._reflections: dict[int, _Reflection] = {}
         self.normal: dict[int, tuple] = {}
@@ -631,30 +637,24 @@ class _Packed(ex.Packer):
 
 class _Reflection(dict):
     """R_l as a signed permutation of term shapes: shape -> (shape', +-1),
-    filled on first use from the form table and the head's q parity."""
+    filled on first use. R_l flips l's bit of each cut form's sign pattern
+    (see _Arrangement.flip), so the sign is the head's q parity alone."""
 
     def __init__(self, packed: _Packed, line_id: int):
-        super().__init__()
         self.packed = packed
         self.line_id = line_id
-        self.flips: dict[int, tuple[int, int]] = {}  # form id -> (form id', +-1)
-
-    def _flip(self, form: int) -> tuple[int, int]:
-        p = self.packed
-        flipped, sign = ex._flip_form(p.forms[form], self.line_id)
-        out = self.flips[form] = (p.form(flipped), sign)
-        return out
+        self.flips: dict[int, int] = {}  # form id -> form id'
 
     def __missing__(self, shape: int) -> tuple[int, int]:
-        p, flips = self.packed, self.flips
+        p, flips, lid = self.packed, self.flips, self.line_id
         head, dens = p.shapes[shape]
-        sign = -1 if self.line_id in p.odd[head] else 1
         flipped = []
         for form in dens:
-            form, s = flips.get(form) or self._flip(form)
-            sign *= s
-            flipped.append(form)
-        out = self[shape] = (p.shape(head, flipped), sign)
+            image = flips.get(form)
+            if image is None:
+                image = flips[form] = p.arrangement.flip(form, lid)
+            flipped.append(image)
+        out = self[shape] = (p.shape(head, flipped), -1 if lid in p.odd[head] else 1)
         return out
 
 
@@ -740,7 +740,7 @@ def apply_operator(spec: OperatorSpec, e: Expression) -> Expression:
     Reflecting a line whose kernel a term already carries raises
     KernelReflection.
     """
-    packed = _Packed(e.scale, _Arrangement(spec.graph))
+    packed = _Packed(e.scale, spec.graph)
     total: dict[tuple, dict[int, int]] = {}
     _walk(packed, [(spec.subsets, packed.pack(e))], total)
     return packed.freeze(total)

@@ -61,8 +61,8 @@ class KernelReflection(ExpressionError):
 
 
 class DuplicateKernel(ExpressionError):
-    def __init__(self, line_id: int):
-        super().__init__(f"term already carries the kernel of line {line_id}")
+    def __init__(self, line_id: int, where: str = ""):
+        super().__init__(f"{where}term already carries the kernel of line {line_id}")
         self.line_id = line_id
 
 
@@ -336,26 +336,6 @@ class Packer:
 def add(e1: Expression, e2: Expression) -> Expression:
     packer = Packer(math.lcm(e1.scale, e2.scale))
     return packer.freeze(packer.pack(e2, packer.pack(e1)))
-
-
-def _flip_form(form: LinearForm, line_id: int) -> tuple[LinearForm, int]:
-    """Negate q_{line_id} in a canonical form, restoring sign normalization.
-
-    The stored form has a positive leading coefficient, so renormalization is
-    only needed when the flipped line carries that leading coefficient.
-    """
-    q = form.q
-    for idx, (l, c) in enumerate(q):
-        if l == line_id:
-            break
-    else:
-        return form, 1
-    if form.n or idx > 0:
-        new_q = q[:idx] + ((line_id, -c),) + q[idx + 1 :]
-        return LinearForm(form.n, new_q), 1
-    # leading coefficient flipped negative: negate the whole form
-    new_q = ((line_id, c),) + tuple((l2, -c2) for l2, c2 in q[1:])
-    return LinearForm(form.n, new_q), -1
 
 
 # ---------------------------------------------------------------------------
@@ -684,21 +664,23 @@ def _parse_head(hd, what: str) -> tuple[int, tuple]:
 def _parse_kernels(kernels, what: str) -> tuple[int, ...]:
     out = tuple(sorted(_integer(l, what, i) for i, l in enumerate(_typed(kernels, list, what))))
     if len(set(out)) != len(out):
-        raise DuplicateKernel(next(l for i, l in enumerate(out) if l in out[:i]))
+        raise DuplicateKernel(next(l for i, l in enumerate(out) if l in out[:i]), f"{what}: ")
     return out
 
 
 def _parse_form(fd, what: str) -> LinearForm:
     _object(fd, ("n", "q"), what)
     n_what, q_what = f"{what}: n", f"{what}: q"
-    form, sign = normalize_form(
-        [(_typed(v, str, n_what), _integer(c, n_what, v))
-         for v, c in _typed(fd["n"], dict, n_what).items()],
-        [(_line_id(l, q_what), _integer(c, q_what, l))
-         for l, c in _typed(fd["q"], dict, q_what).items()],
-    )
+    n_pairs = [(_typed(v, str, n_what), _integer(c, n_what, v))
+               for v, c in _typed(fd["n"], dict, n_what).items()]
+    q_pairs = [(_line_id(l, q_what), _integer(c, q_what, l))
+               for l, c in _typed(fd["q"], dict, q_what).items()]
+    try:
+        form, sign = normalize_form(n_pairs, q_pairs)
+    except ExpressionError as exc:
+        raise ExpressionError(f"{what}: {exc}") from None
     if sign != 1:
-        raise ExpressionError("denominator in JSON is not sign-normalized")
+        raise ExpressionError(f"{what}: denominator is not sign-normalized")
     return form
 
 

@@ -143,39 +143,23 @@ def quadrature_integral(
             out /= x * x + q_values[lid] ** 2
         return out
 
-    half_pi = math.pi / 2
-    if rank == 1:
+    def nested(outer: tuple, tol: float, epsabs: float):
+        """(value, error) of the integral over the axes after `outer`; an
+        inner axis gets a tenth of the tolerance, its absolute tolerance
+        tightened by the outer jacobian, which amplifies its error."""
+        if len(outer) == rank - 1:
+            def f(u: float) -> float:
+                x = math.tan(u)
+                return integrand(outer + (x,)) * (1.0 + x * x)
+        else:
+            def f(u: float) -> float:
+                x = math.tan(u)
+                jac = 1.0 + x * x
+                return nested(outer + (x,), tol / 10.0, tol / 10.0 / max(jac, 1.0))[0] * jac
+        return integrate.quad(f, -math.pi / 2, math.pi / 2, epsabs=epsabs, epsrel=tol,
+                              limit=300)
 
-        def f(u: float) -> float:
-            x = math.tan(u)
-            return integrand((x,)) * (1.0 + x * x)
-
-        value, err = integrate.quad(
-            f, -half_pi, half_pi, epsabs=tolerance, epsrel=tolerance, limit=300
-        )
-        return QuadratureResult(value, err)
-
-    inner_tol = tolerance / 10.0
-
-    def inner(u1: float) -> float:
-        x1 = math.tan(u1)
-        jac1 = 1.0 + x1 * x1
-
-        def f(u2: float) -> float:
-            x2 = math.tan(u2)
-            return integrand((x1, x2)) * (1.0 + x2 * x2)
-
-        # the outer jacobian amplifies the inner absolute error; tighten it
-        val, _ = integrate.quad(
-            f, -half_pi, half_pi,
-            epsabs=inner_tol / max(jac1, 1.0), epsrel=inner_tol, limit=300,
-        )
-        return val * jac1
-
-    value, err = integrate.quad(
-        inner, -half_pi, half_pi, epsabs=tolerance, epsrel=tolerance, limit=300
-    )
-    return QuadratureResult(value, err)
+    return QuadratureResult(*nested((), tolerance, tolerance))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +219,19 @@ def _random_point(graph: MatsubaraGraph, expr: ex.Expression, rng: np.random.Gen
     raise RuntimeError("could not draw a non-degenerate evaluation point")
 
 
+def _trials(graph: MatsubaraGraph, expr: ex.Expression, trials: int, tolerance: float,
+            seed: int, oracle) -> list[VerificationReport]:
+    """One report per trial: the expression evaluated at a random point
+    against oracle(n_values, q_values) -> (value, convergence)."""
+    rng = np.random.default_rng(seed)
+    reports = []
+    for _ in range(trials):
+        q_values, n_values, value = _random_point(graph, expr, rng)
+        reports.append(_make_report(value.real, *oracle(n_values, q_values),
+                                    tolerance, q_values, n_values))
+    return reports
+
+
 def verify_sum(
     graph: MatsubaraGraph,
     trials: int,
@@ -244,17 +241,12 @@ def verify_sum(
 ) -> list[VerificationReport]:
     """Compare the evaluated closed-form sum against brute force on random draws."""
     _check_lattice_box(cutoff, gr.cycle_rank(graph))
-    expr = eng.matsubara_sum(graph)
-    rng = np.random.default_rng(seed)
-    reports = []
-    for _ in range(trials):
-        q_values, n_values, value = _random_point(graph, expr, rng)
+
+    def lattice(n_values, q_values):
         brute = brute_force_sum(graph, n_values, q_values, cutoff)
-        reports.append(
-            _make_report(value.real, brute.value, brute.convergence,
-                         tolerance, q_values, n_values)
-        )
-    return reports
+        return brute.value, brute.convergence
+
+    return _trials(graph, eng.matsubara_sum(graph), trials, tolerance, seed, lattice)
 
 
 def verify_integral(
@@ -266,17 +258,9 @@ def verify_integral(
     """Compare the evaluated closed-form integral against quadrature."""
     if gr.cycle_rank(graph) > 2:
         raise RankTooHigh(f"cycle rank {gr.cycle_rank(graph)} > 2")
-    expr = eng.matsubara_integral(graph)
-    rng = np.random.default_rng(seed)
-    reports = []
-    for _ in range(trials):
-        q_values, n_values, value = _random_point(graph, expr, rng)
-        quad = quadrature_integral(graph, n_values, q_values, tolerance / 10.0)
-        reports.append(
-            _make_report(value.real, quad.value, quad.error_estimate,
-                         tolerance, q_values, n_values)
-        )
-    return reports
+    return _trials(graph, eng.matsubara_integral(graph), trials, tolerance, seed,
+                   lambda n_values, q_values: quadrature_integral(
+                       graph, n_values, q_values, tolerance / 10.0))
 
 
 def check_gaudin_identity(

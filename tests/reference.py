@@ -2,7 +2,9 @@
 
 The term-by-term reflection algebra acts on one Expression at a time in
 exact Fraction arithmetic, so the tests can fold an operator subset by
-subset and compare with engine.apply_operator. The two lattice sums check
+subset and compare with engine.apply_operator; it flips a line in any
+sign-normalized form (_flip_form), not only in the graph's cut forms that
+the engine's reflection acts on. The two lattice sums check
 the numeric machinery: a one-dimensional sum with a known limit, and a
 delta-checked sum over all I variables that enforces every vertex
 constraint pointwise. The term loops of evaluation, rendering and JSON
@@ -30,12 +32,31 @@ from matsum.expressions import (
     LinearForm,
     Term,
     ZeroDenominator,
-    _flip_form,
     make_term,
     normalize_form,
 )
 from matsum.graph import MatsubaraGraph
 from matsum.kernels import nbe
+
+
+def _flip_form(form: LinearForm, line_id: int) -> tuple[LinearForm, int]:
+    """Negate q_{line_id} in a canonical form, restoring sign normalization.
+
+    The stored form has a positive leading coefficient, so renormalization is
+    only needed when the flipped line carries that leading coefficient.
+    """
+    q = form.q
+    for idx, (l, c) in enumerate(q):
+        if l == line_id:
+            break
+    else:
+        return form, 1
+    if form.n or idx > 0:
+        new_q = q[:idx] + ((line_id, -c),) + q[idx + 1 :]
+        return LinearForm(form.n, new_q), 1
+    # leading coefficient flipped negative: negate the whole form
+    new_q = ((line_id, c),) + tuple((l2, -c2) for l2, c2 in q[1:])
+    return LinearForm(form.n, new_q), -1
 
 
 def reflect_term(t: Term, line_id: int) -> Term:

@@ -286,6 +286,15 @@ def test_trials_below_1_exits_64(capsys, g2_path):
                                    "--trials", trials), "--trials")
 
 
+def test_negative_seed_exits_64(capsys, g2_path):
+    # NumPy's generator takes only non-negative seeds
+    for command, extra in (("verify", ("--cutoff", "50")), ("gaudin-check", ())):
+        for seed in ("-1", "-5"):
+            assert_usage_error(run(capsys, command, "--graph", g2_path, "--trials", "1",
+                                   "--seed", seed, *extra),
+                               f"--seed must be a non-negative integer, got {seed}")
+
+
 def test_tol_not_positive_and_finite_exits_64(capsys, g2_path):
     for command in ("verify", "gaudin-check"):
         for tol in ("nan", "inf", "0", "-1e-6"):

@@ -415,6 +415,23 @@ def test_cut_forms_of_g4(g4):
     assert all(len({c for _, c in f.q}) == 1 for t in integral.terms for f in t.denominators)
 
 
+def test_reflection_of_a_cut_form_is_a_bit_flip(g2, g3, g4):
+    # the engine reflects cut-form ids without renormalizing; every cut form
+    # leads with +N(S), so the reference flip of any form gives the same form
+    # with sign +1
+    rng = np.random.default_rng(20260810)
+    for g in [g2, g3, g4] + [fixtures.random_graph(rng, 5, 7) for _ in range(10)]:
+        packed = engine._Packed(1, g)
+        head = packed.head(0, ())
+        for rank, form in enumerate(engine.cut_forms(g)):
+            shape = packed.shape(head, (rank,))
+            for lid in g.line_ids:
+                flipped, sign = reference._flip_form(form, lid)
+                image, engine_sign = packed.reflection(lid)[shape]
+                assert (sign, engine_sign) == (1, 1)
+                assert packed.shapes[image] == (head, (packed.form(flipped),))
+
+
 def test_exact_search_gives_the_same_normal_form(monkeypatch):
     # the batched float search and the exact Fraction search are independent
     # implementations of the same rewriting; any broken circuit either one

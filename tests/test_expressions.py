@@ -292,3 +292,21 @@ def test_json_outside_the_schema_raises_expression_error(change):
         ex.from_dict(data)
     with pytest.raises(ex.ExpressionError):
         ex.parse_expression(json.dumps(data))
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (_set(("kernels", 1), [1, 1]), ex.DuplicateKernel,
+     "kernels[1]: term already carries the kernel of line 1"),
+    (_set(("forms", 0), {"n": {}, "q": {}}), ex.ExpressionError,
+     "forms[0]: denominator form is identically zero"),
+    (_set(("forms", 0, "q", "1"), 2), ex.ExpressionError,
+     "forms[0]: q coefficient 2 outside {-1,0,+1}"),
+    (_set(("forms", 0), {"n": {"a": -1}, "q": {"1": 1, "2": 1}}), ex.ExpressionError,
+     "forms[0]: denominator is not sign-normalized"),
+])
+def test_json_errors_name_their_table_entry(change, error, message):
+    data = json.loads(ex.render(reference_sum_g2(), "json"))
+    change(data)
+    with pytest.raises(error) as info:
+        ex.from_dict(data)
+    assert str(info.value) == message

@@ -153,6 +153,36 @@ def test_quadrature_matches_symbolic_g4(g4):
     assert sym.real == pytest.approx(res.value, rel=1e-6)
 
 
+def _rank2_graph(seed):
+    """The first draw of random_graph(default_rng(seed), 4, 6) with at least
+    three vertices and cycle rank 2."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = fixtures.random_graph(rng, 4, 6)
+        if g.num_vertices >= 3 and gr.cycle_rank(g) == 2:
+            return g
+
+
+@pytest.mark.parametrize("make_graph, n, q, tolerance, pinned", [
+    pytest.param(fixtures.g2, {"a": 1}, {1: 0.7, 2: 1.1}, 1e-10,
+                 (1.7320714213616846, 4.524672235175254e-11), id="g2"),
+    pytest.param(fixtures.g3, {"a": 2}, {1: 0.7, 2: 1.1, 3: 1.6}, 1e-8,
+                 (1.7504848723262192, 1.2433060813933595e-10), id="g3"),
+    pytest.param(fixtures.g4, {"a": 1, "b": -2, "c": 1},
+                 {1: 0.7, 2: 1.1, 3: 1.6, 4: 0.9, 5: 2.3}, 1e-8,
+                 (0.18328357180744126, 2.057148197602977e-09), id="g4"),
+    pytest.param(lambda: _rank2_graph(1), {"a": -1, "b": 0}, {1: 0.8, 2: 1.1, 3: 1.4, 4: 1.7},
+                 1e-8, (0.6106562256743123, 5.531510694421799e-10), id="rank2_seed1"),
+    pytest.param(lambda: _rank2_graph(2), {"a": -1, "b": 0}, {1: 0.8, 2: 1.1, 3: 1.4, 4: 1.7},
+                 1e-8, (0.5622839877599121, 1.6962190271522808e-12), id="rank2_seed2"),
+])
+def test_quadrature_is_pinned(make_graph, n, q, tolerance, pinned):
+    # every integrate.quad call of the nested passes is fixed (bounds,
+    # tolerances, limit), so value and error estimate repeat bit for bit
+    res = oracles.quadrature_integral(make_graph(), n, q, tolerance)
+    assert (repr(res.value), repr(res.error_estimate)) == tuple(map(repr, pinned))
+
+
 def test_quadrature_rank_too_high():
     g = gr.make_graph(["a", "b"],
                       [(1, "b", "a"), (2, "b", "a"), (3, "b", "a"), (4, "b", "a")])
