@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -258,11 +259,15 @@ def _dispatch(args, g: graph.MatsubaraGraph) -> int:
                 return 1
         else:
             try:
-                reports = oracles.verify_integral(g, args.trials, args.tol,
-                                                  seed=args.seed)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    reports = oracles.verify_integral(g, args.trials, args.tol,
+                                                      seed=args.seed)
             except oracles.RankTooHigh as exc:
                 print(f"cannot verify integral: {exc}", file=sys.stderr)
                 return 1
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: quadrature: {message}", file=sys.stderr)
         print(json.dumps(header))
         for r in reports:
             print(r.to_json())

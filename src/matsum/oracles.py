@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy import integrate
 
 from . import engine as eng
@@ -27,6 +28,7 @@ from .kernels import ZeroArgument, nbe  # noqa: F401  (re-exported oracle ops)
 logger = logging.getLogger(__name__)
 
 _MAX_LATTICE_POINTS = 50_000_000
+_SLAB_POINTS = 2 ** 16  # 512 KB of float64 per slab array, within a 1-2 MB L2 cache
 
 
 class RankTooHigh(ValueError):
@@ -63,20 +65,25 @@ def _independent_layout(graph: MatsubaraGraph):
     return sol, free
 
 
-def _line_values(sol, free, grids, n_values):
-    """Value of every summation variable on the grid (integer arithmetic);
-    a bridge line, which no free variable enters, is broadcast to grid shape."""
-    by_line = {lid: g for lid, g in zip(free, grids)}
-    for j in sol.tree:
-        by_line[j] = np.broadcast_to(sol.omega[j].value(n_values, by_line), grids[0].shape)
-    return by_line
-
-
 def _check_lattice_box(cutoff: int, rank: int) -> None:
     if cutoff < 10:
         raise ValueError("cutoff must be at least 10")
     if (2 * cutoff + 1) ** rank > _MAX_LATTICE_POINTS:
         raise BoxTooLarge(f"lattice box (2*{cutoff}+1)^{rank} is too large")
+
+
+def _reciprocals(origin: int, steps: Sequence[int], shape: tuple[int, ...],
+                 q_squared: float) -> np.ndarray:
+    """1/(n^2 + q^2) on a slab where n = origin + steps . i at slab index i:
+    computed once on the integer range n takes, and laid over the slab by
+    strides (steps[a] items along axis a)."""
+    reach = [(size - 1) * step for size, step in zip(shape, steps)]
+    low = origin + sum(min(0, r) for r in reach)
+    n = np.arange(low, origin + sum(max(0, r) for r in reach) + 1, dtype=float)
+    table = 1.0 / (n * n + q_squared)
+    return as_strided(table[origin - low:],
+                      [size if step else 1 for size, step in zip(shape, steps)],
+                      [step * table.itemsize for step in steps], writeable=False)
 
 
 def brute_force_sum(
@@ -90,24 +97,46 @@ def brute_force_sum(
     Iterates the L = I - V + 1 independent variables over [-M, M]^L, fills in
     the dependent variables from the solved constraints, and accumulates
     prod_i 1/(n_i^2 + q_i^2). The value truncated at M // 2 rides along for a
-    convergence estimate. Summation order is fixed, so results are
-    reproducible bit-for-bit per configuration.
+    convergence estimate.
+
+    The box is summed in slabs of the leading variable, each about
+    _SLAB_POINTS points (at least one row, every other axis in full). Every
+    line's variable is const + sum_a b_a x_a over the free variables x_a, so
+    on a slab it runs over one integer range: its reciprocals are computed
+    on that range and read into the slab by strides, and the product over
+    the lines is the only full-size work. The slab sums are added with
+    math.fsum, so results are reproducible bit-for-bit per configuration.
+    _MAX_LATTICE_POINTS caps the box, and so the time; the memory is one
+    slab's: at most _SLAB_POINTS points up to rank 2, and about 1.2M (one
+    row at rank 5, cutoff 16) at any rank the cap admits.
     """
     sol, free = _independent_layout(graph)
     rank = len(free)
     _check_lattice_box(cutoff, rank)
-    axis = np.arange(-cutoff, cutoff + 1, dtype=np.int64)
-    grids = list(np.meshgrid(*([axis] * rank), indexing="ij"))
-    by_line = _line_values(sol, free, grids, n_values)
-    summand = np.ones(grids[0].shape, dtype=float)
-    for lid in graph.line_ids:
-        nvals = by_line[lid].astype(float)
-        summand = summand / (nvals * nvals + q_values[lid] ** 2)
+    width = 2 * cutoff + 1
+    rows = max(1, _SLAB_POINTS // width ** (rank - 1))
     half = cutoff // 2
-    mask = np.ones(grids[0].shape, dtype=bool)
-    for g in grids:
-        mask &= np.abs(g) <= half
-    return BruteForceResult(float(np.sum(summand)), float(np.sum(summand * mask)))
+    inner = (slice(cutoff - half, cutoff + half + 1),) * (rank - 1)
+    lines = []  # (const, b, q^2) per line, in graph.line_ids order
+    for lid in graph.line_ids:
+        om = sol.omega.get(lid, eng.OmegaForm((), ((lid, 1),)))
+        part = dict(om.line_part)
+        lines.append((sum(a * n_values[v] for v, a in om.n_part),
+                      [part.get(l, 0) for l in free], q_values[lid] ** 2))
+    sums, half_sums = [], []
+    for start in range(0, width, rows):
+        shape = (min(rows, width - start),) + (width,) * (rank - 1)
+        summand = np.ones(shape)
+        for const, b, q_squared in lines:
+            # n at slab index 0, where x_0 = start - M and every other x_a = -M
+            origin = const + b[0] * start - cutoff * sum(b)
+            summand *= _reciprocals(origin, b, shape, q_squared)
+        sums.append(float(np.sum(summand)))
+        lo = max(start, cutoff - half) - start
+        hi = min(start + rows, cutoff + half + 1) - start
+        if lo < hi:
+            half_sums.append(float(np.sum(summand[(slice(lo, hi),) + inner])))
+    return BruteForceResult(math.fsum(sums), math.fsum(half_sums))
 
 
 def quadrature_integral(
@@ -127,20 +156,31 @@ def quadrature_integral(
     if rank > 2:
         raise RankTooHigh(f"cycle rank {rank} > 2")
 
+    # positions in graph.line_ids order, which the divisions follow; a tree
+    # line's at most two terms are added from 0 in line_part order, which
+    # rounds as sum() does, so the pinned quadrature values hold
+    order = graph.line_ids
+    pos = {lid: i for i, lid in enumerate(order)}
+    q_squared = [q_values[lid] ** 2 for lid in order]
+    free_pos = [pos[lid] for lid in free]
     omegas = []
     for j in sol.tree:
         om = sol.omega[j]
         const = float(sum(a * n_values[v] for v, a in om.n_part))
-        omegas.append((j, const, om.line_part))
+        omegas.append((pos[j], const, [(pos[l], b) for l, b in om.line_part]))
 
     def integrand(xs: Sequence[float]) -> float:
-        by_line = {lid: x for lid, x in zip(free, xs)}
-        for j, const, line_part in omegas:
-            by_line[j] = const + sum(b * by_line[l] for l, b in line_part)
+        vals = [0.0] * len(order)
+        for p, x in zip(free_pos, xs):
+            vals[p] = x
+        for p, const, line_part in omegas:
+            part = 0
+            for l, b in line_part:
+                part += b * vals[l]
+            vals[p] = const + part
         out = 1.0
-        for lid in graph.line_ids:
-            x = by_line[lid]
-            out /= x * x + q_values[lid] ** 2
+        for x, q2 in zip(vals, q_squared):
+            out /= x * x + q2
         return out
 
     def nested(outer: tuple, tol: float, epsabs: float):

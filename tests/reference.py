@@ -7,7 +7,8 @@ sign-normalized form (_flip_form), not only in the graph's cut forms that
 the engine's reflection acts on. The two lattice sums check
 the numeric machinery: a one-dimensional sum with a known limit, and a
 delta-checked sum over all I variables that enforces every vertex
-constraint pointwise. The term loops of evaluation, rendering and JSON
+constraint pointwise; the whole-box sum is the lattice oracle as it was
+before it summed in slabs. The term loops of evaluation, rendering and JSON
 read an expression through its Term view, one term at a time, as the
 library did before it worked on packed tables; the JSON writer keeps the
 one-object-per-term schema of that time, and the reader reads the
@@ -143,6 +144,34 @@ def constrained_box_sum(
         nvals = by_line[lid].astype(float)
         summand = summand / (nvals * nvals + q_values[lid] ** 2)
     return float(np.sum(summand * ok))
+
+
+def whole_box_sum(
+    graph: MatsubaraGraph,
+    n_values: Mapping[str, int],
+    q_values: Mapping[int, float],
+    cutoff: int,
+) -> oracles.BruteForceResult:
+    """The lattice oracle as it was before it summed in slabs: the whole
+    (2M+1)^L box in memory at once, a dense int64 grid per free line and a
+    boolean mask for the half-cutoff value."""
+    sol, free = oracles._independent_layout(graph)
+    rank = len(free)
+    oracles._check_lattice_box(cutoff, rank)
+    axis = np.arange(-cutoff, cutoff + 1, dtype=np.int64)
+    grids = list(np.meshgrid(*([axis] * rank), indexing="ij"))
+    by_line = {lid: g for lid, g in zip(free, grids)}
+    for j in sol.tree:
+        by_line[j] = np.broadcast_to(sol.omega[j].value(n_values, by_line), grids[0].shape)
+    summand = np.ones(grids[0].shape, dtype=float)
+    for lid in graph.line_ids:
+        nvals = by_line[lid].astype(float)
+        summand = summand / (nvals * nvals + q_values[lid] ** 2)
+    half = cutoff // 2
+    mask = np.ones(grids[0].shape, dtype=bool)
+    for g in grids:
+        mask &= np.abs(g) <= half
+    return oracles.BruteForceResult(float(np.sum(summand)), float(np.sum(summand * mask)))
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,20 @@ def test_verify_integral_target(capsys, g2_path):
     assert all(json.loads(l)["pass"] for l in out.strip().splitlines()[1:])
 
 
+def test_verify_integral_reports_quadrature_warnings_in_one_line_each(capsys, g3_path):
+    # on this draw SciPy warns that the G3 integral converges slowly; the
+    # report still passes, and the warning is the CLI's own line, without
+    # the source location SciPy's printer adds
+    code, out, err = run(capsys, "verify", "--graph", g3_path, "--target", "integral",
+                         "--trials", "1", "--seed", "7")
+    assert code == 0
+    assert all(json.loads(l)["pass"] for l in out.strip().splitlines()[1:])
+    lines = err.splitlines()
+    assert lines and len(set(lines)) == len(lines)
+    assert all(l.startswith("warning: quadrature: ") for l in lines)
+    assert "IntegrationWarning" not in err and "oracles.py" not in err
+
+
 def test_gaudin_check(capsys, g4_path):
     code, out, _ = run(capsys, "gaudin-check", "--graph", g4_path,
                        "--trials", "5", "--seed", "11")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from matsum import expressions as ex
 from matsum import graph as gr
 from matsum.kernels import ZeroArgument, nbe
 
-from reference import constrained_box_sum, single_sum
+from reference import constrained_box_sum, single_sum, whole_box_sum
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +93,50 @@ def test_brute_force_fills_a_bridge_line_across_the_grid():
 def test_brute_force_rejects_tiny_cutoff(g2):
     with pytest.raises(ValueError):
         oracles.brute_force_sum(g2, {"a": 0}, {1: 1.0, 2: 1.0}, 5)
+
+
+def _bridge_graph():
+    return gr.make_graph(["a", "b", "c", "d"], [(1, "a", "b"), (2, "b", "a"), (3, "b", "c"),
+                                                (4, "c", "d"), (5, "d", "c")])
+
+
+def _rank3_graph():
+    return gr.make_graph(["a", "b", "c"], [(1, "a", "b"), (2, "b", "a"), (3, "b", "c"),
+                                           (4, "c", "b"), (5, "c", "a")])
+
+
+@pytest.mark.parametrize("make_graph, cutoffs", [
+    pytest.param(fixtures.g2, (10, 37, 1000, 50_000), id="g2"),
+    pytest.param(fixtures.g3, (10, 37, 1000), id="g3"),
+    pytest.param(fixtures.g4, (10, 37, 1000), id="g4"),
+    pytest.param(_bridge_graph, (10, 37, 1000), id="bridge"),
+    pytest.param(_rank3_graph, (10, 37, 40), id="rank3"),
+])
+def test_brute_force_slabs_match_the_whole_box(make_graph, cutoffs):
+    # cutoffs 50000 (rank 1), 1000 (rank 2) and 37 (rank 3) split the box
+    # into slabs of unequal size, and the half-cutoff edges fall inside slabs
+    g = make_graph()
+    rng = np.random.default_rng(gr.cycle_rank(g) * 100 + g.num_lines)
+    for cutoff in cutoffs:
+        n = {v: int(rng.integers(-3, 4)) for v in g.vertices[:-1]}
+        q = {lid: float(rng.uniform(0.3, 3.0)) for lid in g.line_ids}
+        res = oracles.brute_force_sum(g, n, q, cutoff)
+        ref = whole_box_sum(g, n, q, cutoff)
+        assert res.value == pytest.approx(ref.value, rel=1e-14, abs=0)
+        assert res.half_value == pytest.approx(ref.half_value, rel=1e-14, abs=0)
+        assert oracles.brute_force_sum(g, n, q, cutoff) == res
+
+
+def test_brute_force_memory_is_one_slab(g4):
+    n, q = {"a": 1, "b": -2, "c": 1}, {1: 0.7, 2: 1.1, 3: 1.6, 4: 0.9, 5: 2.3}
+    tracemalloc.start()
+    try:
+        oracles.brute_force_sum(g4, n, q, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole (2*1000+1)^2 box at once would take about 275 MB
+    assert peak < 8_000_000
 
 
 def test_constrained_box_sum_vanishes_without_balance(g2):
