@@ -29,9 +29,11 @@ and sorts the rows: the one merge-and-sort of the package. Every
 constructor, add, JSON parsing and the engine build expressions through it.
 Rendering, equality and evaluation read the tables, so each distinct factor
 is formatted or evaluated once. The JSON form of an expression is its
-tables (see from_dict), written by one json.dumps and parsed by checking
-each table entry once. `Expression.terms` builds Term tuples on access, for
-callers that read terms one at a time.
+tables (see from_dict), written by json.dumps and parsed by checking each
+table entry once. Loops over the rows zip the four columns, read as
+lists: no Python list is made per row, so a large expression's rows add
+no work for the cyclic garbage collector. `Expression.terms` builds Term
+tuples on access, for callers that read terms one at a time.
 
 Everything is an immutable value and all operations are pure functions.
 """
@@ -172,7 +174,7 @@ class Expression:
         coeffs = [Fraction(c, self.scale) for c in self.numerators]
         dens = [tuple(self.forms[f] for f in product) for product in self.products]
         return tuple(Term(coeffs[c], *self.heads[h], self.kernel_sets[k], dens[p])
-                     for h, k, p, c in self.rows.tolist())
+                     for h, k, p, c in zip(*self.rows.T.tolist()))
 
     def is_empty(self) -> bool:
         return not len(self.rows)
@@ -267,7 +269,7 @@ class Packer:
         targets = [groups.setdefault(kernels, {}) for kernels in e.kernel_sets]
         numerators = [c * factor for c in e.numerators]
         shapes: dict[tuple[int, int], int] = {}
-        for h, k, p, c in e.rows.tolist():
+        for h, k, p, c in zip(*e.rows.T.tolist()):
             shape = shapes.get((h, p))
             if shape is None:
                 shape = shapes[h, p] = self.shape(heads[h], products[p])
@@ -499,15 +501,17 @@ def _kernel_bits(kernels: tuple[int, ...], fmt: str) -> list[str]:
 def render(e: Expression, fmt: str = "text") -> str:
     """Render an expression as text, latex, or json (lossless)."""
     if fmt == "json":
-        return json.dumps({
+        tables = json.dumps({
             "forms": [{"n": dict(f.n), "q": {str(l): c for l, c in f.q}} for f in e.forms],
             "heads": [{"two_pi_pow": pi_power, "q_exp": {str(l): x for l, x in q_exponents}}
                       for pi_power, q_exponents in e.heads],
             "kernels": [list(ks) for ks in e.kernel_sets],
             "products": [list(product) for product in e.products],
             "coeffs": [_ratio_str(c, e.scale) for c in e.numerators],
-            "terms": e.rows.tolist(),
         })
+        # "terms" last, each row formatted as json.dumps writes a list of ints
+        rows = ", ".join(map("[{}, {}, {}, {}]".format, *e.rows.T.tolist()))
+        return f'{tables[:-1]}, "terms": [{rows}]}}'
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown format {fmt!r}")
     if e.is_empty():
@@ -605,7 +609,7 @@ def _render_plain(e: Expression, fmt: str) -> str:
     negative = [c < 0 for c in e.numerators]
     return "".join(
         _PREFIX[i == 0, negative[c]] + coeffs[c] + heads[h] + kernels[k] + products[p]
-        for i, (h, k, p, c) in enumerate(e.rows.tolist()))
+        for i, (h, k, p, c) in enumerate(zip(*e.rows.T.tolist())))
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")

@@ -170,10 +170,15 @@ def test_render_latex_contains_forms():
 
 
 def test_json_roundtrip():
-    for e in (reference_integral_g2(), reference_sum_g2(), ex.EMPTY):
-        again = ex.parse_expression(ex.render(e, "json"))
+    for e in (reference_integral_g2(), reference_sum_g2(),
+              engine.matsubara_sum(fixtures.g4()), ex.EMPTY):
+        text = ex.render(e, "json")
+        again = ex.parse_expression(text)
         assert again == e
         assert pickle.loads(pickle.dumps(e)) == e and copy.deepcopy(e) == e
+        # the rows are written without a list per row, as json.dumps writes them
+        data = json.loads(text)
+        assert data["terms"] == e.rows.tolist() and text == json.dumps(data)
 
 
 def test_render_deterministic():
