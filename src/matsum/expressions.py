@@ -369,48 +369,17 @@ def _smith(d: complex) -> tuple[bool, float, float]:
     return False, math.nan, math.nan
 
 
-def _padded(table: list[list], dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(values padded with zeros to one width, lengths) of a ragged table."""
-    lengths = np.array([len(row) for row in table], dtype=np.int64)
-    out = np.zeros((len(table), lengths.max(initial=0)), dtype=dtype)
-    for i, row in enumerate(table):
-        out[i, :len(row)] = row
-    return out, lengths
-
-
-def _positions(ids: np.ndarray, lengths: np.ndarray):
-    """Per position j of a ragged table: (j, the rows whose entry has a j-th
-    element or None for all rows, their ids)."""
-    per_row = lengths[ids]
-    for j in range(int(per_row.max(initial=0))):
-        has = per_row > j
-        if has.all():
-            yield j, None, ids
-        else:
-            at = np.flatnonzero(has)
-            yield j, at, ids[at]
-
-
-def _update(re: np.ndarray, im: np.ndarray, at, step) -> None:
-    """re[at], im[at] = step(re[at], im[at]); every row when `at` is None."""
-    if at is None:
-        re[:], im[:] = step(re, im)
-    else:
-        re[at], im[at] = step(re[at], im[at])
-
-
 def eval_numeric(
     e: Expression, q_values: Mapping[int, float], n_values: Mapping[str, float]
 ) -> complex:
     """Substitute numeric values (q > 0, integer N over non-root vertices).
 
-    Each distinct factor (coefficient, power of 2 pi, q power, kernel,
-    denominator) is computed once in Python; NumPy then applies them to all
-    terms in the order of a term-by-term loop: per term coeff * (2 pi)^k,
-    times each q power and each kernel in turn as CPython multiplies a
-    complex by a float, divided by each denominator in turn by CPython's
-    complex division (Smith's method), and the terms summed in order. The
-    value is bit for bit that loop's, as a Python complex.
+    The value is bit for bit that of a term-by-term loop, as a Python
+    complex. Each numerator the rows use, per (head, kernels, coefficient):
+    complex(coeff * (2 pi)^k) times each q power and then each kernel in
+    turn, is computed once in Python complex arithmetic. NumPy then divides
+    each row's numerator by each form of its product in turn, as CPython's
+    complex division does (Smith's method), and sums the rows in order.
 
     Raises ZeroDenominator when a linear form evaluates to exactly zero,
     naming the first such form in term order.
@@ -419,8 +388,8 @@ def eval_numeric(
         return 0j
     # factors in the order the loop meets them in a term, so that a factor
     # that cannot be computed raises as it did there
-    coeffs = np.array([c / e.scale for c in e.numerators])
-    pi_powers = np.array([(2.0 * math.pi) ** pi_power for pi_power, _ in e.heads])
+    coeffs = [c / e.scale for c in e.numerators]
+    pi_powers = [(2.0 * math.pi) ** pi_power for pi_power, _ in e.heads]
     powers = [[float(q_values[l] ** exp) for l, exp in q_exponents]
               for _, q_exponents in e.heads]
     kernel_of = {l: nbe(q_values[l]) for l in sorted({l for ks in e.kernel_sets for l in ks})}
@@ -432,28 +401,58 @@ def eval_numeric(
         product = e.products[int(e.rows[np.argmax(bad[e.rows[:, PRODUCT]]), PRODUCT])]
         form = e.forms[next(f for f in product if vanished[f])]
         raise ZeroDenominator(f"form {render_form(form, 'text')} vanished")
-    smith = np.array([_smith(d) for d in forms], dtype=float).reshape(-1, 3)
-    by_imag, ratio, scale = smith[:, 0] != 0, smith[:, 1], smith[:, 2]
+    by_imag, ratio, scale = np.array([_smith(d) for d in forms], dtype=float).reshape(-1, 3).T
 
     h, k, p, c = e.rows.T
+    # the rows are sorted by head and kernels: number the runs of one
+    # (head, kernels) pair, and mark the (run, coefficient) pairs the rows
+    # use in a flat table, or by a sort where the table would be sparse
+    key = h * len(e.kernel_sets) + k
+    starts = np.r_[True, key[1:] != key[:-1]]
+    runs = np.cumsum(starts) - 1
+    key = runs * len(coeffs) + c
+    size = (int(runs[-1]) + 1) * len(coeffs)
+    if size > 8 * len(key):
+        used, key = np.unique(key, return_inverse=True)
+        spread = slice(None)
+    else:
+        marked = np.zeros(size, dtype=bool)
+        marked[key] = True
+        used = np.flatnonzero(marked)
+        spread = np.cumsum(marked) - 1
+    run_heads, run_kernels = h[starts].tolist(), k[starts].tolist()
+    prefixes: dict[tuple[int, int], complex] = {}
+    numerators = []
+    for run, ci in zip(*(ids.tolist() for ids in np.divmod(used, len(coeffs)))):
+        hi = run_heads[run]
+        value = prefixes.get((hi, ci))
+        if value is None:
+            value = complex(coeffs[ci] * pi_powers[hi])
+            for x in powers[hi]:
+                value *= x
+            prefixes[hi, ci] = value
+        for x in kernels[run_kernels[run]]:
+            value *= x
+        numerators.append(value)
+    z = np.array(numerators)[spread][key]
+    re, im = z.real.copy(), z.imag.copy()
+
+    # the products' j-th forms, -1 past a product's end
+    width = max(map(len, e.products))
+    table = np.array([product + (-1,) * (width - len(product)) for product in e.products])
     # overflow and NaN follow IEEE arithmetic, as in the loop, without warnings
     with np.errstate(all="ignore"):
-        re = coeffs[c] * pi_powers[h]
-        im = np.zeros(len(re))
-        for values, ids in ((powers, h), (kernels, k)):
-            table, lengths = _padded(values, float)
-            for j, at, ids_at in _positions(ids, lengths):
-                x = table[ids_at, j]
-                _update(re, im, at, lambda a, b: (a * x - b * 0.0, a * 0.0 + b * x))
-        table, lengths = _padded(e.products, np.int64)
-        for j, at, ids_at in _positions(p, lengths):
-            f = table[ids_at, j]
-            flip, r, s = by_imag[f], ratio[f], scale[f]
-            _update(re, im, at, lambda a, b: (np.where(flip, a * r + b, a + b * r) / s,
-                                              np.where(flip, b * r - a, b - a * r) / s))
-        total_re = np.cumsum(np.concatenate(([0.0], re)))[-1]
-        total_im = np.cumsum(np.concatenate(([0.0], im)))[-1]
-    return complex(float(total_re), float(total_im))
+        for column in table.T:
+            # rows whose product has no j-th form are left alone
+            at = slice(None) if column.min() >= 0 else np.flatnonzero(column[p] >= 0)
+            flip, r, s = (part[column][p[at]] for part in (by_imag != 0, ratio, scale))
+            a, b = re[at], im[at]
+            re[at], im[at] = (np.where(flip, a * r + b, a + b * r) / s,
+                              np.where(flip, b * r - a, b - a * r) / s)
+        z.real, z.imag = re, im
+        total = np.cumsum(z)[-1]
+    # the loop's sum starts at 0j, which makes a total of -0.0 a 0.0
+    return complex(float(total.real) + 0.0, float(total.imag) + 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +699,22 @@ def _indices(ids, sizes: Iterable[int], what: str) -> list[int]:
     return ids
 
 
+def _index_rows(rows: list, sizes: tuple[int, ...]) -> np.ndarray | None:
+    """rows as an int64 array when each is an array of len(sizes) integers,
+    the j-th in range(sizes[j]), else None; checked in passes over the
+    whole table, not row by row. Booleans and floats are not integers."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(sizes)}):
+        return None
+    flat = list(itertools.chain.from_iterable(rows))
+    if not set(map(type, flat)) <= {int}:
+        return None
+    try:
+        table = np.fromiter(flat, np.int64, len(flat)).reshape(-1, len(sizes))
+    except OverflowError:
+        return None
+    return table if ((table >= 0) & (table < sizes)).all() else None
+
+
 def from_dict(data: dict) -> Expression:
     """The Expression of a parsed JSON expression (see render(e, "json")).
 
@@ -724,15 +739,17 @@ def from_dict(data: dict) -> Expression:
                      for i, p in tables["products"])
     coeffs = [_parse_rational(c, f"coeffs[{i}]") for i, c in tables["coeffs"]]
     sizes = (len(heads), len(kernel_sets), len(products), len(coeffs))
-    for i, row in tables["terms"]:
-        if len(_indices(row, sizes, f"terms[{i}]")) != len(sizes):
-            raise ExpressionError(f"terms[{i}] must have {len(sizes)} indices, got {row!r}")
+    rows = _index_rows(data["terms"], sizes)
+    if rows is None:
+        # name the first bad entry
+        for i, row in tables["terms"]:
+            if len(_indices(row, sizes, f"terms[{i}]")) != len(sizes):
+                raise ExpressionError(f"terms[{i}] must have {len(sizes)} indices, got {row!r}")
 
     # the document's tables as they stand, for the packer to merge and rank
     scale = math.lcm(*(den for _, den in coeffs))
     raw = _frozen(forms, products, heads, kernel_sets,
-                  tuple(num * (scale // den) for num, den in coeffs), scale,
-                  np.array(data["terms"], dtype=np.int64).reshape(-1, len(sizes)))
+                  tuple(num * (scale // den) for num, den in coeffs), scale, rows)
     packer = Packer(scale)
     return packer.freeze(packer.pack(raw))
 

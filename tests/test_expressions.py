@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 import pickle
@@ -11,6 +12,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reference
@@ -149,6 +151,118 @@ def test_eval_is_linear():
     assert ex.eval_numeric(basic_expr(Fraction(3, 8)), q, n) == pytest.approx(
         1.5 * ex.eval_numeric(e1, q, n), rel=1e-14
     )
+
+
+def _outcome(evaluate, e, q, n) -> str:
+    """The repr of the value, or the type and message of what it raised."""
+    try:
+        return repr(evaluate(e, q, n))
+    except (ex.ZeroDenominator, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_FORMS = [
+    {"n": {"a": 1}, "q": {"1": 1, "2": 1}},
+    {"n": {}, "q": {"1": 1, "2": -1}},
+    {"n": {"a": 1, "b": -1}, "q": {"3": 1}},
+    {"n": {"b": 2}, "q": {"2": -1, "3": 1}},
+    {"n": {}, "q": {"3": 1}},
+]
+
+# Two heads, products of 0 to 3 forms, kernels on some rows only, and runs
+# of one (head, kernels) pair with several coefficients.
+_RAGGED = {
+    "forms": _FORMS,
+    "heads": [{"two_pi_pow": 2, "q_exp": {"1": -1, "2": -1, "3": -1}},
+              {"two_pi_pow": -1, "q_exp": {"1": 2, "3": -1}}],
+    "kernels": [[], [1], [2, 3], [1, 2, 3]],
+    "products": [[], [0], [1, 4], [0, 2, 3], [4], [2, 3], [0, 1]],
+    "coeffs": ["1", "-3/2", "5/7", "2", "-1/3"],
+    "terms": [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 3, 2], [0, 0, 5, 1],
+              [0, 1, 2, 3], [0, 1, 6, 3], [0, 2, 0, 4], [0, 2, 3, 0], [0, 3, 4, 2],
+              [1, 0, 3, 1], [1, 0, 6, 2], [1, 1, 1, 0], [1, 1, 2, 4], [1, 1, 5, 4],
+              [1, 2, 4, 3], [1, 3, 0, 1], [1, 3, 3, 3], [1, 3, 6, 0]],
+}
+
+# Nine rows, each with its own coefficient and (head, kernels) pair: more
+# (head, kernels, coefficient) triples than a flat table of them should hold.
+_SPARSE = {
+    "forms": _FORMS,
+    "heads": [{"two_pi_pow": k, "q_exp": {"1": -1, "2": k - 1}} for k in range(3)],
+    "kernels": [[], [2], [1, 3]],
+    "products": [[0], [1, 2], [3, 4, 0]],
+    "coeffs": [str(c) for c in (1, -2, 3, -4, 5, -6, 7, -8, 9)],
+    "terms": [[i % 3, i // 3, (i + i // 3) % 3, i] for i in range(9)],
+}
+
+
+@pytest.mark.parametrize("doc", [_RAGGED, _SPARSE], ids=["ragged", "sparse"])
+def test_eval_is_bit_for_bit_the_term_loop(doc):
+    e = ex.from_dict(copy.deepcopy(doc))
+    assert len(e) == len(doc["terms"]) and len(e.heads) == len(doc["heads"])
+    loop = functools.partial(_outcome, reference.eval_numeric, e)
+    packed = functools.partial(_outcome, ex.eval_numeric, e)
+    rng = random.Random(11)
+    for _ in range(10):
+        # small q make the kernels large, so their rows carry the value
+        q = {l: rng.uniform(0.02, 1.0) for l in (1, 2, 3)}
+        n = {"a": rng.randint(-3, 3), "b": rng.randint(-3, 3)}
+        assert packed(q, n) == loop(q, n)
+    # q1 = q2 = q3 with N_b = 0: two forms vanish, and the same one is named
+    vanished = loop({1: 1.5, 2: 1.5, 3: 1.5}, {"a": 1, "b": 0})
+    assert vanished.startswith("ZeroDenominator: form ")
+    assert packed({1: 1.5, 2: 1.5, 3: 1.5}, {"a": 1, "b": 0}) == vanished
+    # q ** -1 overflows a float and raises in both
+    subnormal = {1: 1e-320, 2: 1.0, 3: 1.0}
+    assert loop(subnormal, {"a": 1, "b": 2}).startswith("OverflowError: ")
+    assert packed(subnormal, {"a": 1, "b": 2}) == loop(subnormal, {"a": 1, "b": 2})
+
+
+def test_eval_overflow_is_the_term_loops():
+    # the first row has no kernel and no denominator, and its q power takes
+    # it to inf + 0j; dividing it by anything, even 1 + 0j, would give NaN
+    e = ex.from_dict({
+        "forms": _FORMS,
+        "heads": [{"two_pi_pow": 20, "q_exp": {"1": -1}}, {"two_pi_pow": 0, "q_exp": {"2": -1}}],
+        "kernels": [[], [2]],
+        "products": [[], [0], [1, 3]],
+        "coeffs": ["1", "-1/2"],
+        "terms": [[0, 0, 0, 0], [1, 0, 0, 1], [1, 0, 1, 0], [1, 1, 2, 1]],
+    })
+    n = {"a": 1, "b": 2}
+    tiny = {1: 1e-300, 2: 1.3, 3: 0.7}
+    value = reference.eval_numeric(e, tiny, n)
+    assert value.real == math.inf and math.isfinite(value.imag)
+    assert repr(ex.eval_numeric(e, tiny, n)) == repr(value)
+    subnormal = {1: 1e-320, 2: 1.3, 3: 0.7}
+    with pytest.raises(OverflowError) as loop:
+        reference.eval_numeric(e, subnormal, n)
+    with pytest.raises(OverflowError) as packed:
+        ex.eval_numeric(e, subnormal, n)
+    assert str(packed.value) == str(loop.value)
+    # a value that underflows to -0.0 sums to 0.0, as the loop's from 0j does
+    e = ex.from_dict({"forms": [], "heads": [{"two_pi_pow": 0, "q_exp": {"1": 2}}],
+                      "kernels": [[]], "products": [[]], "coeffs": ["-1"],
+                      "terms": [[0, 0, 0, 0]]})
+    assert repr(ex.eval_numeric(e, {1: 1e-200}, {})) == repr(
+        reference.eval_numeric(e, {1: 1e-200}, {})) == "0j"
+
+
+def test_stress_sum_evaluates_bit_for_bit():
+    # the benchmark's stress graph: 8 lines, cycle rank 6, tens of thousands
+    # of sum terms over a few hundred (kernels, coefficient) numerators
+    rng = np.random.default_rng(3)
+    g = fixtures.random_graph(rng, 4, 8)
+    while g.num_lines != 8:
+        g = fixtures.random_graph(rng, 4, 8)
+    total = engine.matsubara_sum(g)
+    assert len(total) > 20_000
+    points = np.random.default_rng(20260810)
+    for _ in range(3):
+        q = {l: float(points.uniform(0.3, 3.0)) for l in sorted(g.line_ids)}
+        n = {v: int(points.integers(-3, 4)) for v in g.vertices[:-1]}
+        assert (_outcome(ex.eval_numeric, total, q, n)
+                == _outcome(reference.eval_numeric, total, q, n))
 
 
 def test_render_text_reference_integral():
@@ -308,6 +422,17 @@ def test_json_outside_the_schema_raises_expression_error(change):
      "forms[0]: q coefficient 2 outside {-1,0,+1}"),
     (_set(("forms", 0), {"n": {"a": -1}, "q": {"1": 1, "2": 1}}), ex.ExpressionError,
      "forms[0]: denominator is not sign-normalized"),
+    # the terms table is checked by columns; a failure still names its entry
+    (_set(("terms", 0, 2), True), ex.ExpressionError,
+     "terms[0][2] must be an index below 4, got True"),
+    (_set(("terms", 0, 0), 1), ex.ExpressionError,
+     "terms[0][0] must be an index below 1, got 1"),
+    (_set(("terms", 3, 1), -1), ex.ExpressionError,
+     "terms[3][1] must be an index below 3, got -1"),
+    (_set(("terms", 0, 0), 2**70), ex.ExpressionError,
+     "terms[0][0] must be an index below 1, got 1180591620717411303424"),
+    (_set(("terms", 0), [0, 0, 0]), ex.ExpressionError,
+     "terms[0] must have 4 indices, got [0, 0, 0]"),
 ])
 def test_json_errors_name_their_table_entry(change, error, message):
     data = json.loads(ex.render(reference_sum_g2(), "json"))
