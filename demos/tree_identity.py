@@ -45,7 +45,7 @@ n = {"a": 1, "b": -2, "c": 1}
 
 def tree_basis(graph, hierarchy=None):
     """The unnormalized tree products of all spanning trees, summed."""
-    return ex.Expression.from_terms(
+    return ex.Expression(
         t for tree in gr.enumerate_spanning_trees(graph)
         for t in engine.tree_product(graph, engine.solve_tree(graph, tree, hierarchy)).terms)
 

@@ -31,12 +31,9 @@ from .expressions import (
 from .graph import (
     MatsubaraGraph,
     bonds,
-    count_spanning_trees,
     cycle_rank,
     enumerate_spanning_trees,
     fundamental_cutset,
-    fundamental_cycle,
-    incidence_sign,
     is_cutset,
     make_graph,
     cutset_subsets,

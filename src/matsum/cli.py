@@ -151,10 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_expression(expr, fmt: str) -> None:
-    print(expressions.render(expr, fmt))
-
-
 def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -216,11 +212,11 @@ def _dispatch(args, g: graph.MatsubaraGraph) -> int:
         return 0
 
     if args.command == "integral":
-        _emit_expression(engine.matsubara_integral(g), args.format)
+        print(expressions.render(engine.matsubara_integral(g), args.format))
         return 0
 
     if args.command == "sum":
-        _emit_expression(engine.matsubara_sum(g, args.method), args.format)
+        print(expressions.render(engine.matsubara_sum(g, args.method), args.format))
         return 0
 
     if args.command == "eval":

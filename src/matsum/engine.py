@@ -2,15 +2,19 @@
 
 Stages, per graph G with V vertices, I lines and cycle rank L = I - V + 1:
 
-  1. For each spanning tree, solve the vertex constraints for the tree-line
-     variables: n_j = sum_v a_v N_v + sum_l b_l n_l over the non-tree lines l
-     (solve_tree), and fix a regulator sign eps_l = +-1 per non-tree line from
-     the fundamental cycle and a hierarchy of regulator magnitudes
+  1. For each spanning tree, take each tree line's fundamental cut once.
+     Summing the vertex constraints over a cut's side solves for the
+     tree-line variables: n_j = sum_v a_v N_v + sum_l b_l n_l over the
+     non-tree lines l (solve_tree). The cuts a non-tree line crosses give its
+     fundamental cycle, and the cycle's member ranked highest by a hierarchy
+     of regulator magnitudes fixes its regulator sign eps_l = +-1
      (epsilon_signs).
   2. Each tree contributes (2 pi)^L * prod_k 1/(2 q_k) times the product over
      tree lines j of the reflection-difference pair of
-     1/(q_j + sum_l eps_l b_l q_l - i sum_v a_v N_v)       (tree_product);
-     summing over trees gives the integral evaluation (matsubara_integral).
+     1/(q_j + sum_l eps_l b_l q_l - i sum_v a_v N_v)       (tree_product).
+     Up to sign, that denominator is a cut form of j's fundamental bond, and
+     the pair flips q_j in it alone. Summing over trees gives the integral
+     evaluation (matsubara_integral).
   3. The sum evaluation follows either by applying the thermal operator
      sum over non-cutset line subsets S of prod_{i in S} nbe_i (1 - R_i)
      to the integral (operator route), or tree by tree with the operator
@@ -32,16 +36,17 @@ NormalFormTooLarge past that.
 
 Both routes, apply_operator for any operator and tree_product share one
 packed kernel (_Packed, an expressions.Packer built over the graph's cut
-arrangement): tree products are packed as they are built, and an input
-Expression from its tables, into cut-form ids (a form's rank), interned
-(pi power, q monomial) heads and integer coefficients over a common
-denominator. R_i flips i's bit of a cut form's sign pattern, and its only
-sign is the parity of q_i in the head; each factor nbe_i (1 - R_i) is dict
-arithmetic through a memoized signed permutation of term shapes, with
-cancelled terms dropped at once, and each level of the walk is brought to
-normal form with its new products reduced in one batch. Nothing is sorted
-during the walk: each route freezes its packed result into an Expression
-once, which ranks the tables and sorts the rows by integer ranks.
+arrangement): tree products are built in cut-form ids (a form's rank,
+looked up by bond and sign pattern), and an input Expression is packed from
+its tables into them, with interned (pi power, q monomial) heads and
+integer coefficients over a common denominator. R_i flips i's bit of a cut
+form's sign pattern, and its only sign is the parity of q_i in the head;
+each factor nbe_i (1 - R_i) is dict arithmetic through a memoized signed
+permutation of term shapes, with cancelled terms dropped at once, and each
+level of the walk is brought to normal form with its new products reduced
+in one batch. Nothing is sorted during the walk: each route freezes its
+packed result into an Expression once, which ranks the tables and sorts the
+rows by integer ranks.
 
 Cutset subsets of reflection-differences annihilate the integral: the
 normal form of the image is empty (annihilator_check), which is what
@@ -100,7 +105,7 @@ class OperatorSpec(NamedTuple):
 def epsilon_signs(
     graph: MatsubaraGraph, tree: Iterable[int], hierarchy: Sequence[int] | None = None
 ) -> dict[int, int]:
-    """Regulator sign for every non-tree line.
+    """Regulator sign for every non-tree line: solve_tree(...).epsilon.
 
     The regulated summand attaches e^{i n_l T_l} to each independent variable,
     where T_l is the signed sum of the regulator parameters tau_k over the
@@ -108,48 +113,43 @@ def epsilon_signs(
     (default: ascending line id), the sign of T_l is the cycle sign of the
     highest-ranked line present in the cycle.
     """
-    tree_ids = set(tree)
-    if hierarchy is None:
-        hierarchy = sorted(graph.line_ids)
-    else:
-        if sorted(hierarchy) != sorted(graph.line_ids):
-            raise gr.GraphError("hierarchy must be a permutation of the line ids")
-    rank = {lid: pos for pos, lid in enumerate(hierarchy)}
-    eps: dict[int, int] = {}
-    for lid in sorted(graph.line_ids):
-        if lid in tree_ids:
-            continue
-        cycle = gr.fundamental_cycle(graph, tree_ids, lid)
-        top_line, top_sign = min(cycle, key=lambda member: rank[member[0]])
-        eps[lid] = top_sign
-    return eps
+    return solve_tree(graph, tree, hierarchy).epsilon
 
 
 def solve_tree(
     graph: MatsubaraGraph, tree: Iterable[int], hierarchy: Sequence[int] | None = None
 ) -> TreeSolution:
-    """Solve the vertex constraints along a spanning tree.
+    """Solve the vertex constraints along a spanning tree and fix the
+    regulator signs, both from the tree lines' fundamental cuts.
 
     For tree line j, summing the constraints over the side of its fundamental
     cut gives n_j = sum_{v in side} N_v - sum_{crossing l != j} sign_l n_l;
-    the root N is eliminated through sum_v N_v = 0.
+    with the root N eliminated through sum_v N_v = 0, the N-part is +-1 on
+    the cut's root-free side. The fundamental cycle of a non-tree line l is
+    (l, +1) and (j, -sign_l) for each tree line j whose cut l crosses; eps_l
+    is the sign of its member ranked highest by the hierarchy (epsilon_signs).
+    Raises GraphError when the lines are not a spanning tree.
     """
+    if hierarchy is not None and sorted(hierarchy) != sorted(graph.line_ids):
+        raise gr.GraphError("hierarchy must be a permutation of the line ids")
+    rank = {lid: pos for pos, lid in enumerate(graph.line_ids if hierarchy is None else hierarchy)}
     tree_ids = tuple(sorted(tree))
-    non_root = graph.vertices[:-1]
+    if (len(tree_ids) != graph.num_vertices - 1
+            or gr.is_cutset(graph, set(graph.line_ids) - set(tree_ids))):
+        raise gr.GraphError(f"lines {list(tree_ids)} are not a spanning tree")
     omega: dict[int, OmegaForm] = {}
+    cycles = {l: [(l, 1)] for l in graph.line_ids if l not in tree_ids}
     for j in tree_ids:
         side, crossing = gr.fundamental_cutset(graph, tree_ids, j)
         root_in = graph.root in side
-        n_part = tuple(
-            (v, (1 if v in side else 0) - (1 if root_in else 0)) for v in non_root
-        )
-        line_part = tuple(
-            sorted((l, -sign) for l, sign in crossing.items() if l != j)
-        )
-        omega[j] = OmegaForm(
-            tuple((v, c) for v, c in n_part if c != 0), line_part
-        )
-    return TreeSolution(tree_ids, omega, epsilon_signs(graph, tree_ids, hierarchy))
+        line_part = tuple(sorted((l, -sign) for l, sign in crossing.items() if l != j))
+        omega[j] = OmegaForm(tuple((v, -1 if root_in else 1) for v in graph.vertices[:-1]
+                                   if (v in side) != root_in), line_part)
+        for l, b in line_part:
+            cycles[l].append((j, b))
+    epsilon = {l: min(cycle, key=lambda member: rank[member[0]])[1]
+               for l, cycle in cycles.items()}
+    return TreeSolution(tree_ids, omega, epsilon)
 
 
 def tree_product(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
@@ -170,27 +170,23 @@ def _pack_tree_product(packed: "_Packed", graph: MatsubaraGraph,
                        solution: TreeSolution) -> dict[int, int]:
     """The packed tree product, over a packer of scale 2^I: the base term
     (2 pi)^L / prod_k (2 q_k) over the tree lines' denominators, then
-    (1 + R_j) for each tree line j."""
-    sign, dens = 1, []
+    (1 + R_j) for each tree line j. Line j's denominator, with N-part a N(S)
+    (a = +-1, S its fundamental bond's root-free side), is s = -a times the
+    cut form i N(S) + s (q_j + sum_l eps_l b_l q_l). No other line's form
+    has q_j and the head is odd in q_j, so (1 + R_j) pairs j's form (+1)
+    with its q_j-flipped form (-1); the terms are the pairs' products."""
+    arrangement, sign, pairs = packed.arrangement, 1, []
     for j in solution.tree:
         om = solution.omega[j]
-        q_pairs = [(j, 1)] + [
-            (l, solution.epsilon[l] * b) for l, b in om.line_part if b != 0
-        ]
-        form, s = ex.normalize_form([(v, -a) for v, a in om.n_part], q_pairs)
+        s = -om.n_part[0][1]
+        q = ((j, s),) + tuple((l, s * solution.epsilon[l] * b) for l, b in om.line_part)
+        rank = arrangement.cut_rank(frozenset(v for v, _ in om.n_part),
+                                    [l for l, c in q if c < 0])
         sign *= s
-        dens.append(packed.form(form))
-    head = packed.head(gr.cycle_rank(graph),
-                       tuple((lid, -1) for lid in sorted(graph.line_ids)))
-    terms = {packed.shape(head, dens): sign}
-    for j in solution.tree:
-        reflect = packed.reflection(j)
-        out = dict(terms)
-        for shape, c in terms.items():
-            image, sign = reflect[shape]
-            out[image] = out.get(image, 0) + sign * c
-        terms = {shape: c for shape, c in out.items() if c}
-    return terms
+        pairs.append(((rank, 1), (arrangement.flip(rank, j), -1)))
+    head = packed.head(gr.cycle_rank(graph), tuple((lid, -1) for lid in graph.line_ids))
+    return {packed.shape(head, (r for r, _ in choice)): math.prod(c for _, c in choice) * sign
+            for choice in itertools.product(*pairs)}
 
 
 def tree_integral(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
@@ -316,9 +312,17 @@ class _Arrangement:
         self.forms = tuple(form for _, _, form, _, _ in keyed)
         self._cuts = [(b, pattern) for _, _, _, b, pattern in keyed]   # by rank
         self._rank = {cut: rank for rank, cut in enumerate(self._cuts)}
+        self._bond_of = {side: b for b, (side, _) in enumerate(self._bonds)}
         self.vectors: np.ndarray | None = None   # built on first search
         #: product -> ((nbc product, coefficient), ...), None for an nbc product
         self.reduced: dict[tuple[int, ...], tuple | None] = {}
+
+    def cut_rank(self, side: frozenset[str], minus: Iterable[int]) -> int:
+        """The rank of i*N(side) + sum_l +-q_l over the bond with root-free
+        side `side`, with -q on the lines `minus`."""
+        b = self._bond_of[side]
+        lines = self._bonds[b][1]
+        return self._rank[b, sum(1 << (len(lines) - 1 - lines.index(l)) for l in minus)]
 
     def flip(self, rank: int, line_id: int) -> int:
         """The rank of the form with q_{line_id} negated: the line's bit of

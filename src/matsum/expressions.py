@@ -20,7 +20,7 @@ An Expression is stored packed, as integer tables:
   * its distinct coefficients, as ascending integer numerators over one
     positive denominator that shares no factor with all of them;
   * one row per term with the ids of its head, kernel tuple, product and
-    numerator, the rows in Term.key order (head, kernels, denominators).
+    numerator, the rows in (head, kernels, denominators) order.
 
 The tables hold only what the rows use, so equal expressions have equal
 fields. A Packer interns terms into the same kinds of tables, with integer
@@ -116,26 +116,6 @@ class Term(NamedTuple):
     kernels: tuple[int, ...]
     denominators: tuple[LinearForm, ...]
 
-    @property
-    def key(self):
-        return (self.pi_power, self.q_exponents, self.kernels, self.denominators)
-
-
-def make_term(
-    coeff,
-    pi_power: int = 0,
-    q_exponents: Mapping[int, int] | None = None,
-    kernels: Iterable[int] = (),
-    denominators: Iterable[LinearForm] = (),
-) -> Term:
-    """Build a term in canonical shape (sorted, zero exponents dropped)."""
-    qexp = tuple(sorted((l, e) for l, e in (q_exponents or {}).items() if e != 0))
-    kern = tuple(sorted(kernels))
-    if len(set(kern)) != len(kern):
-        raise DuplicateKernel(next(k for i, k in enumerate(kern) if k in kern[:i]))
-    dens = tuple(sorted(denominators))
-    return Term(Fraction(coeff), pi_power, qexp, kern, dens)
-
 
 #: Columns of Expression.rows: ids into heads, kernel_sets, products and
 #: numerators.
@@ -145,18 +125,16 @@ HEAD, KERNELS, PRODUCT, COEFF = range(4)
 class Expression:
     """Canonical sum of terms, stored packed (see the module docstring).
 
-    Expression(terms) and Expression.from_terms(terms) canonicalize any
-    iterable of Terms; `terms` gives the canonical terms back.
+    Expression(terms) canonicalizes any iterable of Terms, and `terms` gives
+    the canonical terms back. The library itself builds expressions through
+    Packer; this term-list view stays public because the benchmark's
+    self-test and workloads build and read expressions through it.
     """
 
     __slots__ = ("forms", "products", "heads", "kernel_sets", "numerators", "scale",
                  "rows")
 
     def __new__(cls, terms: Iterable[Term] = ()) -> "Expression":
-        return cls.from_terms(terms)
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[Term]) -> "Expression":
         terms = tuple(terms)
         packer = Packer(math.lcm(*(t.coeff.denominator for t in terms)))
         groups: dict[tuple, dict[int, int]] = {}
@@ -351,7 +329,32 @@ def _form_value(form: LinearForm, q_values, n_values) -> complex:
     im = 0.0
     for v, c in form.n:
         im += c * n_values[v]
-    return complex(re, im)
+    d = complex(re, im)
+    if d == 0:
+        raise ZeroDenominator(f"form {render_form(form, 'text')} vanished")
+    return d
+
+
+def _first_failure(e: Expression, q_values, n_values) -> Exception:
+    """What eval_numeric's term loop raises: the first error among the
+    factors of the first row that has one, in the loop's order."""
+    def error(compute) -> Exception | None:
+        try:
+            compute()
+        except (ArithmeticError, ZeroDenominator) as exc:
+            return exc
+
+    coeffs = [[error(lambda: c / e.scale)] for c in e.numerators]
+    heads = [[error(lambda: (2.0 * math.pi) ** k)]
+             + [error(lambda: float(q_values[l] ** x)) for l, x in q_exponents]
+             for k, q_exponents in e.heads]
+    forms = [error(lambda: _form_value(f, q_values, n_values)) for f in e.forms]
+    products = [[forms[f] for f in product] for product in e.products]
+    tables = (coeffs, heads, products)   # a row's factors, in the loop's order
+    ids = e.rows[:, [COEFF, HEAD, PRODUCT]].T
+    failed = [np.array([any(entry) for entry in table])[i] for table, i in zip(tables, ids)]
+    row = int(np.argmax(failed[0] | failed[1] | failed[2]))
+    return next(x for table, i in zip(tables, ids) for x in table[i[row]] if x)
 
 
 def _smith(d: complex) -> tuple[bool, float, float]:
@@ -381,26 +384,23 @@ def eval_numeric(
     each row's numerator by each form of its product in turn, as CPython's
     complex division does (Smith's method), and sums the rows in order.
 
-    Raises ZeroDenominator when a linear form evaluates to exactly zero,
-    naming the first such form in term order.
+    A factor that cannot be computed raises what the loop raises: at the
+    first term with one, the OverflowError of its coefficient, (2 pi)^k or
+    q powers, else ZeroDenominator naming its first form that is zero.
     """
     if e.is_empty():
         return 0j
-    # factors in the order the loop meets them in a term, so that a factor
-    # that cannot be computed raises as it did there
-    coeffs = [c / e.scale for c in e.numerators]
-    pi_powers = [(2.0 * math.pi) ** pi_power for pi_power, _ in e.heads]
-    powers = [[float(q_values[l] ** exp) for l, exp in q_exponents]
-              for _, q_exponents in e.heads]
+    # factors in the order the loop meets them in a term
+    try:
+        coeffs = [c / e.scale for c in e.numerators]
+        pi_powers = [(2.0 * math.pi) ** pi_power for pi_power, _ in e.heads]
+        powers = [[float(q_values[l] ** exp) for l, exp in q_exponents]
+                  for _, q_exponents in e.heads]
+        forms = [_form_value(f, q_values, n_values) for f in e.forms]
+    except (ArithmeticError, ZeroDenominator):
+        raise _first_failure(e, q_values, n_values) from None
     kernel_of = {l: nbe(q_values[l]) for l in sorted({l for ks in e.kernel_sets for l in ks})}
     kernels = [[kernel_of[l] for l in ks] for ks in e.kernel_sets]
-    forms = [_form_value(f, q_values, n_values) for f in e.forms]
-    vanished = [d == 0 for d in forms]
-    if any(vanished):
-        bad = np.array([any(vanished[f] for f in p) for p in e.products])
-        product = e.products[int(e.rows[np.argmax(bad[e.rows[:, PRODUCT]]), PRODUCT])]
-        form = e.forms[next(f for f in product if vanished[f])]
-        raise ZeroDenominator(f"form {render_form(form, 'text')} vanished")
     by_imag, ratio, scale = np.array([_smith(d) for d in forms], dtype=float).reshape(-1, 3).T
 
     h, k, p, c = e.rows.T

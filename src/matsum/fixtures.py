@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import MatsubaraGraph, make_graph, validate_graph
+from .graph import MatsubaraGraph, make_graph
 
 
 def g2() -> MatsubaraGraph:
@@ -28,13 +28,6 @@ def g4() -> MatsubaraGraph:
         ["a", "b", "c", "d"],
         [(1, "b", "a"), (2, "d", "a"), (3, "c", "b"), (4, "c", "d"), (5, "b", "d")],
     )
-
-
-def graph_to_dict(graph: MatsubaraGraph) -> dict:
-    return {
-        "vertices": list(graph.vertices),
-        "edges": [{"id": ln.id, "from": ln.tail, "to": ln.head} for ln in graph.lines],
-    }
 
 
 _NAMES = "abcdefghij"

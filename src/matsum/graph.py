@@ -207,18 +207,6 @@ def make_graph(vertices: Sequence[str], edges: Sequence[tuple[int, str, str]]) -
     })
 
 
-def incidence_sign(graph: MatsubaraGraph, vertex: str, line_id: int) -> int:
-    """+1 if the line is oriented into the vertex, -1 if away, 0 if not incident."""
-    if vertex not in graph.vertices:
-        raise UnknownVertex(f"no vertex {vertex!r}")
-    ln = graph.line(line_id)
-    if ln.head == vertex:
-        return 1
-    if ln.tail == vertex:
-        return -1
-    return 0
-
-
 def cycle_rank(graph: MatsubaraGraph) -> int:
     """Number of independent cycles, L = I - V + 1."""
     return graph.num_lines - graph.num_vertices + 1
@@ -253,44 +241,6 @@ def enumerate_spanning_trees(graph: MatsubaraGraph) -> list[LineSubset]:
 
     extend(0, [], _UnionFind(graph.vertices))
     return trees
-
-
-def count_spanning_trees(graph: MatsubaraGraph) -> int:
-    """Spanning-tree count by the matrix-tree theorem (exact integer arithmetic).
-
-    Determinant of the root-reduced multigraph Laplacian via fraction-free
-    (Bareiss) elimination; independent cross-check for the enumerator.
-    """
-    idx = {v: i for i, v in enumerate(graph.vertices)}
-    n = graph.num_vertices
-    lap = [[0] * n for _ in range(n)]
-    for ln in graph.lines:
-        a, b = idx[ln.tail], idx[ln.head]
-        lap[a][a] += 1
-        lap[b][b] += 1
-        lap[a][b] -= 1
-        lap[b][a] -= 1
-    # drop the root row/column
-    m = [row[: n - 1] for row in lap[: n - 1]]
-    size = n - 1
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, size):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[size - 1][size - 1]
 
 
 def is_cutset(graph: MatsubaraGraph, subset: Iterable[int]) -> bool:
@@ -389,43 +339,3 @@ def fundamental_cutset(
         if head_in != tail_in:
             crossing[ln.id] = 1 if head_in else -1
     return side, crossing
-
-
-def fundamental_cycle(
-    graph: MatsubaraGraph, tree: Iterable[int], nontree_line: int
-) -> list[tuple[int, int]]:
-    """Unique cycle closed by adding one non-tree line to a spanning tree.
-
-    The cycle is walked in the direction of the non-tree line; each member
-    is reported as (line_id, sign) with sign +1 when the line is traversed
-    along its own orientation. The non-tree line always carries +1.
-    """
-    tree_ids = set(tree)
-    if nontree_line in tree_ids:
-        raise UnknownLine(f"line {nontree_line} belongs to the tree")
-    chord = graph.line(nontree_line)
-    # adjacency restricted to tree lines
-    adj: dict[str, list[Line]] = {v: [] for v in graph.vertices}
-    for lid in sorted(tree_ids):
-        ln = graph.line(lid)
-        adj[ln.tail].append(ln)
-        adj[ln.head].append(ln)
-    # unique tree path from chord.head back to chord.tail (DFS)
-    path: list[tuple[Line, int]] = []
-
-    def dfs(v: str, prev_line: int | None) -> bool:
-        if v == chord.tail:
-            return True
-        for ln in adj[v]:
-            if ln.id == prev_line:
-                continue
-            nxt = ln.head if ln.tail == v else ln.tail
-            path.append((ln, +1 if ln.tail == v else -1))
-            if dfs(nxt, ln.id):
-                return True
-            path.pop()
-        return False
-
-    if not dfs(chord.head, None):
-        raise GraphError(f"tree {sorted(tree_ids)} does not connect line {nontree_line}")
-    return [(nontree_line, 1)] + [(ln.id, sign) for ln, sign in path]

@@ -29,6 +29,6 @@ def nbe(z: float) -> float:
         return -1.0 - nbe(-z)
     x = 2.0 * math.pi * z
     if x > _EXP_ARG_MAX:
-        # 1/(e^x - 1) ~ e^-x, which is 0.0 to double precision here.
-        return math.exp(-x) if x < 2 * _EXP_ARG_MAX else 0.0
+        # 1/(e^x - 1) ~ e^-x to double precision; 0.0 past x ~ 745 and at inf.
+        return math.exp(-x)
     return 1.0 / math.expm1(x)

@@ -318,11 +318,10 @@ def check_gaudin_identity(
     The N values are read off the tuple (N_v = sum_i s^v_i n_i); a claimed
     non-root assignment, when given, must match or ConstraintViolated raises.
     """
-    t_values = {}
-    for v in graph.vertices:
-        t_values[v] = sum(
-            gr.incidence_sign(graph, v, ln.id) * n_tuple[ln.id] for ln in graph.lines
-        )
+    t_values = dict.fromkeys(graph.vertices, 0)
+    for ln in graph.lines:
+        t_values[ln.head] += n_tuple[ln.id]
+        t_values[ln.tail] -= n_tuple[ln.id]
     if claimed_n is not None:
         non_root = graph.vertices[:-1]
         implied_root = -sum(claimed_n[v] for v in non_root)

@@ -11,7 +11,9 @@ from hypothesis import settings
 
 from matsum import expressions as ex
 from matsum import fixtures
-from matsum.graph import make_graph
+from matsum.graph import MatsubaraGraph, make_graph
+
+from reference import make_term
 
 # Property tests run a fixed, bounded set of examples, so every run of the
 # suite checks the same cases; pipeline builds vary too much for a deadline.
@@ -35,6 +37,14 @@ def g4():
     return fixtures.g4()
 
 
+def graph_to_dict(graph: MatsubaraGraph) -> dict:
+    """The graph description validate_graph reads, as a JSON-ready dict."""
+    return {
+        "vertices": list(graph.vertices),
+        "edges": [{"id": ln.id, "from": ln.tail, "to": ln.head} for ln in graph.lines],
+    }
+
+
 def cycle_graph(n: int):
     """n vertices in a ring, line i from v{i-1} to v{i mod n}."""
     names = [f"v{i}" for i in range(n)]
@@ -54,15 +64,15 @@ def _term(sign, pi_power, nlines, kernels, raw_forms):
         f, s = form(n_pairs, q_pairs)
         coeff *= s
         dens.append(f)
-    return ex.make_term(coeff, pi_power, {i: -1 for i in range(1, nlines + 1)},
-                        kernels, dens)
+    return make_term(coeff, pi_power, {i: -1 for i in range(1, nlines + 1)},
+                     kernels, dens)
 
 
 def reference_integral_g2() -> ex.Expression:
     """(2 pi / (2q1 2q2)) [ 1/(iN + q1 + q2) - 1/(iN - q1 - q2) ]."""
     plus = ([("a", 1)], [(1, 1), (2, 1)])
     minus = ([("a", 1)], [(1, -1), (2, -1)])
-    return ex.Expression.from_terms([
+    return ex.Expression([
         _term(+1, 1, 2, (), [plus]),
         _term(-1, 1, 2, (), [minus]),
     ])
@@ -89,14 +99,14 @@ def reference_sum_g2() -> ex.Expression:
     for sign, raw in anti_groups:
         terms.append(_term(sign, 1, 2, (1,), [raw]))
         terms.append(_term(-sign, 1, 2, (2,), [raw]))
-    return ex.Expression.from_terms(terms)
+    return ex.Expression(terms)
 
 
 def reference_integral_g3() -> ex.Expression:
     """((2 pi)^2/(2q1 2q2 2q3)) [ 1/(iN + q1+q2+q3) - 1/(iN - q1-q2-q3) ]."""
     plus = ([("a", 1)], [(1, 1), (2, 1), (3, 1)])
     minus = ([("a", 1)], [(1, -1), (2, -1), (3, -1)])
-    return ex.Expression.from_terms([
+    return ex.Expression([
         _term(+1, 2, 3, (), [plus]),
         _term(-1, 2, 3, (), [minus]),
     ])
@@ -138,7 +148,7 @@ def reference_integral_g4() -> ex.Expression:
             raw.append(([(v, nmap.get(v, 0)) for v in _VORDER],
                         sorted(qmap.items())))
         terms.append(_term(sign, 2, 5, (), raw))
-    return ex.Expression.from_terms(terms)
+    return ex.Expression(terms)
 
 
 def reference_integral_g4_value(q_values, n_values) -> complex:

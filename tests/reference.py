@@ -1,5 +1,15 @@
 """Test-side reference implementations, independent of the packed kernel.
 
+Helpers that only tests call live here, not in the library: make_term
+(one Term in canonical shape, for Expression(terms)), and the graph
+combinatorics incidence_sign, count_spanning_trees (the matrix-tree
+cross-check of the tree enumerator) and fundamental_cycle (a DFS walk).
+The engine derives what it needs of these from fundamental cuts, so
+epsilon_signs and tree_product below rebuild its regulator signs and tree
+products the way it did before: each sign from the top-ranked member of
+the DFS cycle, each tree line's form sign-normalized, and the tree lines'
+reflection pairs applied to whole expressions.
+
 The term-by-term reflection algebra acts on one Expression at a time in
 exact Fraction arithmetic, so the tests can fold an operator subset by
 subset and compare with engine.apply_operator; it flips a line in any
@@ -19,12 +29,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from matsum import graph as gr
 from matsum import oracles
+from matsum.engine import TreeSolution
 from matsum.expressions import (
     DuplicateKernel,
     Expression,
@@ -33,12 +44,155 @@ from matsum.expressions import (
     LinearForm,
     Term,
     ZeroDenominator,
-    make_term,
+    add,
     normalize_form,
 )
-from matsum.graph import MatsubaraGraph
+from matsum.graph import Line, MatsubaraGraph
 from matsum.kernels import nbe
 
+
+def make_term(
+    coeff,
+    pi_power: int = 0,
+    q_exponents: Mapping[int, int] | None = None,
+    kernels: Iterable[int] = (),
+    denominators: Iterable[LinearForm] = (),
+) -> Term:
+    """Build a term in canonical shape (sorted, zero exponents dropped)."""
+    qexp = tuple(sorted((l, e) for l, e in (q_exponents or {}).items() if e != 0))
+    kern = tuple(sorted(kernels))
+    if len(set(kern)) != len(kern):
+        raise DuplicateKernel(next(k for i, k in enumerate(kern) if k in kern[:i]))
+    dens = tuple(sorted(denominators))
+    return Term(Fraction(coeff), pi_power, qexp, kern, dens)
+
+
+# ---------------------------------------------------------------------------
+# graph combinatorics, and the tree stage built from DFS cycles
+# ---------------------------------------------------------------------------
+
+def incidence_sign(graph: MatsubaraGraph, vertex: str, line_id: int) -> int:
+    """+1 if the line is oriented into the vertex, -1 if away, 0 if not incident."""
+    if vertex not in graph.vertices:
+        raise gr.UnknownVertex(f"no vertex {vertex!r}")
+    ln = graph.line(line_id)
+    if ln.head == vertex:
+        return 1
+    if ln.tail == vertex:
+        return -1
+    return 0
+
+
+def count_spanning_trees(graph: MatsubaraGraph) -> int:
+    """Spanning-tree count by the matrix-tree theorem (exact integer arithmetic).
+
+    Determinant of the root-reduced multigraph Laplacian via fraction-free
+    (Bareiss) elimination; independent cross-check for the enumerator.
+    """
+    idx = {v: i for i, v in enumerate(graph.vertices)}
+    n = graph.num_vertices
+    lap = [[0] * n for _ in range(n)]
+    for ln in graph.lines:
+        a, b = idx[ln.tail], idx[ln.head]
+        lap[a][a] += 1
+        lap[b][b] += 1
+        lap[a][b] -= 1
+        lap[b][a] -= 1
+    # drop the root row/column
+    m = [row[: n - 1] for row in lap[: n - 1]]
+    size = n - 1
+    if size == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, size):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[size - 1][size - 1]
+
+
+def fundamental_cycle(
+    graph: MatsubaraGraph, tree: Iterable[int], nontree_line: int
+) -> list[tuple[int, int]]:
+    """Unique cycle closed by adding one non-tree line to a spanning tree.
+
+    The cycle is walked in the direction of the non-tree line; each member
+    is reported as (line_id, sign) with sign +1 when the line is traversed
+    along its own orientation. The non-tree line always carries +1.
+    """
+    tree_ids = set(tree)
+    if nontree_line in tree_ids:
+        raise gr.UnknownLine(f"line {nontree_line} belongs to the tree")
+    chord = graph.line(nontree_line)
+    # adjacency restricted to tree lines
+    adj: dict[str, list[Line]] = {v: [] for v in graph.vertices}
+    for lid in sorted(tree_ids):
+        ln = graph.line(lid)
+        adj[ln.tail].append(ln)
+        adj[ln.head].append(ln)
+    # unique tree path from chord.head back to chord.tail (DFS)
+    path: list[tuple[Line, int]] = []
+
+    def dfs(v: str, prev_line: int | None) -> bool:
+        if v == chord.tail:
+            return True
+        for ln in adj[v]:
+            if ln.id == prev_line:
+                continue
+            nxt = ln.head if ln.tail == v else ln.tail
+            path.append((ln, +1 if ln.tail == v else -1))
+            if dfs(nxt, ln.id):
+                return True
+            path.pop()
+        return False
+
+    if not dfs(chord.head, None):
+        raise gr.GraphError(f"tree {sorted(tree_ids)} does not connect line {nontree_line}")
+    return [(nontree_line, 1)] + [(ln.id, sign) for ln, sign in path]
+
+
+def epsilon_signs(graph: MatsubaraGraph, tree: Iterable[int],
+                  hierarchy: Sequence[int] | None = None) -> dict[int, int]:
+    """Each non-tree line's regulator sign: the cycle sign of the member of
+    its fundamental cycle ranked highest by the hierarchy (default:
+    ascending line id)."""
+    rank = {lid: pos for pos, lid in enumerate(hierarchy or sorted(graph.line_ids))}
+    return {l: min(fundamental_cycle(graph, tree, l), key=lambda m: rank[m[0]])[1]
+            for l in sorted(set(graph.line_ids) - set(tree))}
+
+
+def tree_product(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
+    """One tree's product in the tree basis: each tree line's Omega_j
+    sign-normalized into 1/(q_j + sum_l eps_l b_l q_l - i Omega_j(N)) under
+    the prefactor (2 pi)^L / prod_k (2 q_k), then e + R_j e per tree line."""
+    coeff, dens = Fraction(1, 2 ** graph.num_lines), []
+    for j in solution.tree:
+        om = solution.omega[j]
+        form, sign = normalize_form(
+            [(v, -a) for v, a in om.n_part],
+            [(j, 1)] + [(l, solution.epsilon[l] * b) for l, b in om.line_part])
+        coeff *= sign
+        dens.append(form)
+    e = Expression([make_term(coeff, gr.cycle_rank(graph),
+                              {lid: -1 for lid in graph.line_ids}, (), dens)])
+    for j in solution.tree:
+        e = add(e, reflect(e, j))
+    return e
+
+
+# ---------------------------------------------------------------------------
+# term-by-term reflection algebra
+# ---------------------------------------------------------------------------
 
 def _flip_form(form: LinearForm, line_id: int) -> tuple[LinearForm, int]:
     """Negate q_{line_id} in a canonical form, restoring sign normalization.
@@ -82,7 +236,7 @@ def reflect_term(t: Term, line_id: int) -> Term:
 
 def reflect(e: Expression, line_id: int) -> Expression:
     """Negate q_{line_id} everywhere. Errors if any term carries that kernel."""
-    return Expression.from_terms(reflect_term(t, line_id) for t in e.terms)
+    return Expression(reflect_term(t, line_id) for t in e.terms)
 
 
 def kernel_multiply(e: Expression, line_id: int) -> Expression:
@@ -92,7 +246,7 @@ def kernel_multiply(e: Expression, line_id: int) -> Expression:
         if line_id in t.kernels:
             raise DuplicateKernel(line_id)
         new_terms.append(t._replace(kernels=tuple(sorted(t.kernels + (line_id,)))))
-    return Expression.from_terms(new_terms)
+    return Expression(new_terms)
 
 
 def reflection_difference(e: Expression, line_id: int) -> Expression:
@@ -103,7 +257,7 @@ def reflection_difference(e: Expression, line_id: int) -> Expression:
             rt = reflect_term(t, line_id)
             yield rt._replace(coeff=-rt.coeff)
 
-    return Expression.from_terms(emit())
+    return Expression(emit())
 
 
 def single_sum(q: float, cutoff: int) -> float:
@@ -135,7 +289,7 @@ def constrained_box_sum(
     for v in graph.vertices:
         t_v = np.zeros(grids[0].shape, dtype=np.int64)
         for ln in graph.lines:
-            s = gr.incidence_sign(graph, v, ln.id)
+            s = incidence_sign(graph, v, ln.id)
             if s:
                 t_v = t_v + s * by_line[ln.id]
         ok &= t_v == full_n_values[v]
@@ -402,7 +556,7 @@ def from_dict(data: dict) -> Expression:
     indices per term), read term by term in Fraction arithmetic."""
     forms = [_parse_form(fd) for fd in data["forms"]]
     heads = data["heads"]
-    return Expression.from_terms(
+    return Expression(
         make_term(Fraction(data["coeffs"][c]), heads[h]["two_pi_pow"],
                   {int(l): x for l, x in heads[h]["q_exp"].items()},
                   data["kernels"][k], [forms[f] for f in data["products"][p]])

@@ -10,7 +10,7 @@ import pytest
 from matsum import cli, engine, fixtures
 from matsum import expressions as ex
 
-from conftest import cycle_graph
+from conftest import cycle_graph, graph_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ def g2_path(tmp_path_factory):
     from matsum import fixtures
 
     path = tmp_path_factory.mktemp("graphs") / "g2.json"
-    path.write_text(json.dumps(fixtures.graph_to_dict(fixtures.g2())))
+    path.write_text(json.dumps(graph_to_dict(fixtures.g2())))
     return str(path)
 
 
@@ -27,7 +27,7 @@ def g3_path(tmp_path_factory):
     from matsum import fixtures
 
     path = tmp_path_factory.mktemp("graphs") / "g3.json"
-    path.write_text(json.dumps(fixtures.graph_to_dict(fixtures.g3())))
+    path.write_text(json.dumps(graph_to_dict(fixtures.g3())))
     return str(path)
 
 
@@ -36,7 +36,7 @@ def g4_path(tmp_path_factory):
     from matsum import fixtures
 
     path = tmp_path_factory.mktemp("graphs") / "g4.json"
-    path.write_text(json.dumps(fixtures.graph_to_dict(fixtures.g4())))
+    path.write_text(json.dumps(graph_to_dict(fixtures.g4())))
     return str(path)
 
 
@@ -339,7 +339,7 @@ def test_verify_box_too_large_exits_1(capsys, g3_path):
 def test_graph_past_the_normal_form_budget_exits_1(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "MAX_REDUCED_PRODUCTS", 5000)
     path = tmp_path / "c8.json"
-    path.write_text(json.dumps(fixtures.graph_to_dict(cycle_graph(8))))
+    path.write_text(json.dumps(graph_to_dict(cycle_graph(8))))
     for command in ("integral", "sum"):
         code, out, err = run(capsys, command, "--graph", str(path))
         assert code == 1

@@ -23,7 +23,7 @@ from conftest import (
     reference_sum_g2,
 )
 import reference
-from reference import kernel_multiply, reflection_difference
+from reference import incidence_sign, kernel_multiply, make_term, reflection_difference
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +51,15 @@ def test_solve_tree_g4_last_tree(g4):
     assert om[4].line_part == ((1, -1), (5, -1))
 
 
+def test_solve_tree_rejects_lines_that_are_not_a_spanning_tree(g4):
+    # too few lines, a cycle, one line too many, an unknown line
+    for lines in ((1, 2), (1, 2, 5), (1, 2, 3, 4), (1, 3, 99)):
+        with pytest.raises(gr.GraphError):
+            engine.solve_tree(g4, lines)
+        with pytest.raises(gr.GraphError):
+            engine.epsilon_signs(g4, lines)
+
+
 def test_solution_satisfies_all_vertex_constraints():
     # substituting the solved tree variables back must satisfy T_v = N_v
     # identically; check on random integer assignments of the free data
@@ -70,7 +79,7 @@ def test_solution_satisfies_all_vertex_constraints():
                     b * line_val[l] for l, b in om.line_part
                 )
             for v in g.vertices:
-                t_v = sum(gr.incidence_sign(g, v, ln.id) * line_val[ln.id]
+                t_v = sum(incidence_sign(g, v, ln.id) * line_val[ln.id]
                           for ln in g.lines)
                 assert t_v == n_of[v]
 
@@ -110,6 +119,33 @@ def test_epsilon_rejects_bad_hierarchy(g2):
         engine.epsilon_signs(g2, (1,), hierarchy=[1, 1])
 
 
+def _trees_and_hierarchies():
+    """Every spanning tree of G2, G3, G4 and seeded random multigraphs, under
+    the default, reversed and one seeded hierarchy."""
+    rng = np.random.default_rng(5)
+    graphs = [fixtures.g2(), fixtures.g3(), fixtures.g4()] + [
+        fixtures.random_graph(rng, 5, 8) for _ in range(12)]
+    for g in graphs:
+        ids = sorted(g.line_ids)
+        for hierarchy in (None, ids[::-1], [int(x) for x in rng.permutation(ids)]):
+            for tree in gr.enumerate_spanning_trees(g):
+                yield g, tree, hierarchy
+
+
+def test_epsilon_from_cuts_is_the_top_ranked_cycle_sign():
+    # the signs come from the fundamental cuts; the reference walks each
+    # fundamental cycle by DFS
+    for g, tree, hierarchy in _trees_and_hierarchies():
+        assert engine.epsilon_signs(g, tree, hierarchy) == reference.epsilon_signs(
+            g, tree, hierarchy)
+
+
+def test_tree_product_in_cut_ids_is_the_reflected_normalized_product():
+    for g, tree, hierarchy in _trees_and_hierarchies():
+        sol = engine.solve_tree(g, tree, hierarchy)
+        assert engine.tree_product(g, sol) == reference.tree_product(g, sol)
+
+
 # ---------------------------------------------------------------------------
 # integral evaluation
 # ---------------------------------------------------------------------------
@@ -120,16 +156,16 @@ def test_tree_integral_g2(g2):
     # (2pi/(2q1 2q2)) [ 1/(q1+q2-iN) - 1/(q2-q1-iN) ]
     f1, s1 = ex.normalize_form([("a", -1)], [(1, 1), (2, 1)])
     f2, s2 = ex.normalize_form([("a", -1)], [(1, -1), (2, 1)])
-    expected = ex.Expression.from_terms([
-        ex.make_term(Fraction(1, 4) * s1, 1, {1: -1, 2: -1}, (), [f1]),
-        ex.make_term(Fraction(-1, 4) * s2, 1, {1: -1, 2: -1}, (), [f2]),
+    expected = ex.Expression([
+        make_term(Fraction(1, 4) * s1, 1, {1: -1, 2: -1}, (), [f1]),
+        make_term(Fraction(-1, 4) * s2, 1, {1: -1, 2: -1}, (), [f2]),
     ])
     assert e == expected
 
 
 def _raw_integral(g, hierarchy=None):
     """The tree-basis assembly: the unnormalized tree products, summed."""
-    return ex.Expression.from_terms(
+    return ex.Expression(
         t for tree in gr.enumerate_spanning_trees(g)
         for t in engine.tree_product(g, engine.solve_tree(g, tree, hierarchy)).terms)
 
@@ -469,7 +505,7 @@ def test_normal_form_past_its_budget_is_refused(monkeypatch):
 
 def test_normal_form_rejects_a_denominator_that_is_not_a_cut_form(g4):
     form, _ = ex.normalize_form([("a", 1)], [(1, 1), (3, 1)])   # no bond cuts 1 and 3 alone
-    e = ex.Expression.from_terms([ex.make_term(1, 0, {}, (), [form])])
+    e = ex.Expression([make_term(1, 0, {}, (), [form])])
     with pytest.raises(engine.NotACutForm):
         engine.normal_form(g4, e)
 
@@ -484,13 +520,13 @@ def test_normal_form_of_repeated_and_dependent_denominators(g4):
     bond = next(fs for fs in by_n.values() if len(fs) == 8)
     other = next(fs for n, fs in by_n.items() if n != bond[0].n)
     terms = [
-        ex.make_term(1, 0, {}, (), [bond[0], bond[0], other[0]]),
-        ex.make_term(Fraction(1, 3), 0, {}, (), [bond[1], bond[2], other[1]]),
-        ex.make_term(-2, 0, {}, (), [bond[3], bond[4], bond[5]]),
-        ex.make_term(1, 0, {}, (), [bond[6], other[2]]),
-        ex.make_term(5, 0, {}, (), []),
+        make_term(1, 0, {}, (), [bond[0], bond[0], other[0]]),
+        make_term(Fraction(1, 3), 0, {}, (), [bond[1], bond[2], other[1]]),
+        make_term(-2, 0, {}, (), [bond[3], bond[4], bond[5]]),
+        make_term(1, 0, {}, (), [bond[6], other[2]]),
+        make_term(5, 0, {}, (), []),
     ]
-    e = ex.Expression.from_terms(terms)
+    e = ex.Expression(terms)
     nf = engine.normal_form(g4, e)
     assert engine.normal_form(g4, nf) == nf
     rng = np.random.default_rng(12)

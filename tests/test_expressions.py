@@ -20,24 +20,24 @@ from matsum import engine, fixtures
 from matsum import expressions as ex
 
 from conftest import form, reference_integral_g2, reference_sum_g2
-from reference import kernel_multiply, reflect
+from reference import kernel_multiply, make_term, reflect
 
 
 def basic_term(coeff, kernels=(), n=(("a", 1),), q=((1, 1), (2, 1))):
     f, sign = form(list(n), list(q))
-    return ex.make_term(Fraction(coeff) * sign, 1, {1: -1, 2: -1}, kernels, [f])
+    return make_term(Fraction(coeff) * sign, 1, {1: -1, 2: -1}, kernels, [f])
 
 
 def basic_expr(coeff=Fraction(1, 4), kernels=()):
-    return ex.Expression.from_terms([basic_term(coeff, kernels)])
+    return ex.Expression([basic_term(coeff, kernels)])
 
 
 def test_reflect_worked_action():
     # (2pi/(2q1 2q2)) / (iN - q1 - q2), reflected in line 1,
     # becomes -(2pi/(2q1 2q2)) / (iN + q1 - q2)
-    e = ex.Expression.from_terms([basic_term(Fraction(1, 4), q=((1, -1), (2, -1)))])
+    e = ex.Expression([basic_term(Fraction(1, 4), q=((1, -1), (2, -1)))])
     out = reflect(e, 1)
-    expected = ex.Expression.from_terms(
+    expected = ex.Expression(
         [basic_term(-Fraction(1, 4), q=((1, 1), (2, -1)))]
     )
     assert out == expected
@@ -51,8 +51,8 @@ def test_reflect_is_involution():
 def test_reflect_independent_line_only_flips_monomial_sign():
     # no denominator contains line 2's partner; only (-1)^exponent acts
     f, sign = form([("a", 1)], [(1, 1)])
-    t = ex.make_term(Fraction(1, 2) * sign, 0, {1: -1}, (), [f])
-    e = ex.Expression.from_terms([t])
+    t = make_term(Fraction(1, 2) * sign, 0, {1: -1}, (), [f])
+    e = ex.Expression([t])
     out = reflect(e, 7)  # line 7 appears nowhere
     assert out == e
 
@@ -93,13 +93,13 @@ def test_canonicalization_is_order_insensitive():
     terms = [basic_term(Fraction(1, 4)), basic_term(Fraction(1, 3), kernels=(1,)),
              basic_term(Fraction(-1, 4), q=((1, -1), (2, 1)))]
     rng = random.Random(5)
-    base = ex.Expression.from_terms(terms)
+    base = ex.Expression(terms)
     for _ in range(10):
         shuffled = terms[:]
         rng.shuffle(shuffled)
-        assert ex.Expression.from_terms(shuffled) == base
+        assert ex.Expression(shuffled) == base
     # idempotence
-    assert ex.Expression.from_terms(base.terms) == base
+    assert ex.Expression(base.terms) == base
 
 
 def test_denominator_normalization_makes_leading_coefficient_positive():
@@ -240,6 +240,21 @@ def test_eval_overflow_is_the_term_loops():
     with pytest.raises(OverflowError) as packed:
         ex.eval_numeric(e, subnormal, n)
     assert str(packed.value) == str(loop.value)
+    # a vanished form in the first row and an overflowing q power in the
+    # second raise what the first row raises, and the other way round
+    tiny = {1: 1e-300, 2: 1e-300}
+    for forms, raised in (([{"n": {}, "q": {"1": 1, "2": -1}}, {"n": {}, "q": {"1": 1, "2": 1}}],
+                           "ZeroDenominator: form q1 - q2 vanished"),
+                          ([{"n": {}, "q": {"1": 1, "2": 1}}, {"n": {}, "q": {"1": 1, "2": -1}}],
+                           "OverflowError: ")):
+        e = ex.from_dict({"forms": forms,
+                          "heads": [{"two_pi_pow": 0, "q_exp": {}},
+                                    {"two_pi_pow": 0, "q_exp": {"1": -2}}],
+                          "kernels": [[]], "products": [[0], [1]], "coeffs": ["1"],
+                          "terms": [[0, 0, 0, 0], [1, 0, 1, 0]]})
+        loop = _outcome(reference.eval_numeric, e, tiny, {})
+        assert loop.startswith(raised)
+        assert _outcome(ex.eval_numeric, e, tiny, {}) == loop
     # a value that underflows to -0.0 sums to 0.0, as the loop's from 0j does
     e = ex.from_dict({"forms": [], "heads": [{"two_pi_pow": 0, "q_exp": {"1": 2}}],
                       "kernels": [[]], "products": [[]], "coeffs": ["-1"],

