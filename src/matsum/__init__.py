@@ -8,7 +8,6 @@ from .engine import (
     annihilator_check,
     apply_operator,
     cut_forms,
-    epsilon_signs,
     matsubara_integral,
     matsubara_sum,
     normal_form,

@@ -8,7 +8,7 @@ Stages, per graph G with V vertices, I lines and cycle rank L = I - V + 1:
      non-tree lines l (solve_tree). The cuts a non-tree line crosses give its
      fundamental cycle, and the cycle's member ranked highest by a hierarchy
      of regulator magnitudes fixes its regulator sign eps_l = +-1
-     (epsilon_signs).
+     (TreeSolution.epsilon).
   2. Each tree contributes (2 pi)^L * prod_k 1/(2 q_k) times the product over
      tree lines j of the reflection-difference pair of
      1/(q_j + sum_l eps_l b_l q_l - i sum_v a_v N_v)       (tree_product).
@@ -76,9 +76,7 @@ class OmegaForm(NamedTuple):
     line_part: tuple[tuple[int, int], ...]
 
     def value(self, n_values, line_values):
-        """n_j at the given N values and values of the independent variables
-        (numbers or NumPy arrays); a bridge line, with an empty line_part,
-        gives a number."""
+        """n_j at the given N values and values of the independent variables."""
         return sum(a * n_values[v] for v, a in self.n_part) + sum(
             b * line_values[l] for l, b in self.line_part)
 
@@ -102,20 +100,6 @@ class OperatorSpec(NamedTuple):
         return len(self.subsets)
 
 
-def epsilon_signs(
-    graph: MatsubaraGraph, tree: Iterable[int], hierarchy: Sequence[int] | None = None
-) -> dict[int, int]:
-    """Regulator sign for every non-tree line: solve_tree(...).epsilon.
-
-    The regulated summand attaches e^{i n_l T_l} to each independent variable,
-    where T_l is the signed sum of the regulator parameters tau_k over the
-    fundamental cycle of l. With the hierarchy tau_{h_1} >> tau_{h_2} >> ... > 0
-    (default: ascending line id), the sign of T_l is the cycle sign of the
-    highest-ranked line present in the cycle.
-    """
-    return solve_tree(graph, tree, hierarchy).epsilon
-
-
 def solve_tree(
     graph: MatsubaraGraph, tree: Iterable[int], hierarchy: Sequence[int] | None = None
 ) -> TreeSolution:
@@ -127,8 +111,10 @@ def solve_tree(
     with the root N eliminated through sum_v N_v = 0, the N-part is +-1 on
     the cut's root-free side. The fundamental cycle of a non-tree line l is
     (l, +1) and (j, -sign_l) for each tree line j whose cut l crosses; eps_l
-    is the sign of its member ranked highest by the hierarchy (epsilon_signs).
-    Raises GraphError when the lines are not a spanning tree.
+    is the sign of its member ranked highest by the hierarchy of regulator
+    magnitudes (default: ascending line id). Raises GraphError when the
+    lines are not a spanning tree or the hierarchy is not a permutation of
+    the line ids.
     """
     if hierarchy is not None and sorted(hierarchy) != sorted(graph.line_ids):
         raise gr.GraphError("hierarchy must be a permutation of the line ids")
@@ -400,7 +386,7 @@ class _Arrangement:
         # one form is never a broken circuit (circuits have three members)
         out = {p: None if len(p) == 1 else self._exact_rewrite(p)
                for p in products if len(p) != nv or nv == 1}
-        rows = max(1, _BATCH_ELEMENTS // (len(self.forms) * self.graph.num_lines))
+        rows = max(1, _BATCH_ELEMENTS // (len(self._bonds) * self.graph.num_lines))
         for start in range(0, len(basis), rows):
             out.update(self._bond_search(basis[start:start + rows]))
         return out

@@ -76,9 +76,11 @@ class MatsubaraGraph:
     vertices: tuple[str, ...]
     lines: tuple[Line, ...]
     _line_by_id: dict[int, Line] = field(repr=False, compare=False, hash=False, default_factory=dict)
+    _bit: dict[str, int] = field(repr=False, compare=False, hash=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "_line_by_id", {ln.id: ln for ln in self.lines})
+        object.__setattr__(self, "_bit", {v: 1 << i for i, v in enumerate(self.vertices)})
 
     @property
     def root(self) -> str:
@@ -102,36 +104,26 @@ class MatsubaraGraph:
         except KeyError:
             raise UnknownLine(f"no line with id {line_id}") from None
 
-
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+    def _pairs(self, lines: Iterable[Line]) -> list[int]:
+        """The endpoint bitmask of each line, for _reach."""
+        return [self._bit[ln.tail] | self._bit[ln.head] for ln in lines]
 
 
-def _connected(vertices: Sequence[str], lines: Iterable[Line]) -> bool:
-    if not vertices:
-        return False
-    uf = _UnionFind(vertices)
-    components = len(vertices)
-    for ln in lines:
-        if uf.union(ln.tail, ln.head):
-            components -= 1
-    return components == 1
+def _reach(start: int, pairs: Iterable[int]) -> int:
+    """Bitmask of the vertices that the lines with endpoint bitmasks `pairs`
+    join to the vertices of bitmask `start` (the graph's vertex order)."""
+    reach, pending = start, list(pairs)
+    while pending:
+        rest = []
+        for pair in pending:
+            if pair & reach:
+                reach |= pair
+            else:
+                rest.append(pair)
+        if len(rest) == len(pending):
+            break
+        pending = rest
+    return reach
 
 
 def validate_graph(raw: dict) -> MatsubaraGraph:
@@ -185,11 +177,11 @@ def validate_graph(raw: dict) -> MatsubaraGraph:
         if degree[v] < 2:
             raise DegreeBelowTwo(v, degree[v])
 
-    if not _connected(vertices, lines):
-        raise Disconnected("graph is not connected")
-
     lines.sort(key=lambda ln: ln.id)
-    return MatsubaraGraph(tuple(vertices), tuple(lines))
+    graph = MatsubaraGraph(tuple(vertices), tuple(lines))
+    if _reach(1, graph._pairs(lines)) != (1 << len(vertices)) - 1:
+        raise Disconnected("graph is not connected")
+    return graph
 
 
 def _array(raw: dict, key: str) -> list:
@@ -216,13 +208,14 @@ def enumerate_spanning_trees(graph: MatsubaraGraph) -> list[LineSubset]:
     """All spanning trees, as sorted line-id tuples in lexicographic order.
 
     Backtracking over lines sorted by id: at each step either take the next
-    acyclic line or skip it, pruning branches that cannot reach V-1 lines.
+    line whose endpoints the chosen lines do not yet join, or skip it,
+    pruning branches that cannot reach V-1 lines.
     """
-    lines = graph.lines
+    lines, pairs = graph.lines, graph._pairs(graph.lines)
     target = graph.num_vertices - 1
     trees: list[LineSubset] = []
 
-    def extend(start: int, chosen: list[int], uf: _UnionFind):
+    def extend(start: int, chosen: list[int], joined: list[int]):
         if len(chosen) == target:
             # target acyclic lines on V vertices leave exactly one component
             trees.append(tuple(chosen))
@@ -230,16 +223,12 @@ def enumerate_spanning_trees(graph: MatsubaraGraph) -> list[LineSubset]:
         for pos in range(start, len(lines)):
             if len(chosen) + (len(lines) - pos) < target:
                 break
-            ln = lines[pos]
-            saved = dict(uf.parent)
-            if not uf.union(ln.tail, ln.head):
+            low = pairs[pos] & -pairs[pos]
+            if _reach(low, joined) & pairs[pos] != low:
                 continue  # would close a cycle
-            chosen.append(ln.id)
-            extend(pos + 1, chosen, uf)
-            chosen.pop()
-            uf.parent = saved
+            extend(pos + 1, chosen + [lines[pos].id], joined + [pairs[pos]])
 
-    extend(0, [], _UnionFind(graph.vertices))
+    extend(0, [], [])
     return trees
 
 
@@ -248,8 +237,8 @@ def is_cutset(graph: MatsubaraGraph, subset: Iterable[int]) -> bool:
     removed = set(subset)
     for lid in removed:
         graph.line(lid)  # id check
-    remaining = [ln for ln in graph.lines if ln.id not in removed]
-    return not _connected(graph.vertices, remaining)
+    kept = graph._pairs(ln for ln in graph.lines if ln.id not in removed)
+    return _reach(1, kept) != (1 << graph.num_vertices) - 1
 
 
 def bonds(graph: MatsubaraGraph) -> list[tuple[frozenset[str], LineSubset]]:
@@ -258,34 +247,16 @@ def bonds(graph: MatsubaraGraph) -> list[tuple[frozenset[str], LineSubset]]:
     are sorted. Bonds are exactly the fundamental cuts of spanning trees.
     Deterministic order, by the side's vertex bitmask in vertex order.
     """
-    bit = {v: 1 << i for i, v in enumerate(graph.vertices)}
-    adjacent = {b: 0 for b in bit.values()}
-    for ln in graph.lines:
-        adjacent[bit[ln.tail]] |= bit[ln.head]
-        adjacent[bit[ln.head]] |= bit[ln.tail]
+    pairs = graph._pairs(graph.lines)
 
     def connected(mask: int) -> bool:
-        seen = frontier = mask & -mask
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= adjacent[low]
-            frontier = reach & mask & ~seen
-            seen |= frontier
-        return seen == mask
+        return _reach(mask & -mask, (p for p in pairs if p & mask == p)) == mask
 
     every = (1 << graph.num_vertices) - 1
-    out = []
-    for mask in range(1, 1 << (graph.num_vertices - 1)):  # root bit clear
-        if connected(mask) and connected(every ^ mask):
-            out.append((
-                frozenset(v for v in graph.vertices if bit[v] & mask),
-                tuple(ln.id for ln in graph.lines
-                      if bool(bit[ln.tail] & mask) != bool(bit[ln.head] & mask)),
-            ))
-    return out
+    return [(frozenset(v for v, b in graph._bit.items() if b & mask),
+             tuple(ln.id for ln, p in zip(graph.lines, pairs) if p & mask not in (0, p)))
+            for mask in range(1, 1 << (graph.num_vertices - 1))  # root bit clear
+            if connected(mask) and connected(every ^ mask)]
 
 
 def line_subsets(ids: Iterable[int], max_size: int | None = None) -> Iterator[LineSubset]:
@@ -325,17 +296,12 @@ def fundamental_cutset(
     tree_ids = set(tree)
     if tree_line not in tree_ids:
         raise UnknownLine(f"line {tree_line} is not in the tree")
-    uf = _UnionFind(graph.vertices)
-    for lid in tree_ids:
-        if lid == tree_line:
-            continue
-        ln = graph.line(lid)
-        uf.union(ln.tail, ln.head)
-    head = graph.line(tree_line).head
-    side = frozenset(v for v in graph.vertices if uf.find(v) == uf.find(head))
+    others = graph._pairs([graph.line(lid) for lid in tree_ids if lid != tree_line])
+    bit = graph._bit
+    mask = _reach(bit[graph.line(tree_line).head], others)
     crossing: dict[int, int] = {}
     for ln in graph.lines:
-        head_in, tail_in = ln.head in side, ln.tail in side
-        if head_in != tail_in:
+        head_in = bool(bit[ln.head] & mask)
+        if head_in != bool(bit[ln.tail] & mask):
             crossing[ln.id] = 1 if head_in else -1
-    return side, crossing
+    return frozenset(v for v, b in bit.items() if b & mask), crossing

@@ -56,8 +56,6 @@ def test_solve_tree_rejects_lines_that_are_not_a_spanning_tree(g4):
     for lines in ((1, 2), (1, 2, 5), (1, 2, 3, 4), (1, 3, 99)):
         with pytest.raises(gr.GraphError):
             engine.solve_tree(g4, lines)
-        with pytest.raises(gr.GraphError):
-            engine.epsilon_signs(g4, lines)
 
 
 def test_solution_satisfies_all_vertex_constraints():
@@ -89,12 +87,12 @@ def test_solution_satisfies_all_vertex_constraints():
 # ---------------------------------------------------------------------------
 
 def test_epsilon_g2_default(g2):
-    assert engine.epsilon_signs(g2, (2,)) == {1: 1}
-    assert engine.epsilon_signs(g2, (1,)) == {2: -1}
+    assert engine.solve_tree(g2, (2,)).epsilon == {1: 1}
+    assert engine.solve_tree(g2, (1,)).epsilon == {2: -1}
 
 
 def test_epsilon_g2_reversed_hierarchy(g2):
-    assert engine.epsilon_signs(g2, (2,), hierarchy=[2, 1]) == {1: -1}
+    assert engine.solve_tree(g2, (2,), hierarchy=[2, 1]).epsilon == {1: -1}
 
 
 def test_epsilon_top_ranked_line_always_positive():
@@ -106,17 +104,17 @@ def test_epsilon_top_ranked_line_always_positive():
         free = sorted(set(g.line_ids) - set(tree))
         for lid in free:
             hierarchy = [lid] + [x for x in sorted(g.line_ids) if x != lid]
-            eps = engine.epsilon_signs(g, tree, hierarchy)
+            eps = engine.solve_tree(g, tree, hierarchy).epsilon
             assert eps[lid] == 1
 
 
 def test_epsilon_g4(g4):
-    assert engine.epsilon_signs(g4, (2, 3, 4)) == {1: 1, 5: 1}
+    assert engine.solve_tree(g4, (2, 3, 4)).epsilon == {1: 1, 5: 1}
 
 
 def test_epsilon_rejects_bad_hierarchy(g2):
     with pytest.raises(gr.GraphError):
-        engine.epsilon_signs(g2, (1,), hierarchy=[1, 1])
+        engine.solve_tree(g2, (1,), hierarchy=[1, 1]).epsilon
 
 
 def _trees_and_hierarchies():
@@ -136,7 +134,7 @@ def test_epsilon_from_cuts_is_the_top_ranked_cycle_sign():
     # the signs come from the fundamental cuts; the reference walks each
     # fundamental cycle by DFS
     for g, tree, hierarchy in _trees_and_hierarchies():
-        assert engine.epsilon_signs(g, tree, hierarchy) == reference.epsilon_signs(
+        assert engine.solve_tree(g, tree, hierarchy).epsilon == reference.epsilon_signs(
             g, tree, hierarchy)
 
 
@@ -474,12 +472,25 @@ def test_exact_search_gives_the_same_normal_form(monkeypatch):
     # missed would leave a different form
     graphs = [fixtures.g4()] + _kernel_graphs()[3:7]
     expected = [(engine.matsubara_integral(g), engine.matsubara_sum(g)) for g in graphs]
+    # a triangle with 2, 2 and 12 parallel lines: 3 bonds, but 32,784 cut
+    # forms; its products fit one batch per round, as batches are sized by
+    # the bonds the search spans
+    names = "ab" * 2 + "bc" * 2 + "ca" * 12
+    wide = gr.make_graph(["a", "b", "c"], [(k // 2 + 1, names[k], names[k + 1])
+                                           for k in range(0, len(names), 2)])
+    batches = []
+    search = engine._Arrangement._bond_search
+    monkeypatch.setattr(engine._Arrangement, "_bond_search",
+                        lambda self, group: batches.append(len(group)) or search(self, group))
+    wide_integral = engine.matsubara_integral(wide)
+    assert len(engine.cut_forms(wide)) == 32784 and len(batches) == 2
     monkeypatch.setattr(engine._Arrangement, "_bond_search",
                         lambda self, group: {p: self._exact_rewrite(p) for p in group})
     for g, (integral, total) in zip(graphs, expected):
         assert engine.matsubara_integral(g) == integral
         assert engine.normal_form(g, _raw_integral(g)) == integral
         assert engine.matsubara_sum(g) == total
+    assert engine.matsubara_integral(wide) == wide_integral
 
 
 def test_cycle_integral_has_the_central_binomial_count_in_normal_form():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -137,22 +139,27 @@ def test_tree_counts_match_random_corpus():
             assert g.num_lines - len(t) == rank
 
 
-def _bfs_connected(graph, removed):
-    # independent connectivity oracle (BFS, not union-find)
+def _bfs_component(graph, start, removed):
+    # independent connectivity oracle (a vertex-name BFS, not the library's
+    # bitmask reach): the vertices the lines not in `removed` join to `start`
     adj = {v: [] for v in graph.vertices}
     for ln in graph.lines:
         if ln.id in removed:
             continue
         adj[ln.tail].append(ln.head)
         adj[ln.head].append(ln.tail)
-    seen = {graph.vertices[0]}
-    stack = [graph.vertices[0]]
+    seen = {start}
+    stack = [start]
     while stack:
         for w in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == graph.num_vertices
+    return seen
+
+
+def _bfs_connected(graph, removed):
+    return len(_bfs_component(graph, graph.vertices[0], removed)) == graph.num_vertices
 
 
 def test_is_cutset_fixtures(g2, g4):
@@ -164,8 +171,6 @@ def test_is_cutset_fixtures(g2, g4):
 
 
 def test_is_cutset_against_bfs():
-    import itertools
-
     rng = np.random.default_rng(7)
     for _ in range(20):
         g = fixtures.random_graph(rng, max_vertices=5, max_lines=6)
@@ -182,8 +187,6 @@ def test_non_cutset_subsets_counts(g2, g3, g4):
 
 
 def test_cutset_and_non_cutset_subsets_partition_all_subsets():
-    import itertools
-
     rng = np.random.default_rng(11)
     for _ in range(10):
         g = fixtures.random_graph(rng, max_vertices=5, max_lines=7)
@@ -266,3 +269,48 @@ def test_bonds_are_the_distinct_fundamental_cuts_of_spanning_trees():
         bonds = gr.bonds(g)
         assert len(bonds) == len(set(bonds))
         assert set(bonds) == cuts
+
+
+def _reference_graphs():
+    """G2-G4, the 8-cycle, 16 parallel lines, a triangle of 15 lines, K6
+    plus one parallel line, and seeded multigraphs of up to 8 vertices and
+    16 lines."""
+    ring = [f"v{i}" for i in range(8)]
+    k6 = list(itertools.combinations("abcdef", 2)) + [("a", "b")]
+    rng = np.random.default_rng(5)
+    return [fixtures.g2(), fixtures.g3(), fixtures.g4(),
+            gr.make_graph(ring, [(i + 1, ring[i], ring[(i + 1) % 8]) for i in range(8)]),
+            gr.make_graph(["a", "b"], [(i, "ab"[i % 2], "ba"[i % 2]) for i in range(1, 17)]),
+            gr.make_graph(["a", "b", "c"], [(i, "abc"[i % 3], "bca"[i % 3])
+                                            for i in range(1, 16)]),
+            gr.make_graph(list("abcdef"), [(i + 1, t, h) for i, (t, h) in enumerate(k6)]),
+            ] + [fixtures.random_graph(rng, 8, 16) for _ in range(20)]
+
+
+@pytest.mark.parametrize("index", range(27))
+def test_trees_bonds_and_fundamental_cuts_against_bfs(index):
+    g = _reference_graphs()[index]
+    ids = set(g.line_ids)
+    # the spanning trees: the (V-1)-subsets whose lines connect the graph
+    trees = gr.enumerate_spanning_trees(g)
+    assert trees == [t for t in itertools.combinations(sorted(ids), g.num_vertices - 1)
+                     if _bfs_connected(g, ids - set(t))]
+    # the bonds: root-free sides that, with their complements, induce
+    # connected subgraphs, in bitmask order, with the lines crossing them
+    expected = []
+    for mask in range(1, 1 << (g.num_vertices - 1)):
+        side = {v for i, v in enumerate(g.vertices) if mask >> i & 1}
+        if all(_bfs_component(g, min(part), {ln.id for ln in g.lines
+                                             if not {ln.tail, ln.head} <= part}) == part
+               for part in (side, set(g.vertices) - side)):
+            expected.append((side, tuple(ln.id for ln in g.lines
+                                         if (ln.tail in side) != (ln.head in side))))
+    assert gr.bonds(g) == expected
+    # a fundamental cut's side: the tree line's head's component in the
+    # rest of the tree
+    for tree in trees:
+        for j in tree:
+            side, crossing = gr.fundamental_cutset(g, tree, j)
+            assert side == _bfs_component(g, g.line(j).head, ids - set(tree) | {j})
+            assert crossing == {ln.id: 1 if ln.head in side else -1 for ln in g.lines
+                                if (ln.tail in side) != (ln.head in side)}
