@@ -45,8 +45,9 @@ each factor nbe_i (1 - R_i) is dict arithmetic through a memoized signed
 permutation of term shapes, with cancelled terms dropped at once, and each
 level of the walk is brought to normal form with its new products reduced
 in one batch. Nothing is sorted during the walk: each route freezes its
-packed result into an Expression once, which ranks the tables and sorts the
-rows by integer ranks.
+packed result into an Expression once (Packer.freeze), which ranks the
+tables and sorts the rows on one integer key. A walk holds at most
+MAX_TERMS terms and raises TooManyTerms past that.
 
 Cutset subsets of reflection-differences annihilate the integral: the
 normal form of the image is empty (annihilator_check), which is what
@@ -258,6 +259,19 @@ class NormalFormTooLarge(gr.GraphTooLarge):
     def __init__(self):
         super().__init__(f"the normal form needs more than {MAX_REDUCED_PRODUCTS} "
                          f"reduced denominator products")
+
+
+#: Most terms one walk of the thermal operator holds at once, in its
+#: packed total and the level it is building. Valid graphs reach it: the
+#: triangle with 2, 2 and 9 parallel lines has 7.0M sum terms, and each
+#: added line roughly triples them; 2, 2 and 8 gives 2.3M terms and peaks
+#: at about 600 MB.
+MAX_TERMS = 1 << 22
+
+
+class TooManyTerms(gr.GraphTooLarge):
+    def __init__(self):
+        super().__init__(f"the thermal operator needs more than {MAX_TERMS} terms")
 
 
 #: Elements of the largest float array built at once.
@@ -577,6 +591,25 @@ class _Packed(ex.Packer):
             self.odd.append(frozenset(l for l, exp in q_exponents if exp % 2))
         return head
 
+    def pack(self, e: Expression) -> dict[tuple, dict[int, int]]:
+        """The packed terms of e; e.scale must divide self.scale."""
+        factor, rest = divmod(self.scale, e.scale)
+        assert not rest, "the packer's scale is not a multiple of the expression's"
+        forms = [self.form(f) for f in e.forms]
+        heads = [self.head(*head) for head in e.heads]
+        products = [[forms[f] for f in product] for product in e.products]
+        groups: dict[tuple, dict[int, int]] = {kernels: {} for kernels in e.kernel_sets}
+        targets = list(groups.values())
+        numerators = [c * factor for c in e.numerators]
+        shapes: dict[tuple[int, int], int] = {}
+        for h, k, p, c in zip(*e.rows.T.tolist()):
+            shape = shapes.get((h, p))
+            if shape is None:
+                shape = shapes[h, p] = self.shape(heads[h], products[p])
+            group = targets[k]
+            group[shape] = group.get(shape, 0) + numerators[c]
+        return groups
+
     def reflection(self, line_id: int) -> "_Reflection":
         table = self._reflections.get(line_id)
         if table is None:
@@ -697,6 +730,7 @@ def _walk(packed: _Packed, starts: Iterable[tuple[Iterable[LineSubset], dict]],
         if normal:
             packed.fill(reflect[shape][0] for _, terms, _, _, reflect in edges for shape in terms)
         images_of = packed.normal
+        held = sum(map(len, total.values()))
         level = []
         for child, terms, kernels, lid, reflect in edges:
             out = dict(terms)
@@ -710,6 +744,9 @@ def _walk(packed: _Packed, starts: Iterable[tuple[Iterable[LineSubset], dict]],
                     for image, a in images:
                         out[image] = get(image, 0) - sign * a * c
             out = {shape: c for shape, c in out.items() if c}
+            held += len(out)
+            if held > MAX_TERMS:
+                raise TooManyTerms()
             if out:
                 level.append((child, out, tuple(sorted(kernels + (lid,)))))
 

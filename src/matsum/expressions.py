@@ -23,17 +23,21 @@ An Expression is stored packed, as integer tables:
     numerator, the rows in (head, kernels, denominators) order.
 
 The tables hold only what the rows use, so equal expressions have equal
-fields. A Packer interns terms into the same kinds of tables, with integer
-coefficients over a common denominator, and its freeze() ranks the tables
-and sorts the rows: the one merge-and-sort of the package. Every
-constructor, add, JSON parsing and the engine build expressions through it.
-Rendering, equality and evaluation read the tables, so each distinct factor
-is formatted or evaluated once. The JSON form of an expression is its
-tables (see from_dict), written by json.dumps and parsed by checking each
-table entry once. Loops over the rows zip the four columns, read as
-lists: no Python list is made per row, so a large expression's rows add
-no work for the cyclic garbage collector. `Expression.terms` builds Term
-tuples on access, for callers that read terms one at a time.
+fields. _canonical() builds every expression from tables that need not be
+canonical and one column of ids per row field: it ranks the tables,
+renumbers the columns by array gathers, sorts the rows on one integer key
+and merges equal rows with exact sums. It is the one merge-and-sort of the
+package: the Term constructor and the engine reach it through a Packer,
+whose freeze() flattens interned terms into columns, and add and JSON
+parsing call it directly. Rendering, equality and evaluation read the
+tables, so each distinct factor is formatted or evaluated once. The JSON
+form of an expression is its tables (see from_dict), written by json.dumps
+with the rows joined from their ids' decimal strings, and parsed by
+checking each table entry once and the rows by columns. Loops over the
+rows zip the four columns, read as lists: no Python list is made per row,
+so a large expression's rows add no work for the cyclic garbage collector.
+`Expression.terms` builds Term tuples on access, for callers that read
+terms one at a time.
 
 Everything is an immutable value and all operations are pure functions.
 """
@@ -43,9 +47,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,7 +132,7 @@ class Expression:
 
     Expression(terms) canonicalizes any iterable of Terms, and `terms` gives
     the canonical terms back. The library itself builds expressions through
-    Packer; this term-list view stays public because the benchmark's
+    _canonical(); this term-list view stays public because the benchmark's
     self-test and workloads build and read expressions through it.
     """
 
@@ -213,8 +218,9 @@ class Packer:
     Linear forms, (pi_power, q_exponents) heads and term shapes (head id,
     sorted form-id tuple) are interned to ints, in first-seen order after
     the `forms` given up front; coefficients are ints over `scale`. Packed
-    terms map kernel tuple -> {shape id: coefficient}; freeze() turns them
-    into the canonical Expression.
+    terms map kernel tuple -> {shape id: coefficient}, merged as they are
+    added; freeze() flattens them into columns for _canonical(), which ranks
+    the tables and sorts the rows.
     """
 
     def __init__(self, scale: int = 1, forms: Iterable[LinearForm] = ()):
@@ -235,87 +241,134 @@ class Packer:
     def shape(self, head: int, form_ids: Iterable[int]) -> int:
         return _intern(self._shape_ids, self.shapes, (head, tuple(sorted(form_ids))))
 
-    def pack(self, e: Expression, groups: dict | None = None) -> dict[tuple, dict[int, int]]:
-        """The packed terms of e, added into `groups` when given; e.scale
-        must divide self.scale."""
-        groups = {} if groups is None else groups
-        factor, rest = divmod(self.scale, e.scale)
-        assert not rest, "the packer's scale is not a multiple of the expression's"
-        forms = [self.form(f) for f in e.forms]
-        heads = [self.head(*head) for head in e.heads]
-        products = [[forms[f] for f in product] for product in e.products]
-        targets = [groups.setdefault(kernels, {}) for kernels in e.kernel_sets]
-        numerators = [c * factor for c in e.numerators]
-        shapes: dict[tuple[int, int], int] = {}
-        for h, k, p, c in zip(*e.rows.T.tolist()):
-            shape = shapes.get((h, p))
-            if shape is None:
-                shape = shapes[h, p] = self.shape(heads[h], products[p])
-            group = targets[k]
-            group[shape] = group.get(shape, 0) + numerators[c]
-        return groups
-
     def freeze(self, groups: dict[tuple, dict[int, int]]) -> Expression:
-        """The canonical Expression of packed terms; zero terms drop.
-
-        The distinct coefficients, and the forms, heads, products and kernel
-        tuples the remaining terms use, are ranked once; the rows are then
-        sorted by integer ranks. Coefficients may be rationals (a rewrite
-        relation with a fractional coefficient); the scale absorbs them.
-        """
+        """The canonical Expression of packed terms, by _canonical(): the
+        groups flattened into kernel, shape and coefficient columns, with
+        the shapes the terms use as the products. Coefficients may be
+        rationals (a rewrite relation with a fractional coefficient); the
+        scale absorbs them."""
         counts = [len(terms) for terms in groups.values()]
-        coeffs = list(itertools.chain.from_iterable(t.values() for t in groups.values()))
-        values = sorted(set(coeffs) - {0})
-        if not values:
-            return EMPTY
-        index = {c: i for i, c in enumerate(values)}
-        index[0] = -1
-        coeff_col = np.fromiter(map(index.__getitem__, coeffs), np.int64, len(coeffs))
         shape_col = np.fromiter(itertools.chain.from_iterable(groups.values()), np.int64,
-                                len(coeffs))
-        kernel_col = np.repeat(np.arange(len(counts)), counts)
-        kept = coeff_col >= 0
-        if not kept.all():
-            coeff_col, shape_col, kernel_col = coeff_col[kept], shape_col[kept], kernel_col[kept]
+                                sum(counts))
+        coeff_col, values = _rank(list(itertools.chain.from_iterable(
+            terms.values() for terms in groups.values())))
+        shape_col, shapes = _used(shape_col, self.shapes)
+        heads = np.array([head for head, _ in shapes], dtype=np.int64)
+        return _canonical(self.forms, self.heads, list(groups), [dens for _, dens in shapes],
+                          values, self.scale, heads[shape_col],
+                          np.repeat(np.arange(len(counts)), counts), shape_col, coeff_col)
 
-        used, shape_col = np.unique(shape_col, return_inverse=True)
-        shapes = [self.shapes[s] for s in used.tolist()]
-        form_ids = sorted({f for _, dens in shapes for f in dens}, key=self.forms.__getitem__)
-        form_rank = {f: r for r, f in enumerate(form_ids)}
-        head_ids = sorted({h for h, _ in shapes}, key=self.heads.__getitem__)
-        head_rank = {h: r for r, h in enumerate(head_ids)}
-        keyed = [tuple(sorted(form_rank[f] for f in dens)) for _, dens in shapes]
-        products = sorted(set(keyed))
-        product_rank = {p: r for r, p in enumerate(products)}
-        kernel_sets = list(groups)
-        kernel_ids = sorted(np.unique(kernel_col).tolist(), key=kernel_sets.__getitem__)
-        kernel_rank = np.zeros(len(kernel_sets), dtype=np.int64)
-        kernel_rank[kernel_ids] = np.arange(len(kernel_ids))
 
-        rows = np.column_stack([
-            np.array([head_rank[h] for h, _ in shapes], dtype=np.int64)[shape_col],
-            kernel_rank[kernel_col],
-            np.array([product_rank[p] for p in keyed], dtype=np.int64)[shape_col],
-            coeff_col,
-        ])
-        rows = rows[np.lexsort((rows[:, PRODUCT], rows[:, KERNELS], rows[:, HEAD]))]
-        common = math.lcm(*(c.denominator for c in values))
-        numerators = [c.numerator * (common // c.denominator) for c in values]
-        divisor = math.gcd(self.scale * common, *numerators)
-        return _frozen(
-            tuple(self.forms[f] for f in form_ids),
-            tuple(products),
-            tuple(self.heads[h] for h in head_ids),
-            tuple(kernel_sets[k] for k in kernel_ids),
-            tuple(c // divisor for c in numerators),
-            self.scale * common // divisor,
-            rows,
-        )
+def _used(column: np.ndarray, table: Sequence) -> tuple[np.ndarray, list]:
+    """The entries of the table that the column uses, in table order, and
+    the column renumbered to them."""
+    used = np.bincount(column, minlength=len(table)) > 0
+    return (used.cumsum() - 1)[column], [table[i] for i in used.nonzero()[0].tolist()]
+
+
+def _rank(entries: list) -> tuple[np.ndarray, list]:
+    """Each entry's rank among the distinct entries, and those in ascending
+    order."""
+    distinct = sorted(set(entries))
+    index = {x: r for r, x in enumerate(distinct)}
+    return np.fromiter(map(index.__getitem__, entries), np.int64, len(entries)), distinct
+
+
+def _ranked(column: np.ndarray, table: Sequence) -> tuple[np.ndarray, list]:
+    """The distinct entries the column uses, ascending, and the column
+    renumbered to their ranks."""
+    column, entries = _used(column, table)
+    ranks, distinct = _rank(entries)
+    return ranks[column], distinct
+
+
+def _canonical(forms: Sequence[LinearForm], heads: Sequence[tuple],
+               kernel_sets: Sequence[tuple], products: Sequence[Sequence[int]],
+               values: Sequence, scale: int, head_col: np.ndarray, kernel_col: np.ndarray,
+               product_col: np.ndarray, coeff_col: np.ndarray) -> Expression:
+    """The canonical Expression of terms given as columns: term i is
+    values[coeff_col[i]] / scale times the head heads[head_col[i]] and the
+    kernels kernel_sets[kernel_col[i]], over the forms forms[f] for f in
+    products[product_col[i]].
+
+    The tables may repeat entries and hold entries no term uses; a product
+    may list its forms in any order and repeat them; the values are ints
+    or Fractions. The entries the terms use are ranked, table by table (a
+    product by its sorted form ranks), and the columns renumbered to the
+    ranks by gathers. The rows are sorted on one combined integer key;
+    rows with equal (head, kernels, product) merge with exact sums of
+    their values, in Python ints or Fractions. Zero terms drop, and with
+    them the table entries only they used. This is the one merge-and-sort
+    of the package.
+    """
+    if not len(coeff_col):
+        return EMPTY
+    h, heads = _ranked(head_col, heads)
+    k, kernel_sets = _ranked(kernel_col, kernel_sets)
+    product_col, products = _used(product_col, products)
+    form_ids = sorted({f for product in products for f in product})
+    ranks, forms = _rank([forms[f] for f in form_ids])
+    form_rank = dict(zip(form_ids, ranks.tolist()))
+    ranks, products = _rank([tuple(sorted(map(form_rank.__getitem__, product)))
+                             for product in products])
+    p = ranks[product_col]
+
+    key = h * len(kernel_sets) + k
+    if (int(key.max()) + 1) * len(products) >= 1 << 63:
+        # the combined key would not fit in int64: number the (head,
+        # kernels) pairs first
+        key = np.unique(key, return_inverse=True)[1].reshape(-1)
+    key = key * len(products) + p
+    order = np.argsort(key)
+    key, coeff_col = key[order], coeff_col[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    starts = new.nonzero()[0]
+    first, coeff = order[starts], coeff_col[starts]
+    if len(starts) < len(key):
+        # some keys have several rows: one summed value per key
+        values = np.add.reduceat(np.array(values, dtype=object)[coeff_col], starts).tolist()
+        coeff = np.arange(len(starts))
+    coeff, distinct = _ranked(coeff, values)
+    rows = np.column_stack([h[first], k[first], p[first], coeff])
+
+    if 0 in distinct:
+        zero = distinct.index(0)
+        rows = rows[rows[:, COEFF] != zero]
+        if not len(rows):
+            return EMPTY
+        del distinct[zero]
+        rows[:, COEFF] -= rows[:, COEFF] > zero
+        # drop the entries only zero terms used
+        rows[:, HEAD], heads = _used(rows[:, HEAD], heads)
+        rows[:, KERNELS], kernel_sets = _used(rows[:, KERNELS], kernel_sets)
+        rows[:, PRODUCT], products = _used(rows[:, PRODUCT], products)
+        form_ids = sorted({f for product in products for f in product})
+        if len(form_ids) < len(forms):
+            renumber = dict(zip(form_ids, range(len(form_ids))))
+            forms = [forms[f] for f in form_ids]
+            products = [tuple(map(renumber.__getitem__, product)) for product in products]
+
+    common = math.lcm(*(c.denominator for c in distinct))
+    numerators = [c.numerator * (common // c.denominator) for c in distinct]
+    divisor = math.gcd(scale * common, *numerators)
+    return _frozen(tuple(forms), tuple(products), tuple(heads), tuple(kernel_sets),
+                   tuple(c // divisor for c in numerators), scale * common // divisor, rows)
 
 
 def add(e1: Expression, e2: Expression) -> Expression:
-    packer = Packer(math.lcm(e1.scale, e2.scale))
-    return packer.freeze(packer.pack(e2, packer.pack(e1)))
+    """e1 + e2: both expressions' tables and rows concatenated, the second's
+    ids shifted past the first's, and canonicalized."""
+    scale = math.lcm(e1.scale, e2.scale)
+    shift = len(e1.forms)
+    products = e1.products + tuple(tuple(f + shift for f in product)
+                                   for product in e2.products)
+    values = ([c * (scale // e1.scale) for c in e1.numerators]
+              + [c * (scale // e2.scale) for c in e2.numerators])
+    rows = np.vstack([e1.rows, e2.rows + [len(e1.heads), len(e1.kernel_sets),
+                                          len(e1.products), len(e1.numerators)]])
+    return _canonical(e1.forms + e2.forms, e1.heads + e2.heads,
+                      e1.kernel_sets + e2.kernel_sets, products, values, scale, *rows.T)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +561,12 @@ def render(e: Expression, fmt: str = "text") -> str:
             "products": [list(product) for product in e.products],
             "coeffs": [_ratio_str(c, e.scale) for c in e.numerators],
         })
-        # "terms" last, each row formatted as json.dumps writes a list of ints
-        rows = ", ".join(map("[{}, {}, {}, {}]".format, *e.rows.T.tolist()))
-        return f'{tables[:-1]}, "terms": [{rows}]}}'
+        # "terms" last, each row written as json.dumps writes a list of
+        # ints, from the decimal strings of the ids gathered by columns
+        digits = np.array([str(i) for i in range(int(e.rows.max(initial=0)) + 1)], dtype=object)
+        rows = "], [".join(map(", ".join, zip(*(digits[ids].tolist() for ids in e.rows.T))))
+        terms = f"[{rows}]" if len(e.rows) else ""
+        return f'{tables[:-1]}, "terms": [{terms}]}}'
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown format {fmt!r}")
     if e.is_empty():
@@ -703,10 +759,11 @@ def _index_rows(rows: list, sizes: tuple[int, ...]) -> np.ndarray | None:
     """rows as an int64 array when each is an array of len(sizes) integers,
     the j-th in range(sizes[j]), else None; checked in passes over the
     whole table, not row by row. Booleans and floats are not integers."""
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(sizes)}):
+    if (operator.countOf(map(type, rows), list) != len(rows)
+            or operator.countOf(map(len, rows), len(sizes)) != len(rows)):
         return None
     flat = list(itertools.chain.from_iterable(rows))
-    if not set(map(type, flat)) <= {int}:
+    if operator.countOf(map(type, flat), int) != len(flat):
         return None
     try:
         table = np.fromiter(flat, np.int64, len(flat)).reshape(-1, len(sizes))
@@ -728,6 +785,10 @@ def from_dict(data: dict) -> Expression:
     range, a bad coefficient, a repeated kernel, a form that is zero or not
     sign-normalized. The tables need not be canonical: repeated entries and
     rows merge and zero terms drop.
+
+    Each table entry is checked once and the rows by columns (see
+    _index_rows); the checked tables and the rows' four columns then go to
+    _canonical() as they stand, with no work per row in Python.
     """
     _object(data, _TABLES, "expression")
     tables = {name: enumerate(_typed(data[name], list, f"expression: {name}"))
@@ -746,12 +807,9 @@ def from_dict(data: dict) -> Expression:
             if len(_indices(row, sizes, f"terms[{i}]")) != len(sizes):
                 raise ExpressionError(f"terms[{i}] must have {len(sizes)} indices, got {row!r}")
 
-    # the document's tables as they stand, for the packer to merge and rank
     scale = math.lcm(*(den for _, den in coeffs))
-    raw = _frozen(forms, products, heads, kernel_sets,
-                  tuple(num * (scale // den) for num, den in coeffs), scale, rows)
-    packer = Packer(scale)
-    return packer.freeze(packer.pack(raw))
+    return _canonical(forms, heads, kernel_sets, products,
+                      [num * (scale // den) for num, den in coeffs], scale, *rows.T)
 
 
 def parse_expression(text: str) -> Expression:

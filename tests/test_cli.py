@@ -345,3 +345,12 @@ def test_graph_past_the_normal_form_budget_exits_1(capsys, tmp_path, monkeypatch
         assert code == 1
         assert out == ""
         assert err.startswith("graph too large: the normal form needs more than 5000")
+
+
+def test_sum_past_the_term_budget_exits_1(capsys, g4_path, monkeypatch):
+    monkeypatch.setattr(engine, "MAX_TERMS", 50)
+    for method in ("operator", "direct"):
+        code, out, err = run(capsys, "sum", "--graph", g4_path, "--method", method)
+        assert code == 1
+        assert out == ""
+        assert err == "graph too large: the thermal operator needs more than 50 terms\n"

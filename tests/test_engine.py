@@ -514,6 +514,21 @@ def test_normal_form_past_its_budget_is_refused(monkeypatch):
     assert len(engine.matsubara_integral(cycle_graph(6))) == 252
 
 
+def test_thermal_operator_past_its_term_budget_is_refused(monkeypatch, g4):
+    integral = engine.matsubara_integral(g4)
+    full = len(engine.matsubara_sum(g4))
+    monkeypatch.setattr(engine, "MAX_TERMS", full // 2)
+    for method in ("operator", "direct"):
+        with pytest.raises(engine.TooManyTerms, match=f"more than {full // 2} terms"):
+            engine.matsubara_sum(g4, method)
+    with pytest.raises(gr.GraphTooLarge):
+        engine.apply_operator(engine.operator_full(g4), integral)
+    # the integral does not walk, and a budget of more terms passes
+    assert engine.matsubara_integral(g4) == integral
+    monkeypatch.setattr(engine, "MAX_TERMS", 4 * full)
+    assert len(engine.matsubara_sum(g4)) == full
+
+
 def test_normal_form_rejects_a_denominator_that_is_not_a_cut_form(g4):
     form, _ = ex.normalize_form([("a", 1)], [(1, 1), (3, 1)])   # no bond cuts 1 and 3 alone
     e = ex.Expression([make_term(1, 0, {}, (), [form])])

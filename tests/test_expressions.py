@@ -280,6 +280,175 @@ def test_stress_sum_evaluates_bit_for_bit():
                 == _outcome(reference.eval_numeric, total, q, n))
 
 
+def test_stress_sum_json_roundtrip_is_byte_identical():
+    rng = np.random.default_rng(3)
+    g = fixtures.random_graph(rng, 4, 8)
+    while g.num_lines != 8:
+        g = fixtures.random_graph(rng, 4, 8)
+    total = engine.matsubara_sum(g)
+    text = ex.render(total, "json")
+    back = ex.parse_expression(text)
+    assert ex.render(back, "json") == text
+    assert np.array_equal(back.rows, total.rows) and back == total
+    # written non-canonically, the document parses to the same expression
+    assert ex.from_dict(_scrambled(json.loads(text), random.Random(1))) == total
+
+
+def _merged(terms) -> tuple:
+    """Terms summed over equal (head, kernels, denominators) in Fraction
+    arithmetic, zeros dropped, in canonical order."""
+    acc: dict[tuple, Fraction] = {}
+    for t in terms:
+        acc[t[1:]] = acc.get(t[1:], 0) + t.coeff
+    return tuple(ex.Term(c, *key) for key, c in sorted(acc.items()) if c)
+
+
+def _term_loop(doc) -> tuple:
+    """The canonical terms of a JSON document, read row by row."""
+    forms = [ex.normalize_form(fd["n"].items(), [(int(l), c) for l, c in fd["q"].items()])[0]
+             for fd in doc["forms"]]
+    return _merged(
+        make_term(Fraction(doc["coeffs"][c]), doc["heads"][h]["two_pi_pow"],
+                  {int(l): x for l, x in doc["heads"][h]["q_exp"].items()},
+                  doc["kernels"][k], [forms[f] for f in doc["products"][p]])
+        for h, k, p, c in doc["terms"])
+
+
+def _assert_canonical(e, doc):
+    """e is the document's expression, by the term loop and by the
+    reference parser, and its tables hold only what its rows use."""
+    assert e.terms == _term_loop(doc)
+    assert e == reference.from_dict(doc)
+    for column, table in ((ex.HEAD, e.heads), (ex.KERNELS, e.kernel_sets),
+                          (ex.PRODUCT, e.products), (ex.COEFF, e.numerators)):
+        assert sorted(set(e.rows[:, column].tolist())) == list(range(len(table)))
+    assert sorted({f for product in e.products for f in product}) == list(range(len(e.forms)))
+    assert list(e.numerators) == sorted(set(e.numerators)) and 0 not in e.numerators
+    assert math.gcd(e.scale, *e.numerators) == 1
+
+
+def _scrambled(doc, rng):
+    """The same expression, written non-canonically: every table entry has
+    a copy at the end (a kernel list reversed), each row uses either, the
+    products list their forms shuffled, each row's coefficient is split
+    over two rows (one part beyond int64), unused entries and zero rows are
+    added, and the rows are shuffled."""
+    doc = copy.deepcopy(doc)
+    forms, heads, kernels = doc["forms"], doc["heads"], doc["kernels"]
+    sizes = [len(forms), len(heads), len(kernels), len(doc["products"])]
+    forms += copy.deepcopy(forms) + [{"n": {}, "q": {"9": 1}}]
+    heads += copy.deepcopy(heads) + [{"two_pi_pow": 99, "q_exp": {}}]
+    kernels += [ks[::-1] for ks in kernels] + [[9]]
+    doc["products"] = [rng.sample(ids, len(ids)) for ids in (
+        [f + sizes[0] * rng.randrange(2) for f in product]
+        for product in doc["products"] * 2)] + [[len(forms) - 1]]
+    coeffs, rows = doc["coeffs"], []
+    for h, k, p, c in doc["terms"]:
+        part = rng.choice([Fraction(2**70, 3), Fraction(-5, 7),
+                           Fraction(rng.randint(-2**80, 2**80), rng.choice([1, 3, 2**40]))])
+        for value in (part, Fraction(coeffs[c]) - part):
+            coeffs.append(str(value))
+            rows.append([h + sizes[1] * rng.randrange(2), k + sizes[2] * rng.randrange(2),
+                         p + sizes[3] * rng.randrange(2), len(coeffs) - 1])
+    coeffs += ["0", "-7/3"]
+    rows += [[len(heads) - 1, len(kernels) - 1, len(doc["products"]) - 1, len(coeffs) - 2]]
+    rng.shuffle(rows)
+    doc["terms"] = rows
+    return doc
+
+
+def _negated(doc):
+    """A copy of the document with every coefficient negated."""
+    doc = copy.deepcopy(doc)
+    doc["coeffs"] = [str(-Fraction(c)) for c in doc["coeffs"]]
+    return doc
+
+
+def _concatenated(doc, other):
+    """One document with the terms of both."""
+    out = copy.deepcopy(doc)
+    shift = [len(doc[name]) for name in ("heads", "kernels", "products", "coeffs")]
+    for name in ("forms", "heads", "kernels", "coeffs"):
+        out[name] += copy.deepcopy(other[name])
+    out["products"] += [[f + len(doc["forms"]) for f in product] for product in other["products"]]
+    out["terms"] += [[i + s for i, s in zip(row, shift)] for row in other["terms"]]
+    return out
+
+
+@pytest.mark.parametrize("doc", [_RAGGED, _SPARSE], ids=["ragged", "sparse"])
+def test_from_dict_canonicalizes_scrambled_documents(doc):
+    expected = ex.from_dict(copy.deepcopy(doc))
+    _assert_canonical(expected, doc)
+    rng = random.Random(7)
+    for _ in range(5):
+        scrambled = _scrambled(doc, rng)
+        e = ex.from_dict(scrambled)
+        _assert_canonical(e, scrambled)
+        assert e == expected and ex.render(e, "json") == ex.render(expected, "json")
+
+
+def test_from_dict_sums_coefficients_beyond_int64():
+    big = Fraction(2**70, 3)
+    doc = {"forms": _FORMS[:2], "heads": [{"two_pi_pow": 1, "q_exp": {"1": -1}}],
+           "kernels": [[], [1]], "products": [[0], [1], [0]],
+           "coeffs": [str(big), str(-big + 1), str(big + Fraction(1, 2**66))],
+           # [0, 0, 0] and [0, 0, 2] name one product; so do the next two rows
+           "terms": [[0, 0, 0, 0], [0, 0, 2, 1], [0, 1, 1, 0], [0, 1, 1, 2], [0, 0, 1, 2]]}
+    e = ex.from_dict(doc)
+    _assert_canonical(e, doc)
+    # forms[1] (no N part) comes first in LinearForm order
+    assert [t.coeff for t in e.terms] == [big + Fraction(1, 2**66), 1,
+                                          2 * big + Fraction(1, 2**66)]
+    assert e.scale == 3 * 2**66
+
+
+def test_from_dict_drops_cancelled_kernel_groups_and_heads():
+    # rows that cancel every term of the kernels [2, 3] and of head 1
+    doc = _concatenated(_RAGGED, _negated(_RAGGED))
+    doc["terms"] = [row for i, row in enumerate(doc["terms"])
+                    if i < len(_RAGGED["terms"]) or row[1] == 6 or row[0] == 3]
+    e = ex.from_dict(doc)
+    _assert_canonical(e, doc)
+    assert (2, 3) in ex.from_dict(copy.deepcopy(_RAGGED)).kernel_sets
+    assert (2, 3) not in e.kernel_sets and len(e.heads) == 1
+    assert e.heads[0][0] == 2 and len(e) < len(_RAGGED["terms"])
+
+
+@pytest.mark.parametrize("doc", [_RAGGED, _SPARSE], ids=["ragged", "sparse"])
+def test_from_dict_of_rows_that_all_cancel_is_empty(doc):
+    for cancelled in (_concatenated(doc, _negated(doc)),
+                      _scrambled(_concatenated(_negated(doc), doc), random.Random(3))):
+        e = ex.from_dict(cancelled)
+        assert e == ex.EMPTY and e.is_empty() and e.terms == _term_loop(cancelled) == ()
+        assert ex.render(e, "json") == ex.render(ex.EMPTY, "json")
+
+
+def test_from_dict_sorts_the_forms_of_each_product():
+    # unsorted and repeated form indices; products 0, 1 and 3 are the same
+    # product of forms 0 and 2, so their rows merge. forms[1] (no N part)
+    # comes first in LinearForm order
+    doc = {"forms": _FORMS[:3], "heads": [{"two_pi_pow": 0, "q_exp": {"2": -2}}],
+           "kernels": [[]], "products": [[2, 0], [0, 2], [1, 1, 0], [2, 0], [2, 2, 2]],
+           "coeffs": ["1", "1/2", "-3/2"],
+           "terms": [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 2, 1], [0, 0, 3, 1], [0, 0, 4, 2]]}
+    e = ex.from_dict(doc)
+    _assert_canonical(e, doc)
+    assert len(e) == 3 and e.products == ((0, 0, 1), (1, 2), (2, 2, 2))
+    assert [t.coeff for t in e.terms] == [Fraction(1, 2), 2, Fraction(-3, 2)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_add_merges_both_expressions_by_columns(seed):
+    rng = random.Random(seed)
+    x = ex.from_dict(_scrambled(_RAGGED, rng))
+    y = ex.from_dict(_scrambled(_SPARSE, rng))
+    total = ex.add(x, y)
+    assert total.terms == _merged(x.terms + y.terms)
+    assert total == ex.add(y, x) == ex.Expression(x.terms + y.terms)
+    assert ex.add(total, ex.from_dict(_negated(_RAGGED))) == y
+    assert ex.add(x, ex.from_dict(_negated(_RAGGED))) == ex.EMPTY
+
+
 def test_render_text_reference_integral():
     text = ex.render(reference_integral_g2(), "text")
     assert text == ("(2π/(2q1·2q2))[-(1)/(i*N_a - q1 - q2)"
