@@ -35,19 +35,20 @@ call rewrites at most MAX_REDUCED_PRODUCTS products and raises
 NormalFormTooLarge past that.
 
 Both routes, apply_operator for any operator and tree_product share one
-packed kernel (_Packed, an expressions.Packer built over the graph's cut
-arrangement): tree products are built in cut-form ids (a form's rank,
-looked up by bond and sign pattern), and an input Expression is packed from
-its tables into them, with interned (pi power, q monomial) heads and
-integer coefficients over a common denominator. R_i flips i's bit of a cut
-form's sign pattern, and its only sign is the parity of q_i in the head;
-each factor nbe_i (1 - R_i) is dict arithmetic through a memoized signed
-permutation of term shapes, with cancelled terms dropped at once, and each
-level of the walk is brought to normal form with its new products reduced
-in one batch. Nothing is sorted during the walk: each route freezes its
-packed result into an Expression once (Packer.freeze), which ranks the
-tables and sorts the rows on one integer key. A walk holds at most
-MAX_TERMS terms and raises TooManyTerms past that.
+packed kernel (_Packed, built over the graph's cut arrangement). Its form
+ids are the arrangement's ranks: tree products are built in them (looked
+up by bond and sign pattern), and an input Expression is packed from its
+tables into them, a form outside the arrangement raising NotACutForm.
+Heads (pi power, q monomial) are interned, and coefficients are integers
+over a common denominator. R_i flips i's bit of a cut form's sign
+pattern, and its only sign is the parity of q_i in the head; each factor
+nbe_i (1 - R_i) is dict arithmetic through a memoized signed permutation
+of term shapes, with cancelled terms dropped at once, and each level of
+the walk is brought to normal form with its new products reduced in one
+batch. Nothing is sorted during the walk: each route freezes its packed
+result into an Expression once (_Packed.freeze), which ranks the tables
+and sorts the rows on one integer key. A walk holds at most MAX_TERMS
+terms and raises TooManyTerms past that.
 
 Cutset subsets of reflection-differences annihilate the integral: the
 normal form of the image is empty (annihilator_check), which is what
@@ -324,6 +325,16 @@ class _Arrangement:
         lines = self._bonds[b][1]
         return self._rank[b, sum(1 << (len(lines) - 1 - lines.index(l)) for l in minus)]
 
+    def rank(self, form: ex.LinearForm) -> int:
+        """The rank of a cut form; raises NotACutForm for any other form."""
+        try:
+            rank = self.cut_rank(frozenset(v for v, _ in form.n), [l for l, c in form.q if c < 0])
+        except (KeyError, ValueError):  # no bond has the side, or it lacks a -q line
+            rank = None
+        if rank is None or self.forms[rank] != form:
+            raise NotACutForm(form)
+        return rank
+
     def flip(self, rank: int, line_id: int) -> int:
         """The rank of the form with q_{line_id} negated: the line's bit of
         the pattern flipped, with no renormalization, as forms lead with +N(S)."""
@@ -567,40 +578,56 @@ def operator_reduced(graph: MatsubaraGraph) -> OperatorSpec:
     return OperatorSpec(tuple(gr.non_cutset_subsets(graph, gr.cycle_rank(graph))), graph)
 
 
-class _Packed(ex.Packer):
-    """The packer of one operator application or route over the cut
-    arrangement of a graph: every term it handles is interned here (see
-    expressions.Packer), with coefficients over `scale`.
+class _Packed:
+    """The packed terms of one operator application or route over the cut
+    arrangement of a graph, with coefficients over `scale`.
 
-    The arrangement's forms are interned first, so the id of a cut form is
-    its rank and a shape's form tuple is its product in the arrangement's
-    terms; `normal` memoizes the normal form of each shape, shape ->
-    ((shape', coeff), ...), or None for a shape that is in normal form.
+    A form's id is its rank in the arrangement; (pi_power, q_exponents)
+    heads and term shapes (head id, sorted form-id tuple) are interned to
+    ints in first-seen order. Packed terms map kernel tuple -> {shape id:
+    coefficient}, merged as they are added; `normal` memoizes the normal
+    form of each shape, shape -> ((shape', coeff), ...), or None for a shape
+    that is in normal form.
     """
 
     def __init__(self, scale: int, graph: MatsubaraGraph):
+        self.scale = scale
         self.arrangement = _Arrangement(graph)
-        super().__init__(scale, self.arrangement.forms)
+        self.forms = self.arrangement.forms
+        self.heads: list[tuple] = []
         self.odd: list[frozenset[int]] = []  # per head: lines of odd q exponent
+        self.shapes: list[tuple[int, tuple[int, ...]]] = []
+        self._head_ids: dict = {}
+        self._shape_ids: dict = {}
         self._reflections: dict[int, _Reflection] = {}
         self.normal: dict[int, tuple] = {}
 
     def head(self, pi_power: int, q_exponents: tuple) -> int:
-        head = super().head(pi_power, q_exponents)
-        if head == len(self.odd):
+        key = (pi_power, q_exponents)
+        head = self._head_ids.get(key)
+        if head is None:
+            head = self._head_ids[key] = len(self.heads)
+            self.heads.append(key)
             self.odd.append(frozenset(l for l, exp in q_exponents if exp % 2))
         return head
 
+    def shape(self, head: int, form_ids: Iterable[int]) -> int:
+        key = (head, tuple(sorted(form_ids)))
+        shape = self._shape_ids.get(key)
+        if shape is None:
+            shape = self._shape_ids[key] = len(self.shapes)
+            self.shapes.append(key)
+        return shape
+
     def pack(self, e: Expression) -> dict[tuple, dict[int, int]]:
-        """The packed terms of e; e.scale must divide self.scale."""
-        factor, rest = divmod(self.scale, e.scale)
-        assert not rest, "the packer's scale is not a multiple of the expression's"
-        forms = [self.form(f) for f in e.forms]
+        """The packed terms of e, for a _Packed built at e.scale; raises
+        NotACutForm for a form of e that is not in the arrangement."""
+        forms = [self.arrangement.rank(f) for f in e.forms]
         heads = [self.head(*head) for head in e.heads]
         products = [[forms[f] for f in product] for product in e.products]
         groups: dict[tuple, dict[int, int]] = {kernels: {} for kernels in e.kernel_sets}
         targets = list(groups.values())
-        numerators = [c * factor for c in e.numerators]
+        numerators = e.numerators
         shapes: dict[tuple[int, int], int] = {}
         for h, k, p, c in zip(*e.rows.T.tolist()):
             shape = shapes.get((h, p))
@@ -609,6 +636,23 @@ class _Packed(ex.Packer):
             group = targets[k]
             group[shape] = group.get(shape, 0) + numerators[c]
         return groups
+
+    def freeze(self, groups: dict[tuple, dict[int, int]]) -> Expression:
+        """The canonical Expression of packed terms, by _canonical(): the
+        groups flattened into kernel, shape and coefficient columns, with
+        the shapes the terms use as the products. Coefficients may be
+        rationals (a rewrite relation with a fractional coefficient); the
+        scale absorbs them."""
+        counts = [len(terms) for terms in groups.values()]
+        shape_col = np.fromiter(itertools.chain.from_iterable(groups.values()), np.int64,
+                                sum(counts))
+        coeff_col, values = ex._rank(list(itertools.chain.from_iterable(
+            terms.values() for terms in groups.values())))
+        shape_col, shapes = ex._used(shape_col, self.shapes)
+        heads = np.array([head for head, _ in shapes], dtype=np.int64)
+        return ex._canonical(self.forms, self.heads, list(groups), [dens for _, dens in shapes],
+                             values, self.scale, heads[shape_col],
+                             np.repeat(np.arange(len(counts)), counts), shape_col, coeff_col)
 
     def reflection(self, line_id: int) -> "_Reflection":
         table = self._reflections.get(line_id)
@@ -623,13 +667,8 @@ class _Packed(ex.Packer):
         todo = {shape for shape in shapes if shape not in normal}
         if not todo:
             return
-        arrangement, cut = self.arrangement, len(self.arrangement.forms)
-        for shape in todo:
-            dens = self.shapes[shape][1]
-            if dens and dens[-1] >= cut:    # forms past the arrangement's
-                raise NotACutForm(self.forms[dens[-1]])
-        reduced = arrangement.reduced
-        arrangement.reduce_all(self.shapes[shape][1] for shape in todo)
+        reduced = self.arrangement.reduced
+        self.arrangement.reduce_all(self.shapes[shape][1] for shape in todo)
         for shape in todo:
             head, product = self.shapes[shape]
             image = reduced[product]
@@ -826,6 +865,8 @@ def render_operator(spec: OperatorSpec, fmt: str = "text") -> str:
         import json
 
         return json.dumps({"subsets": [list(s) for s in spec.subsets]})
+    if fmt not in ("text", "latex"):
+        raise ValueError(f"unknown format {fmt!r}")
     chunks = []
     for subset in spec.subsets:
         if not subset:

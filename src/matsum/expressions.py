@@ -27,17 +27,16 @@ fields. _canonical() builds every expression from tables that need not be
 canonical and one column of ids per row field: it ranks the tables,
 renumbers the columns by array gathers, sorts the rows on one integer key
 and merges equal rows with exact sums. It is the one merge-and-sort of the
-package: the Term constructor and the engine reach it through a Packer,
-whose freeze() flattens interned terms into columns, and add and JSON
-parsing call it directly. Rendering, equality and evaluation read the
-tables, so each distinct factor is formatted or evaluated once. The JSON
-form of an expression is its tables (see from_dict), written by json.dumps
-with the rows joined from their ids' decimal strings, and parsed by
-checking each table entry once and the rows by columns. Loops over the
-rows zip the four columns, read as lists: no Python list is made per row,
-so a large expression's rows add no work for the cyclic garbage collector.
-`Expression.terms` builds Term tuples on access, for callers that read
-terms one at a time.
+package: the Term constructor, add, JSON parsing and the engine (which
+flattens its packed terms into columns) all call it. Rendering, equality
+and evaluation read the tables, so each distinct factor is formatted or
+evaluated once. The JSON form of an expression is its tables (see
+from_dict), written by json.dumps with the rows joined from their ids'
+decimal strings, and parsed by checking each table entry once and the
+rows by columns. Loops over the rows zip the four columns, read as lists:
+no Python list is made per row, so a large expression's rows add no work
+for the cyclic garbage collector. `Expression.terms` builds Term tuples on
+access, for callers that read terms one at a time.
 
 Everything is an immutable value and all operations are pure functions.
 """
@@ -140,16 +139,19 @@ class Expression:
                  "rows")
 
     def __new__(cls, terms: Iterable[Term] = ()) -> "Expression":
+        # one table entry per term: its denominators, concatenated, are
+        # the forms, and its product is their index range
         terms = tuple(terms)
-        packer = Packer(math.lcm(*(t.coeff.denominator for t in terms)))
-        groups: dict[tuple, dict[int, int]] = {}
-        for t in terms:
-            shape = packer.shape(packer.head(t.pi_power, t.q_exponents),
-                                 map(packer.form, t.denominators))
-            group = groups.setdefault(t.kernels, {})
-            coeff = t.coeff.numerator * (packer.scale // t.coeff.denominator)
-            group[shape] = group.get(shape, 0) + coeff
-        return packer.freeze(groups)
+        scale = math.lcm(*(t.coeff.denominator for t in terms))
+        starts = itertools.accumulate((len(t.denominators) for t in terms), initial=0)
+        ids = np.arange(len(terms))
+        return _canonical([f for t in terms for f in t.denominators],
+                          [(t.pi_power, t.q_exponents) for t in terms],
+                          [t.kernels for t in terms],
+                          [range(start, start + len(t.denominators))
+                           for t, start in zip(terms, starts)],
+                          [t.coeff.numerator * (scale // t.coeff.denominator) for t in terms],
+                          scale, ids, ids, ids, ids)
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -202,61 +204,6 @@ def _frozen(forms, products, heads, kernel_sets, numerators, scale, rows) -> Exp
 
 
 EMPTY = _frozen((), (), (), (), (), 1, np.empty((0, 4), dtype=np.int64))
-
-
-def _intern(ids: dict, items: list, value) -> int:
-    i = ids.get(value)
-    if i is None:
-        i = ids[value] = len(items)
-        items.append(value)
-    return i
-
-
-class Packer:
-    """Interning tables for building expressions.
-
-    Linear forms, (pi_power, q_exponents) heads and term shapes (head id,
-    sorted form-id tuple) are interned to ints, in first-seen order after
-    the `forms` given up front; coefficients are ints over `scale`. Packed
-    terms map kernel tuple -> {shape id: coefficient}, merged as they are
-    added; freeze() flattens them into columns for _canonical(), which ranks
-    the tables and sorts the rows.
-    """
-
-    def __init__(self, scale: int = 1, forms: Iterable[LinearForm] = ()):
-        self.scale = scale
-        self.forms: list[LinearForm] = list(forms)
-        self.heads: list[tuple] = []
-        self.shapes: list[tuple[int, tuple[int, ...]]] = []
-        self._form_ids: dict = {f: i for i, f in enumerate(self.forms)}
-        self._head_ids: dict = {}
-        self._shape_ids: dict = {}
-
-    def form(self, form: LinearForm) -> int:
-        return _intern(self._form_ids, self.forms, form)
-
-    def head(self, pi_power: int, q_exponents: tuple) -> int:
-        return _intern(self._head_ids, self.heads, (pi_power, q_exponents))
-
-    def shape(self, head: int, form_ids: Iterable[int]) -> int:
-        return _intern(self._shape_ids, self.shapes, (head, tuple(sorted(form_ids))))
-
-    def freeze(self, groups: dict[tuple, dict[int, int]]) -> Expression:
-        """The canonical Expression of packed terms, by _canonical(): the
-        groups flattened into kernel, shape and coefficient columns, with
-        the shapes the terms use as the products. Coefficients may be
-        rationals (a rewrite relation with a fractional coefficient); the
-        scale absorbs them."""
-        counts = [len(terms) for terms in groups.values()]
-        shape_col = np.fromiter(itertools.chain.from_iterable(groups.values()), np.int64,
-                                sum(counts))
-        coeff_col, values = _rank(list(itertools.chain.from_iterable(
-            terms.values() for terms in groups.values())))
-        shape_col, shapes = _used(shape_col, self.shapes)
-        heads = np.array([head for head, _ in shapes], dtype=np.int64)
-        return _canonical(self.forms, self.heads, list(groups), [dens for _, dens in shapes],
-                          values, self.scale, heads[shape_col],
-                          np.repeat(np.arange(len(counts)), counts), shape_col, coeff_col)
 
 
 def _used(column: np.ndarray, table: Sequence) -> tuple[np.ndarray, list]:

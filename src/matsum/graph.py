@@ -267,7 +267,7 @@ def line_subsets(ids: Iterable[int], max_size: int | None = None) -> Iterator[Li
     ids = sorted(ids)
     if len(ids) > MAX_LINES:
         raise GraphTooLarge(f"subset enumeration capped at {MAX_LINES} lines")
-    for size in range(len(ids) + 1 if max_size is None else max_size + 1):
+    for size in range(len(ids) + 1 if max_size is None else min(max_size, len(ids)) + 1):
         yield from itertools.combinations(ids, size)
 
 

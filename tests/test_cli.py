@@ -9,6 +9,7 @@ import pytest
 
 from matsum import cli, engine, fixtures
 from matsum import expressions as ex
+from matsum import graph as gr
 
 from conftest import cycle_graph, graph_to_dict
 
@@ -114,6 +115,15 @@ def test_cutsets_listing(capsys, g4_path):
     assert body[-1] == "count: 2 (sizes 1..2)"
 
 
+def test_cutsets_max_size_past_the_line_count(capsys, g2_path):
+    # sizes past the number of lines add nothing and are not walked
+    _, listed, _ = run(capsys, "cutsets", "--graph", g2_path, "--max-size", "2")
+    code, out, _ = run(capsys, "cutsets", "--graph", g2_path, "--max-size", "1000000000000")
+    assert code == 0
+    assert out.splitlines()[:-1] == listed.splitlines()[:-1]
+    assert out.splitlines()[-1] == "count: 1 (sizes 1..1000000000000)"
+
+
 def test_operator_counts(capsys, g3_path):
     code, out, _ = run(capsys, "operator", "--graph", g3_path, "--format", "json")
     assert code == 0
@@ -186,6 +196,16 @@ def test_verify_integral_target(capsys, g2_path):
                        "integral", "--trials", "3", "--tol", "1e-9", "--seed", "5")
     assert code == 0
     assert all(json.loads(l)["pass"] for l in out.strip().splitlines()[1:])
+
+
+def test_verify_integral_above_rank_2_exits_1(capsys, tmp_path):
+    path = tmp_path / "four_lines.json"
+    path.write_text(json.dumps(graph_to_dict(gr.make_graph(
+        ["a", "b"], [(lid, "a", "b") for lid in range(1, 5)]))))
+    code, out, err = run(capsys, "verify", "--graph", str(path), "--target", "integral")
+    assert code == 1
+    assert out == ""
+    assert err == "cannot verify integral: cycle rank 3 > 2\n"
 
 
 def test_verify_integral_reports_quadrature_warnings_in_one_line_each(capsys, g3_path):

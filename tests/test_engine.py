@@ -251,6 +251,11 @@ def test_matsubara_sum_methods_agree_on_fixtures(g2, g3, g4):
         assert engine.matsubara_sum(g, "operator") == engine.matsubara_sum(g, "direct")
 
 
+def test_matsubara_sum_rejects_an_unknown_method(g2):
+    with pytest.raises(ValueError, match="unknown method 'xyz'"):
+        engine.matsubara_sum(g2, "xyz")
+
+
 def test_full_equals_reduced_on_fixtures(g2, g3, g4):
     for g in (g2, g3, g4):
         e = engine.matsubara_integral(g)
@@ -463,7 +468,7 @@ def test_reflection_of_a_cut_form_is_a_bit_flip(g2, g3, g4):
                 flipped, sign = reference._flip_form(form, lid)
                 image, engine_sign = packed.reflection(lid)[shape]
                 assert (sign, engine_sign) == (1, 1)
-                assert packed.shapes[image] == (head, (packed.form(flipped),))
+                assert packed.shapes[image] == (head, (packed.forms.index(flipped),))
 
 
 def test_exact_search_gives_the_same_normal_form(monkeypatch):
@@ -534,11 +539,17 @@ def test_normal_form_rejects_a_denominator_that_is_not_a_cut_form(g4):
     e = ex.Expression([make_term(1, 0, {}, (), [form])])
     with pytest.raises(engine.NotACutForm):
         engine.normal_form(g4, e)
+    for spec in (engine.operator_reduced(g4), engine.OperatorSpec((), g4)):
+        with pytest.raises(engine.NotACutForm):
+            engine.apply_operator(spec, e)
+    with pytest.raises(engine.NotACutForm):
+        engine.annihilator_check(g4, (1, 2), e)
 
 
 def test_normal_form_of_repeated_and_dependent_denominators(g4):
     # products outside the pipeline's shape: a squared form, two forms of
-    # one bond, and a dependent triple; the exact search handles them
+    # one 3-line bond, three of them (still independent), and five of them,
+    # which are dependent; the exact search handles them
     forms = engine.cut_forms(g4)
     by_n: dict = {}
     for f in forms:
@@ -550,6 +561,7 @@ def test_normal_form_of_repeated_and_dependent_denominators(g4):
         make_term(Fraction(1, 3), 0, {}, (), [bond[1], bond[2], other[1]]),
         make_term(-2, 0, {}, (), [bond[3], bond[4], bond[5]]),
         make_term(1, 0, {}, (), [bond[6], other[2]]),
+        make_term(3, 0, {}, (), bond[:5]),
         make_term(5, 0, {}, (), []),
     ]
     e = ex.Expression(terms)
@@ -636,3 +648,7 @@ def test_render_operator(g2):
 
     data = json.loads(engine.render_operator(spec, "json"))
     assert data == {"subsets": [[], [1], [2]]}
+    assert engine.render_operator(spec, "latex") == (
+        "1 + n_B(q_{1})\\big(1 - \\hat{R}_{1}\\big) + n_B(q_{2})\\big(1 - \\hat{R}_{2}\\big)")
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        engine.render_operator(spec, "xml")

@@ -303,15 +303,19 @@ def _merged(terms) -> tuple:
     return tuple(ex.Term(c, *key) for key, c in sorted(acc.items()) if c)
 
 
-def _term_loop(doc) -> tuple:
-    """The canonical terms of a JSON document, read row by row."""
+def _doc_terms(doc) -> list:
+    """The terms of a JSON document's rows, one per row."""
     forms = [ex.normalize_form(fd["n"].items(), [(int(l), c) for l, c in fd["q"].items()])[0]
              for fd in doc["forms"]]
-    return _merged(
-        make_term(Fraction(doc["coeffs"][c]), doc["heads"][h]["two_pi_pow"],
-                  {int(l): x for l, x in doc["heads"][h]["q_exp"].items()},
-                  doc["kernels"][k], [forms[f] for f in doc["products"][p]])
-        for h, k, p, c in doc["terms"])
+    return [make_term(Fraction(doc["coeffs"][c]), doc["heads"][h]["two_pi_pow"],
+                      {int(l): x for l, x in doc["heads"][h]["q_exp"].items()},
+                      doc["kernels"][k], [forms[f] for f in doc["products"][p]])
+            for h, k, p, c in doc["terms"]]
+
+
+def _term_loop(doc) -> tuple:
+    """The canonical terms of a JSON document, read row by row."""
+    return _merged(_doc_terms(doc))
 
 
 def _assert_canonical(e, doc):
@@ -385,6 +389,8 @@ def test_from_dict_canonicalizes_scrambled_documents(doc):
         e = ex.from_dict(scrambled)
         _assert_canonical(e, scrambled)
         assert e == expected and ex.render(e, "json") == ex.render(expected, "json")
+        # the same rows, written as Terms
+        assert ex.Expression(_doc_terms(scrambled)) == expected
 
 
 def test_from_dict_sums_coefficients_beyond_int64():
@@ -458,6 +464,11 @@ def test_render_text_reference_integral():
 def test_render_empty():
     assert ex.render(ex.EMPTY, "text") == "0"
     assert ex.render(ex.EMPTY, "latex") == "0"
+
+
+def test_render_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        ex.render(reference_integral_g2(), "xml")
 
 
 def test_render_latex_contains_forms():
