@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy import integrate
 
 from . import engine as eng
@@ -65,6 +64,22 @@ def _independent_layout(graph: MatsubaraGraph):
     return sol, free
 
 
+def _line_table(graph: MatsubaraGraph, n_values: Mapping[str, int],
+                q_values: Mapping[int, float]):
+    """(const, b, q^2) of every line, in graph.line_ids order: its variable
+    is const + sum_a b[a] x_a over the free variables x_a (the sorted
+    non-tree lines of the first spanning tree), with const an integer from
+    the N values."""
+    sol, free = _independent_layout(graph)
+    lines = []
+    for lid in graph.line_ids:
+        om = sol.omega.get(lid, eng.OmegaForm((), ((lid, 1),)))
+        part = dict(om.line_part)
+        lines.append((sum(a * n_values[v] for v, a in om.n_part),
+                      [part.get(l, 0) for l in free], q_values[lid] ** 2))
+    return lines
+
+
 def _check_lattice_box(cutoff: int, rank: int) -> None:
     if cutoff < 10:
         raise ValueError("cutoff must be at least 10")
@@ -81,9 +96,9 @@ def _reciprocals(origin: int, steps: Sequence[int], shape: tuple[int, ...],
     low = origin + sum(min(0, r) for r in reach)
     n = np.arange(low, origin + sum(max(0, r) for r in reach) + 1, dtype=float)
     table = 1.0 / (n * n + q_squared)
-    return as_strided(table[origin - low:],
-                      [size if step else 1 for size, step in zip(shape, steps)],
-                      [step * table.itemsize for step in steps], writeable=False)
+    return np.ndarray([size if step else 1 for size, step in zip(shape, steps)], float,
+                      table, (origin - low) * table.itemsize,
+                      [step * table.itemsize for step in steps])
 
 
 def brute_force_sum(
@@ -103,34 +118,34 @@ def brute_force_sum(
     _SLAB_POINTS points (at least one row, every other axis in full). Every
     line's variable is const + sum_a b_a x_a over the free variables x_a, so
     on a slab it runs over one integer range: its reciprocals are computed
-    on that range and read into the slab by strides, and the product over
-    the lines is the only full-size work. The slab sums are added with
+    on that range and read into the slab by strides. The product over the
+    lines is the only full-size work: each slab starts as a copy of the
+    first line's reciprocals (1.0 * r is r) and is multiplied by the others
+    in line-id order. The slab sums are added with
     math.fsum, so results are reproducible bit-for-bit per configuration.
     _MAX_LATTICE_POINTS caps the box, and so the time; the memory is one
     slab's: at most _SLAB_POINTS points up to rank 2, and about 1.2M (one
     row at rank 5, cutoff 16) at any rank the cap admits.
     """
-    sol, free = _independent_layout(graph)
-    rank = len(free)
+    rank = gr.cycle_rank(graph)
     _check_lattice_box(cutoff, rank)
     width = 2 * cutoff + 1
     rows = max(1, _SLAB_POINTS // width ** (rank - 1))
     half = cutoff // 2
     inner = (slice(cutoff - half, cutoff + half + 1),) * (rank - 1)
-    lines = []  # (const, b, q^2) per line, in graph.line_ids order
-    for lid in graph.line_ids:
-        om = sol.omega.get(lid, eng.OmegaForm((), ((lid, 1),)))
-        part = dict(om.line_part)
-        lines.append((sum(a * n_values[v] for v, a in om.n_part),
-                      [part.get(l, 0) for l in free], q_values[lid] ** 2))
+    lines = _line_table(graph, n_values, q_values)
     sums, half_sums = [], []
     for start in range(0, width, rows):
         shape = (min(rows, width - start),) + (width,) * (rank - 1)
-        summand = np.ones(shape)
+        summand = None
         for const, b, q_squared in lines:
             # n at slab index 0, where x_0 = start - M and every other x_a = -M
             origin = const + b[0] * start - cutoff * sum(b)
-            summand *= _reciprocals(origin, b, shape, q_squared)
+            if summand is None:  # a copy of the first line's, as 1.0 * r is r
+                summand = np.broadcast_to(_reciprocals(origin, b, shape, q_squared),
+                                          shape).copy()
+            else:
+                summand *= _reciprocals(origin, b, shape, q_squared)
         sums.append(float(np.sum(summand)))
         lo = max(start, cutoff - half) - start
         hi = min(start + rows, cutoff + half + 1) - start
@@ -150,47 +165,57 @@ def quadrature_integral(
     Each infinite axis is mapped through x = tan(u); the integrand decays at
     least like 1/x^4 per axis, so the substituted integrand is smooth at the
     endpoints. Supports cycle rank 1 and 2 (nested adaptive passes).
+
+    The integrand is planned per outer point (once at rank 1): the
+    denominators n^2 + q^2 of the lines that do not depend on the innermost
+    axis are computed there, so each innermost call computes tan(u), the
+    lines that do depend on that axis, 1.0 divided by every denominator in
+    line-id order, and the jacobian 1 + x^2. Each integrand value is the
+    float that evaluating every line afresh at every call gives.
     """
-    sol, free = _independent_layout(graph)
-    rank = len(free)
+    rank = gr.cycle_rank(graph)
     if rank > 2:
         raise RankTooHigh(f"cycle rank {rank} > 2")
+    lines = _line_table(graph, n_values, q_values)
 
-    # positions in graph.line_ids order, which the divisions follow; a tree
-    # line's at most two terms are added from 0 in line_part order, which
-    # rounds as sum() does, so the pinned quadrature values hold
-    order = graph.line_ids
-    pos = {lid: i for i, lid in enumerate(order)}
-    q_squared = [q_values[lid] ** 2 for lid in order]
-    free_pos = [pos[lid] for lid in free]
-    omegas = []
-    for j in sol.tree:
-        om = sol.omega[j]
-        const = float(sum(a * n_values[v] for v, a in om.n_part))
-        omegas.append((pos[j], const, [(pos[l], b) for l, b in om.line_part]))
+    def innermost(outer: tuple):
+        """The substituted integrand along the last axis, with the earlier
+        axes at `outer`. A line's value is float(const) + (its terms b_a x_a
+        added from 0.0): the sum of two terms does not depend on their
+        order, and 0.0 + t differs from t only in the sign of a zero, which
+        the square removes."""
+        # head: 1.0 divided by the fixed denominators before the first line
+        # that moves with x; each such line's step carries the fixed ones after it
+        head, steps, tail = 1.0, [], None
+        for const, b, q_squared in lines:
+            outer_part = b[0] * outer[0] if outer and b[0] else 0.0
+            if b[-1]:
+                tail = []
+                steps.append((float(const), outer_part, b[-1], q_squared, tail))
+                continue
+            value = float(const) + outer_part
+            if tail is None:
+                head /= value * value + q_squared
+            else:
+                tail.append(value * value + q_squared)
 
-    def integrand(xs: Sequence[float]) -> float:
-        vals = [0.0] * len(order)
-        for p, x in zip(free_pos, xs):
-            vals[p] = x
-        for p, const, line_part in omegas:
-            part = 0
-            for l, b in line_part:
-                part += b * vals[l]
-            vals[p] = const + part
-        out = 1.0
-        for x, q2 in zip(vals, q_squared):
-            out /= x * x + q2
-        return out
+        def f(u: float) -> float:
+            x = math.tan(u)
+            out = head
+            for const, outer_part, b, q_squared, after in steps:
+                value = const + (outer_part + b * x)
+                out /= value * value + q_squared
+                for denominator in after:
+                    out /= denominator
+            return out * (1.0 + x * x)
+        return f
 
     def nested(outer: tuple, tol: float, epsabs: float):
         """(value, error) of the integral over the axes after `outer`; an
         inner axis gets a tenth of the tolerance, its absolute tolerance
         tightened by the outer jacobian, which amplifies its error."""
         if len(outer) == rank - 1:
-            def f(u: float) -> float:
-                x = math.tan(u)
-                return integrand(outer + (x,)) * (1.0 + x * x)
+            f = innermost(outer)
         else:
             def f(u: float) -> float:
                 x = math.tan(u)

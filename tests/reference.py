@@ -18,7 +18,9 @@ the engine's reflection acts on. The two lattice sums check
 the numeric machinery: a one-dimensional sum with a known limit, and a
 delta-checked sum over all I variables that enforces every vertex
 constraint pointwise; the whole-box sum is the lattice oracle as it was
-before it summed in slabs. The term loops of evaluation, rendering and JSON
+before it summed in slabs, and reference_quadrature_integral the
+quadrature oracle as it was before its integrand was planned per outer
+point. The term loops of evaluation, rendering and JSON
 read an expression through its Term view, one term at a time, as the
 library did before it worked on packed tables; the JSON writer keeps the
 one-object-per-term schema of that time, and the reader reads the
@@ -28,10 +30,12 @@ library's table schema term by term.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import integrate
 
 from matsum import graph as gr
 from matsum import oracles
@@ -328,6 +332,62 @@ def whole_box_sum(
     return oracles.BruteForceResult(float(np.sum(summand)), float(np.sum(summand * mask)))
 
 
+def reference_quadrature_integral(
+    graph: MatsubaraGraph,
+    n_values: Mapping[str, int],
+    q_values: Mapping[int, float],
+    tolerance: float = 1e-10,
+) -> oracles.QuadratureResult:
+    """The quadrature oracle as it was before its integrand was planned per
+    outer point: the same nested integrate.quad passes over a generic
+    integrand that fills in every line's value at every call."""
+    sol, free = oracles._independent_layout(graph)
+    rank = len(free)
+    if rank > 2:
+        raise oracles.RankTooHigh(f"cycle rank {rank} > 2")
+
+    # positions in graph.line_ids order, which the divisions follow; a tree
+    # line's at most two terms are added from 0 in line_part order
+    order = graph.line_ids
+    pos = {lid: i for i, lid in enumerate(order)}
+    q_squared = [q_values[lid] ** 2 for lid in order]
+    free_pos = [pos[lid] for lid in free]
+    omegas = []
+    for j in sol.tree:
+        om = sol.omega[j]
+        const = float(sum(a * n_values[v] for v, a in om.n_part))
+        omegas.append((pos[j], const, [(pos[l], b) for l, b in om.line_part]))
+
+    def integrand(xs: Sequence[float]) -> float:
+        vals = [0.0] * len(order)
+        for p, x in zip(free_pos, xs):
+            vals[p] = x
+        for p, const, line_part in omegas:
+            part = 0
+            for l, b in line_part:
+                part += b * vals[l]
+            vals[p] = const + part
+        out = 1.0
+        for x, q2 in zip(vals, q_squared):
+            out /= x * x + q2
+        return out
+
+    def nested(outer: tuple, tol: float, epsabs: float):
+        if len(outer) == rank - 1:
+            def f(u: float) -> float:
+                x = math.tan(u)
+                return integrand(outer + (x,)) * (1.0 + x * x)
+        else:
+            def f(u: float) -> float:
+                x = math.tan(u)
+                jac = 1.0 + x * x
+                return nested(outer + (x,), tol / 10.0, tol / 10.0 / max(jac, 1.0))[0] * jac
+        return integrate.quad(f, -math.pi / 2, math.pi / 2, epsabs=epsabs, epsrel=tol,
+                              limit=300)
+
+    return oracles.QuadratureResult(*nested((), tolerance, tolerance))
+
+
 # ---------------------------------------------------------------------------
 # term-by-term evaluation, rendering and JSON
 #
@@ -353,8 +413,6 @@ def eval_numeric(
 
     Raises ZeroDenominator when a linear form evaluates to exactly zero.
     """
-    import math
-
     # each factor is computed once per call; the arithmetic per term, and so
     # the value, is the same as computing it afresh
     powers: dict[tuple[int, int], float] = {}

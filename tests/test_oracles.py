@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,7 +16,8 @@ from matsum import expressions as ex
 from matsum import graph as gr
 from matsum.kernels import ZeroArgument, nbe
 
-from reference import constrained_box_sum, single_sum, whole_box_sum
+from reference import (constrained_box_sum, reference_quadrature_integral, single_sum,
+                       whole_box_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,15 @@ def test_brute_force_slabs_match_the_whole_box(make_graph, cutoffs):
         assert oracles.brute_force_sum(g, n, q, cutoff) == res
 
 
+def test_brute_force_is_pinned(g4):
+    # the slab sums, each a product taken in line-id order, are added by
+    # math.fsum, so value and half value repeat bit for bit
+    res = oracles.brute_force_sum(g4, {"a": 1, "b": -2, "c": 1},
+                                  {1: 0.7, 2: 1.1, 3: 1.6, 4: 0.9, 5: 2.3}, 1000)
+    assert (repr(res.value), repr(res.half_value)) == ("0.1888753804060822",
+                                                       "0.18887538040605092")
+
+
 def test_brute_force_memory_is_one_slab(g4):
     n, q = {"a": 1, "b": -2, "c": 1}, {1: 0.7, 2: 1.1, 3: 1.6, 4: 0.9, 5: 2.3}
     tracemalloc.start()
@@ -220,12 +231,66 @@ def _rank2_graph(seed):
                  1e-8, (0.6106562256743123, 5.531510694421799e-10), id="rank2_seed1"),
     pytest.param(lambda: _rank2_graph(2), {"a": -1, "b": 0}, {1: 0.8, 2: 1.1, 3: 1.4, 4: 1.7},
                  1e-8, (0.5622839877599121, 1.6962190271522808e-12), id="rank2_seed2"),
+    pytest.param(_bridge_graph, {"a": 1, "b": 0, "c": -1},
+                 {1: 0.7, 2: 1.1, 3: 1.6, 4: 0.9, 5: 2.3}, 1e-8,
+                 (0.23075193257251128, 9.742132024703754e-09), id="bridge"),
 ])
 def test_quadrature_is_pinned(make_graph, n, q, tolerance, pinned):
     # every integrate.quad call of the nested passes is fixed (bounds,
     # tolerances, limit), so value and error estimate repeat bit for bit
     res = oracles.quadrature_integral(make_graph(), n, q, tolerance)
     assert (repr(res.value), repr(res.error_estimate)) == tuple(map(repr, pinned))
+
+
+def _random_draw(seed, index):
+    """The index-th rank <= 2 draw of random_graph(default_rng(seed), 4, 6),
+    with a point drawn from the same generator after each graph."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = fixtures.random_graph(rng, 4, 6)
+        if gr.cycle_rank(g) > 2:
+            continue
+        q = {lid: float(rng.uniform(0.3, 3.0)) for lid in g.line_ids}
+        n = {v: int(rng.integers(-3, 4)) for v in g.vertices[:-1]}
+        if index == 0:
+            return g, n, q
+        index -= 1
+
+
+_G4_POINT = ({"a": 1, "b": -2, "c": 1}, {1: 0.7, 2: 1.1, 3: 1.6, 4: 0.9, 5: 2.3})
+_RANK2_POINT = ({"a": -1, "b": 0}, {1: 0.8, 2: 1.1, 3: 1.4, 4: 1.7})
+
+
+@pytest.mark.parametrize("case, tolerance, warns", [
+    pytest.param(lambda: (fixtures.g2(), {"a": 1}, {1: 0.7, 2: 1.1}), 1e-10, False, id="g2"),
+    pytest.param(lambda: (fixtures.g3(), {"a": 2}, {1: 0.7, 2: 1.1, 3: 1.6}), 1e-8, False,
+                 id="g3"),
+    pytest.param(lambda: (fixtures.g4(), *_G4_POINT), 1e-8, False, id="g4"),
+    pytest.param(lambda: (_bridge_graph(), {"a": 1, "b": 0, "c": -1}, _G4_POINT[1]), 1e-8,
+                 False, id="bridge"),
+    pytest.param(lambda: (_rank2_graph(1), *_RANK2_POINT), 1e-8, False,
+                 id="rank2_seed1"),
+    pytest.param(lambda: (_rank2_graph(2), *_RANK2_POINT), 1e-8, False,
+                 id="rank2_seed2"),
+    *[pytest.param(lambda k=k: _random_draw(0, k), 1e-8, False,
+                   id=f"draw0_{k}") for k in range(4)],
+    # 107 IntegrationWarnings: the adaptive passes give up on some inner axes
+    pytest.param(lambda: _random_draw(5, 2), 1e-13, True, id="draw5_2"),
+])
+def test_quadrature_matches_the_reference_integrand_bit_for_bit(case, tolerance, warns):
+    # the integrand planned per outer point takes every quad call down the
+    # same path as the generic integrand: same floats, same SciPy warnings
+    g, n, q = case()
+    results, messages = [], []
+    for quadrature in (reference_quadrature_integral, oracles.quadrature_integral):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = quadrature(g, n, q, tolerance)
+        results.append((repr(res.value), repr(res.error_estimate)))
+        messages.append([(w.category, str(w.message)) for w in caught])
+    assert results[0] == results[1]
+    assert messages[0] == messages[1]
+    assert bool(messages[0]) == warns
 
 
 def test_quadrature_rank_too_high():
