@@ -25,8 +25,6 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 from . import engine, expressions, graph, oracles
 
 DEFAULT_SEED = 0
@@ -270,17 +268,10 @@ def _dispatch(args, g: graph.MatsubaraGraph) -> int:
         return 0 if all(r.passed for r in reports) else 2
 
     if args.command == "gaudin-check":
-        rng = np.random.default_rng(args.seed)
-        sol, free = oracles._independent_layout(g)
         print(json.dumps({"seed": args.seed, "trials": args.trials,
                           "tolerance": args.tol}))
         worst = 0.0
-        for _ in range(args.trials):
-            q_values = {lid: float(rng.uniform(0.3, 3.0)) for lid in sorted(g.line_ids)}
-            n_values = {v: int(rng.integers(-3, 4)) for v in g.vertices[:-1]}
-            n_tuple = {lid: int(rng.integers(-5, 6)) for lid in free}
-            for j in sol.tree:
-                n_tuple[j] = sol.omega[j].value(n_values, n_tuple)
+        for q_values, n_tuple in oracles.gaudin_draws(g, args.trials, args.seed):
             residual = oracles.check_gaudin_identity(g, q_values, n_tuple)
             worst = max(worst, residual)
             print(json.dumps({"n": {str(k): v for k, v in sorted(n_tuple.items())},

@@ -35,20 +35,21 @@ call rewrites at most MAX_REDUCED_PRODUCTS products and raises
 NormalFormTooLarge past that.
 
 Both routes, apply_operator for any operator and tree_product share one
-packed kernel (_Packed, built over the graph's cut arrangement). Its form
-ids are the arrangement's ranks: tree products are built in them (looked
-up by bond and sign pattern), and an input Expression is packed from its
-tables into them, a form outside the arrangement raising NotACutForm.
-Heads (pi power, q monomial) are interned, and coefficients are integers
-over a common denominator. R_i flips i's bit of a cut form's sign
-pattern, and its only sign is the parity of q_i in the head; each factor
-nbe_i (1 - R_i) is dict arithmetic through a memoized signed permutation
-of term shapes, with cancelled terms dropped at once, and each level of
-the walk is brought to normal form with its new products reduced in one
+per-call _Arrangement, which owns the forms, the products, the normal-form
+memo and the reflections. Form ids are the arrangement's ranks: tree
+products are built in them (looked up by bond and sign pattern), and an
+input Expression is packed from its tables into them, a form outside the
+arrangement raising NotACutForm. A product id names a sorted tuple of
+form ranks, and packed terms map (head, kernels) -> {product id: integer
+coefficient over a common denominator}. R_i flips i's bit of each cut
+form's sign pattern, a memoized map of product ids; its only sign is the
+parity of q_i in the group's head. Each factor nbe_i (1 - R_i) is dict
+arithmetic, with cancelled terms dropped at once, and each level of the
+walk is brought to normal form with its new products reduced in one
 batch. Nothing is sorted during the walk: each route freezes its packed
-result into an Expression once (_Packed.freeze), which ranks the tables
-and sorts the rows on one integer key. A walk holds at most MAX_TERMS
-terms and raises TooManyTerms past that.
+result into an Expression once (_Arrangement.freeze), which ranks the
+tables and sorts the rows on one integer key. A walk holds at most
+MAX_TERMS terms and raises TooManyTerms past that.
 
 Cutset subsets of reflection-differences annihilate the integral: the
 normal form of the image is empty (annihilator_check), which is what
@@ -60,6 +61,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -150,20 +152,19 @@ def tree_product(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
     1/(q_j - i Omega_j) - 1/(-q_j - i Omega_j). The result has 2^(V-1)
     terms and depends on the regulator signs of the solution.
     """
-    packed = _Packed(2 ** graph.num_lines, graph)
-    return packed.freeze({(): _pack_tree_product(packed, graph, solution)})
+    arrangement, _, total = _tree_products(graph, [solution])
+    return arrangement.freeze(total, 2 ** graph.num_lines)
 
 
-def _pack_tree_product(packed: "_Packed", graph: MatsubaraGraph,
-                       solution: TreeSolution) -> dict[int, int]:
-    """The packed tree product, over a packer of scale 2^I: the base term
-    (2 pi)^L / prod_k (2 q_k) over the tree lines' denominators, then
-    (1 + R_j) for each tree line j. Line j's denominator, with N-part a N(S)
+def _pack_tree_product(arrangement: "_Arrangement", solution: TreeSolution) -> dict[int, int]:
+    """The terms {product id: coefficient over 2^I} of a tree product: the
+    base term (2 pi)^L / prod_k (2 q_k) over the tree lines' denominators,
+    then (1 + R_j) for each tree line j. Line j's denominator, with N-part a N(S)
     (a = +-1, S its fundamental bond's root-free side), is s = -a times the
     cut form i N(S) + s (q_j + sum_l eps_l b_l q_l). No other line's form
     has q_j and the head is odd in q_j, so (1 + R_j) pairs j's form (+1)
     with its q_j-flipped form (-1); the terms are the pairs' products."""
-    arrangement, sign, pairs = packed.arrangement, 1, []
+    sign, pairs = 1, []
     for j in solution.tree:
         om = solution.omega[j]
         s = -om.n_part[0][1]
@@ -172,17 +173,16 @@ def _pack_tree_product(packed: "_Packed", graph: MatsubaraGraph,
                                     [l for l, c in q if c < 0])
         sign *= s
         pairs.append(((rank, 1), (arrangement.flip(rank, j), -1)))
-    head = packed.head(gr.cycle_rank(graph), tuple((lid, -1) for lid in graph.line_ids))
-    return {packed.shape(head, (r for r, _ in choice)): math.prod(c for _, c in choice) * sign
-            for choice in itertools.product(*pairs)}
+    return {arrangement.product(tuple(sorted(r for r, _ in choice))):
+            math.prod(c for _, c in choice) * sign for choice in itertools.product(*pairs)}
 
 
 def tree_integral(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
     """Contribution of one spanning tree to the integral evaluation: the
     normal form (see normal_form) of its tree_product. The contributions of
     all trees add up to matsubara_integral."""
-    packed = _Packed(2 ** graph.num_lines, graph)
-    return packed.freeze(packed.normalize_all({(): _pack_tree_product(packed, graph, solution)}))
+    arrangement, _, total = _tree_products(graph, [solution])
+    return arrangement.freeze(arrangement.normalize_all(total), 2 ** graph.num_lines)
 
 
 def matsubara_integral(
@@ -191,23 +191,22 @@ def matsubara_integral(
     """Closed-form evaluation of the Matsubara integral: the tree products
     of all spanning trees, summed and brought to normal form once. The
     result does not depend on the regulator hierarchy."""
-    trees = gr.enumerate_spanning_trees(graph)
-    packed, _, total = _tree_products(graph, trees, hierarchy)
-    return packed.freeze(packed.normalize_all(total))
+    arrangement, _, total = _tree_products(graph, [
+        solve_tree(graph, tree, hierarchy) for tree in gr.enumerate_spanning_trees(graph)])
+    return arrangement.freeze(arrangement.normalize_all(total), 2 ** graph.num_lines)
 
 
-def _tree_products(graph: MatsubaraGraph, trees: Sequence[LineSubset],
-                   hierarchy: Sequence[int] | None):
-    """The packed tree products of the trees, over the graph's cut
-    arrangement, and their sum as a packed expression."""
-    packed = _Packed(2 ** graph.num_lines, graph)
-    parts = [_pack_tree_product(packed, graph, solve_tree(graph, tree, hierarchy))
-             for tree in trees]
-    total: dict[int, int] = {}
+def _tree_products(graph: MatsubaraGraph, solutions: Sequence[TreeSolution]):
+    """The packed tree products of the solutions' trees over the graph's
+    cut arrangement, and their sum: one group each, of head (2 pi)^L /
+    prod_k q_k and no kernels."""
+    arrangement = _Arrangement(graph)
+    key = ((gr.cycle_rank(graph), tuple((lid, -1) for lid in graph.line_ids)), ())
+    parts = [_pack_tree_product(arrangement, solution) for solution in solutions]
+    total: Counter[int] = Counter()
     for part in parts:
-        for shape, c in part.items():
-            total[shape] = total.get(shape, 0) + c
-    return packed, parts, {(): total}
+        total.update(part)
+    return arrangement, [{key: part} for part in parts], {key: total}
 
 
 def normal_form(graph: MatsubaraGraph, e: Expression) -> Expression:
@@ -220,8 +219,8 @@ def normal_form(graph: MatsubaraGraph, e: Expression) -> Expression:
     a cut form of the graph, and NormalFormTooLarge when the rewriting needs
     more than MAX_REDUCED_PRODUCTS products.
     """
-    packed = _Packed(e.scale, graph)
-    return packed.freeze(packed.normalize_all(packed.pack(e)))
+    arrangement = _Arrangement(graph)
+    return arrangement.freeze(arrangement.normalize_all(arrangement.pack(e)), e.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +279,16 @@ _BATCH_ELEMENTS = 1 << 22
 
 
 class _Arrangement:
-    """The graph's cut arrangement, and the rewriting of denominator
-    products into its no-broken-circuit (nbc) basis.
+    """The graph's cut arrangement, the rewriting of denominator products
+    into its no-broken-circuit (nbc) basis, and the packed terms of one
+    call over it, (head, kernels) -> {product id: coefficient}.
 
     Forms are named by their rank in normal-form order, and a product
-    1/prod_{D in T} D by its sorted rank tuple T (repeats allowed). T is in
-    normal form when its forms contain no broken circuit: no circuit of the
-    arrangement with its smallest member H removed. Otherwise the circuit's
-    relation H = sum_D a_D D rewrites it,
+    1/prod_{D in T} D by its sorted rank tuple T (repeats allowed), interned
+    to an id in first-seen order. T is in normal form when its forms
+    contain no broken circuit: no circuit of the arrangement with its
+    smallest member H removed. Otherwise the circuit's relation
+    H = sum_D a_D D rewrites it,
 
         1/prod_T D  ->  sum_D a_D / (H * prod_{T minus D} D),
 
@@ -315,8 +316,20 @@ class _Arrangement:
         self._rank = {cut: rank for rank, cut in enumerate(self._cuts)}
         self._bond_of = {side: b for b, (side, _) in enumerate(self._bonds)}
         self.vectors: np.ndarray | None = None   # built on first search
-        #: product -> ((nbc product, coefficient), ...), None for an nbc product
-        self.reduced: dict[tuple[int, ...], tuple | None] = {}
+        self.products: list[tuple[int, ...]] = []   # by product id
+        self._product_ids: dict[tuple[int, ...], int] = {}
+        #: product id -> ((nbc product id, coefficient), ...), None for an
+        #: nbc product: the one normal-form memo
+        self.reduced: dict[int, tuple | None] = {}
+        self._reflections: dict[int, _Reflection] = {}
+
+    def product(self, ranks: tuple[int, ...]) -> int:
+        """The id of the product of the forms with these sorted ranks."""
+        product = self._product_ids.get(ranks)
+        if product is None:
+            product = self._product_ids[ranks] = len(self.products)
+            self.products.append(ranks)
+        return product
 
     def cut_rank(self, side: frozenset[str], minus: Iterable[int]) -> int:
         """The rank of i*N(side) + sum_l +-q_l over the bond with root-free
@@ -344,6 +357,63 @@ class _Arrangement:
             return rank
         return self._rank[b, pattern ^ (1 << (len(lines) - 1 - lines.index(line_id)))]
 
+    def pack(self, e: Expression) -> dict[tuple, dict[int, int]]:
+        """The packed terms of e, with coefficients over e.scale; raises
+        NotACutForm for a form of e that is not in the arrangement."""
+        forms = [self.rank(f) for f in e.forms]
+        products = [self.product(tuple(sorted(forms[f] for f in product)))
+                    for product in e.products]
+        heads, kernel_sets, numerators = e.heads, e.kernel_sets, e.numerators
+        groups: dict[tuple, dict[int, int]] = {}
+        targets: dict[tuple[int, int], dict[int, int]] = {}
+        for h, k, p, c in zip(*e.rows.T.tolist()):
+            group = targets.get((h, k))
+            if group is None:
+                group = targets[h, k] = groups[heads[h], kernel_sets[k]] = {}
+            p = products[p]
+            group[p] = group.get(p, 0) + numerators[c]
+        return groups
+
+    def freeze(self, groups: dict[tuple, dict[int, int]], scale: int) -> Expression:
+        """The canonical Expression of packed terms with coefficients over
+        `scale`, by _canonical(): the groups flattened into group, product
+        and coefficient columns. Coefficients may be rationals (a rewrite
+        relation with a fractional coefficient); the scale absorbs them."""
+        counts = [len(terms) for terms in groups.values()]
+        product_col = np.fromiter(itertools.chain.from_iterable(groups.values()), np.int64,
+                                  sum(counts))
+        coeff_col, values = ex._rank(list(itertools.chain.from_iterable(
+            terms.values() for terms in groups.values())))
+        group_col = np.repeat(np.arange(len(counts)), counts)
+        return ex._canonical(self.forms, [head for head, _ in groups],
+                             [kernels for _, kernels in groups], self.products, values,
+                             scale, group_col, group_col, product_col, coeff_col)
+
+    def reflection(self, line_id: int) -> "_Reflection":
+        if line_id not in self._reflections:
+            self._reflections[line_id] = _Reflection(self, line_id)
+        return self._reflections[line_id]
+
+    def normalize_all(self, groups: dict[tuple, dict[int, int]]) -> dict[tuple, dict[int, int]]:
+        """The normal form of packed terms, zeros and vanished groups
+        dropped; the products are reduced in one batch."""
+        self.reduce_all(p for terms in groups.values() for p in terms)
+        reduced, out = self.reduced, {}
+        for key, terms in groups.items():
+            acc: dict[int, int] = {}
+            get = acc.get
+            for p, c in terms.items():
+                images = reduced[p]
+                if images is None:
+                    acc[p] = get(p, 0) + c
+                else:
+                    for image, a in images:
+                        acc[image] = get(image, 0) + a * c
+            acc = {p: c for p, c in acc.items() if c}
+            if acc:
+                out[key] = acc
+        return out
+
     def _build_tables(self) -> None:
         """Integer vectors of the forms over (non-root N's, q's), and the
         bond tables of _bond_search: per bond its N-part, its lines, and the
@@ -367,17 +437,17 @@ class _Arrangement:
             1 - 2 * ((pattern[:, None] & self._weight[self._bond]) > 0))
         self.vectors = np.rint(np.hstack([self._n, self._q])).astype(np.int64)
 
-    def reduce_all(self, products: Iterable[tuple[int, ...]]) -> None:
+    def reduce_all(self, products: Iterable[int]) -> None:
         """Fill `reduced` for the products and everything they rewrite into.
 
         Broken circuits are searched for all pending products at once; the
-        rewritten products form the next round. Rewritten products are then
-        assembled in increasing multiset order, in which every rewrite
-        descends. Raises NormalFormTooLarge before a round would take the
-        products past MAX_REDUCED_PRODUCTS.
+        rewritten products, interned as they are found, form the next round.
+        Rewritten products are then assembled in increasing multiset order,
+        in which every rewrite descends. Raises NormalFormTooLarge before a
+        round would take the products past MAX_REDUCED_PRODUCTS.
         """
         reduced = self.reduced
-        steps: dict[tuple[int, ...], list] = {}
+        steps: dict[int, tuple] = {}
         todo = {p for p in products if p not in reduced}
         while todo:
             if len(reduced) + len(steps) + len(todo) > MAX_REDUCED_PRODUCTS:
@@ -390,33 +460,35 @@ class _Arrangement:
                 steps[product] = children
                 pending.update(child for child, _ in children)
             todo = {p for p in pending if p not in reduced and p not in steps}
-        for product in sorted(steps, key=lambda p: p[::-1]):
-            acc: dict[tuple[int, ...], int] = {}
+        for product in sorted(steps, key=lambda p: self.products[p][::-1]):
+            acc: dict[int, int] = {}
             for child, a in steps[product]:
                 for monomial, c in reduced[child] or ((child, 1),):
                     acc[monomial] = acc.get(monomial, 0) + a * c
             reduced[product] = tuple((m, c) for m, c in acc.items() if c)
 
-    def _broken_circuits(self, products: list[tuple[int, ...]]) -> dict:
-        """product -> None if it is in normal form; else the rewrite by one
-        broken circuit, relation H = sum_D a_D D, as ((T - D + H, a_D), ...).
+    def _broken_circuits(self, products: list[int]) -> dict:
+        """product id -> None if it is in normal form; else the rewrite by
+        one broken circuit, relation H = sum_D a_D D, as ((id of T - D + H,
+        a_D), ...).
 
         Products of V-1 > 1 forms are searched in batches by _bond_search,
         others by _exact_rewrite.
         """
         nv = self.graph.num_vertices - 1
-        if self.vectors is None and any(len(p) != 1 for p in products):
+        sizes = [len(self.products[p]) for p in products]
+        if self.vectors is None and any(k != 1 for k in sizes):
             self._build_tables()
-        basis = [p for p in products if len(p) == nv > 1]
+        basis = [p for p, k in zip(products, sizes) if k == nv > 1]
         # one form is never a broken circuit (circuits have three members)
-        out = {p: None if len(p) == 1 else self._exact_rewrite(p)
-               for p in products if len(p) != nv or nv == 1}
+        out = {p: None if k == 1 else self._exact_rewrite(p)
+               for p, k in zip(products, sizes) if k != nv or nv == 1}
         rows = max(1, _BATCH_ELEMENTS // (len(self._bonds) * self.graph.num_lines))
         for start in range(0, len(basis), rows):
             out.update(self._bond_search(basis[start:start + rows]))
         return out
 
-    def _bond_search(self, group: list[tuple[int, ...]]) -> dict:
+    def _bond_search(self, group: list[int]) -> dict:
         """_broken_circuits for products of V-1 forms.
 
         Every product of the pipeline has N-parts that are a basis of the
@@ -436,7 +508,7 @@ class _Arrangement:
         integers and checked in integers; a product whose N-parts are not a
         basis, or whose relation is not integral, goes to _exact_rewrite.
         """
-        ranks = np.array(group)                                  # n x k
+        ranks = np.array([self.products[p] for p in group])     # n x k
         try:
             inverse = np.linalg.inv(self._n[ranks])              # n x k x k
         except np.linalg.LinAlgError:       # some N-parts are dependent
@@ -467,20 +539,22 @@ class _Arrangement:
         children[:, np.arange(k), np.arange(k)] = h[:, None]
         children.sort(axis=2)
         out: dict = dict.fromkeys(group)
+        intern = self.product
         for i, kids, row, ok in zip(found.tolist(), children.tolist(), a.tolist(),
                                     exact.tolist()):
             product = group[i]
-            out[product] = tuple((tuple(kid), c) for kid, c in zip(kids, row)
+            out[product] = tuple((intern(tuple(kid)), c) for kid, c in zip(kids, row)
                                  if c) if ok else self._exact_rewrite(product)
         return out
 
-    def _exact_rewrite(self, product: tuple[int, ...]):
+    def _exact_rewrite(self, product: int):
         """_broken_circuits for one product, in exact arithmetic."""
-        found = self._exact_broken_circuit(product)
+        ranks = self.products[product]
+        found = self._exact_broken_circuit(ranks)
         if found is None:
             return None
         h, relation = found
-        return tuple((_rewrite(product, d, h), a) for d, a in relation)
+        return tuple((self.product(_rewrite(ranks, d, h)), a) for d, a in relation)
 
     def _exact_broken_circuit(self, product: tuple[int, ...]):
         """(H, relation) of a broken circuit of any product, or None, in
@@ -578,145 +652,29 @@ def operator_reduced(graph: MatsubaraGraph) -> OperatorSpec:
     return OperatorSpec(tuple(gr.non_cutset_subsets(graph, gr.cycle_rank(graph))), graph)
 
 
-class _Packed:
-    """The packed terms of one operator application or route over the cut
-    arrangement of a graph, with coefficients over `scale`.
-
-    A form's id is its rank in the arrangement; (pi_power, q_exponents)
-    heads and term shapes (head id, sorted form-id tuple) are interned to
-    ints in first-seen order. Packed terms map kernel tuple -> {shape id:
-    coefficient}, merged as they are added; `normal` memoizes the normal
-    form of each shape, shape -> ((shape', coeff), ...), or None for a shape
-    that is in normal form.
-    """
-
-    def __init__(self, scale: int, graph: MatsubaraGraph):
-        self.scale = scale
-        self.arrangement = _Arrangement(graph)
-        self.forms = self.arrangement.forms
-        self.heads: list[tuple] = []
-        self.odd: list[frozenset[int]] = []  # per head: lines of odd q exponent
-        self.shapes: list[tuple[int, tuple[int, ...]]] = []
-        self._head_ids: dict = {}
-        self._shape_ids: dict = {}
-        self._reflections: dict[int, _Reflection] = {}
-        self.normal: dict[int, tuple] = {}
-
-    def head(self, pi_power: int, q_exponents: tuple) -> int:
-        key = (pi_power, q_exponents)
-        head = self._head_ids.get(key)
-        if head is None:
-            head = self._head_ids[key] = len(self.heads)
-            self.heads.append(key)
-            self.odd.append(frozenset(l for l, exp in q_exponents if exp % 2))
-        return head
-
-    def shape(self, head: int, form_ids: Iterable[int]) -> int:
-        key = (head, tuple(sorted(form_ids)))
-        shape = self._shape_ids.get(key)
-        if shape is None:
-            shape = self._shape_ids[key] = len(self.shapes)
-            self.shapes.append(key)
-        return shape
-
-    def pack(self, e: Expression) -> dict[tuple, dict[int, int]]:
-        """The packed terms of e, for a _Packed built at e.scale; raises
-        NotACutForm for a form of e that is not in the arrangement."""
-        forms = [self.arrangement.rank(f) for f in e.forms]
-        heads = [self.head(*head) for head in e.heads]
-        products = [[forms[f] for f in product] for product in e.products]
-        groups: dict[tuple, dict[int, int]] = {kernels: {} for kernels in e.kernel_sets}
-        targets = list(groups.values())
-        numerators = e.numerators
-        shapes: dict[tuple[int, int], int] = {}
-        for h, k, p, c in zip(*e.rows.T.tolist()):
-            shape = shapes.get((h, p))
-            if shape is None:
-                shape = shapes[h, p] = self.shape(heads[h], products[p])
-            group = targets[k]
-            group[shape] = group.get(shape, 0) + numerators[c]
-        return groups
-
-    def freeze(self, groups: dict[tuple, dict[int, int]]) -> Expression:
-        """The canonical Expression of packed terms, by _canonical(): the
-        groups flattened into kernel, shape and coefficient columns, with
-        the shapes the terms use as the products. Coefficients may be
-        rationals (a rewrite relation with a fractional coefficient); the
-        scale absorbs them."""
-        counts = [len(terms) for terms in groups.values()]
-        shape_col = np.fromiter(itertools.chain.from_iterable(groups.values()), np.int64,
-                                sum(counts))
-        coeff_col, values = ex._rank(list(itertools.chain.from_iterable(
-            terms.values() for terms in groups.values())))
-        shape_col, shapes = ex._used(shape_col, self.shapes)
-        heads = np.array([head for head, _ in shapes], dtype=np.int64)
-        return ex._canonical(self.forms, self.heads, list(groups), [dens for _, dens in shapes],
-                             values, self.scale, heads[shape_col],
-                             np.repeat(np.arange(len(counts)), counts), shape_col, coeff_col)
-
-    def reflection(self, line_id: int) -> "_Reflection":
-        table = self._reflections.get(line_id)
-        if table is None:
-            table = self._reflections[line_id] = _Reflection(self, line_id)
-        return table
-
-    def fill(self, shapes: Iterable[int]) -> None:
-        """Normal forms of all the shapes not yet in `normal`, their
-        products reduced in one batch."""
-        normal = self.normal
-        todo = {shape for shape in shapes if shape not in normal}
-        if not todo:
-            return
-        reduced = self.arrangement.reduced
-        self.arrangement.reduce_all(self.shapes[shape][1] for shape in todo)
-        for shape in todo:
-            head, product = self.shapes[shape]
-            image = reduced[product]
-            normal[shape] = image and tuple(
-                (self.shape(head, monomial), c)
-                for monomial, c in image)
-
-    def normalize_all(self, groups: dict[tuple, dict[int, int]]) -> dict[tuple, dict[int, int]]:
-        """The normal form of packed terms, zeros and vanished kernel groups
-        dropped; the shapes are filled in one batch."""
-        self.fill(shape for terms in groups.values() for shape in terms)
-        normal, out = self.normal, {}
-        for kernels, terms in groups.items():
-            acc: dict[int, int] = {}
-            get = acc.get
-            for shape, c in terms.items():
-                images = normal[shape]
-                if images is None:
-                    acc[shape] = get(shape, 0) + c
-                else:
-                    for image, a in images:
-                        acc[image] = get(image, 0) + a * c
-            acc = {shape: c for shape, c in acc.items() if c}
-            if acc:
-                out[kernels] = acc
-        return out
-
-
 class _Reflection(dict):
-    """R_l as a signed permutation of term shapes: shape -> (shape', +-1),
-    filled on first use. R_l flips l's bit of each cut form's sign pattern
-    (see _Arrangement.flip), so the sign is the head's q parity alone."""
+    """R_l on product ids: product -> the product with l's bit of each cut
+    form's sign pattern flipped (see _Arrangement.flip), filled on first
+    use. R_l has no other sign than the parity of q_l in the head (sign)."""
 
-    def __init__(self, packed: _Packed, line_id: int):
-        self.packed = packed
+    def __init__(self, arrangement: _Arrangement, line_id: int):
+        self.arrangement = arrangement
         self.line_id = line_id
         self.flips: dict[int, int] = {}  # form id -> form id'
 
-    def __missing__(self, shape: int) -> tuple[int, int]:
-        p, flips, lid = self.packed, self.flips, self.line_id
-        head, dens = p.shapes[shape]
+    def sign(self, head: tuple) -> int:
+        """-1 when q_l has an odd exponent in the head, else +1."""
+        return -1 if dict(head[1]).get(self.line_id, 0) % 2 else 1
+
+    def __missing__(self, product: int) -> int:
+        arrangement, flips, lid = self.arrangement, self.flips, self.line_id
         flipped = []
-        for form in dens:
+        for form in arrangement.products[product]:
             image = flips.get(form)
             if image is None:
-                image = flips[form] = p.arrangement.flip(form, lid)
+                image = flips[form] = arrangement.flip(form, lid)
             flipped.append(image)
-        out = self[shape] = (p.shape(head, flipped), -1 if lid in p.odd[head] else 1)
+        out = self[product] = arrangement.product(tuple(sorted(flipped)))
         return out
 
 
@@ -734,7 +692,7 @@ def _trie(subsets: Iterable[LineSubset]) -> dict:
     return trie
 
 
-def _walk(packed: _Packed, starts: Iterable[tuple[Iterable[LineSubset], dict]],
+def _walk(arrangement: _Arrangement, starts: Iterable[tuple[Iterable[LineSubset], dict]],
           total: dict[tuple, dict[int, int]], normal: bool = True) -> None:
     """Apply operators to packed terms, adding the results into total; each
     start pairs the subsets of an operator with the terms it acts on.
@@ -742,8 +700,8 @@ def _walk(packed: _Packed, starts: Iterable[tuple[Iterable[LineSubset], dict]],
     Level by level over the prefix tries of the subsets: each edge applies
     nbe_l (1 - R_l) to the terms of its parent, and each subset's terms
     accumulate into total. Zeros drop at every node. With `normal`, the
-    input is brought to normal form over the packed cut arrangement and so
-    is every reflected term, the new shapes of a level reduced in one batch,
+    input is brought to normal form over the cut arrangement and so is
+    every reflected term, the new products of a level reduced in one batch,
     so terms that cancel only as functions (cutset branches on a normal-form
     integral) drop too.
     """
@@ -751,65 +709,73 @@ def _walk(packed: _Packed, starts: Iterable[tuple[Iterable[LineSubset], dict]],
     for subsets, groups in starts:
         trie = _trie(subsets)
         if normal:
-            groups = packed.normalize_all(groups)
-        level.extend((trie, terms, kernels) for kernels, terms in groups.items())
+            groups = arrangement.normalize_all(groups)
+        level.extend((trie, terms, key) for key, terms in groups.items())
+    reduced = arrangement.reduced
     while level:
         edges = []
-        for node, terms, kernels in level:
+        for node, terms, key in level:
             if _LEAF in node:
-                acc = total.setdefault(kernels, {})
-                for shape, c in terms.items():
-                    acc[shape] = acc.get(shape, 0) + c
+                total.setdefault(key, Counter()).update(terms)
             for lid, child in node.items():
                 if lid is _LEAF:
                     continue
-                if lid in kernels:
+                if lid in key[1]:
                     raise ex.KernelReflection(lid)
-                edges.append((child, terms, kernels, lid, packed.reflection(lid)))
+                edges.append((child, terms, key, lid, arrangement.reflection(lid)))
         if normal:
-            packed.fill(reflect[shape][0] for _, terms, _, _, reflect in edges for shape in terms)
-        images_of = packed.normal
+            arrangement.reduce_all(reflect[p] for _, terms, _, _, reflect in edges
+                                   for p in terms)
         held = sum(map(len, total.values()))
         level = []
-        for child, terms, kernels, lid, reflect in edges:
+        for child, terms, (head, kernels), lid, reflect in edges:
+            sign = reflect.sign(head)
             out = dict(terms)
             get = out.get
-            for shape, c in terms.items():
-                image, sign = reflect[shape]
-                images = images_of[image] if normal else None
+            for p, c in terms.items():
+                image = reflect[p]
+                images = reduced[image] if normal else None
                 if images is None:
                     out[image] = get(image, 0) - sign * c
                 else:
                     for image, a in images:
                         out[image] = get(image, 0) - sign * a * c
-            out = {shape: c for shape, c in out.items() if c}
+            out = {p: c for p, c in out.items() if c}
             held += len(out)
             if held > MAX_TERMS:
                 raise TooManyTerms()
             if out:
-                level.append((child, out, tuple(sorted(kernels + (lid,)))))
+                level.append((child, out, (head, tuple(sorted(kernels + (lid,))))))
 
 
 def apply_operator(spec: OperatorSpec, e: Expression) -> Expression:
     """Apply a thermal operator to an expression.
 
-    The expression is packed once (see _Packed). Factors for distinct lines
-    commute; within each subset they are applied in ascending line order,
-    and subsets sharing a prefix share the intermediate terms (level by
-    level over the prefix trie). Each factor nbe_l (1 - R_l) is dict
-    arithmetic on packed terms through a memoized signed permutation of
-    term shapes; terms that cancel are dropped at once. The input and every
-    level are kept in normal form over the cut arrangement of the spec's
-    graph, so cutset branches die early and the result is the normal form.
-    The subsets' results are summed into one packed total, which is
-    frozen into an Expression once. An empty subset list gives the empty expression.
-    Reflecting a line whose kernel a term already carries raises
-    KernelReflection.
+    The expression is packed once (see _Arrangement). Factors for distinct
+    lines commute; within each subset they are applied in ascending line
+    order, and subsets sharing a prefix share the intermediate terms (level
+    by level over the prefix trie). Each factor nbe_l (1 - R_l) is dict
+    arithmetic on packed terms through a memoized map of product ids; terms
+    that cancel are dropped at once. The input and every level are kept in
+    normal form over the cut arrangement of the spec's graph, so cutset
+    branches die early and the result is the normal form. The subsets'
+    results are summed into one packed total, which is frozen into an
+    Expression once. An empty subset list gives the empty expression.
+    Raises UnknownLine for a line the graph lacks, ValueError for a subset
+    listed twice, and KernelReflection for reflecting a line whose kernel a
+    term already carries.
     """
-    packed = _Packed(e.scale, spec.graph)
+    seen: set[LineSubset] = set()
+    for subset in map(tuple, map(sorted, spec.subsets)):
+        for lid in subset:
+            spec.graph.line(lid)  # id check
+        if subset in seen:
+            raise ValueError(f"operator subset {list(subset)} is listed twice")
+        seen.add(subset)
+    arrangement = _Arrangement(spec.graph)
     total: dict[tuple, dict[int, int]] = {}
-    _walk(packed, [(spec.subsets, packed.pack(e))], total)
-    return packed.freeze(total)
+    _walk(arrangement, [(spec.subsets, arrangement.pack(e))], total)
+    return arrangement.freeze(total, e.scale)
 
 
 def matsubara_sum(
@@ -834,13 +800,15 @@ def matsubara_sum(
         raise ValueError(f"unknown method {method!r}")
     trees = gr.enumerate_spanning_trees(graph)
     total: dict[tuple, dict[int, int]] = {}
-    packed, parts, integral = _tree_products(graph, trees, hierarchy)
+    arrangement, parts, integral = _tree_products(
+        graph, [solve_tree(graph, tree, hierarchy) for tree in trees])
+    scale = 2 ** graph.num_lines
     if method == "operator":
-        _walk(packed, [(operator_reduced(graph).subsets, integral)], total)
-        return packed.freeze(total)
-    _walk(packed, [(gr.line_subsets(set(graph.line_ids) - set(tree)), {(): part})
-                   for tree, part in zip(trees, parts)], total, normal=False)
-    return packed.freeze(packed.normalize_all(total))
+        _walk(arrangement, [(operator_reduced(graph).subsets, integral)], total)
+        return arrangement.freeze(total, scale)
+    _walk(arrangement, [(gr.line_subsets(set(graph.line_ids) - set(tree)), part)
+                        for tree, part in zip(trees, parts)], total, normal=False)
+    return arrangement.freeze(arrangement.normalize_all(total), scale)
 
 
 def annihilator_check(
@@ -848,14 +816,13 @@ def annihilator_check(
 ) -> bool:
     """True iff prod_{i in subset} (1 - R_i) maps e to zero: the image under
     the one-subset operator, whose kernels do not affect emptiness, has an
-    empty normal form over the graph's cut arrangement.
+    empty normal form over the graph's cut arrangement. Raises UnknownLine
+    for a line the graph lacks.
 
     For any cutset of the graph this holds on the integral evaluation; for
     non-cutsets it generally does not.
     """
     lines = tuple(sorted(set(subset)))
-    for lid in lines:
-        graph.line(lid)  # id check
     return apply_operator(OperatorSpec((lines,), graph), e).is_empty()
 
 

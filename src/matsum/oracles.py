@@ -269,12 +269,32 @@ def _make_report(symbolic, oracle, convergence, tolerance, q_values, n_values):
     )
 
 
+def _draw(graph: MatsubaraGraph, rng: np.random.Generator):
+    """One (q, N) draw: q in [0.3, 3) per line in id order, then N in
+    [-3, 3] per non-root vertex."""
+    q_values = {lid: float(rng.uniform(0.3, 3.0)) for lid in sorted(graph.line_ids)}
+    n_values = {v: int(rng.integers(-3, 4)) for v in graph.vertices[:-1]}
+    return q_values, n_values
+
+
+def gaudin_draws(graph: MatsubaraGraph, trials: int, seed: int):
+    """`trials` seeded (q, n tuple) draws for check_gaudin_identity: (q, N)
+    as verify draws them, then n in [-5, 5] on each non-tree line of the
+    first spanning tree, the tree lines' n solved from the constraints."""
+    sol, free = _independent_layout(graph)
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        q_values, n_values = _draw(graph, rng)
+        n_tuple = {lid: int(rng.integers(-5, 6)) for lid in free}
+        for j in sol.tree:
+            n_tuple[j] = sol.omega[j].value(n_values, n_tuple)
+        yield q_values, n_tuple
+
+
 def _random_point(graph: MatsubaraGraph, expr: ex.Expression, rng: np.random.Generator):
     """Draw (q, N) until the expression evaluates; degenerate draws redraw."""
-    non_root = graph.vertices[:-1]
     for attempt in range(100):
-        q_values = {lid: float(rng.uniform(0.3, 3.0)) for lid in sorted(graph.line_ids)}
-        n_values = {v: int(rng.integers(-3, 4)) for v in non_root}
+        q_values, n_values = _draw(graph, rng)
         try:
             value = ex.eval_numeric(expr, q_values, n_values)
         except ex.ZeroDenominator:

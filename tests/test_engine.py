@@ -351,7 +351,7 @@ def test_operator_routes_match_subset_by_subset_reference(index):
     assert engine.matsubara_sum(g, "direct") == normal
 
 
-def test_apply_operator_carries_kernels_and_rejects_reflecting_them(g2):
+def test_apply_operator_carries_kernels_and_rejects_reflecting_them(g2, g4):
     e = kernel_multiply(reference_integral_g2(), 1)
     with pytest.raises(ex.KernelReflection):
         engine.apply_operator(engine.OperatorSpec(((1,),), g2), e)
@@ -359,9 +359,37 @@ def test_apply_operator_carries_kernels_and_rejects_reflecting_them(g2):
         engine.apply_operator(engine.OperatorSpec(((), (2,), (1, 2)), g2), e)
     spec = engine.OperatorSpec(((), (2,)), g2)
     assert engine.apply_operator(spec, e) == engine.normal_form(g2, _reference_operator(spec, e))
-    # the cutset {1, 2} annihilates the terms before line 3's kernel is reached
-    e3 = kernel_multiply(reference_integral_g2(), 3)
-    assert engine.apply_operator(engine.OperatorSpec(((1, 2, 3),), g2), e3).is_empty()
+    # the cutset {1, 2} of G4 annihilates the terms before line 3's kernel
+    # is reached
+    e3 = kernel_multiply(engine.matsubara_integral(g4), 3)
+    assert engine.apply_operator(engine.OperatorSpec(((1, 2, 3),), g4), e3).is_empty()
+
+
+def test_apply_operator_rejects_a_spec_its_graph_cannot_have(g2):
+    e = engine.matsubara_integral(g2)
+    for subsets in (((99,),), ((), (1, 99))):
+        with pytest.raises(gr.UnknownLine, match="99"):
+            engine.apply_operator(engine.OperatorSpec(subsets, g2), e)
+    with pytest.raises(gr.UnknownLine):
+        engine.annihilator_check(g2, (1, 99), e)
+    # a subset listed twice, compared after sorting
+    for subsets in (((), ()), ((1, 2), (2, 1)), ((1,), (2,), (1,))):
+        with pytest.raises(ValueError, match="listed twice"):
+            engine.apply_operator(engine.OperatorSpec(subsets, g2), e)
+
+
+def test_operator_on_mixed_heads_and_even_q_exponents(g4):
+    # R_l's sign is the parity of q_l in each term's head: spread the
+    # integral's terms over four heads, two of them even in some q's
+    heads = [(2, ((1, -1), (2, -1), (3, -1), (4, -1), (5, -1))), (2, ((1, -2), (3, 1))),
+             (2, ()), (1, ((2, -1), (5, 2)))]
+    e = ex.Expression([t._replace(pi_power=heads[i % 4][0], q_exponents=heads[i % 4][1])
+                       for i, t in enumerate(engine.matsubara_integral(g4).terms)])
+    assert len(e.heads) == 4
+    for spec in (engine.operator_reduced(g4), engine.operator_full(g4),
+                 engine.OperatorSpec(((), (2,), (1, 3), (2, 4, 5), (1, 2, 3, 4, 5)), g4)):
+        assert engine.apply_operator(spec, e) == engine.normal_form(
+            g4, _reference_operator(spec, e))
 
 
 #: Term count and sha256 of the JSON render of the rank-6 stress sum
@@ -460,15 +488,15 @@ def test_reflection_of_a_cut_form_is_a_bit_flip(g2, g3, g4):
     # with sign +1
     rng = np.random.default_rng(20260810)
     for g in [g2, g3, g4] + [fixtures.random_graph(rng, 5, 7) for _ in range(10)]:
-        packed = engine._Packed(1, g)
-        head = packed.head(0, ())
+        arrangement = engine._Arrangement(g)
         for rank, form in enumerate(engine.cut_forms(g)):
-            shape = packed.shape(head, (rank,))
+            product = arrangement.product((rank,))
             for lid in g.line_ids:
                 flipped, sign = reference._flip_form(form, lid)
-                image, engine_sign = packed.reflection(lid)[shape]
-                assert (sign, engine_sign) == (1, 1)
-                assert packed.shapes[image] == (head, (packed.forms.index(flipped),))
+                reflect = arrangement.reflection(lid)
+                assert (sign, reflect.sign((0, ()))) == (1, 1)
+                assert arrangement.products[reflect[product]] == (
+                    arrangement.forms.index(flipped),)
 
 
 def test_exact_search_gives_the_same_normal_form(monkeypatch):
