@@ -35,21 +35,25 @@ call rewrites at most MAX_REDUCED_PRODUCTS products and raises
 NormalFormTooLarge past that.
 
 Both routes, apply_operator for any operator and tree_product share one
-per-call _Arrangement, which owns the forms, the products, the normal-form
-memo and the reflections. Form ids are the arrangement's ranks: tree
-products are built in them (looked up by bond and sign pattern), and an
-input Expression is packed from its tables into them, a form outside the
-arrangement raising NotACutForm. A product id names a sorted tuple of
-form ranks, and packed terms map (head, kernels) -> {product id: integer
-coefficient over a common denominator}. R_i flips i's bit of each cut
-form's sign pattern, a memoized map of product ids; its only sign is the
-parity of q_i in the group's head. Each factor nbe_i (1 - R_i) is dict
-arithmetic, with cancelled terms dropped at once, and each level of the
-walk is brought to normal form with its new products reduced in one
-batch. Nothing is sorted during the walk: each route freezes its packed
-result into an Expression once (_Arrangement.freeze), which ranks the
-tables and sorts the rows on one integer key. A walk holds at most
-MAX_TERMS terms and raises TooManyTerms past that.
+per-call _Arrangement, which owns the forms, the products, the (head,
+kernels) groups, the normal-form memo and the reflections. Form ids are the
+arrangement's ranks: tree products are built in them (looked up by bond and
+sign pattern), and an input Expression is packed from its tables into them,
+a form outside the arrangement raising NotACutForm. A product id names a
+sorted tuple of form ranks, and packed terms are three columns (_Terms):
+group id, product id and an integer coefficient over a common denominator.
+R_i flips i's bit of each cut form's sign pattern; on product ids it is a
+gather through the line's product-id map, filled once per new product, and
+its only sign is the parity of q_i in the group's head. Each factor
+nbe_i (1 - R_i) runs on the columns of a whole level of the walk: the
+reflected rows are expanded through the normal forms of their products
+(compressed sparse rows built from the memo, the level's new products
+reduced in one batch), and equal rows are merged, zeros dropped, by one sort
+and reduce. Coefficients stay exact: int64 while a bound on every product
+and sum of the level fits, Python ints and Fractions in an object column
+otherwise. Nothing is put in canonical order during the walk: each route
+freezes its columns into an Expression once (_Arrangement.freeze). A walk
+holds at most MAX_TERMS terms and raises TooManyTerms past that.
 
 Cutset subsets of reflection-differences annihilate the integral: the
 normal form of the image is empty (annihilator_check), which is what
@@ -61,7 +65,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -152,19 +155,19 @@ def tree_product(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
     1/(q_j - i Omega_j) - 1/(-q_j - i Omega_j). The result has 2^(V-1)
     terms and depends on the regulator signs of the solution.
     """
-    arrangement, _, total = _tree_products(graph, [solution])
+    arrangement, total = _tree_products(graph, [solution])
     return arrangement.freeze(total, 2 ** graph.num_lines)
 
 
-def _pack_tree_product(arrangement: "_Arrangement", solution: TreeSolution) -> dict[int, int]:
-    """The terms {product id: coefficient over 2^I} of a tree product: the
-    base term (2 pi)^L / prod_k (2 q_k) over the tree lines' denominators,
-    then (1 + R_j) for each tree line j. Line j's denominator, with N-part a N(S)
-    (a = +-1, S its fundamental bond's root-free side), is s = -a times the
-    cut form i N(S) + s (q_j + sum_l eps_l b_l q_l). No other line's form
-    has q_j and the head is odd in q_j, so (1 + R_j) pairs j's form (+1)
-    with its q_j-flipped form (-1); the terms are the pairs' products."""
-    sign, pairs = 1, []
+def _tree_forms(arrangement: "_Arrangement",
+                solution: TreeSolution) -> tuple[int, list[int], list[int]]:
+    """A tree product's base term (2 pi)^L / prod_k (2 q_k) over the tree
+    lines' denominators, as its sign and the ranks of its forms, and the
+    ranks of those forms with q_j flipped for their tree line j. Line j's
+    denominator, with N-part a N(S) (a = +-1, S its fundamental bond's
+    root-free side), is s = -a times the cut form
+    i N(S) + s (q_j + sum_l eps_l b_l q_l)."""
+    sign, forms, flipped = 1, [], []
     for j in solution.tree:
         om = solution.omega[j]
         s = -om.n_part[0][1]
@@ -172,16 +175,16 @@ def _pack_tree_product(arrangement: "_Arrangement", solution: TreeSolution) -> d
         rank = arrangement.cut_rank(frozenset(v for v, _ in om.n_part),
                                     [l for l, c in q if c < 0])
         sign *= s
-        pairs.append(((rank, 1), (arrangement.flip(rank, j), -1)))
-    return {arrangement.product(tuple(sorted(r for r, _ in choice))):
-            math.prod(c for _, c in choice) * sign for choice in itertools.product(*pairs)}
+        forms.append(rank)
+        flipped.append(int(arrangement.flips()[arrangement.line_position[j], rank]))
+    return sign, forms, flipped
 
 
 def tree_integral(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
     """Contribution of one spanning tree to the integral evaluation: the
     normal form (see normal_form) of its tree_product. The contributions of
     all trees add up to matsubara_integral."""
-    arrangement, _, total = _tree_products(graph, [solution])
+    arrangement, total = _tree_products(graph, [solution])
     return arrangement.freeze(arrangement.normalize_all(total), 2 ** graph.num_lines)
 
 
@@ -191,22 +194,32 @@ def matsubara_integral(
     """Closed-form evaluation of the Matsubara integral: the tree products
     of all spanning trees, summed and brought to normal form once. The
     result does not depend on the regulator hierarchy."""
-    arrangement, _, total = _tree_products(graph, [
+    arrangement, total = _tree_products(graph, [
         solve_tree(graph, tree, hierarchy) for tree in gr.enumerate_spanning_trees(graph)])
     return arrangement.freeze(arrangement.normalize_all(total), 2 ** graph.num_lines)
 
 
 def _tree_products(graph: MatsubaraGraph, solutions: Sequence[TreeSolution]):
     """The packed tree products of the solutions' trees over the graph's
-    cut arrangement, and their sum: one group each, of head (2 pi)^L /
-    prod_k q_k and no kernels."""
+    cut arrangement, unmerged, 2^(V-1) rows per tree in the solutions'
+    order: all in one group, of head (2 pi)^L / prod_k q_k and no kernels,
+    coefficients over 2^I.
+
+    A tree product is its base term (see _tree_forms) times (1 + R_j) for
+    each tree line j. No other line's form has q_j and the head is odd in
+    q_j, so (1 + R_j) pairs j's form (+1) with its q_j-flipped form (-1);
+    the terms are the pairs' products, built for all trees at once."""
     arrangement = _Arrangement(graph)
-    key = ((gr.cycle_rank(graph), tuple((lid, -1) for lid in graph.line_ids)), ())
-    parts = [_pack_tree_product(arrangement, solution) for solution in solutions]
-    total: Counter[int] = Counter()
-    for part in parts:
-        total.update(part)
-    return arrangement, [{key: part} for part in parts], {key: total}
+    group = arrangement.group(
+        ((gr.cycle_rank(graph), tuple((lid, -1) for lid in graph.line_ids)), ()))
+    signs, forms, flipped = zip(*(_tree_forms(arrangement, s) for s in solutions))
+    k = graph.num_vertices - 1
+    # term t of a tree takes tree line j's flipped form where bit j of t is set
+    bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+    ranks = np.where(bits, np.array(flipped)[:, None, :], np.array(forms)[:, None, :])
+    products = arrangement.intern(np.sort(ranks, axis=2).reshape(-1, k))
+    coeff = (np.array(signs)[:, None] * (1 - 2 * (bits.sum(axis=1) & 1))).reshape(-1)
+    return arrangement, _Terms(np.full(len(products), group), products, coeff)
 
 
 def normal_form(graph: MatsubaraGraph, e: Expression) -> Expression:
@@ -262,10 +275,11 @@ class NormalFormTooLarge(gr.GraphTooLarge):
 
 
 #: Most terms one walk of the thermal operator holds at once, in its
-#: packed total and the level it is building. Valid graphs reach it: the
-#: triangle with 2, 2 and 9 parallel lines has 7.0M sum terms, and each
-#: added line roughly triples them; 2, 2 and 8 gives 2.3M terms and peaks
-#: at about 600 MB.
+#: merged result and the level it is building; a level's rows before
+#: merging are built in chunks of at most this many. Valid graphs reach
+#: it: the triangle with 2, 2 and 9 parallel lines has 7.0M sum terms, and
+#: each added line roughly triples them; 2, 2 and 8 gives 2.3M terms and
+#: peaks at about 490 MB, and 2, 2 and 9 is refused at about 700 MB.
 MAX_TERMS = 1 << 22
 
 
@@ -277,11 +291,26 @@ class TooManyTerms(gr.GraphTooLarge):
 #: Elements of the largest float array built at once.
 _BATCH_ELEMENTS = 1 << 22
 
+#: Least room of the per-product arrays of an _Arrangement (see _grown).
+_ROOM = 256
+
+
+class _Terms(NamedTuple):
+    """Packed terms as columns: row i is coeff[i] times the head and kernels
+    of group group[i] (see _Arrangement.group) over the product product[i].
+    Coefficients are exact: int64 while every value provably fits, else an
+    object column of Python ints and Fractions."""
+
+    group: np.ndarray
+    product: np.ndarray
+    coeff: np.ndarray
+
 
 class _Arrangement:
     """The graph's cut arrangement, the rewriting of denominator products
-    into its no-broken-circuit (nbc) basis, and the packed terms of one
-    call over it, (head, kernels) -> {product id: coefficient}.
+    into its no-broken-circuit (nbc) basis, and the ids of one call's
+    packed terms (_Terms) over it: forms, products and (head, kernels)
+    groups.
 
     Forms are named by their rank in normal-form order, and a product
     1/prod_{D in T} D by its sorted rank tuple T (repeats allowed), interned
@@ -295,6 +324,13 @@ class _Arrangement:
     which replaces a member by a smaller form, so rewriting ends. The nbc
     monomials are a basis of the algebra the products span (Orlik and
     Terao), so the result does not depend on which circuit is used.
+
+    The memo `reduced` is mirrored in compressed sparse rows (CSR): per
+    product id the start and length of its normal form's rows in two flat
+    columns, (nbc product id, coefficient), so that terms are brought to
+    normal form by a gather. Lines are named by their position in
+    `lines`, and per line R_l is a map of product ids (`images`), filled
+    once per product it meets.
     """
 
     def __init__(self, graph: MatsubaraGraph):
@@ -315,13 +351,26 @@ class _Arrangement:
         self._cuts = [(b, pattern) for _, _, _, b, pattern in keyed]   # by rank
         self._rank = {cut: rank for rank, cut in enumerate(self._cuts)}
         self._bond_of = {side: b for b, (side, _) in enumerate(self._bonds)}
+        self.lines = tuple(sorted(graph.line_ids))
+        self.line_position = {lid: i for i, lid in enumerate(self.lines)}
         self.vectors: np.ndarray | None = None   # built on first search
         self.products: list[tuple[int, ...]] = []   # by product id
         self._product_ids: dict[tuple[int, ...], int] = {}
         #: product id -> ((nbc product id, coefficient), ...), None for an
         #: nbc product: the one normal-form memo
         self.reduced: dict[int, tuple | None] = {}
-        self._reflections: dict[int, _Reflection] = {}
+        # its CSR mirror, for the products looked up: per product id the
+        # start and length (-1: not looked up yet) of its rows, the rows'
+        # columns (the first _nf_size entries), and their largest |coefficient|
+        self._nf = np.empty((0, 2), dtype=np.int64)
+        self._nf_product = self._nf_coeff = np.empty(0, dtype=np.int64)
+        self._nf_size = self._nf_bound = 0
+        #: R_l by line position and product id, -1 where not yet met
+        self.images = np.empty((len(self.lines), 0), dtype=np.int64)
+        self._form_at: np.ndarray | None = None   # see _cut_tables
+        self._flip_table: np.ndarray | None = None
+        self.groups: list[tuple] = []   # (head, kernels) by group id
+        self._group_ids: dict[tuple, int] = {}
 
     def product(self, ranks: tuple[int, ...]) -> int:
         """The id of the product of the forms with these sorted ranks."""
@@ -330,6 +379,29 @@ class _Arrangement:
             product = self._product_ids[ranks] = len(self.products)
             self.products.append(ranks)
         return product
+
+    def intern(self, rows: np.ndarray) -> np.ndarray:
+        """The ids of the products whose sorted ranks are the rows."""
+        return np.fromiter(map(self.product, map(tuple, rows.tolist())), np.int64, len(rows))
+
+    def group(self, key: tuple) -> int:
+        """The id of a (head, kernels) group."""
+        group = self._group_ids.get(key)
+        if group is None:
+            group = self._group_ids[key] = len(self.groups)
+            self.groups.append(key)
+        return group
+
+    def parities(self) -> tuple[np.ndarray, np.ndarray]:
+        """By group id and line position: whether q_l has an odd power in
+        the group's head, so that R_l has sign -1 on it, and whether the
+        group carries l's kernel."""
+        powers = [dict(q_exponents) for (_, q_exponents), _ in self.groups]
+        odd = [[p.get(lid, 0) % 2 for lid in self.lines] for p in powers]
+        carried = [[lid in kernels for lid in self.lines] for _, kernels in self.groups]
+        shape = (len(self.groups), len(self.lines))
+        return (np.array(odd, dtype=bool).reshape(shape),
+                np.array(carried, dtype=bool).reshape(shape))
 
     def cut_rank(self, side: frozenset[str], minus: Iterable[int]) -> int:
         """The rank of i*N(side) + sum_l +-q_l over the bond with root-free
@@ -348,94 +420,186 @@ class _Arrangement:
             raise NotACutForm(form)
         return rank
 
-    def flip(self, rank: int, line_id: int) -> int:
-        """The rank of the form with q_{line_id} negated: the line's bit of
-        the pattern flipped, with no renormalization, as forms lead with +N(S)."""
-        b, pattern = self._cuts[rank]
-        lines = self._bonds[b][1]
-        if line_id not in lines:
-            return rank
-        return self._rank[b, pattern ^ (1 << (len(lines) - 1 - lines.index(line_id)))]
-
-    def pack(self, e: Expression) -> dict[tuple, dict[int, int]]:
+    def pack(self, e: Expression) -> _Terms:
         """The packed terms of e, with coefficients over e.scale; raises
-        NotACutForm for a form of e that is not in the arrangement."""
+        NotACutForm for a form of e that is not in the arrangement. The
+        rows are read by columns; e's rows come in (head, kernels) order, so
+        each run of equal pairs is one group."""
         forms = [self.rank(f) for f in e.forms]
-        products = [self.product(tuple(sorted(forms[f] for f in product)))
-                    for product in e.products]
-        heads, kernel_sets, numerators = e.heads, e.kernel_sets, e.numerators
-        groups: dict[tuple, dict[int, int]] = {}
-        targets: dict[tuple[int, int], dict[int, int]] = {}
-        for h, k, p, c in zip(*e.rows.T.tolist()):
-            group = targets.get((h, k))
-            if group is None:
-                group = targets[h, k] = groups[heads[h], kernel_sets[k]] = {}
-            p = products[p]
-            group[p] = group.get(p, 0) + numerators[c]
-        return groups
+        products = np.array([self.product(tuple(sorted(forms[f] for f in product)))
+                             for product in e.products], dtype=np.int64)
+        heads, kernels, product, coeff = e.rows.T
+        key = heads * len(e.kernel_sets) + kernels
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        groups = np.array([self.group((e.heads[h], e.kernel_sets[k])) for h, k in
+                           zip(heads[new].tolist(), kernels[new].tolist())], dtype=np.int64)
+        return _Terms(groups[np.cumsum(new) - 1], products[product],
+                      _column(e.numerators)[coeff])
 
-    def freeze(self, groups: dict[tuple, dict[int, int]], scale: int) -> Expression:
+    def freeze(self, terms: _Terms, scale: int) -> Expression:
         """The canonical Expression of packed terms with coefficients over
-        `scale`, by _canonical(): the groups flattened into group, product
-        and coefficient columns. Coefficients may be rationals (a rewrite
-        relation with a fractional coefficient); the scale absorbs them."""
-        counts = [len(terms) for terms in groups.values()]
-        product_col = np.fromiter(itertools.chain.from_iterable(groups.values()), np.int64,
-                                  sum(counts))
-        coeff_col, values = ex._rank(list(itertools.chain.from_iterable(
-            terms.values() for terms in groups.values())))
-        group_col = np.repeat(np.arange(len(counts)), counts)
-        return ex._canonical(self.forms, [head for head, _ in groups],
-                             [kernels for _, kernels in groups], self.products, values,
-                             scale, group_col, group_col, product_col, coeff_col)
+        `scale`: their columns go to _canonical(), the coefficients as
+        indices into a table of values, which need not all be used: the
+        integers of the column's range where that is no longer than the
+        column, else its distinct values. Coefficients may be rationals (a
+        rewrite relation with a fractional coefficient); the scale absorbs
+        them."""
+        coeff = terms.coeff
+        low = int(coeff.min()) if len(coeff) and coeff.dtype != object else 0
+        if coeff.dtype != object and int(coeff.max(initial=low)) - low < len(coeff):
+            values, index = list(range(low, int(coeff.max()) + 1)), coeff - low
+        else:
+            values = np.unique(coeff)
+            values, index = values.tolist(), np.searchsorted(values, coeff)
+        return ex._canonical(self.forms, [head for head, _ in self.groups],
+                             [kernels for _, kernels in self.groups], self.products,
+                             values, scale, terms.group, terms.group, terms.product, index)
 
-    def reflection(self, line_id: int) -> "_Reflection":
-        if line_id not in self._reflections:
-            self._reflections[line_id] = _Reflection(self, line_id)
-        return self._reflections[line_id]
+    def merge(self, terms: _Terms) -> _Terms:
+        """Terms with equal (group, product) merged, zeros dropped."""
+        return _Terms(*_merge(terms, (len(self.groups), len(self.products))))
 
-    def normalize_all(self, groups: dict[tuple, dict[int, int]]) -> dict[tuple, dict[int, int]]:
-        """The normal form of packed terms, zeros and vanished groups
-        dropped; the products are reduced in one batch."""
-        self.reduce_all(p for terms in groups.values() for p in terms)
-        reduced, out = self.reduced, {}
-        for key, terms in groups.items():
-            acc: dict[int, int] = {}
-            get = acc.get
-            for p, c in terms.items():
-                images = reduced[p]
-                if images is None:
-                    acc[p] = get(p, 0) + c
-                else:
-                    for image, a in images:
-                        acc[image] = get(image, 0) + a * c
-            acc = {p: c for p, c in acc.items() if c}
-            if acc:
-                out[key] = acc
-        return out
+    def normalize_all(self, terms: _Terms) -> _Terms:
+        """The normal form of packed terms, merged with zeros dropped: a
+        CSR expansion of the rows through their products' normal forms,
+        the new products reduced in one batch, built in chunks of at most
+        MAX_TERMS rows."""
+        start, length = self.normal_forms(terms.product)
+        parts = []
+        for rows in _slices(length, MAX_TERMS):
+            i, product, coeff = self.rewrite(start[rows], length[rows], terms.coeff[rows])
+            parts.append(self.merge(_Terms(terms.group[rows][i], product, coeff)))
+        return parts[0] if len(parts) == 1 else self.merge(_Terms(*_concat(parts)))
+
+    def normal_forms(self, products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The start and length of each product's normal form in the CSR
+        columns; the products not yet reduced are reduced in one batch."""
+        self._reserve()
+        rows = self._nf[products]
+        new = rows[:, 1] < 0
+        if new.any():
+            new = _distinct(products[new]).tolist()
+            self.reduce_all(new)
+            self._add_rows(new)
+            rows = self._nf[products]
+        return rows[:, 0], rows[:, 1]
+
+    def rewrite(self, start: np.ndarray, length: np.ndarray,
+                coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The normal form of the terms coeff[i] / P_i, whose products P_i
+        have their normal forms' rows at start and length (see
+        normal_forms), as (i, nbc product, coefficient) columns: a CSR
+        expansion. The products are computed in int64 where the largest
+        |coefficient| times the memo's largest |relation coefficient| fits."""
+        i, j = _expand(start, length)
+        relation = self._nf_coeff[j]
+        if relation.dtype != object:
+            coeff = _exact(coeff, self._nf_bound)
+        return i, self._nf_product[j], coeff[i] * relation
+
+    def reflect(self, lines: np.ndarray, products: np.ndarray) -> np.ndarray:
+        """R_l of each product, l at line position lines[i]: a gather
+        through the line's map of product ids. The products a map has not
+        met are flipped form by form through a table (see flips), sorted and
+        interned first, in one batch."""
+        self._reserve()
+        images = self.images[lines, products]
+        new = images < 0
+        if new.any():
+            n = len(self.lines)
+            product, line = np.divmod(_distinct(products[new] * n + lines[new]), n)
+            ranks = [self.products[p] for p in product.tolist()]
+            sizes = set(map(len, ranks))
+            if len(sizes) > 1:
+                # pad with a rank past the forms, which flips to itself and
+                # sorts last
+                width, pad = max(sizes), len(self.forms)
+                ranks = [r + (pad,) * (width - len(r)) for r in ranks]
+            flipped = self.flips()[line[:, None], np.array(ranks, dtype=np.int64).reshape(
+                len(ranks), max(sizes))]
+            flipped.sort(axis=1)
+            rows = flipped.tolist()
+            if len(sizes) > 1:
+                rows = [row[:row.index(pad)] if pad in row else row for row in rows]
+            self.images[line, product] = list(map(self.product, map(tuple, rows)))
+            images = self.images[lines, products]
+        return images
+
+    def flips(self) -> np.ndarray:
+        """By line position and rank: the rank of the form with q_l negated,
+        its line's bit of the sign pattern flipped with no renormalization,
+        as forms lead with +N(S); and one rank past the forms that maps to
+        itself. Built on first use."""
+        if self._flip_table is None:
+            self._cut_tables()
+            table = self._flip_table = np.empty((len(self.lines), len(self.forms) + 1),
+                                                dtype=np.int64)
+            table[:, :-1] = self._form_at[self._offset[self._bond]
+                                          + (self._pattern ^ self._weight[self._bond].T)]
+            table[:, -1] = len(self.forms)
+        return self._flip_table
+
+    def _reserve(self) -> None:
+        """Room for every product id in the per-product arrays."""
+        n = len(self.products)
+        if len(self._nf) < n:
+            self.images = _grown(self.images, n, -1, axis=1)
+            self._nf = _grown(self._nf, n, -1)
+
+    def _add_rows(self, products: list[int]) -> None:
+        """Add the reduced products' normal forms to the CSR columns; an nbc
+        product's normal form is itself."""
+        self._reserve()
+        rewrites = [((p, 1),) if self.reduced[p] is None else self.reduced[p]
+                    for p in products]
+        length = np.fromiter(map(len, rewrites), np.int64, len(rewrites))
+        ids = np.array(products, dtype=np.int64)
+        self._nf[ids, 0] = self._nf_size + length.cumsum() - length
+        self._nf[ids, 1] = length
+        rows = list(itertools.chain.from_iterable(rewrites))
+        size = self._nf_size + len(rows)
+        self._nf_product = _grown(self._nf_product, size, 0)
+        self._nf_coeff = _grown(self._nf_coeff, size, 0)
+        if rows:
+            images, coeffs = zip(*rows)
+            if not _fits(coeffs):
+                self._nf_coeff = self._nf_coeff.astype(object)
+            elif self._nf_coeff.dtype != object:
+                self._nf_bound = max(self._nf_bound, max(map(abs, coeffs)))
+            self._nf_product[self._nf_size:size] = images
+            self._nf_coeff[self._nf_size:size] = coeffs
+        self._nf_size = size
+
+    def _cut_tables(self) -> None:
+        """Per bond its lines' weights in the sign pattern (by line
+        position) and the offset of its patterns, per rank its cut (bond,
+        pattern), and per pattern offset the rank: the tables of flips and
+        _bond_search, built once."""
+        if self._form_at is not None:
+            return
+        bonds = self._bonds
+        self._weight = np.array([[1 << (len(lines) - 1 - lines.index(lid)) if lid in lines else 0
+                                  for lid in self.lines] for _, lines in bonds],
+                                dtype=np.int64).reshape(len(bonds), -1)
+        self._offset = np.cumsum([0] + [1 << len(lines) for _, lines in bonds])
+        self._bond, self._pattern = np.array(self._cuts).T
+        self._form_at = np.empty(len(self.forms), dtype=np.int64)
+        self._form_at[self._offset[self._bond] + self._pattern] = np.arange(len(self.forms))
 
     def _build_tables(self) -> None:
         """Integer vectors of the forms over (non-root N's, q's), and the
-        bond tables of _bond_search: per bond its N-part, its lines, and the
-        rank of the form with each sign pattern."""
+        bond tables of _bond_search: per bond its N-part and its lines, with
+        the cut tables."""
+        self._cut_tables()
         graph, bonds = self.graph, self._bonds
-        line_index = {lid: i for i, lid in enumerate(sorted(graph.line_ids))}
         self._bond_n = np.array([[float(v in side) for v in graph.vertices[:-1]]
                                  for side, _ in bonds]).reshape(len(bonds), -1)
-        self._bond_lines = np.zeros((len(bonds), graph.num_lines))
-        self._weight = np.zeros((len(bonds), graph.num_lines), dtype=np.int64)
-        for b, (_, lines) in enumerate(bonds):
-            for j, lid in enumerate(lines):
-                self._bond_lines[b, line_index[lid]] = 1
-                self._weight[b, line_index[lid]] = 1 << (len(lines) - 1 - j)
-        self._offset = np.cumsum([0] + [1 << len(lines) for _, lines in bonds])
-        self._form_at = np.array([self._rank[b, pattern] for b, (_, lines) in enumerate(bonds)
-                                  for pattern in range(1 << len(lines))])
-        self._bond, pattern = np.array(self._cuts).T
+        self._bond_lines = (self._weight > 0).astype(float)
         self._n = self._bond_n[self._bond]
         self._q = self._bond_lines[self._bond] * (
-            1 - 2 * ((pattern[:, None] & self._weight[self._bond]) > 0))
-        self.vectors = np.rint(np.hstack([self._n, self._q])).astype(np.int64)
+            1 - 2 * ((self._pattern[:, None] & self._weight[self._bond]) > 0))
+        self.vectors = np.rint(np.concatenate([self._n, self._q], axis=1)).astype(np.int64)
 
     def reduce_all(self, products: Iterable[int]) -> None:
         """Fill `reduced` for the products and everything they rewrite into.
@@ -652,100 +816,247 @@ def operator_reduced(graph: MatsubaraGraph) -> OperatorSpec:
     return OperatorSpec(tuple(gr.non_cutset_subsets(graph, gr.cycle_rank(graph))), graph)
 
 
-class _Reflection(dict):
-    """R_l on product ids: product -> the product with l's bit of each cut
-    form's sign pattern flipped (see _Arrangement.flip), filled on first
-    use. R_l has no other sign than the parity of q_l in the head (sign)."""
+class _Forest(NamedTuple):
+    """The prefix tries of operators' subsets, lines in ascending order, as
+    arrays over their nodes (roots first): the lines on the path to each
+    node, whether a subset ends there, and its edges' start and count in
+    the edge columns, which hold each edge's child node and line position."""
 
-    def __init__(self, arrangement: _Arrangement, line_id: int):
-        self.arrangement = arrangement
-        self.line_id = line_id
-        self.flips: dict[int, int] = {}  # form id -> form id'
-
-    def sign(self, head: tuple) -> int:
-        """-1 when q_l has an odd exponent in the head, else +1."""
-        return -1 if dict(head[1]).get(self.line_id, 0) % 2 else 1
-
-    def __missing__(self, product: int) -> int:
-        arrangement, flips, lid = self.arrangement, self.flips, self.line_id
-        flipped = []
-        for form in arrangement.products[product]:
-            image = flips.get(form)
-            if image is None:
-                image = flips[form] = arrangement.flip(form, lid)
-            flipped.append(image)
-        out = self[product] = arrangement.product(tuple(sorted(flipped)))
-        return out
+    path: list[tuple[int, ...]]
+    leaf: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    child: np.ndarray
+    line: np.ndarray
 
 
-_LEAF = None
+def _forest(operators: Sequence[Iterable[LineSubset]], line_position: dict) -> _Forest:
+    """The forest of the operators' tries, the i-th rooted at node i."""
+    path: list[tuple[int, ...]] = [() for _ in operators]
+    children: list[dict[int, int]] = [{} for _ in operators]
+    leaf = [False] * len(operators)
+    for root, subsets in enumerate(operators):
+        nodes = {(): root}   # a node of this trie by its path
+
+        def node(key: tuple[int, ...]) -> int:
+            n = nodes.get(key)
+            if n is None:
+                n = nodes[key] = len(path)
+                path.append(key)
+                children.append({})
+                leaf.append(False)
+                children[node(key[:-1])][key[-1]] = n
+            return n
+
+        for subset in subsets:
+            leaf[node(tuple(sorted(subset)))] = True
+    count = np.fromiter(map(len, children), np.int64, len(children))
+    child, line = np.array([(child, line_position[lid]) for node in children
+                            for lid, child in node.items()], dtype=np.int64).reshape(-1, 2).T
+    return _Forest(path, np.array(leaf), count.cumsum() - count, count, child, line)
 
 
-def _trie(subsets: Iterable[LineSubset]) -> dict:
-    """Prefix trie of the subsets in ascending line order; _LEAF marks a subset."""
-    trie: dict = {}
-    for subset in subsets:
-        node = trie
-        for lid in sorted(subset):
-            node = node.setdefault(lid, {})
-        node[_LEAF] = True
-    return trie
+def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
+          terms: _Terms, roots: np.ndarray | None = None, normal: bool = True) -> _Terms:
+    """Apply operators to packed terms and return the sum of their images,
+    merged; each operator is a list of subsets, and row i of the terms is
+    acted on by operator roots[i] (default: the first).
 
-
-def _walk(arrangement: _Arrangement, starts: Iterable[tuple[Iterable[LineSubset], dict]],
-          total: dict[tuple, dict[int, int]], normal: bool = True) -> None:
-    """Apply operators to packed terms, adding the results into total; each
-    start pairs the subsets of an operator with the terms it acts on.
-
-    Level by level over the prefix tries of the subsets: each edge applies
-    nbe_l (1 - R_l) to the terms of its parent, and each subset's terms
-    accumulate into total. Zeros drop at every node. With `normal`, the
-    input is brought to normal form over the cut arrangement and so is
-    every reflected term, the new products of a level reduced in one batch,
-    so terms that cancel only as functions (cutset branches on a normal-form
-    integral) drop too.
+    Level by level over the prefix tries of the subsets (_forest), each row
+    of a level carrying its node and its input group: the kernels a row has
+    gained are the lines on its node's path. Each edge applies
+    nbe_l (1 - R_l) to the rows of its parent, on columns: R_l is a gather
+    (_Arrangement.reflect), signed by the input group's head. The rows at
+    the end of a subset go to the result, in the group of their head and
+    kernels. With `normal`, the input is brought to normal form over the
+    cut arrangement and so is every reflected row, by a CSR expansion with
+    the level's new products reduced in one batch, so terms that cancel
+    only as functions (cutset branches on a normal-form integral) drop
+    too. Equal rows of a level are merged and zeros dropped by one sort and
+    reduce. A level is built in chunks of at most MAX_TERMS rows before
+    merging, and the merged result and the level being built together hold
+    at most MAX_TERMS rows, else TooManyTerms.
     """
-    level = []
-    for subsets, groups in starts:
-        trie = _trie(subsets)
-        if normal:
-            groups = arrangement.normalize_all(groups)
-        level.extend((trie, terms, key) for key, terms in groups.items())
-    reduced = arrangement.reduced
-    while level:
-        edges = []
-        for node, terms, key in level:
-            if _LEAF in node:
-                total.setdefault(key, Counter()).update(terms)
-            for lid, child in node.items():
-                if lid is _LEAF:
-                    continue
-                if lid in key[1]:
-                    raise ex.KernelReflection(lid)
-                edges.append((child, terms, key, lid, arrangement.reflection(lid)))
-        if normal:
-            arrangement.reduce_all(reflect[p] for _, terms, _, _, reflect in edges
-                                   for p in terms)
-        held = sum(map(len, total.values()))
-        level = []
-        for child, terms, (head, kernels), lid, reflect in edges:
-            sign = reflect.sign(head)
-            out = dict(terms)
-            get = out.get
-            for p, c in terms.items():
-                image = reflect[p]
-                images = reduced[image] if normal else None
-                if images is None:
-                    out[image] = get(image, 0) - sign * c
-                else:
-                    for image, a in images:
-                        out[image] = get(image, 0) - sign * a * c
-            out = {p: c for p, c in out.items() if c}
-            held += len(out)
-            if held > MAX_TERMS:
+    forest = _forest(operators, arrangement.line_position)
+    node = np.zeros(len(terms.coeff), dtype=np.int64) if roots is None else roots
+    odd, carried = arrangement.parities()
+    # (1 - R_l) keeps a term and adds its image times -(R_l's sign), which
+    # is -1 where q_l is odd in the head
+    reflected_sign = np.where(odd, 1, -1)
+    carries = carried.any()
+    sizes = (len(forest.leaf), len(odd), 0)   # node, input group, product
+    if normal:   # one operator: normalize_all merges rows
+        terms = arrangement.normalize_all(terms)
+        node = np.zeros(len(terms.coeff), dtype=np.int64)
+    group, product, coeff = terms
+
+    def finished(parts: list[tuple]) -> _Terms:
+        """The rows at subsets' ends in the groups of their heads and
+        kernels, merged. A level's rows come sorted by node and input
+        group, so equal (node, input group) pairs are runs."""
+        node, group, product, coeff = _concat(parts)
+        new = np.empty(len(node), dtype=bool)
+        new[:1] = True
+        new[1:] = (node[1:] != node[:-1]) | (group[1:] != group[:-1])
+        ids = [arrangement.group((head, tuple(sorted(kernels + forest.path[n]))))
+               for (head, kernels), n in zip(map(arrangement.groups.__getitem__,
+                                                 group[new].tolist()), node[new].tolist())]
+        terms = _Terms(np.array(ids, dtype=np.int64)[new.cumsum() - 1], product, coeff)
+        # the rows are unique by (node, input group, product), so by
+        # (group, product) unless two pairs give one group
+        return terms if len(set(ids)) == len(ids) else arrangement.merge(terms)
+
+    def add(part: tuple) -> None:
+        """Add a merged part to the level being built; the rows held are
+        counted exactly when an upper bound passes the budget."""
+        nonlocal level
+        level.append(part)
+        if _rows(result) + _rows(level) > MAX_TERMS:
+            # merge the level, and the result's rows of equal groups
+            level = [_merge(_concat(level), sizes)]
+            if len(finished(result).coeff) + _rows(level) > MAX_TERMS:
                 raise TooManyTerms()
-            if out:
-                level.append((child, out, (head, tuple(sorted(kernels + (lid,))))))
+
+    result = [(node[:0], group[:0], product[:0], coeff[:0])]
+    while len(node):
+        leaf = forest.leaf[node]
+        result.append((node[leaf], group[leaf], product[leaf], coeff[leaf]))
+        level: list[tuple] = []
+        count = forest.count[node]
+        if not count.any():
+            break
+        for rows in _slices(count, MAX_TERMS):
+            parent, edge = _expand(forest.start[node[rows]], count[rows])
+            g, p, c = group[rows][parent], product[rows][parent], coeff[rows][parent]
+            line, child = forest.line[edge], forest.child[edge]
+            if carries and carried[g, line].any():
+                raise ex.KernelReflection(arrangement.lines[line[carried[g, line].argmax()]])
+            reflected = c * reflected_sign[g, line]
+            image = arrangement.reflect(line, p)
+            if normal:
+                start, length = arrangement.normal_forms(image)
+            else:
+                length = np.ones(len(image), dtype=np.int64)
+            for at in _slices(length + 1, MAX_TERMS):
+                if normal:
+                    i, images, values = arrangement.rewrite(start[at], length[at], reflected[at])
+                else:
+                    i, images, values = slice(None), image[at], reflected[at]
+                sizes = sizes[:2] + (len(arrangement.products),)
+                add(_merge((np.concatenate([child[at], child[at][i]]),
+                            np.concatenate([g[at], g[at][i]]), np.concatenate([p[at], images]),
+                            np.concatenate([c[at], values])), sizes))
+        node, group, product, coeff = (level[0] if len(level) == 1
+                                       else _merge(_concat(level), sizes))
+    return finished(result)
+
+
+def _rows(parts: list) -> int:
+    return sum(len(part[-1]) for part in parts)
+
+
+def _concat(parts: Sequence[tuple]) -> tuple:
+    """Tuples of columns joined column by column."""
+    if len(parts) == 1:
+        return tuple(parts[0])
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _merge(columns: tuple, sizes: Sequence[int]) -> tuple:
+    """Rows with equal ids merged by exact sums and zero sums dropped: the
+    sort and reduce of packed terms. The columns are id columns, the j-th
+    below sizes[j], then the coefficients; the result keeps the shape."""
+    *ids, coeff = columns
+    if len(coeff) < 2:   # coefficients are never zero before a merge
+        return tuple(columns)
+    key = ids[0]
+    wide = math.prod(sizes) > _INT64_MAX
+    for column, size in zip(ids[1:], sizes[1:]):
+        if size == 1:   # all zero
+            continue
+        if wide and (int(key.max()) + 1) * size > _INT64_MAX:
+            # the combined key would not fit: number the prefixes first
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+        key = key * size + column
+    order = key.argsort()
+    key = key[order]
+    new = key[1:] != key[:-1]
+    if new.all():
+        return tuple(column[order] for column in columns)
+    starts = np.concatenate([[0], new.nonzero()[0] + 1])
+    # each sum has at most len(key) terms
+    coeff = np.add.reduceat(_exact(coeff[order], len(key)), starts)
+    keep = coeff != 0
+    first = order[starts[keep]]
+    return tuple(column[first] for column in ids) + (coeff[keep],)
+
+
+_INT64_MAX = (1 << 63) - 1
+
+
+def _exact(coeff: np.ndarray, factor: int) -> np.ndarray:
+    """The coefficients as objects when the largest |coefficient| times
+    `factor` (a multiplier, or the number of values summed) passes int64."""
+    if (factor > 1 and coeff.dtype != object and len(coeff)
+            and int(np.abs(coeff).max()) * factor > _INT64_MAX):
+        return coeff.astype(object)
+    return coeff
+
+
+def _fits(values: Sequence) -> bool:
+    """Whether the exact values are ints that fit int64."""
+    return not values or (set(map(type, values)) == {int}
+                          and -_INT64_MAX <= min(values) and max(values) <= _INT64_MAX)
+
+
+def _column(values: Sequence) -> np.ndarray:
+    """Exact values as an int64 column if they all fit, else as objects."""
+    if _fits(values):
+        return np.array(values, dtype=np.int64)
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of a CSR expansion, start[i] + k for k < count[i], as
+    (i, entry) columns."""
+    i = np.arange(len(count)).repeat(count)
+    return i, np.arange(len(i)) + (start + count - count.cumsum())[i]
+
+
+def _slices(sizes: np.ndarray, limit: int) -> list[slice]:
+    """Consecutive slices of rows whose sizes sum to at most `limit`, each
+    of one row at least; one slice when they all fit."""
+    if sizes.sum() <= limit:
+        return [slice(None)]
+    ends, start, out = sizes.cumsum(), 0, []
+    while start < len(ends):
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + limit, side="right")))
+        out.append(slice(start, stop))
+        start = stop
+    return out
+
+
+def _grown(array: np.ndarray, size: int, fill, axis: int = 0) -> np.ndarray:
+    """The array with at least `size` entries along the axis, padded with
+    `fill` by doubling, to _ROOM entries at least."""
+    have = array.shape[axis]
+    if have >= size:
+        return array
+    shape = list(array.shape)
+    shape[axis] = max(size, 2 * have, _ROOM) - have
+    padding = np.empty(shape, dtype=array.dtype)
+    padding.fill(fill)
+    return np.concatenate([array, padding], axis=axis)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer column, ascending."""
+    values = np.sort(values)
+    return values[:1] if len(values) < 2 else values[
+        np.concatenate([[True], values[1:] != values[:-1]])]
 
 
 def apply_operator(spec: OperatorSpec, e: Expression) -> Expression:
@@ -754,16 +1065,16 @@ def apply_operator(spec: OperatorSpec, e: Expression) -> Expression:
     The expression is packed once (see _Arrangement). Factors for distinct
     lines commute; within each subset they are applied in ascending line
     order, and subsets sharing a prefix share the intermediate terms (level
-    by level over the prefix trie). Each factor nbe_l (1 - R_l) is dict
-    arithmetic on packed terms through a memoized map of product ids; terms
-    that cancel are dropped at once. The input and every level are kept in
-    normal form over the cut arrangement of the spec's graph, so cutset
-    branches die early and the result is the normal form. The subsets'
-    results are summed into one packed total, which is frozen into an
-    Expression once. An empty subset list gives the empty expression.
-    Raises UnknownLine for a line the graph lacks, ValueError for a subset
-    listed twice, and KernelReflection for reflecting a line whose kernel a
-    term already carries.
+    by level over the prefix trie, see _walk). Each factor nbe_l (1 - R_l)
+    runs on the columns of a whole level: R_l is a gather through a map of
+    product ids, and terms that cancel are dropped at each level. The input
+    and every level are kept in normal form over the cut arrangement of the
+    spec's graph, so cutset branches die early and the result is the normal
+    form. The subsets' results are summed into one packed total, which is
+    frozen into an Expression once. An empty subset list gives the empty
+    expression. Raises UnknownLine for a line the graph lacks, ValueError
+    for a subset listed twice, and KernelReflection for reflecting a line
+    whose kernel a term already carries.
     """
     seen: set[LineSubset] = set()
     for subset in map(tuple, map(sorted, spec.subsets)):
@@ -773,9 +1084,7 @@ def apply_operator(spec: OperatorSpec, e: Expression) -> Expression:
             raise ValueError(f"operator subset {list(subset)} is listed twice")
         seen.add(subset)
     arrangement = _Arrangement(spec.graph)
-    total: dict[tuple, dict[int, int]] = {}
-    _walk(arrangement, [(spec.subsets, arrangement.pack(e))], total)
-    return arrangement.freeze(total, e.scale)
+    return arrangement.freeze(_walk(arrangement, [spec.subsets], arrangement.pack(e)), e.scale)
 
 
 def matsubara_sum(
@@ -799,15 +1108,16 @@ def matsubara_sum(
     if method not in ("operator", "direct"):
         raise ValueError(f"unknown method {method!r}")
     trees = gr.enumerate_spanning_trees(graph)
-    total: dict[tuple, dict[int, int]] = {}
-    arrangement, parts, integral = _tree_products(
+    arrangement, products = _tree_products(
         graph, [solve_tree(graph, tree, hierarchy) for tree in trees])
     scale = 2 ** graph.num_lines
     if method == "operator":
-        _walk(arrangement, [(operator_reduced(graph).subsets, integral)], total)
-        return arrangement.freeze(total, scale)
-    _walk(arrangement, [(gr.line_subsets(set(graph.line_ids) - set(tree)), part)
-                        for tree, part in zip(trees, parts)], total, normal=False)
+        return arrangement.freeze(
+            _walk(arrangement, [operator_reduced(graph).subsets], products), scale)
+    # tree t's rows are acted on by the subsets of its non-tree lines
+    roots = np.arange(len(trees)).repeat(len(products.coeff) // len(trees))
+    total = _walk(arrangement, [gr.line_subsets(set(graph.line_ids) - set(tree))
+                                for tree in trees], products, roots, normal=False)
     return arrangement.freeze(arrangement.normalize_all(total), scale)
 
 

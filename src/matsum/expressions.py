@@ -268,7 +268,8 @@ def _canonical(forms: Sequence[LinearForm], heads: Sequence[tuple],
     key = key * len(products) + p
     order = np.argsort(key)
     key, coeff_col = key[order], coeff_col[order]
-    new = np.ones(len(key), dtype=bool)
+    new = np.empty(len(key), dtype=bool)
+    new[0] = True
     new[1:] = key[1:] != key[:-1]
     starts = new.nonzero()[0]
     first, coeff = order[starts], coeff_col[starts]
@@ -277,7 +278,9 @@ def _canonical(forms: Sequence[LinearForm], heads: Sequence[tuple],
         values = np.add.reduceat(np.array(values, dtype=object)[coeff_col], starts).tolist()
         coeff = np.arange(len(starts))
     coeff, distinct = _ranked(coeff, values)
-    rows = np.column_stack([h[first], k[first], p[first], coeff])
+    rows = np.empty((len(first), 4), dtype=np.int64)
+    rows[:, HEAD], rows[:, KERNELS], rows[:, PRODUCT], rows[:, COEFF] = (
+        h[first], k[first], p[first], coeff)
 
     if 0 in distinct:
         zero = distinct.index(0)

@@ -392,6 +392,86 @@ def test_operator_on_mixed_heads_and_even_q_exponents(g4):
             g4, _reference_operator(spec, e))
 
 
+def test_random_operators_match_the_subset_by_subset_reference(g4):
+    # random subset lists on G4 and random graphs, on inputs spread over
+    # heads other than (2 pi)^L / prod q, half of them carrying a kernel
+    rng = np.random.default_rng(20261019)
+    for g in [g4] + [fixtures.random_graph(rng, 5, 7) for _ in range(5)]:
+        lines = list(g.line_ids)
+        heads = [(gr.cycle_rank(g), tuple((lid, -1) for lid in lines)),
+                 (2, ((lines[0], -2), (lines[2 % len(lines)], 1))), (2, ())]
+        carried = int(rng.choice(lines))
+        e = ex.Expression([t._replace(pi_power=heads[i % 3][0], q_exponents=heads[i % 3][1],
+                                      kernels=(carried,) if i % 2 else ())
+                           for i, t in enumerate(engine.matsubara_integral(g).terms)])
+        free = [lid for lid in lines if lid != carried]
+        subsets = tuple({tuple(sorted(rng.choice(free, size=k, replace=False).tolist()))
+                         for k in rng.integers(0, len(free) + 1, size=6)})
+        spec = engine.OperatorSpec(subsets, g)
+        assert engine.apply_operator(spec, e) == engine.normal_form(
+            g, _reference_operator(spec, e))
+        # reflecting the carried kernel is refused, also past a prefix
+        for refused in ((carried,), tuple(sorted((free[0], carried)))):
+            with pytest.raises(ex.KernelReflection, match=f"line {carried}"):
+                engine.apply_operator(engine.OperatorSpec(subsets + (refused,), g), e)
+    # products of zero to three forms, some repeated, outside the pipeline's
+    # shape of V - 1 distinct forms
+    forms = engine.cut_forms(g4)
+    e = ex.Expression([make_term(1, 1, {1: -1, 2: 1}, (), forms[:2]),
+                       make_term(Fraction(-1, 3), 0, {}, (), [forms[5], forms[5], forms[30]]),
+                       make_term(2, 0, {3: 1}, (), [forms[12]]), make_term(3, 0, {}, (), [])])
+    for spec in (engine.operator_reduced(g4), engine.OperatorSpec(((2,), (1, 3, 5)), g4)):
+        assert engine.apply_operator(spec, e) == engine.normal_form(
+            g4, _reference_operator(spec, e))
+
+
+def _scaled(e, factor):
+    return ex.Expression(t._replace(coeff=t.coeff * factor) for t in e.terms)
+
+
+def test_coefficients_past_int64_stay_exact(g4):
+    # inputs scaled by k > 2^63, which no int64 column holds, and by 1/3:
+    # every result is the unscaled one times the factor, exactly
+    k = 3 ** 45
+    assert k > 2 ** 63
+    rng = np.random.default_rng(3)
+    stress = fixtures.random_graph(rng, 4, 8)
+    while stress.num_lines != 8:
+        stress = fixtures.random_graph(rng, 4, 8)
+    tree = gr.enumerate_spanning_trees(stress)[0]
+    cases = [(g4, engine.matsubara_integral(g4)),
+             (stress, engine.tree_product(stress, engine.solve_tree(stress, tree)))]
+    for g, e in cases:
+        images = [engine.apply_operator(spec, e)
+                  for spec in (engine.operator_reduced(g), engine.operator_full(g))]
+        normal = engine.normal_form(g, e)
+        for factor in (k, Fraction(1, 3)):
+            big = _scaled(e, factor)
+            for spec, image in zip((engine.operator_reduced(g), engine.operator_full(g)),
+                                   images):
+                scaled = engine.apply_operator(spec, big)
+                assert scaled == _scaled(image, factor)
+                if factor == k:
+                    assert max(abs(c) for c in scaled.numerators) > 2 ** 63 * scaled.scale
+            assert engine.normal_form(g, big) == _scaled(normal, factor)
+
+
+def test_int64_columns_switch_to_exact_objects_before_they_overflow():
+    # int64 sums and products wrap silently, and a wrapped sum is still
+    # right whenever the true one fits; the guard must act before any value
+    # can pass int64
+    near = 2 ** 62 + 1
+    ids = np.zeros(3, dtype=np.int64)
+    (_, coeff) = engine._merge((ids, np.full(3, near)), (1,))
+    assert coeff.tolist() == [3 * near]
+    assert engine._exact(np.array([near, -1]), 2).tolist() == [near, -1]
+    assert engine._exact(np.array([near, -1]), 2).dtype == object
+    assert engine._exact(np.array([near, -1]), 1).dtype == np.int64
+    assert engine._column([2 ** 63 - 1, -(2 ** 63 - 1)]).dtype == np.int64
+    for values in ([2 ** 63], [-(2 ** 63)], [1, Fraction(1, 3)]):
+        assert engine._column(values).tolist() == values
+
+
 #: Term count and sha256 of the JSON render of the rank-6 stress sum
 #: (random_graph(default_rng(3), 4, 8), redrawn until it has 8 lines) in the
 #: tree basis: the reduced operator on the raw tree-product assembly, as the
@@ -489,14 +569,19 @@ def test_reflection_of_a_cut_form_is_a_bit_flip(g2, g3, g4):
     rng = np.random.default_rng(20260810)
     for g in [g2, g3, g4] + [fixtures.random_graph(rng, 5, 7) for _ in range(10)]:
         arrangement = engine._Arrangement(g)
-        for rank, form in enumerate(engine.cut_forms(g)):
-            product = arrangement.product((rank,))
-            for lid in g.line_ids:
+        forms = engine.cut_forms(g)
+        products = arrangement.intern(np.arange(len(forms))[:, None])
+        # R_l's sign on a group is -1 iff q_l is odd in its head
+        group = arrangement.group(((0, ()), ()))
+        odd, _ = arrangement.parities()
+        for lid in g.line_ids:
+            line = arrangement.line_position[lid]
+            images = arrangement.reflect(np.full(len(products), line), products)
+            assert not odd[group, line]
+            for form, image in zip(forms, images.tolist()):
                 flipped, sign = reference._flip_form(form, lid)
-                reflect = arrangement.reflection(lid)
-                assert (sign, reflect.sign((0, ()))) == (1, 1)
-                assert arrangement.products[reflect[product]] == (
-                    arrangement.forms.index(flipped),)
+                assert sign == 1
+                assert arrangement.products[image] == (forms.index(flipped),)
 
 
 def test_exact_search_gives_the_same_normal_form(monkeypatch):
@@ -560,6 +645,21 @@ def test_thermal_operator_past_its_term_budget_is_refused(monkeypatch, g4):
     assert engine.matsubara_integral(g4) == integral
     monkeypatch.setattr(engine, "MAX_TERMS", 4 * full)
     assert len(engine.matsubara_sum(g4)) == full
+
+
+def test_levels_past_the_term_budget_are_built_in_chunks(monkeypatch, g4):
+    # at a budget of the sum's own size, a level of the direct route expands
+    # to more rows than the budget before merging: it is built in chunks,
+    # and the result does not change
+    expected = {method: engine.matsubara_sum(g4, method) for method in ("operator", "direct")}
+    chunks = []
+    slices = engine._slices
+    monkeypatch.setattr(engine, "_slices", lambda sizes, limit: chunks.append(
+        sum(sizes) > limit) or slices(sizes, limit))
+    monkeypatch.setattr(engine, "MAX_TERMS", len(expected["operator"]))
+    for method, total in expected.items():
+        assert engine.matsubara_sum(g4, method) == total
+    assert any(chunks)
 
 
 def test_normal_form_rejects_a_denominator_that_is_not_a_cut_form(g4):
