@@ -912,7 +912,7 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
         nonlocal level
         level.append(part)
         if _rows(result) + _rows(level) > MAX_TERMS:
-            # merge the level, and the result's rows of equal groups
+            # count the level merged, and the result by group
             level = [_merge(_concat(level), sizes)]
             if len(finished(result).coeff) + _rows(level) > MAX_TERMS:
                 raise TooManyTerms()
