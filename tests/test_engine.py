@@ -470,6 +470,11 @@ def test_int64_columns_switch_to_exact_objects_before_they_overflow():
     assert engine._column([2 ** 63 - 1, -(2 ** 63 - 1)]).dtype == np.int64
     for values in ([2 ** 63], [-(2 ** 63)], [1, Fraction(1, 3)]):
         assert engine._column(values).tolist() == values
+    # ids whose combined key would pass int64 are numbered first
+    wide = 2 ** 40
+    merged = engine._merge((np.array([wide - 1, 0, wide - 1]), np.array([wide - 2] * 3),
+                            np.array([1, 2, 3])), (wide, wide))
+    assert [column.tolist() for column in merged] == [[0, wide - 1], [wide - 2] * 2, [2, 4]]
 
 
 #: Term count and sha256 of the JSON render of the rank-6 stress sum
