@@ -47,11 +47,12 @@ gather through the line's product-id map, filled once per new product, and
 its only sign is the parity of q_i in the group's head. Each factor
 nbe_i (1 - R_i) runs on the columns of a whole level of the walk: the
 reflected rows are expanded through the normal forms of their products
-(compressed sparse rows built from the memo, the level's new products
-reduced in one batch), and equal rows are merged, zeros dropped, by one sort
-and reduce. Coefficients stay exact: int64 while a bound on every product
-and sum of the level fits, Python ints and Fractions in an object column
-otherwise. Nothing is put in canonical order during the walk: each route
+(the memo's compressed sparse rows, the level's new products reduced in
+one batch), and equal rows are merged, zeros dropped, by the package's one
+exact merge (expressions._merge). Coefficients stay exact: int64 while a
+bound on every product and sum of the level fits, Python ints and
+Fractions in an object column otherwise. Nothing is put in canonical order
+during the walk: each route
 freezes its columns into an Expression once (_Arrangement.freeze). A walk
 holds at most MAX_TERMS terms and raises TooManyTerms past that.
 
@@ -261,10 +262,11 @@ class NotACutForm(ex.ExpressionError):
         self.form = form
 
 
-#: Most denominator products one normal-form computation rewrites (about
-#: 1 kB of memory and 40 us each). Long cycles reach it: an n-cycle's
-#: integral has C(2(n-1), n-1) terms in normal form, and a 9-cycle's sum
-#: needs 0.54M products.
+#: Most denominator products one normal-form computation rewrites. On the
+#: 8-cycle's sum each takes about 350 bytes of the arrangement's memory
+#: and 16 us of reduction (2-vCPU x86 host). Long cycles reach it: an
+#: n-cycle's integral has C(2(n-1), n-1) terms in normal form, and a
+#: 9-cycle's sum needs 0.54M products.
 MAX_REDUCED_PRODUCTS = 1 << 18
 
 
@@ -325,12 +327,13 @@ class _Arrangement:
     monomials are a basis of the algebra the products span (Orlik and
     Terao), so the result does not depend on which circuit is used.
 
-    The memo `reduced` is mirrored in compressed sparse rows (CSR): per
+    The one normal-form memo is in compressed sparse rows (CSR): per
     product id the start and length of its normal form's rows in two flat
     columns, (nbc product id, coefficient), so that terms are brought to
-    normal form by a gather. Lines are named by their position in
-    `lines`, and per line R_l is a map of product ids (`images`), filled
-    once per product it meets.
+    normal form by a gather (rewrite), and the rewritten products are
+    assembled from their children's rows the same way (reduce_all). Lines
+    are named by their position in `lines`, and per line R_l is a map of
+    product ids (`images`), filled once per product it meets.
     """
 
     def __init__(self, graph: MatsubaraGraph):
@@ -356,15 +359,13 @@ class _Arrangement:
         self.vectors: np.ndarray | None = None   # built on first search
         self.products: list[tuple[int, ...]] = []   # by product id
         self._product_ids: dict[tuple[int, ...], int] = {}
-        #: product id -> ((nbc product id, coefficient), ...), None for an
-        #: nbc product: the one normal-form memo
-        self.reduced: dict[int, tuple | None] = {}
-        # its CSR mirror, for the products looked up: per product id the
-        # start and length (-1: not looked up yet) of its rows, the rows'
-        # columns (the first _nf_size entries), and their largest |coefficient|
+        # the normal-form memo, in CSR: per product id the start and length
+        # (-1: not reduced yet) of its rows, the rows' columns (the first
+        # _nf_size entries), their largest |coefficient| while int64, and
+        # the number of products reduced
         self._nf = np.empty((0, 2), dtype=np.int64)
         self._nf_product = self._nf_coeff = np.empty(0, dtype=np.int64)
-        self._nf_size = self._nf_bound = 0
+        self._nf_size = self._nf_bound = self._nf_count = 0
         #: R_l by line position and product id, -1 where not yet met
         self.images = np.empty((len(self.lines), 0), dtype=np.int64)
         self._form_at: np.ndarray | None = None   # see _cut_tables
@@ -435,30 +436,19 @@ class _Arrangement:
         groups = np.array([self.group((e.heads[h], e.kernel_sets[k])) for h, k in
                            zip(heads[new].tolist(), kernels[new].tolist())], dtype=np.int64)
         return _Terms(groups[np.cumsum(new) - 1], products[product],
-                      _column(e.numerators)[coeff])
+                      ex._column(e.numerators)[coeff])
 
     def freeze(self, terms: _Terms, scale: int) -> Expression:
         """The canonical Expression of packed terms with coefficients over
-        `scale`: their columns go to _canonical(), the coefficients as
-        indices into a table of values, which need not all be used: the
-        integers of the column's range where that is no longer than the
-        column, else its distinct values. Coefficients may be rationals (a
-        rewrite relation with a fractional coefficient); the scale absorbs
-        them."""
-        coeff = terms.coeff
-        low = int(coeff.min()) if len(coeff) and coeff.dtype != object else 0
-        if coeff.dtype != object and int(coeff.max(initial=low)) - low < len(coeff):
-            values, index = list(range(low, int(coeff.max()) + 1)), coeff - low
-        else:
-            values = np.unique(coeff)
-            values, index = values.tolist(), np.searchsorted(values, coeff)
+        `scale` (see _canonical). Coefficients may be rationals (a rewrite
+        relation with a fractional coefficient); the scale absorbs them."""
         return ex._canonical(self.forms, [head for head, _ in self.groups],
-                             [kernels for _, kernels in self.groups], self.products,
-                             values, scale, terms.group, terms.group, terms.product, index)
+                             [kernels for _, kernels in self.groups], self.products, scale,
+                             terms.group, terms.group, terms.product, terms.coeff)
 
     def merge(self, terms: _Terms) -> _Terms:
         """Terms with equal (group, product) merged, zeros dropped."""
-        return _Terms(*_merge(terms, (len(self.groups), len(self.products))))
+        return _Terms(*ex._merge(terms, (len(self.groups), len(self.products))))
 
     def normalize_all(self, terms: _Terms) -> _Terms:
         """The normal form of packed terms, merged with zeros dropped: a
@@ -479,9 +469,7 @@ class _Arrangement:
         rows = self._nf[products]
         new = rows[:, 1] < 0
         if new.any():
-            new = _distinct(products[new]).tolist()
-            self.reduce_all(new)
-            self._add_rows(new)
+            self.reduce_all(_distinct(products[new]))
             rows = self._nf[products]
         return rows[:, 0], rows[:, 1]
 
@@ -491,11 +479,11 @@ class _Arrangement:
         have their normal forms' rows at start and length (see
         normal_forms), as (i, nbc product, coefficient) columns: a CSR
         expansion. The products are computed in int64 where the largest
-        |coefficient| times the memo's largest |relation coefficient| fits."""
+        |coefficient| times the memo's largest |coefficient| fits."""
         i, j = _expand(start, length)
         relation = self._nf_coeff[j]
         if relation.dtype != object:
-            coeff = _exact(coeff, self._nf_bound)
+            coeff = ex._exact(coeff, self._nf_bound)
         return i, self._nf_product[j], coeff[i] * relation
 
     def reflect(self, lines: np.ndarray, products: np.ndarray) -> np.ndarray:
@@ -547,29 +535,25 @@ class _Arrangement:
             self.images = _grown(self.images, n, -1, axis=1)
             self._nf = _grown(self._nf, n, -1)
 
-    def _add_rows(self, products: list[int]) -> None:
-        """Add the reduced products' normal forms to the CSR columns; an nbc
-        product's normal form is itself."""
-        self._reserve()
-        rewrites = [((p, 1),) if self.reduced[p] is None else self.reduced[p]
-                    for p in products]
-        length = np.fromiter(map(len, rewrites), np.int64, len(rewrites))
-        ids = np.array(products, dtype=np.int64)
-        self._nf[ids, 0] = self._nf_size + length.cumsum() - length
-        self._nf[ids, 1] = length
-        rows = list(itertools.chain.from_iterable(rewrites))
-        size = self._nf_size + len(rows)
+    def _store(self, products: np.ndarray, length: np.ndarray, nbc: np.ndarray,
+               coeff: np.ndarray) -> None:
+        """Append the products' normal forms to the CSR columns: the next
+        length[i] rows of (nbc, coeff) are those of products[i]."""
+        self._nf[products, 0] = self._nf_size + length.cumsum() - length
+        self._nf[products, 1] = length
+        size = self._nf_size + len(nbc)
         self._nf_product = _grown(self._nf_product, size, 0)
         self._nf_coeff = _grown(self._nf_coeff, size, 0)
-        if rows:
-            images, coeffs = zip(*rows)
-            if not _fits(coeffs):
-                self._nf_coeff = self._nf_coeff.astype(object)
-            elif self._nf_coeff.dtype != object:
-                self._nf_bound = max(self._nf_bound, max(map(abs, coeffs)))
-            self._nf_product[self._nf_size:size] = images
-            self._nf_coeff[self._nf_size:size] = coeffs
+        if coeff.dtype == object:   # merged as objects where only a bound passed int64
+            coeff = ex._column(coeff.tolist())
+        if coeff.dtype == object:
+            self._nf_coeff = self._nf_coeff.astype(object)
+        elif len(coeff):
+            self._nf_bound = max(self._nf_bound, int(np.abs(coeff).max()))
+        self._nf_product[self._nf_size:size] = nbc
+        self._nf_coeff[self._nf_size:size] = coeff
         self._nf_size = size
+        self._nf_count += len(products)
 
     def _cut_tables(self) -> None:
         """Per bond its lines' weights in the sign pattern (by line
@@ -601,35 +585,54 @@ class _Arrangement:
             1 - 2 * ((self._pattern[:, None] & self._weight[self._bond]) > 0))
         self.vectors = np.rint(np.concatenate([self._n, self._q], axis=1)).astype(np.int64)
 
-    def reduce_all(self, products: Iterable[int]) -> None:
-        """Fill `reduced` for the products and everything they rewrite into.
+    def reduce_all(self, products: np.ndarray) -> None:
+        """Give the products (none reduced yet) and everything they rewrite
+        into their rows in the CSR columns.
 
         Broken circuits are searched for all pending products at once; the
         rewritten products, interned as they are found, form the next round.
-        Rewritten products are then assembled in increasing multiset order,
-        in which every rewrite descends. Raises NormalFormTooLarge before a
-        round would take the products past MAX_REDUCED_PRODUCTS.
-        """
-        reduced = self.reduced
+        An nbc product's row is itself. Rewritten products are then
+        assembled in rounds, each taking those whose children all have rows:
+        the children are expanded by rewrite and merged by (parent, nbc
+        product). Every rewrite descends in multiset order, so each round
+        takes some. Raises NormalFormTooLarge before a search round would
+        take the memo past MAX_REDUCED_PRODUCTS products."""
         steps: dict[int, tuple] = {}
-        todo = {p for p in products if p not in reduced}
+        nbc: list[int] = []
+        todo = products.tolist()
+        searched = set(todo)
         while todo:
-            if len(reduced) + len(steps) + len(todo) > MAX_REDUCED_PRODUCTS:
+            if self._nf_count + len(searched) > MAX_REDUCED_PRODUCTS:
                 raise NormalFormTooLarge()
             pending = set()
-            for product, children in self._broken_circuits(list(todo)).items():
+            for product, children in self._broken_circuits(todo).items():
                 if children is None:
-                    reduced[product] = None
-                    continue
-                steps[product] = children
-                pending.update(child for child, _ in children)
-            todo = {p for p in pending if p not in reduced and p not in steps}
-        for product in sorted(steps, key=lambda p: self.products[p][::-1]):
-            acc: dict[int, int] = {}
-            for child, a in steps[product]:
-                for monomial, c in reduced[child] or ((child, 1),):
-                    acc[monomial] = acc.get(monomial, 0) + a * c
-            reduced[product] = tuple((m, c) for m, c in acc.items() if c)
+                    nbc.append(product)
+                else:
+                    steps[product] = children
+                    pending.update(child for child, _ in children)
+            self._reserve()
+            pending = np.fromiter(pending, np.int64, len(pending))
+            todo = [p for p in pending[self._nf[pending, 1] < 0].tolist() if p not in searched]
+            searched.update(todo)
+        nbc = np.array(nbc, dtype=np.int64)
+        self._store(nbc, np.ones_like(nbc), nbc, np.ones_like(nbc))
+        if not steps:
+            return
+        n = len(steps)
+        parents = np.fromiter(steps, np.int64, n)
+        parent = np.arange(n).repeat(list(map(len, steps.values())))
+        child, a = zip(*itertools.chain.from_iterable(steps.values()))
+        child, a = np.array(child, dtype=np.int64), ex._column(a)
+        waiting = np.ones(n, dtype=bool)
+        while waiting.any():
+            # the parents none of whose children waits for its rows
+            ready = waiting & (np.bincount(parent[self._nf[child, 1] < 0], minlength=n) == 0)
+            taken = ready[parent]
+            i, nbc, coeff = self.rewrite(*self._nf[child[taken]].T, a[taken])
+            index, nbc, coeff = ex._merge((parent[taken][i], nbc, coeff), (n, len(self.products)))
+            self._store(parents[ready], np.bincount(index, minlength=n)[ready], nbc, coeff)
+            waiting &= ~ready
 
     def _broken_circuits(self, products: list[int]) -> dict:
         """product id -> None if it is in normal form; else the rewrite by
@@ -913,7 +916,7 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
         level.append(part)
         if _rows(result) + _rows(level) > MAX_TERMS:
             # count the level merged, and the result by group
-            level = [_merge(_concat(level), sizes)]
+            level = [ex._merge(_concat(level), sizes)]
             if len(finished(result).coeff) + _rows(level) > MAX_TERMS:
                 raise TooManyTerms()
 
@@ -943,11 +946,11 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
                 else:
                     i, images, values = slice(None), image[at], reflected[at]
                 sizes = sizes[:2] + (len(arrangement.products),)
-                add(_merge((np.concatenate([child[at], child[at][i]]),
-                            np.concatenate([g[at], g[at][i]]), np.concatenate([p[at], images]),
-                            np.concatenate([c[at], values])), sizes))
+                add(ex._merge((np.concatenate([child[at], child[at][i]]),
+                               np.concatenate([g[at], g[at][i]]), np.concatenate([p[at], images]),
+                               np.concatenate([c[at], values])), sizes))
         node, group, product, coeff = (level[0] if len(level) == 1
-                                       else _merge(_concat(level), sizes))
+                                       else ex._merge(_concat(level), sizes))
     return finished(result)
 
 
@@ -960,62 +963,6 @@ def _concat(parts: Sequence[tuple]) -> tuple:
     if len(parts) == 1:
         return tuple(parts[0])
     return tuple(map(np.concatenate, zip(*parts)))
-
-
-def _merge(columns: tuple, sizes: Sequence[int]) -> tuple:
-    """Rows with equal ids merged by exact sums and zero sums dropped: the
-    sort and reduce of packed terms. The columns are id columns, the j-th
-    below sizes[j], then the coefficients; the result keeps the shape."""
-    *ids, coeff = columns
-    if len(coeff) < 2:   # coefficients are never zero before a merge
-        return tuple(columns)
-    key = ids[0]
-    wide = math.prod(sizes) > _INT64_MAX
-    for column, size in zip(ids[1:], sizes[1:]):
-        if size == 1:   # all zero
-            continue
-        if wide and (int(key.max()) + 1) * size > _INT64_MAX:
-            # the combined key would not fit: number the prefixes first
-            key = np.unique(key, return_inverse=True)[1].reshape(-1)
-        key = key * size + column
-    order = key.argsort()
-    key = key[order]
-    new = key[1:] != key[:-1]
-    if new.all():
-        return tuple(column[order] for column in columns)
-    starts = np.concatenate([[0], new.nonzero()[0] + 1])
-    # each sum has at most len(key) terms
-    coeff = np.add.reduceat(_exact(coeff[order], len(key)), starts)
-    keep = coeff != 0
-    first = order[starts[keep]]
-    return tuple(column[first] for column in ids) + (coeff[keep],)
-
-
-_INT64_MAX = (1 << 63) - 1
-
-
-def _exact(coeff: np.ndarray, factor: int) -> np.ndarray:
-    """The coefficients as objects when the largest |coefficient| times
-    `factor` (a multiplier, or the number of values summed) passes int64."""
-    if (factor > 1 and coeff.dtype != object and len(coeff)
-            and int(np.abs(coeff).max()) * factor > _INT64_MAX):
-        return coeff.astype(object)
-    return coeff
-
-
-def _fits(values: Sequence) -> bool:
-    """Whether the exact values are ints that fit int64."""
-    return not values or (set(map(type, values)) == {int}
-                          and -_INT64_MAX <= min(values) and max(values) <= _INT64_MAX)
-
-
-def _column(values: Sequence) -> np.ndarray:
-    """Exact values as an int64 column if they all fit, else as objects."""
-    if _fits(values):
-        return np.array(values, dtype=np.int64)
-    out = np.empty(len(values), dtype=object)
-    out[:] = values
-    return out
 
 
 def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

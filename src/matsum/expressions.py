@@ -24,11 +24,11 @@ An Expression is stored packed, as integer tables:
 
 The tables hold only what the rows use, so equal expressions have equal
 fields. _canonical() builds every expression from tables that need not be
-canonical and one column of ids per row field: it ranks the tables,
-renumbers the columns by array gathers, sorts the rows on one integer key
-and merges equal rows with exact sums. It is the one merge-and-sort of the
-package: the Term constructor, add, JSON parsing and the engine (which
-flattens its packed terms into columns) all call it. Rendering, equality
+canonical, one column of ids per table and one exact coefficient column:
+it ranks the tables, renumbers the columns by array gathers and merges
+equal rows by _merge, the one exact merge of the package (the engine's
+walk and normal-form memo use it too). The Term constructor, add, JSON
+parsing and the engine all call it. Rendering, equality
 and evaluation read the tables, so each distinct factor is formatted or
 evaluated once. The JSON form of an expression is its tables (see
 from_dict), written by json.dumps with the rows joined from their ids'
@@ -149,9 +149,9 @@ class Expression:
                           [(t.pi_power, t.q_exponents) for t in terms],
                           [t.kernels for t in terms],
                           [range(start, start + len(t.denominators))
-                           for t, start in zip(terms, starts)],
-                          [t.coeff.numerator * (scale // t.coeff.denominator) for t in terms],
-                          scale, ids, ids, ids, ids)
+                           for t, start in zip(terms, starts)], scale, ids, ids, ids,
+                          _column([t.coeff.numerator * (scale // t.coeff.denominator)
+                                   for t in terms]))
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -210,6 +210,8 @@ def _used(column: np.ndarray, table: Sequence) -> tuple[np.ndarray, list]:
     """The entries of the table that the column uses, in table order, and
     the column renumbered to them."""
     used = np.bincount(column, minlength=len(table)) > 0
+    if used.all():
+        return column, table
     return (used.cumsum() - 1)[column], [table[i] for i in used.nonzero()[0].tolist()]
 
 
@@ -230,25 +232,23 @@ def _ranked(column: np.ndarray, table: Sequence) -> tuple[np.ndarray, list]:
 
 
 def _canonical(forms: Sequence[LinearForm], heads: Sequence[tuple],
-               kernel_sets: Sequence[tuple], products: Sequence[Sequence[int]],
-               values: Sequence, scale: int, head_col: np.ndarray, kernel_col: np.ndarray,
-               product_col: np.ndarray, coeff_col: np.ndarray) -> Expression:
+               kernel_sets: Sequence[tuple], products: Sequence[Sequence[int]], scale: int,
+               head_col: np.ndarray, kernel_col: np.ndarray, product_col: np.ndarray,
+               coeff: np.ndarray) -> Expression:
     """The canonical Expression of terms given as columns: term i is
-    values[coeff_col[i]] / scale times the head heads[head_col[i]] and the
-    kernels kernel_sets[kernel_col[i]], over the forms forms[f] for f in
+    coeff[i] / scale times the head heads[head_col[i]] and the kernels
+    kernel_sets[kernel_col[i]], over the forms forms[f] for f in
     products[product_col[i]].
 
     The tables may repeat entries and hold entries no term uses; a product
-    may list its forms in any order and repeat them; the values are ints
-    or Fractions. The entries the terms use are ranked, table by table (a
-    product by its sorted form ranks), and the columns renumbered to the
-    ranks by gathers. The rows are sorted on one combined integer key;
-    rows with equal (head, kernels, product) merge with exact sums of
-    their values, in Python ints or Fractions. Zero terms drop, and with
-    them the table entries only they used. This is the one merge-and-sort
-    of the package.
+    may list its forms in any order and repeat them; the coefficients are
+    an exact column (see _column). The entries the terms use are ranked,
+    table by table (a product by its sorted form ranks), and the columns
+    renumbered to the ranks by gathers; _merge then sorts the rows and
+    merges equal ones. Zero terms drop, and with them the table entries
+    only they used.
     """
-    if not len(coeff_col):
+    if not len(coeff):
         return EMPTY
     h, heads = _ranked(head_col, heads)
     k, kernel_sets = _ranked(kernel_col, kernel_sets)
@@ -259,51 +259,94 @@ def _canonical(forms: Sequence[LinearForm], heads: Sequence[tuple],
     ranks, products = _rank([tuple(sorted(map(form_rank.__getitem__, product)))
                              for product in products])
     p = ranks[product_col]
-
-    key = h * len(kernel_sets) + k
-    if (int(key.max()) + 1) * len(products) >= 1 << 63:
-        # the combined key would not fit in int64: number the (head,
-        # kernels) pairs first
-        key = np.unique(key, return_inverse=True)[1].reshape(-1)
-    key = key * len(products) + p
-    order = np.argsort(key)
-    key, coeff_col = key[order], coeff_col[order]
-    new = np.empty(len(key), dtype=bool)
-    new[0] = True
-    new[1:] = key[1:] != key[:-1]
-    starts = new.nonzero()[0]
-    first, coeff = order[starts], coeff_col[starts]
-    if len(starts) < len(key):
-        # some keys have several rows: one summed value per key
-        values = np.add.reduceat(np.array(values, dtype=object)[coeff_col], starts).tolist()
-        coeff = np.arange(len(starts))
-    coeff, distinct = _ranked(coeff, values)
-    rows = np.empty((len(first), 4), dtype=np.int64)
-    rows[:, HEAD], rows[:, KERNELS], rows[:, PRODUCT], rows[:, COEFF] = (
-        h[first], k[first], p[first], coeff)
-
-    if 0 in distinct:
-        zero = distinct.index(0)
-        rows = rows[rows[:, COEFF] != zero]
-        if not len(rows):
-            return EMPTY
-        del distinct[zero]
-        rows[:, COEFF] -= rows[:, COEFF] > zero
-        # drop the entries only zero terms used
-        rows[:, HEAD], heads = _used(rows[:, HEAD], heads)
-        rows[:, KERNELS], kernel_sets = _used(rows[:, KERNELS], kernel_sets)
-        rows[:, PRODUCT], products = _used(rows[:, PRODUCT], products)
+    h, k, p, coeff = _merge((h, k, p, coeff), (len(heads), len(kernel_sets), len(products)))
+    if not len(coeff):
+        return EMPTY
+    # drop the entries only zero terms used
+    h, heads = _used(h, heads)
+    k, kernel_sets = _used(k, kernel_sets)
+    count = len(products)
+    p, products = _used(p, products)
+    if len(products) < count:
         form_ids = sorted({f for product in products for f in product})
-        if len(form_ids) < len(forms):
-            renumber = dict(zip(form_ids, range(len(form_ids))))
-            forms = [forms[f] for f in form_ids]
-            products = [tuple(map(renumber.__getitem__, product)) for product in products]
+        renumber = dict(zip(form_ids, range(len(form_ids))))
+        forms = [forms[f] for f in form_ids]
+        products = [tuple(map(renumber.__getitem__, product)) for product in products]
+    low = int(coeff.min()) if coeff.dtype != object else 0
+    if coeff.dtype != object and int(coeff.max()) - low < len(coeff):
+        # int64 values in a range no longer than the column: rank them
+        # through a flat table of the range
+        c, distinct = _used(coeff - low, range(low, int(coeff.max()) + 1))
+    else:
+        distinct, c = np.unique(coeff, return_inverse=True)
+        distinct = distinct.tolist()
+    rows = np.empty((len(coeff), 4), dtype=np.int64)
+    rows[:, HEAD], rows[:, KERNELS], rows[:, PRODUCT], rows[:, COEFF] = h, k, p, c
 
     common = math.lcm(*(c.denominator for c in distinct))
     numerators = [c.numerator * (common // c.denominator) for c in distinct]
     divisor = math.gcd(scale * common, *numerators)
     return _frozen(tuple(forms), tuple(products), tuple(heads), tuple(kernel_sets),
                    tuple(c // divisor for c in numerators), scale * common // divisor, rows)
+
+
+def _merge(columns: tuple, sizes: Sequence[int]) -> tuple:
+    """Rows with equal ids merged by exact sums on one sorted integer key,
+    zero rows dropped. The columns are id columns, the j-th below
+    sizes[j], then an exact coefficient column (see _column)."""
+    *ids, coeff = columns
+    if len(coeff) > 1:
+        key = ids[0]
+        wide = math.prod(sizes) > _INT64_MAX
+        for column, size in zip(ids[1:], sizes[1:]):
+            if size == 1:   # all zero
+                continue
+            if wide and (int(key.max()) + 1) * size > _INT64_MAX:
+                # the combined key would not fit: number the prefixes first
+                key = np.unique(key, return_inverse=True)[1].reshape(-1)
+            key = key * size + column
+        order = key.argsort()
+        key = key[order]
+        new = key[1:] != key[:-1]
+        if new.all():
+            ids, coeff = [column[order] for column in ids], coeff[order]
+        else:
+            starts = np.concatenate([[0], new.nonzero()[0] + 1])
+            # each sum has at most len(key) terms
+            coeff = np.add.reduceat(_exact(coeff[order], len(key)), starts)
+            ids = [column[order[starts]] for column in ids]
+    keep = coeff != 0
+    if keep.all():
+        return (*ids, coeff)
+    return tuple(column[keep] for column in ids) + (coeff[keep],)
+
+
+_INT64_MAX = (1 << 63) - 1
+
+
+def _exact(coeff: np.ndarray, factor: int) -> np.ndarray:
+    """The coefficients as objects when the largest |coefficient| times
+    `factor` (a multiplier, or the number of values summed) passes int64."""
+    if (factor > 1 and coeff.dtype != object and len(coeff)
+            and int(np.abs(coeff).max()) * factor > _INT64_MAX):
+        return coeff.astype(object)
+    return coeff
+
+
+def _fits(values: Sequence) -> bool:
+    """Whether the exact values are ints that fit int64."""
+    return not values or (set(map(type, values)) == {int}
+                          and -_INT64_MAX <= min(values) and max(values) <= _INT64_MAX)
+
+
+def _column(values: Sequence) -> np.ndarray:
+    """Exact values (ints and Fractions) as an int64 column if they are
+    ints that all fit, else as objects."""
+    if _fits(values):
+        return np.array(values, dtype=np.int64)
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
 
 
 def add(e1: Expression, e2: Expression) -> Expression:
@@ -317,8 +360,8 @@ def add(e1: Expression, e2: Expression) -> Expression:
               + [c * (scale // e2.scale) for c in e2.numerators])
     rows = np.vstack([e1.rows, e2.rows + [len(e1.heads), len(e1.kernel_sets),
                                           len(e1.products), len(e1.numerators)]])
-    return _canonical(e1.forms + e2.forms, e1.heads + e2.heads,
-                      e1.kernel_sets + e2.kernel_sets, products, values, scale, *rows.T)
+    return _canonical(e1.forms + e2.forms, e1.heads + e2.heads, e1.kernel_sets + e2.kernel_sets,
+                      products, scale, *rows.T[:COEFF], _column(values)[rows[:, COEFF]])
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +801,9 @@ def from_dict(data: dict) -> Expression:
                 raise ExpressionError(f"terms[{i}] must have {len(sizes)} indices, got {row!r}")
 
     scale = math.lcm(*(den for _, den in coeffs))
-    return _canonical(forms, heads, kernel_sets, products,
-                      [num * (scale // den) for num, den in coeffs], scale, *rows.T)
+    values = _column([num * (scale // den) for num, den in coeffs])
+    return _canonical(forms, heads, kernel_sets, products, scale, *rows.T[:COEFF],
+                      values[rows[:, COEFF]])
 
 
 def parse_expression(text: str) -> Expression:

@@ -462,19 +462,50 @@ def test_int64_columns_switch_to_exact_objects_before_they_overflow():
     # can pass int64
     near = 2 ** 62 + 1
     ids = np.zeros(3, dtype=np.int64)
-    (_, coeff) = engine._merge((ids, np.full(3, near)), (1,))
+    (_, coeff) = ex._merge((ids, np.full(3, near)), (1,))
     assert coeff.tolist() == [3 * near]
-    assert engine._exact(np.array([near, -1]), 2).tolist() == [near, -1]
-    assert engine._exact(np.array([near, -1]), 2).dtype == object
-    assert engine._exact(np.array([near, -1]), 1).dtype == np.int64
-    assert engine._column([2 ** 63 - 1, -(2 ** 63 - 1)]).dtype == np.int64
+    assert ex._exact(np.array([near, -1]), 2).tolist() == [near, -1]
+    assert ex._exact(np.array([near, -1]), 2).dtype == object
+    assert ex._exact(np.array([near, -1]), 1).dtype == np.int64
+    assert ex._column([2 ** 63 - 1, -(2 ** 63 - 1)]).dtype == np.int64
     for values in ([2 ** 63], [-(2 ** 63)], [1, Fraction(1, 3)]):
-        assert engine._column(values).tolist() == values
+        assert ex._column(values).tolist() == values
     # ids whose combined key would pass int64 are numbered first
     wide = 2 ** 40
-    merged = engine._merge((np.array([wide - 1, 0, wide - 1]), np.array([wide - 2] * 3),
-                            np.array([1, 2, 3])), (wide, wide))
+    merged = ex._merge((np.array([wide - 1, 0, wide - 1]), np.array([wide - 2] * 3),
+                        np.array([1, 2, 3])), (wide, wide))
     assert [column.tolist() for column in merged] == [[0, wide - 1], [wide - 2] * 2, [2, 4]]
+
+
+def test_merge_drops_zero_rows_and_sums_mixed_objects_exactly():
+    # zero rows drop whether or not any ids repeat
+    for ids, coeff in (([4], [0]), ([3, 1, 2], [5, 0, -7])):
+        merged = ex._merge((np.array(ids), np.array(coeff)), (5,))
+        assert [column.tolist() for column in merged] == [
+            sorted(i for i, c in zip(ids, coeff) if c),
+            [c for _, c in sorted(zip(ids, coeff)) if c]]
+    # ints and Fractions in one object column sum exactly, and sums that
+    # cancel drop
+    coeff = ex._column([2 ** 70, Fraction(1, 3), -(2 ** 70), Fraction(2, 3), 1, Fraction(-1, 2)])
+    assert coeff.dtype == object
+    ids, total = ex._merge((np.array([1, 0, 1, 0, 2, 2]), coeff), (3,))
+    assert ids.tolist() == [0, 2] and total.tolist() == [1, Fraction(1, 2)]
+
+
+def test_no_product_is_searched_for_a_broken_circuit_twice(g4, monkeypatch):
+    # the CSR columns are the one normal-form memo: once a call has
+    # searched a product, it reads the product's rows from them
+    integral = engine.matsubara_integral(g4)
+    searched: list[int] = []
+    search = engine._Arrangement._broken_circuits
+    monkeypatch.setattr(engine._Arrangement, "_broken_circuits",
+                        lambda self, products: searched.extend(products)
+                        or search(self, products))
+    for call in (lambda: engine.matsubara_sum(g4), lambda: engine.matsubara_sum(g4, "direct"),
+                 lambda: engine.apply_operator(engine.operator_full(g4), integral)):
+        searched.clear()
+        call()
+        assert searched and len(searched) == len(set(searched))
 
 
 #: Term count and sha256 of the JSON render of the rank-6 stress sum
