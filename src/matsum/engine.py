@@ -35,26 +35,27 @@ call rewrites at most MAX_REDUCED_PRODUCTS products and raises
 NormalFormTooLarge past that.
 
 Both routes, apply_operator for any operator and tree_product share one
-per-call _Arrangement, which owns the forms, the products, the (head,
-kernels) groups, the normal-form memo and the reflections. Form ids are the
-arrangement's ranks: tree products are built in them (looked up by bond and
-sign pattern), and an input Expression is packed from its tables into them,
-a form outside the arrangement raising NotACutForm. A product id names a
-sorted tuple of form ranks, and packed terms are three columns (_Terms):
-group id, product id and an integer coefficient over a common denominator.
-R_i flips i's bit of each cut form's sign pattern; on product ids it is a
-gather through the line's product-id map, filled once per new product, and
-its only sign is the parity of q_i in the group's head. Each factor
-nbe_i (1 - R_i) runs on the columns of a whole level of the walk: the
-reflected rows are expanded through the normal forms of their products
-(the memo's compressed sparse rows, the level's new products reduced in
-one batch), and equal rows are merged, zeros dropped, by the package's one
-exact merge (expressions._merge). Coefficients stay exact: int64 while a
-bound on every product and sum of the level fits, Python ints and
-Fractions in an object column otherwise. Nothing is put in canonical order
-during the walk: each route
-freezes its columns into an Expression once (_Arrangement.freeze). A walk
-holds at most MAX_TERMS terms and raises TooManyTerms past that.
+per-call _Arrangement, which owns the forms and their tables (built once,
+with the forms), the products, the (head, kernels) groups, the normal-form
+memo and the reflections. Form ids are the arrangement's ranks: tree
+products are built in them (looked up by bond and sign pattern), and an
+input Expression is packed from its tables into them, a form outside the
+arrangement raising NotACutForm. A product id names a sorted tuple of form
+ranks, and packed terms are three columns (_Terms): group id, product id
+and an integer coefficient over a common denominator. R_i flips i's bit of
+each cut form's sign pattern; on product ids it is a gather through the
+line's product-id map, filled once per new product, and its only sign is
+the parity of q_i in the group's head. Each factor nbe_i (1 - R_i) runs on
+the columns of a whole level of the walk: the reflected rows are expanded
+through the normal forms of their products (the memo's compressed sparse
+rows; the level's new products are reduced in one batch, whose
+broken-circuit rewrites come back as columns), and equal rows are merged,
+zeros dropped, by the package's one exact merge (expressions._merge).
+Coefficients stay exact: int64 while a bound on every product and sum of
+the level fits, Python ints and Fractions in an object column otherwise.
+Nothing is put in canonical order during the walk: each route freezes its
+columns into an Expression once (_Arrangement.freeze). A walk holds at most
+MAX_TERMS terms and raises TooManyTerms past that.
 
 Cutset subsets of reflection-differences annihilate the integral: the
 normal form of the image is empty (annihilator_check), which is what
@@ -177,7 +178,7 @@ def _tree_forms(arrangement: "_Arrangement",
                                     [l for l, c in q if c < 0])
         sign *= s
         forms.append(rank)
-        flipped.append(int(arrangement.flips()[arrangement.line_position[j], rank]))
+        flipped.append(int(arrangement.flips[arrangement.line_position[j], rank]))
     return sign, forms, flipped
 
 
@@ -266,7 +267,7 @@ class NotACutForm(ex.ExpressionError):
 #: 8-cycle's sum each takes about 350 bytes of the arrangement's memory
 #: and 16 us of reduction (2-vCPU x86 host). Long cycles reach it: an
 #: n-cycle's integral has C(2(n-1), n-1) terms in normal form, and a
-#: 9-cycle's sum needs 0.54M products.
+#: 9-cycle's sum by the operator route needs 0.54M products.
 MAX_REDUCED_PRODUCTS = 1 << 18
 
 
@@ -295,6 +296,13 @@ _BATCH_ELEMENTS = 1 << 22
 
 #: Least room of the per-product arrays of an _Arrangement (see _grown).
 _ROOM = 256
+
+#: The memo length of a product that the running reduce_all has searched
+#: but not reduced yet.
+_SEARCHED = -2
+
+#: The (product, child, a_D) columns of no rewrite (see _broken_circuits).
+_NO_REWRITES = (np.empty(0, dtype=np.int64),) * 3
 
 
 class _Terms(NamedTuple):
@@ -325,8 +333,11 @@ class _Arrangement:
 
     which replaces a member by a smaller form, so rewriting ends. The nbc
     monomials are a basis of the algebra the products span (Orlik and
-    Terao), so the result does not depend on which circuit is used.
+    Terao), so the result does not depend on which circuit is used. The
+    search returns its rewrites as (product, child, a_D) columns.
 
+    The tables over the forms are built with them, once: the rank of each
+    cut (bond, sign pattern), the flips of R_l and what the search reads.
     The one normal-form memo is in compressed sparse rows (CSR): per
     product id the start and length of its normal form's rows in two flat
     columns, (nbc product id, coefficient), so that terms are brought to
@@ -338,38 +349,62 @@ class _Arrangement:
 
     def __init__(self, graph: MatsubaraGraph):
         self.graph = graph
-        self._bonds = gr.bonds(graph)
+        self._bonds = bonds = gr.bonds(graph)
+        self.lines = tuple(sorted(graph.line_ids))
+        self.line_position = {lid: i for i, lid in enumerate(self.lines)}
         # the forms in cut_forms order, each with its cut (bond b, sign
         # pattern): bit len(C)-1-j of the pattern is set when line C[j] of the
         # bond has -q, so the patterns 0 and 2^len(C) - 1 are the same-sign forms
         keyed = []
-        for b, (side, lines) in enumerate(self._bonds):
+        for b, (side, lines) in enumerate(bonds):
             n = tuple((v, 1) for v in graph.vertices[:-1] if v in side)
             all_minus = (1 << len(lines)) - 1
             for pattern, signs in enumerate(itertools.product((1, -1), repeat=len(lines))):
                 form = ex.LinearForm(n, tuple(zip(lines, signs)))
                 keyed.append((0 < pattern < all_minus, len(lines), form, b, pattern))
         keyed.sort()
-        self.forms = tuple(form for _, _, form, _, _ in keyed)
-        self._cuts = [(b, pattern) for _, _, _, b, pattern in keyed]   # by rank
-        self._rank = {cut: rank for rank, cut in enumerate(self._cuts)}
-        self._bond_of = {side: b for b, (side, _) in enumerate(self._bonds)}
-        self.lines = tuple(sorted(graph.line_ids))
-        self.line_position = {lid: i for i, lid in enumerate(self.lines)}
-        self.vectors: np.ndarray | None = None   # built on first search
+        _, _, self.forms, bond, pattern = zip(*keyed)
+        bond, pattern = np.array(bond, dtype=np.int64), np.array(pattern, dtype=np.int64)
+        self._bond_of = {side: b for b, (side, _) in enumerate(bonds)}
+        # per bond its lines' weights in the sign pattern (by line position)
+        # and the offset of its patterns; per pattern offset the rank
+        self._weight = np.array([[1 << (len(lines) - 1 - lines.index(lid)) if lid in lines else 0
+                                  for lid in self.lines] for _, lines in bonds],
+                                dtype=np.int64).reshape(len(bonds), -1)
+        self._offset = np.array(list(itertools.accumulate(
+            (1 << len(lines) for _, lines in bonds), initial=0)))
+        start, weight = self._offset[bond], self._weight[bond]
+        self._form_at = np.empty(len(self.forms), dtype=np.int64)
+        self._form_at[start + pattern] = np.arange(len(self.forms))
+        #: by line position and rank: the rank of the form with q_l negated,
+        #: its line's bit of the sign pattern flipped with no renormalization,
+        #: as forms lead with +N(S); and one rank past the forms (the pad of
+        #: intern) that maps to itself
+        self.flips = np.empty((len(self.lines), len(self.forms) + 1), dtype=np.int64)
+        self.flips[:, :-1] = self._form_at[start + (pattern ^ weight.T)]
+        self.flips[:, -1] = len(self.forms)
+        # the integer vectors of the forms over (non-root N's, q's)
+        # (_exact_broken_circuit); and as floats, per bond its N-part and
+        # its lines, per rank the form's N- and q-parts (_bond_search)
+        bond_n = np.array([[v in side for v in graph.vertices[:-1]] for side, _ in bonds],
+                          dtype=np.int64).reshape(len(bonds), -1)
+        self.vectors = np.concatenate([bond_n[bond], np.where(pattern[:, None] & weight, -1,
+                                                              weight > 0)], axis=1)
+        self._bond_n, self._bond_lines = bond_n.astype(float), (self._weight > 0).astype(float)
+        parts = self.vectors.astype(float)
+        self._n, self._q = parts[:, :bond_n.shape[1]], parts[:, bond_n.shape[1]:]
         self.products: list[tuple[int, ...]] = []   # by product id
         self._product_ids: dict[tuple[int, ...], int] = {}
         # the normal-form memo, in CSR: per product id the start and length
-        # (-1: not reduced yet) of its rows, the rows' columns (the first
-        # _nf_size entries), their largest |coefficient| while int64, and
-        # the number of products reduced
+        # (-1: not reduced yet, _SEARCHED: searched by the running
+        # reduce_all) of its rows, the rows' columns (the first _nf_size
+        # entries), their largest |coefficient| while int64, and the number
+        # of products reduced
         self._nf = np.empty((0, 2), dtype=np.int64)
         self._nf_product = self._nf_coeff = np.empty(0, dtype=np.int64)
         self._nf_size = self._nf_bound = self._nf_count = 0
         #: R_l by line position and product id, -1 where not yet met
         self.images = np.empty((len(self.lines), 0), dtype=np.int64)
-        self._form_at: np.ndarray | None = None   # see _cut_tables
-        self._flip_table: np.ndarray | None = None
         self.groups: list[tuple] = []   # (head, kernels) by group id
         self._group_ids: dict[tuple, int] = {}
 
@@ -382,8 +417,23 @@ class _Arrangement:
         return product
 
     def intern(self, rows: np.ndarray) -> np.ndarray:
-        """The ids of the products whose sorted ranks are the rows."""
-        return np.fromiter(map(self.product, map(tuple, rows.tolist())), np.int64, len(rows))
+        """The ids of the products whose sorted ranks are the rows, padded
+        at the end with len(self.forms) (see _ranks)."""
+        keys, pad = rows.tolist(), len(self.forms)
+        if rows.size and rows[:, -1].max() == pad:
+            keys = [row[:row.index(pad)] if row[-1] == pad else row for row in keys]
+        return np.fromiter(map(self.product, map(tuple, keys)), np.int64, len(keys))
+
+    def _ranks(self, products: list[int]) -> np.ndarray:
+        """The products' sorted ranks as rows, padded at the end with
+        len(self.forms), a rank past the forms that sorts last."""
+        ranks = list(map(self.products.__getitem__, products))
+        widths = set(map(len, ranks))
+        width = max(widths, default=0)
+        if len(widths) > 1:
+            pad = (len(self.forms),)
+            ranks = [r + pad * (width - len(r)) for r in ranks]
+        return np.array(ranks, dtype=np.int64).reshape(len(ranks), width)
 
     def group(self, key: tuple) -> int:
         """The id of a (head, kernels) group."""
@@ -409,13 +459,14 @@ class _Arrangement:
         side `side`, with -q on the lines `minus`."""
         b = self._bond_of[side]
         lines = self._bonds[b][1]
-        return self._rank[b, sum(1 << (len(lines) - 1 - lines.index(l)) for l in minus)]
+        pattern = sum(1 << (len(lines) - 1 - lines.index(l)) for l in minus)
+        return int(self._form_at[self._offset[b] + pattern])
 
     def rank(self, form: ex.LinearForm) -> int:
         """The rank of a cut form; raises NotACutForm for any other form."""
         try:
             rank = self.cut_rank(frozenset(v for v, _ in form.n), [l for l, c in form.q if c < 0])
-        except (KeyError, ValueError):  # no bond has the side, or it lacks a -q line
+        except (KeyError, ValueError, IndexError):  # no bond has the side, or it lacks a -q line
             rank = None
         if rank is None or self.forms[rank] != form:
             raise NotACutForm(form)
@@ -489,44 +540,19 @@ class _Arrangement:
     def reflect(self, lines: np.ndarray, products: np.ndarray) -> np.ndarray:
         """R_l of each product, l at line position lines[i]: a gather
         through the line's map of product ids. The products a map has not
-        met are flipped form by form through a table (see flips), sorted and
-        interned first, in one batch."""
+        met are flipped form by form through `flips`, sorted and interned
+        first, in one batch."""
         self._reserve()
         images = self.images[lines, products]
         new = images < 0
         if new.any():
             n = len(self.lines)
             product, line = np.divmod(_distinct(products[new] * n + lines[new]), n)
-            ranks = [self.products[p] for p in product.tolist()]
-            sizes = set(map(len, ranks))
-            if len(sizes) > 1:
-                # pad with a rank past the forms, which flips to itself and
-                # sorts last
-                width, pad = max(sizes), len(self.forms)
-                ranks = [r + (pad,) * (width - len(r)) for r in ranks]
-            flipped = self.flips()[line[:, None], np.array(ranks, dtype=np.int64).reshape(
-                len(ranks), max(sizes))]
+            flipped = self.flips[line[:, None], self._ranks(product.tolist())]
             flipped.sort(axis=1)
-            rows = flipped.tolist()
-            if len(sizes) > 1:
-                rows = [row[:row.index(pad)] if pad in row else row for row in rows]
-            self.images[line, product] = list(map(self.product, map(tuple, rows)))
+            self.images[line, product] = self.intern(flipped)
             images = self.images[lines, products]
         return images
-
-    def flips(self) -> np.ndarray:
-        """By line position and rank: the rank of the form with q_l negated,
-        its line's bit of the sign pattern flipped with no renormalization,
-        as forms lead with +N(S); and one rank past the forms that maps to
-        itself. Built on first use."""
-        if self._flip_table is None:
-            self._cut_tables()
-            table = self._flip_table = np.empty((len(self.lines), len(self.forms) + 1),
-                                                dtype=np.int64)
-            table[:, :-1] = self._form_at[self._offset[self._bond]
-                                          + (self._pattern ^ self._weight[self._bond].T)]
-            table[:, -1] = len(self.forms)
-        return self._flip_table
 
     def _reserve(self) -> None:
         """Room for every product id in the per-product arrays."""
@@ -555,75 +581,45 @@ class _Arrangement:
         self._nf_size = size
         self._nf_count += len(products)
 
-    def _cut_tables(self) -> None:
-        """Per bond its lines' weights in the sign pattern (by line
-        position) and the offset of its patterns, per rank its cut (bond,
-        pattern), and per pattern offset the rank: the tables of flips and
-        _bond_search, built once."""
-        if self._form_at is not None:
-            return
-        bonds = self._bonds
-        self._weight = np.array([[1 << (len(lines) - 1 - lines.index(lid)) if lid in lines else 0
-                                  for lid in self.lines] for _, lines in bonds],
-                                dtype=np.int64).reshape(len(bonds), -1)
-        self._offset = np.cumsum([0] + [1 << len(lines) for _, lines in bonds])
-        self._bond, self._pattern = np.array(self._cuts).T
-        self._form_at = np.empty(len(self.forms), dtype=np.int64)
-        self._form_at[self._offset[self._bond] + self._pattern] = np.arange(len(self.forms))
-
-    def _build_tables(self) -> None:
-        """Integer vectors of the forms over (non-root N's, q's), and the
-        bond tables of _bond_search: per bond its N-part and its lines, with
-        the cut tables."""
-        self._cut_tables()
-        graph, bonds = self.graph, self._bonds
-        self._bond_n = np.array([[float(v in side) for v in graph.vertices[:-1]]
-                                 for side, _ in bonds]).reshape(len(bonds), -1)
-        self._bond_lines = (self._weight > 0).astype(float)
-        self._n = self._bond_n[self._bond]
-        self._q = self._bond_lines[self._bond] * (
-            1 - 2 * ((self._pattern[:, None] & self._weight[self._bond]) > 0))
-        self.vectors = np.rint(np.concatenate([self._n, self._q], axis=1)).astype(np.int64)
-
     def reduce_all(self, products: np.ndarray) -> None:
         """Give the products (none reduced yet) and everything they rewrite
         into their rows in the CSR columns.
 
-        Broken circuits are searched for all pending products at once; the
-        rewritten products, interned as they are found, form the next round.
-        An nbc product's row is itself. Rewritten products are then
-        assembled in rounds, each taking those whose children all have rows:
+        Broken circuits are searched for all pending products at once, each
+        marked _SEARCHED in the memo; the children not yet marked or reduced
+        form the next round. A searched product without rewrites is nbc, its
+        row itself. The others are then assembled in rounds from the joined
+        rewrite columns, each taking those whose children all have rows:
         the children are expanded by rewrite and merged by (parent, nbc
         product). Every rewrite descends in multiset order, so each round
         takes some. Raises NormalFormTooLarge before a search round would
         take the memo past MAX_REDUCED_PRODUCTS products."""
-        steps: dict[int, tuple] = {}
-        nbc: list[int] = []
-        todo = products.tolist()
-        searched = set(todo)
-        while todo:
-            if self._nf_count + len(searched) > MAX_REDUCED_PRODUCTS:
+        rounds, parts = [], []
+        while len(products):
+            rounds.append(products)
+            if self._nf_count + sum(map(len, rounds)) > MAX_REDUCED_PRODUCTS:
+                self._nf[self._nf[:, 1] == _SEARCHED, 1] = -1   # not reduced
                 raise NormalFormTooLarge()
-            pending = set()
-            for product, children in self._broken_circuits(todo).items():
-                if children is None:
-                    nbc.append(product)
-                else:
-                    steps[product] = children
-                    pending.update(child for child, _ in children)
+            self._nf[products, 1] = _SEARCHED
+            parts.append(self._broken_circuits(products))
+            if not len(parts[-1][0]):   # no rewrites, so no children
+                break
             self._reserve()
-            pending = np.fromiter(pending, np.int64, len(pending))
-            todo = [p for p in pending[self._nf[pending, 1] < 0].tolist() if p not in searched]
-            searched.update(todo)
-        nbc = np.array(nbc, dtype=np.int64)
+            children = _distinct(parts[-1][1])
+            products = children[self._nf[children, 1] == -1]
+        parent, child, a = _concat(parts)
+        searched = np.concatenate(rounds)
+        rewritten = np.zeros(len(self.products), dtype=bool)
+        rewritten[parent] = True
+        nbc = searched[~rewritten[searched]]
         self._store(nbc, np.ones_like(nbc), nbc, np.ones_like(nbc))
-        if not steps:
+        if not len(parent):
             return
-        n = len(steps)
-        parents = np.fromiter(steps, np.int64, n)
-        parent = np.arange(n).repeat(list(map(len, steps.values())))
-        child, a = zip(*itertools.chain.from_iterable(steps.values()))
-        child, a = np.array(child, dtype=np.int64), ex._column(a)
+        # a product's rewrite rows are consecutive: number the products
+        new = np.ones(len(parent), dtype=bool)
+        new[1:] = parent[1:] != parent[:-1]
+        parents, parent = parent[new], new.cumsum() - 1
+        n = len(parents)
         waiting = np.ones(n, dtype=bool)
         while waiting.any():
             # the parents none of whose children waits for its rows
@@ -634,28 +630,29 @@ class _Arrangement:
             self._store(parents[ready], np.bincount(index, minlength=n)[ready], nbc, coeff)
             waiting &= ~ready
 
-    def _broken_circuits(self, products: list[int]) -> dict:
-        """product id -> None if it is in normal form; else the rewrite by
-        one broken circuit, relation H = sum_D a_D D, as ((id of T - D + H,
-        a_D), ...).
+    def _broken_circuits(self, products: np.ndarray) -> tuple:
+        """The rewrites of the products by one broken circuit each, relation
+        H = sum_D a_D D, as (product, id of T - D + H, a_D) columns: one row
+        per nonzero a_D, a product's rows consecutive. A product with no
+        rows is in normal form.
 
         Products of V-1 > 1 forms are searched in batches by _bond_search,
-        others by _exact_rewrite.
+        others of more than one form by _exact_rewrite; one form is never a
+        broken circuit (circuits have three members).
         """
         nv = self.graph.num_vertices - 1
-        sizes = [len(self.products[p]) for p in products]
-        if self.vectors is None and any(k != 1 for k in sizes):
-            self._build_tables()
-        basis = [p for p, k in zip(products, sizes) if k == nv > 1]
-        # one form is never a broken circuit (circuits have three members)
-        out = {p: None if k == 1 else self._exact_rewrite(p)
-               for p, k in zip(products, sizes) if k != nv or nv == 1}
+        sizes = np.fromiter(map(len, map(self.products.__getitem__, products.tolist())),
+                            np.int64, len(products))
+        basis = products[(sizes > 1) & (sizes == nv)]
+        others = products[(sizes > 1) & (sizes != nv)]
         rows = max(1, _BATCH_ELEMENTS // (len(self._bonds) * self.graph.num_lines))
-        for start in range(0, len(basis), rows):
-            out.update(self._bond_search(basis[start:start + rows]))
-        return out
+        parts = [self._bond_search(basis[start:start + rows])
+                 for start in range(0, len(basis), rows)]
+        if len(others):
+            parts.append(self._exact_rewrite(others))
+        return _concat(parts) if parts else _NO_REWRITES
 
-    def _bond_search(self, group: list[int]) -> dict:
+    def _bond_search(self, group: np.ndarray) -> tuple:
         """_broken_circuits for products of V-1 forms.
 
         Every product of the pipeline has N-parts that are a basis of the
@@ -666,7 +663,8 @@ class _Arrangement:
         That sum is computed for every bond at once; where it is a sign
         pattern on exactly the bond's lines, H is the form with that
         pattern, and it closes a broken circuit when it lies below every D
-        with a_D != 0. The lowest such H is taken.
+        with a_D != 0. The lowest such H is taken, and the children of the
+        whole batch are interned at once.
 
         The test is exact in floats: the N-parts are 0/1 vectors, so the
         determinant of a product's N-parts is at most 2^17 (Hadamard's bound
@@ -675,14 +673,14 @@ class _Arrangement:
         integers and checked in integers; a product whose N-parts are not a
         basis, or whose relation is not integral, goes to _exact_rewrite.
         """
-        ranks = np.array([self.products[p] for p in group])     # n x k
+        ranks = self._ranks(group.tolist())                      # n x k
         try:
             inverse = np.linalg.inv(self._n[ranks])              # n x k x k
         except np.linalg.LinAlgError:       # some N-parts are dependent
             basis = np.abs(np.linalg.det(self._n[ranks])) > 0.5
-            out = {p: self._exact_rewrite(p) for p, ok in zip(group, basis) if not ok}
-            rest = [p for p, ok in zip(group, basis) if ok]
-            return out | (self._bond_search(rest) if rest else {})
+            rest = group[basis]
+            return _concat([self._exact_rewrite(group[~basis])]
+                           + ([self._bond_search(rest)] if len(rest) else []))
         none = len(self.forms)
         coeffs = self._bond_n @ inverse                          # n x bonds x k
         q = coeffs @ self._q[ranks]                              # n x bonds x I
@@ -705,23 +703,22 @@ class _Arrangement:
         children = np.repeat(members[:, None, :], k, axis=1)
         children[:, np.arange(k), np.arange(k)] = h[:, None]
         children.sort(axis=2)
-        out: dict = dict.fromkeys(group)
-        intern = self.product
-        for i, kids, row, ok in zip(found.tolist(), children.tolist(), a.tolist(),
-                                    exact.tolist()):
-            product = group[i]
-            out[product] = tuple((intern(tuple(kid)), c) for kid, c in zip(kids, row)
-                                 if c) if ok else self._exact_rewrite(product)
-        return out
+        keep = (a != 0) & exact[:, None]
+        rewrites = (group[found].repeat(k)[keep.reshape(-1)], self.intern(children[keep]),
+                    a[keep])
+        if exact.all():
+            return rewrites
+        return _concat([rewrites, self._exact_rewrite(group[found[~exact]])])
 
-    def _exact_rewrite(self, product: int):
-        """_broken_circuits for one product, in exact arithmetic."""
-        ranks = self.products[product]
-        found = self._exact_broken_circuit(ranks)
-        if found is None:
-            return None
-        h, relation = found
-        return tuple((self.product(_rewrite(ranks, d, h)), a) for d, a in relation)
+    def _exact_rewrite(self, products: np.ndarray) -> tuple:
+        """_broken_circuits in exact arithmetic, product by product."""
+        rows = []
+        for product in products.tolist():
+            ranks = self.products[product]
+            h, relation = self._exact_broken_circuit(ranks) or (None, ())
+            rows += [(product, self.product(_rewrite(ranks, d, h)), a) for d, a in relation]
+        parent, child, a = zip(*rows) if rows else ((), (), ())
+        return np.array(parent, dtype=np.int64), np.array(child, dtype=np.int64), ex._column(a)
 
     def _exact_broken_circuit(self, product: tuple[int, ...]):
         """(H, relation) of a broken circuit of any product, or None, in

@@ -639,7 +639,7 @@ def test_exact_search_gives_the_same_normal_form(monkeypatch):
     wide_integral = engine.matsubara_integral(wide)
     assert len(engine.cut_forms(wide)) == 32784 and len(batches) == 2
     monkeypatch.setattr(engine._Arrangement, "_bond_search",
-                        lambda self, group: {p: self._exact_rewrite(p) for p in group})
+                        lambda self, group: self._exact_rewrite(group))
     for g, (integral, total) in zip(graphs, expected):
         assert engine.matsubara_integral(g) == integral
         assert engine.normal_form(g, _raw_integral(g)) == integral
@@ -666,6 +666,26 @@ def test_normal_form_past_its_budget_is_refused(monkeypatch):
             engine.matsubara_sum(g, method)
     # a smaller cycle stays within the budget
     assert len(engine.matsubara_integral(cycle_graph(6))) == 252
+    # the budget counts products exactly: the integrals of the 4-, 5- and
+    # 6-cycles rewrite 74, 339 and 1,470 products, and pass at that budget
+    for n, count in ((4, 74), (5, 339), (6, 1470)):
+        monkeypatch.setattr(engine, "MAX_REDUCED_PRODUCTS", count)
+        assert len(engine.matsubara_integral(cycle_graph(n))) == math.comb(2 * (n - 1), n - 1)
+        monkeypatch.setattr(engine, "MAX_REDUCED_PRODUCTS", count - 1)
+        with pytest.raises(engine.NormalFormTooLarge, match=f"more than {count - 1}"):
+            engine.matsubara_integral(cycle_graph(n))
+    # a refused reduction (at the budget of 1,469 the loop leaves) stores
+    # nothing and leaves no product marked as searched, so the same
+    # arrangement then reduces in full
+    g = cycle_graph(6)
+    arrangement, total = engine._tree_products(
+        g, [engine.solve_tree(g, tree) for tree in gr.enumerate_spanning_trees(g)])
+    with pytest.raises(engine.NormalFormTooLarge):
+        arrangement.normalize_all(total)
+    assert engine._SEARCHED not in arrangement._nf[:, 1]
+    monkeypatch.setattr(engine, "MAX_REDUCED_PRODUCTS", 1470)
+    assert (arrangement.freeze(arrangement.normalize_all(total), 2 ** g.num_lines)
+            == engine.matsubara_integral(g))
 
 
 def test_thermal_operator_past_its_term_budget_is_refused(monkeypatch, g4):
@@ -710,7 +730,7 @@ def test_normal_form_rejects_a_denominator_that_is_not_a_cut_form(g4):
         engine.annihilator_check(g4, (1, 2), e)
 
 
-def test_normal_form_of_repeated_and_dependent_denominators(g4):
+def test_normal_form_of_repeated_and_dependent_denominators(g4, monkeypatch):
     # products outside the pipeline's shape: a squared form, two forms of
     # one 3-line bond, three of them (still independent), and five of them,
     # which are dependent; the exact search handles them
@@ -734,6 +754,31 @@ def test_normal_form_of_repeated_and_dependent_denominators(g4):
     rng = np.random.default_rng(12)
     for _ in range(5):
         q = {i: float(rng.uniform(0.3, 3.0)) for i in range(1, 6)}
+        n = {v: int(rng.integers(-3, 4)) for v in "abc"}
+        assert ex.eval_numeric(nf, q, n) == pytest.approx(ex.eval_numeric(e, q, n), rel=1e-9)
+    # a product of the pipeline's shape whose relation is not integral: on
+    # K4 the lowest broken circuit of these three forms is
+    # H = i(N_a+N_b+N_c) - q3 - q5 - q6 = (D1 + D2 + D3) / 2, which the
+    # batched search finds but cannot round, so it hands the product to
+    # the exact search
+    k4 = gr.make_graph("abcd", [(i + 1, u, v) for i, (u, v)
+                                in enumerate(itertools.combinations("abcd", 2))])
+    e = ex.Expression([make_term(1, 0, {}, (), [
+        ex.LinearForm((("a", 1), ("b", 1)), ((2, -1), (3, -1), (4, -1), (5, -1))),
+        ex.LinearForm((("a", 1), ("c", 1)), ((1, 1), (3, -1), (4, 1), (6, -1))),
+        ex.LinearForm((("b", 1), ("c", 1)), ((1, -1), (2, 1), (5, -1), (6, -1)))])])
+    exact: list[int] = []
+    rewrite = engine._Arrangement._exact_rewrite
+    monkeypatch.setattr(engine._Arrangement, "_exact_rewrite", lambda self, products:
+                        exact.extend(products.tolist()) or rewrite(self, products))
+    nf = engine.normal_form(k4, e)
+    assert len(exact) == 1
+    assert [t.coeff for t in nf.terms] == [Fraction(1, 2)] * 3
+    monkeypatch.setattr(engine._Arrangement, "_bond_search",
+                        lambda self, group: self._exact_rewrite(group))
+    assert engine.normal_form(k4, e) == nf
+    for _ in range(5):
+        q = {i: float(rng.uniform(0.3, 3.0)) for i in range(1, 7)}
         n = {v: int(rng.integers(-3, 4)) for v in "abc"}
         assert ex.eval_numeric(nf, q, n) == pytest.approx(ex.eval_numeric(e, q, n), rel=1e-9)
 
