@@ -29,9 +29,11 @@ whose q's share one sign first), make up the cut arrangement, and each
 product of denominators is rewritten into the arrangement's
 no-broken-circuit basis (Orlik and Terao, Nagoya Math. J. 134 (1994)). The
 basis is unique, so structural equality of results is equality of
-functions, and it does not depend on the hierarchy or the route. The
-normal form can be much longer than the tree basis on long cycles, so one
-call rewrites at most MAX_REDUCED_PRODUCTS products and raises
+functions, and it does not depend on the hierarchy or the route. Broken
+circuits are found by a batched search over the bonds in floats, and the
+products it cannot settle exactly go to one exact search. The normal form
+can be much longer than the tree basis on long cycles, so one call
+rewrites at most MAX_REDUCED_PRODUCTS products and raises
 NormalFormTooLarge past that.
 
 Both routes, apply_operator for any operator and tree_product share one
@@ -48,9 +50,9 @@ line's product-id map, filled once per new product, and its only sign is
 the parity of q_i in the group's head. Each factor nbe_i (1 - R_i) runs on
 the columns of a whole level of the walk: the reflected rows are expanded
 through the normal forms of their products (the memo's compressed sparse
-rows; the level's new products are reduced in one batch, whose
-broken-circuit rewrites come back as columns), and equal rows are merged,
-zeros dropped, by the package's one exact merge (expressions._merge).
+rows; the level's new products are reduced in one batch), and equal rows
+are merged, zeros dropped, by the package's one exact merge
+(expressions._merge).
 Coefficients stay exact: int64 while a bound on every product and sum of
 the level fits, Python ints and Fractions in an object column otherwise.
 Nothing is put in canonical order during the walk: each route freezes its
@@ -64,7 +66,6 @@ collapses the full 2^I-term operator to the reduced one.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -279,10 +280,11 @@ class NormalFormTooLarge(gr.GraphTooLarge):
 
 #: Most terms one walk of the thermal operator holds at once, in its
 #: merged result and the level it is building; a level's rows before
-#: merging are built in chunks of at most this many. Valid graphs reach
-#: it: the triangle with 2, 2 and 9 parallel lines has 7.0M sum terms, and
-#: each added line roughly triples them; 2, 2 and 8 gives 2.3M terms and
-#: peaks at about 490 MB, and 2, 2 and 9 is refused at about 700 MB.
+#: merging, and every expansion through the normal-form memo, are built in
+#: chunks of at most this many. Valid graphs reach it: the triangle with
+#: 2, 2 and 9 parallel lines has 7.0M sum terms, and each added line
+#: roughly triples them; 2, 2 and 8 gives 2.3M terms and peaks at about
+#: 490 MB, and 2, 2 and 9 is refused at about 700 MB.
 MAX_TERMS = 1 << 22
 
 
@@ -333,18 +335,21 @@ class _Arrangement:
 
     which replaces a member by a smaller form, so rewriting ends. The nbc
     monomials are a basis of the algebra the products span (Orlik and
-    Terao), so the result does not depend on which circuit is used. The
-    search returns its rewrites as (product, child, a_D) columns.
+    Terao), so the result does not depend on which circuit is used. A
+    batched float search over the bonds rewrites the pipeline's products
+    (_bond_search); what it declines, and products of other widths, go to
+    the exact search (_exact_rewrite), which is also the tests' reference.
 
     The tables over the forms are built with them, once: the rank of each
     cut (bond, sign pattern), the flips of R_l and what the search reads.
     The one normal-form memo is in compressed sparse rows (CSR): per
     product id the start and length of its normal form's rows in two flat
-    columns, (nbc product id, coefficient), so that terms are brought to
-    normal form by a gather (rewrite), and the rewritten products are
-    assembled from their children's rows the same way (reduce_all). Lines
-    are named by their position in `lines`, and per line R_l is a map of
-    product ids (`images`), filled once per product it meets.
+    columns, (nbc product id, coefficient). Terms are brought to normal
+    form by an expansion through it (rewrite; expand merges the result),
+    and the rewritten products are assembled from their children's rows
+    by the same expand (reduce_all). Lines are named by their position in
+    `lines`, and per line R_l is a map of product ids (`images`), filled
+    once per product it meets.
     """
 
     def __init__(self, graph: MatsubaraGraph):
@@ -384,8 +389,9 @@ class _Arrangement:
         self.flips[:, :-1] = self._form_at[start + (pattern ^ weight.T)]
         self.flips[:, -1] = len(self.forms)
         # the integer vectors of the forms over (non-root N's, q's)
-        # (_exact_broken_circuit); and as floats, per bond its N-part and
-        # its lines, per rank the form's N- and q-parts (_bond_search)
+        # (_exact_rewrite, and the check of _bond_search's relations); and
+        # as floats, per bond its N-part and its lines, per rank the form's
+        # N- and q-parts (_bond_search)
         bond_n = np.array([[v in side for v in graph.vertices[:-1]] for side, _ in bonds],
                           dtype=np.int64).reshape(len(bonds), -1)
         self.vectors = np.concatenate([bond_n[bond], np.where(pattern[:, None] & weight, -1,
@@ -502,16 +508,10 @@ class _Arrangement:
         return _Terms(*ex._merge(terms, (len(self.groups), len(self.products))))
 
     def normalize_all(self, terms: _Terms) -> _Terms:
-        """The normal form of packed terms, merged with zeros dropped: a
-        CSR expansion of the rows through their products' normal forms,
-        the new products reduced in one batch, built in chunks of at most
-        MAX_TERMS rows."""
+        """The normal form of packed terms, merged with zeros dropped; the
+        new products are reduced in one batch."""
         start, length = self.normal_forms(terms.product)
-        parts = []
-        for rows in _slices(length, MAX_TERMS):
-            i, product, coeff = self.rewrite(start[rows], length[rows], terms.coeff[rows])
-            parts.append(self.merge(_Terms(terms.group[rows][i], product, coeff)))
-        return parts[0] if len(parts) == 1 else self.merge(_Terms(*_concat(parts)))
+        return _Terms(*self.expand(terms.group, start, length, terms.coeff, len(self.groups)))
 
     def normal_forms(self, products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The start and length of each product's normal form in the CSR
@@ -536,6 +536,18 @@ class _Arrangement:
         if relation.dtype != object:
             coeff = ex._exact(coeff, self._nf_bound)
         return i, self._nf_product[j], coeff[i] * relation
+
+    def expand(self, key: np.ndarray, start: np.ndarray, length: np.ndarray,
+               coeff: np.ndarray, keys: int) -> tuple:
+        """The sum of coeff[i] times the normal forms at start and length,
+        as (key, nbc product, coefficient) columns merged by key[i] (below
+        `keys`) and nbc product, zeros dropped: a CSR expansion (rewrite)
+        in chunks of at most MAX_TERMS rows."""
+        sizes, parts = (keys, len(self.products)), []
+        for rows in _slices(length, MAX_TERMS):
+            i, nbc, c = self.rewrite(start[rows], length[rows], coeff[rows])
+            parts.append(ex._merge((key[rows][i], nbc, c), sizes))
+        return parts[0] if len(parts) == 1 else ex._merge(_concat(parts), sizes)
 
     def reflect(self, lines: np.ndarray, products: np.ndarray) -> np.ndarray:
         """R_l of each product, l at line position lines[i]: a gather
@@ -625,8 +637,7 @@ class _Arrangement:
             # the parents none of whose children waits for its rows
             ready = waiting & (np.bincount(parent[self._nf[child, 1] < 0], minlength=n) == 0)
             taken = ready[parent]
-            i, nbc, coeff = self.rewrite(*self._nf[child[taken]].T, a[taken])
-            index, nbc, coeff = ex._merge((parent[taken][i], nbc, coeff), (n, len(self.products)))
+            index, nbc, coeff = self.expand(parent[taken], *self._nf[child[taken]].T, a[taken], n)
             self._store(parents[ready], np.bincount(index, minlength=n)[ready], nbc, coeff)
             waiting &= ~ready
 
@@ -636,24 +647,28 @@ class _Arrangement:
         per nonzero a_D, a product's rows consecutive. A product with no
         rows is in normal form.
 
-        Products of V-1 > 1 forms are searched in batches by _bond_search,
-        others of more than one form by _exact_rewrite; one form is never a
-        broken circuit (circuits have three members).
+        Products of V-1 > 1 forms are searched in batches by _bond_search;
+        the products it declines and those of other widths above one go to
+        _exact_rewrite in one call. One form is never a broken circuit
+        (circuits have three members).
         """
         nv = self.graph.num_vertices - 1
         sizes = np.fromiter(map(len, map(self.products.__getitem__, products.tolist())),
                             np.int64, len(products))
         basis = products[(sizes > 1) & (sizes == nv)]
-        others = products[(sizes > 1) & (sizes != nv)]
         rows = max(1, _BATCH_ELEMENTS // (len(self._bonds) * self.graph.num_lines))
-        parts = [self._bond_search(basis[start:start + rows])
-                 for start in range(0, len(basis), rows)]
-        if len(others):
-            parts.append(self._exact_rewrite(others))
+        searched = [self._bond_search(basis[start:start + rows])
+                    for start in range(0, len(basis), rows)]
+        parts = [rewrites for rewrites, _ in searched]
+        declined = np.concatenate([products[(sizes > 1) & (sizes != nv)]]
+                                  + [rest for _, rest in searched])
+        if len(declined):
+            parts.append(self._exact_rewrite(declined))
         return _concat(parts) if parts else _NO_REWRITES
 
     def _bond_search(self, group: np.ndarray) -> tuple:
-        """_broken_circuits for products of V-1 forms.
+        """The rewrite columns (see _broken_circuits) of products of V-1
+        forms, and the products it declines.
 
         Every product of the pipeline has N-parts that are a basis of the
         N-space: tree products do (fundamental cuts of a tree), and
@@ -663,24 +678,24 @@ class _Arrangement:
         That sum is computed for every bond at once; where it is a sign
         pattern on exactly the bond's lines, H is the form with that
         pattern, and it closes a broken circuit when it lies below every D
-        with a_D != 0. The lowest such H is taken, and the children of the
-        whole batch are interned at once.
+        with a_D != 0. The lowest such H is taken.
 
         The test is exact in floats: the N-parts are 0/1 vectors, so the
         determinant of a product's N-parts is at most 2^17 (Hadamard's bound
         for 0/1 matrices of size V-1 <= 15), and a q-sum that is not a whole
         number is at least 2^-17 away from one. Relations are rounded to
-        integers and checked in integers; a product whose N-parts are not a
-        basis, or whose relation is not integral, goes to _exact_rewrite.
+        integers and checked in integers. Products whose N-parts are not a
+        basis, or whose relation is not integral, are declined.
         """
         ranks = self._ranks(group.tolist())                      # n x k
+        n_parts = self._n[ranks]
         try:
-            inverse = np.linalg.inv(self._n[ranks])              # n x k x k
+            inverse = np.linalg.inv(n_parts)                     # n x k x k
+            declined = group[:0]
         except np.linalg.LinAlgError:       # some N-parts are dependent
-            basis = np.abs(np.linalg.det(self._n[ranks])) > 0.5
-            rest = group[basis]
-            return _concat([self._exact_rewrite(group[~basis])]
-                           + ([self._bond_search(rest)] if len(rest) else []))
+            basis = np.abs(np.linalg.det(n_parts)) > 0.5
+            declined, group, ranks = group[~basis], group[basis], ranks[basis]
+            inverse = np.linalg.inv(n_parts[basis])
         none = len(self.forms)
         coeffs = self._bond_n @ inverse                          # n x bonds x k
         q = coeffs @ self._q[ranks]                              # n x bonds x I
@@ -706,51 +721,41 @@ class _Arrangement:
         keep = (a != 0) & exact[:, None]
         rewrites = (group[found].repeat(k)[keep.reshape(-1)], self.intern(children[keep]),
                     a[keep])
-        if exact.all():
-            return rewrites
-        return _concat([rewrites, self._exact_rewrite(group[found[~exact]])])
+        return rewrites, np.concatenate([declined, group[found[~exact]]])
 
     def _exact_rewrite(self, products: np.ndarray) -> tuple:
-        """_broken_circuits in exact arithmetic, product by product."""
+        """_broken_circuits in exact arithmetic, product by product, for
+        products of any width, with repeated or dependent members.
+
+        The shortest suffix of a product's sorted distinct members with a
+        smaller form in its span closes a broken circuit: its lowest such
+        form H and H's coordinates in the suffix. That suffix is
+        independent even where the members are not: the least member of the
+        shortest dependent suffix is a smaller form in the span of the
+        suffix after it, so the search stops there at the latest.
+        """
         rows = []
         for product in products.tolist():
             ranks = self.products[product]
-            h, relation = self._exact_broken_circuit(ranks) or (None, ())
-            rows += [(product, self.product(_rewrite(ranks, d, h)), a) for d, a in relation]
+            support = sorted(set(ranks))
+            for j in range(len(support) - 2, -1, -1):
+                suffix = support[j:]
+                inside = (self.vectors[:suffix[0]] @ _annihilator(self.vectors[suffix]).T
+                          == 0).all(axis=1)
+                if inside.any():
+                    h = int(inside.argmax())
+                    reduced, pivots = _eliminate(self.vectors[suffix + [h]].T.tolist(),
+                                                 len(suffix))
+                    for col, r in pivots.items():
+                        a = Fraction(reduced[r][-1], reduced[r][col])
+                        if a:
+                            child = sorted(ranks + (h,))
+                            child.remove(suffix[col])
+                            rows.append((product, self.product(tuple(child)),
+                                         a.numerator if a.denominator == 1 else a))
+                    break
         parent, child, a = zip(*rows) if rows else ((), (), ())
         return np.array(parent, dtype=np.int64), np.array(child, dtype=np.int64), ex._column(a)
-
-    def _exact_broken_circuit(self, product: tuple[int, ...]):
-        """(H, relation) of a broken circuit of any product, or None, in
-        exact arithmetic: a member in the span of the smaller members closes
-        a circuit whose smallest member is H; else the smallest suffix of
-        the members with a smaller form H in its span gives one."""
-        support = sorted(set(product))
-        if _annihilator(self.vectors[support]) is None:
-            for m in range(1, len(support)):
-                coeffs = self._solve(support[:m], support[m])
-                if coeffs is not None:
-                    (h, a_h), rest = coeffs[0], coeffs[1:]
-                    return h, _whole(((support[m], Fraction(1) / a_h),)
-                                     + tuple((d, -a / a_h) for d, a in rest))
-        for j in range(len(support) - 2, -1, -1):
-            below = self.vectors[:support[j]]
-            inside = np.flatnonzero((below @ _annihilator(self.vectors[support[j:]]).T == 0)
-                                    .all(axis=1))
-            if len(inside):
-                h = int(inside[0])
-                return h, _whole(self._solve(support[j:], h))
-        return None
-
-    def _solve(self, members: Sequence[int], target: int):
-        """((D, a_D), ...) with target = sum a_D D over the nonzero a_D, if
-        target is in the span of the independent members; else None."""
-        columns = self.vectors[list(members) + [target]].T.tolist()
-        rows, pivots = _eliminate(columns, len(members))
-        if any(row[-1] for i, row in enumerate(rows) if i not in pivots.values()):
-            return None
-        coeffs = {col: Fraction(rows[r][-1], rows[r][col]) for col, r in pivots.items()}
-        return tuple((d, coeffs[i]) for i, d in enumerate(members) if coeffs[i])
 
 
 def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], dict[int, int]]:
@@ -774,14 +779,12 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], dict
     return rows, pivots
 
 
-def _annihilator(rows: np.ndarray) -> np.ndarray | None:
-    """Integer vectors spanning the vectors orthogonal to the integer rows,
-    so that a vector lies in the span of the rows iff it is orthogonal to
-    all of them; None if the rows are dependent. Exact."""
-    k, d = rows.shape
+def _annihilator(rows: np.ndarray) -> np.ndarray:
+    """Integer vectors spanning the vectors orthogonal to the independent
+    integer rows, so that a vector lies in the span of the rows iff it is
+    orthogonal to all of them. Exact."""
+    d = rows.shape[1]
     reduced, pivots = _eliminate(rows.tolist(), d)
-    if len(pivots) < k:
-        return None
     scale = math.lcm(*(abs(reduced[r][col]) for col, r in pivots.items()))
     basis = []
     for free in (c for c in range(d) if c not in pivots):
@@ -791,19 +794,6 @@ def _annihilator(rows: np.ndarray) -> np.ndarray | None:
             y[col] = -reduced[r][free] * scale // reduced[r][col]
         basis.append(y)
     return np.array(basis, dtype=np.int64).reshape(len(basis), d)
-
-
-def _whole(relation: tuple) -> tuple:
-    """Coefficients that are whole numbers as ints."""
-    return tuple((d, int(a) if a.denominator == 1 else a) for d, a in relation)
-
-
-def _rewrite(product: tuple[int, ...], member: int, lower: int) -> tuple[int, ...]:
-    """The sorted product with one `member` replaced by `lower`."""
-    i = product.index(member)
-    rest = product[:i] + product[i + 1:]
-    j = bisect.bisect(rest, lower)
-    return rest[:j] + (lower,) + rest[j:]
 
 
 def operator_full(graph: MatsubaraGraph) -> OperatorSpec:

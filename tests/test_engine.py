@@ -639,7 +639,7 @@ def test_exact_search_gives_the_same_normal_form(monkeypatch):
     wide_integral = engine.matsubara_integral(wide)
     assert len(engine.cut_forms(wide)) == 32784 and len(batches) == 2
     monkeypatch.setattr(engine._Arrangement, "_bond_search",
-                        lambda self, group: self._exact_rewrite(group))
+                        lambda self, group: (engine._NO_REWRITES, group))
     for g, (integral, total) in zip(graphs, expected):
         assert engine.matsubara_integral(g) == integral
         assert engine.normal_form(g, _raw_integral(g)) == integral
@@ -718,6 +718,23 @@ def test_levels_past_the_term_budget_are_built_in_chunks(monkeypatch, g4):
     assert any(chunks)
 
 
+def test_every_memo_expansion_keeps_to_the_term_budget(monkeypatch):
+    # normalize_all and reduce_all's assembly expand rows through the
+    # normal-form memo in chunks: at a budget of 16 rows no expansion
+    # passes it unless it rewrites a single term, and the integrals of the
+    # 5- and 6-rings do not change
+    expected = {n: engine.matsubara_integral(cycle_graph(n)) for n in (5, 6)}
+    expansions = []
+    rewrite = engine._Arrangement.rewrite
+    monkeypatch.setattr(engine._Arrangement, "rewrite", lambda self, start, length, coeff: (
+        expansions.append((len(length), int(length.sum()))) or rewrite(self, start, length, coeff)))
+    monkeypatch.setattr(engine, "MAX_TERMS", 16)
+    for n, integral in expected.items():
+        assert engine.matsubara_integral(cycle_graph(n)) == integral
+    assert all(rows <= 16 or terms == 1 for terms, rows in expansions)
+    assert sum(rows for _, rows in expansions) > 16
+
+
 def test_normal_form_rejects_a_denominator_that_is_not_a_cut_form(g4):
     form, _ = ex.normalize_form([("a", 1)], [(1, 1), (3, 1)])   # no bond cuts 1 and 3 alone
     e = ex.Expression([make_term(1, 0, {}, (), [form])])
@@ -775,12 +792,55 @@ def test_normal_form_of_repeated_and_dependent_denominators(g4, monkeypatch):
     assert len(exact) == 1
     assert [t.coeff for t in nf.terms] == [Fraction(1, 2)] * 3
     monkeypatch.setattr(engine._Arrangement, "_bond_search",
-                        lambda self, group: self._exact_rewrite(group))
+                        lambda self, group: (engine._NO_REWRITES, group))
     assert engine.normal_form(k4, e) == nf
     for _ in range(5):
         q = {i: float(rng.uniform(0.3, 3.0)) for i in range(1, 7)}
         n = {v: int(rng.integers(-3, 4)) for v in "abc"}
         assert ex.eval_numeric(nf, q, n) == pytest.approx(ex.eval_numeric(e, q, n), rel=1e-9)
+
+
+def test_exact_search_alone_gives_the_normal_form_of_random_products(monkeypatch):
+    # random products of 0 to V+1 cut forms, repeats allowed, so with
+    # repeated, dependent and singular supports; and one expression whose
+    # only product of V-1 forms has two forms of one bond, so the batched
+    # search declines its whole batch and inverts an empty stack
+    rng = np.random.default_rng(20261019)
+    k4 = gr.make_graph("abcd", [(i + 1, u, v) for i, (u, v)
+                                in enumerate(itertools.combinations("abcd", 2))])
+    graphs = [fixtures.g4(), k4] + [fixtures.random_graph(np.random.default_rng(s), 5, 7)
+                                    for s in (0, 7)]
+    search, batches = engine._Arrangement._bond_search, []
+
+    def recorded(self, group):
+        rewrites, declined = search(self, group)
+        batches.append((len(group), len(declined)))
+        return rewrites, declined
+
+    for g in graphs:
+        forms, v = engine.cut_forms(g), g.num_vertices
+        random_terms = ex.Expression([
+            make_term(Fraction(int(rng.choice([-3, -1, 1, 2])), int(rng.integers(1, 4))), 0, {},
+                      (), [forms[i] for i in rng.integers(0, len(forms), rng.integers(0, v + 2))])
+            for _ in range(30)])
+        twin = next(f for f in forms[1:] if f.n == forms[0].n)
+        singular = ex.Expression([
+            make_term(1, 0, {}, (), [forms[0], twin] + list(forms[-(v - 3):] if v > 3 else [])),
+            make_term(-2, 0, {}, (), forms[1:v + 1])])
+        for e in (random_terms, singular):
+            monkeypatch.setattr(engine._Arrangement, "_bond_search", recorded)
+            batches.clear()
+            nf = engine.normal_form(g, e)
+            assert engine.normal_form(g, nf) == nf
+            monkeypatch.setattr(engine._Arrangement, "_bond_search",
+                                lambda self, group: (engine._NO_REWRITES, group))
+            assert engine.normal_form(g, e) == nf
+            for _ in range(3):
+                q = {lid: float(rng.uniform(0.3, 3.0)) for lid in g.line_ids}
+                n = {u: int(rng.integers(-3, 4)) for u in g.vertices[:-1]}
+                assert ex.eval_numeric(nf, q, n) == pytest.approx(ex.eval_numeric(e, q, n),
+                                                                  rel=1e-9)
+        assert batches[0] == (1, 1)
 
 
 # ---------------------------------------------------------------------------
