@@ -33,25 +33,26 @@ functions, and it does not depend on the hierarchy or the route. Broken
 circuits are found by a batched search over the bonds in floats, and the
 products it cannot settle exactly go to one exact search. The normal form
 can be much longer than the tree basis on long cycles, so one call
-rewrites at most MAX_REDUCED_PRODUCTS products and raises
+searches at most MAX_REDUCED_PRODUCTS products and raises
 NormalFormTooLarge past that.
 
 Both routes, apply_operator for any operator and tree_product share one
 per-call _Arrangement, which owns the forms and their tables (built once,
-with the forms), the products, the (head, kernels) groups, the normal-form
-memo and the reflections. Form ids are the arrangement's ranks: tree
-products are built in them (looked up by bond and sign pattern), and an
-input Expression is packed from its tables into them, a form outside the
-arrangement raising NotACutForm. A product id names a sorted tuple of form
-ranks, and packed terms are three columns (_Terms): group id, product id
-and an integer coefficient over a common denominator. R_i flips i's bit of
-each cut form's sign pattern; on product ids it is a gather through the
-line's product-id map, filled once per new product, and its only sign is
-the parity of q_i in the group's head. Each factor nbe_i (1 - R_i) runs on
-the columns of a whole level of the walk: the reflected rows are expanded
-through the normal forms of their products (the memo's compressed sparse
-rows; the level's new products are reduced in one batch), and equal rows
-are merged, zeros dropped, by the package's one exact merge
+with the forms), the products, the (head, kernels) groups, the memo of
+broken-circuit rewrites and the reflections. Form ids are the
+arrangement's ranks: tree products are built in them (looked up by bond
+and sign pattern), and an input Expression is packed from its tables into
+them, a form outside the arrangement raising NotACutForm. A product id
+names a sorted tuple of form ranks, and packed terms are three columns
+(_Terms): group id, product id and an integer coefficient over a common
+denominator. R_i flips i's bit of each cut form's sign pattern; on product
+ids it is a gather through the line's product-id map, filled once per new
+product, and its only sign is the parity of q_i in the group's head. Each
+factor nbe_i (1 - R_i) runs on the columns of a whole level of the walk:
+its kept and reflected rows are rewritten to normal form by one
+fixed-point loop (_Arrangement.normalize), each pass searching its new
+products in one batch and expanding its rows one rewrite step, and equal
+rows are merged, zeros dropped, by the package's one exact merge
 (expressions._merge).
 Coefficients stay exact: int64 while a bound on every product and sum of
 the level fits, Python ints and Fractions in an object column otherwise.
@@ -264,11 +265,12 @@ class NotACutForm(ex.ExpressionError):
         self.form = form
 
 
-#: Most denominator products one normal-form computation rewrites. On the
-#: 8-cycle's sum each takes about 350 bytes of the arrangement's memory
-#: and 16 us of reduction (2-vCPU x86 host). Long cycles reach it: an
-#: n-cycle's integral has C(2(n-1), n-1) terms in normal form, and a
-#: 9-cycle's sum by the operator route needs 0.54M products.
+#: Most denominator products one normal-form computation searches for a
+#: broken circuit. On the 8-cycle's sum each takes about 400 bytes of the
+#: arrangement's memory and 10 us of normalization (2-vCPU x86 host). Long
+#: cycles reach it: an n-cycle's integral has C(2(n-1), n-1) terms in
+#: normal form, and a 9-cycle's sum by the operator route searches 0.38M
+#: products.
 MAX_REDUCED_PRODUCTS = 1 << 18
 
 
@@ -280,11 +282,11 @@ class NormalFormTooLarge(gr.GraphTooLarge):
 
 #: Most terms one walk of the thermal operator holds at once, in its
 #: merged result and the level it is building; a level's rows before
-#: merging, and every expansion through the normal-form memo, are built in
-#: chunks of at most this many. Valid graphs reach it: the triangle with
-#: 2, 2 and 9 parallel lines has 7.0M sum terms, and each added line
-#: roughly triples them; 2, 2 and 8 gives 2.3M terms and peaks at about
-#: 490 MB, and 2, 2 and 9 is refused at about 700 MB.
+#: merging, and every pass of a normalization (_Arrangement.normalize), are
+#: built in chunks of at most this many. Valid graphs reach it: the
+#: triangle with 2, 2 and 9 parallel lines has 7.0M sum terms, and each
+#: added line roughly triples them; 2, 2 and 8 gives 2.3M terms and peaks
+#: at about 490 MB, and 2, 2 and 9 is refused at about 700 MB.
 MAX_TERMS = 1 << 22
 
 
@@ -298,10 +300,6 @@ _BATCH_ELEMENTS = 1 << 22
 
 #: Least room of the per-product arrays of an _Arrangement (see _grown).
 _ROOM = 256
-
-#: The memo length of a product that the running reduce_all has searched
-#: but not reduced yet.
-_SEARCHED = -2
 
 #: The (product, child, a_D) columns of no rewrite (see _broken_circuits).
 _NO_REWRITES = (np.empty(0, dtype=np.int64),) * 3
@@ -342,14 +340,14 @@ class _Arrangement:
 
     The tables over the forms are built with them, once: the rank of each
     cut (bond, sign pattern), the flips of R_l and what the search reads.
-    The one normal-form memo is in compressed sparse rows (CSR): per
-    product id the start and length of its normal form's rows in two flat
-    columns, (nbc product id, coefficient). Terms are brought to normal
-    form by an expansion through it (rewrite; expand merges the result),
-    and the rewritten products are assembled from their children's rows
-    by the same expand (reduce_all). Lines are named by their position in
-    `lines`, and per line R_l is a map of product ids (`images`), filled
-    once per product it meets.
+    The memo holds the one rewrite the search finds for each product, in
+    compressed sparse rows (CSR): per product id the start and length of
+    its rows in two flat columns, (child product id, a_D), the length -1
+    while the product is not searched and 0 when it is nbc (_search).
+    Terms are brought to normal form by rewriting them one step at a time
+    through it until no rewritten row is left (normalize). Lines are named
+    by their position in `lines`, and per line R_l is a map of product ids
+    (`images`), filled once per product it meets.
     """
 
     def __init__(self, graph: MatsubaraGraph):
@@ -401,14 +399,13 @@ class _Arrangement:
         self._n, self._q = parts[:, :bond_n.shape[1]], parts[:, bond_n.shape[1]:]
         self.products: list[tuple[int, ...]] = []   # by product id
         self._product_ids: dict[tuple[int, ...], int] = {}
-        # the normal-form memo, in CSR: per product id the start and length
-        # (-1: not reduced yet, _SEARCHED: searched by the running
-        # reduce_all) of its rows, the rows' columns (the first _nf_size
-        # entries), their largest |coefficient| while int64, and the number
-        # of products reduced
-        self._nf = np.empty((0, 2), dtype=np.int64)
-        self._nf_product = self._nf_coeff = np.empty(0, dtype=np.int64)
-        self._nf_size = self._nf_bound = self._nf_count = 0
+        # the rewrite memo, in CSR: per product id the start and length
+        # (-1: not searched, 0: nbc) of its rows, the rows' (child, a_D)
+        # columns (the first _size entries), the largest |a_D| while int64,
+        # and the number of products searched
+        self._memo = np.empty((0, 2), dtype=np.int64)
+        self._child = self._a = np.empty(0, dtype=np.int64)
+        self._size = self._bound = self._count = 0
         #: R_l by line position and product id, -1 where not yet met
         self.images = np.empty((len(self.lines), 0), dtype=np.int64)
         self.groups: list[tuple] = []   # (head, kernels) by group id
@@ -508,46 +505,49 @@ class _Arrangement:
         return _Terms(*ex._merge(terms, (len(self.groups), len(self.products))))
 
     def normalize_all(self, terms: _Terms) -> _Terms:
-        """The normal form of packed terms, merged with zeros dropped; the
-        new products are reduced in one batch."""
-        start, length = self.normal_forms(terms.product)
-        return _Terms(*self.expand(terms.group, start, length, terms.coeff, len(self.groups)))
+        """The normal form of packed terms, merged with zeros dropped."""
+        return _Terms(*self.normalize(terms.group, terms.product, terms.coeff, len(self.groups)))
 
-    def normal_forms(self, products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The start and length of each product's normal form in the CSR
-        columns; the products not yet reduced are reduced in one batch."""
-        self._reserve()
-        rows = self._nf[products]
-        new = rows[:, 1] < 0
-        if new.any():
-            self.reduce_all(_distinct(products[new]))
-            rows = self._nf[products]
-        return rows[:, 0], rows[:, 1]
+    def normalize(self, key: np.ndarray, product: np.ndarray, coeff: np.ndarray,
+                  keys: int) -> tuple:
+        """The normal form of the terms coeff[i] / product[i], as (key, nbc
+        product, coefficient) columns merged by key[i] (below `keys`) and
+        nbc product, zeros dropped: the rows rewritten to a fixed point.
+
+        Each pass searches the rows' products not searched yet in one batch
+        (_search), sets the nbc rows aside, expands the others one rewrite
+        step through the memo and merges them by key and product, in chunks
+        of rows that yield at most MAX_TERMS rows (or of one row). Every
+        rewrite descends in multiset order, so the passes end; the rows set
+        aside are merged once."""
+        done = []
+        while True:
+            length = self._search(product)
+            sizes, parts = (keys, len(self.products)), []
+            # a row yields itself where nbc, else its memo rows
+            for rows in _slices(np.maximum(length, 1), MAX_TERMS):
+                k, p, c, n = key[rows], product[rows], coeff[rows], length[rows]
+                nbc = n == 0
+                done.append((k[nbc], p[nbc], c[nbc]))
+                if not nbc.all():
+                    at = ~nbc
+                    i, child, c = self.rewrite(self._memo[p[at], 0], n[at], c[at])
+                    parts.append(ex._merge((k[at][i], child, c), sizes))
+            if not parts:
+                return ex._merge(_concat(done), sizes)
+            key, product, coeff = parts[0] if len(parts) == 1 else ex._merge(_concat(parts), sizes)
 
     def rewrite(self, start: np.ndarray, length: np.ndarray,
                 coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The normal form of the terms coeff[i] / P_i, whose products P_i
-        have their normal forms' rows at start and length (see
-        normal_forms), as (i, nbc product, coefficient) columns: a CSR
-        expansion. The products are computed in int64 where the largest
-        |coefficient| times the memo's largest |coefficient| fits."""
+        """The terms coeff[i] / P_i rewritten one step, by the memo rows of
+        P_i at start and length (see _search), as (i, child, coefficient)
+        columns: a CSR expansion. The products are computed in int64 where
+        the largest |coefficient| times the memo's largest |a_D| fits."""
         i, j = _expand(start, length)
-        relation = self._nf_coeff[j]
+        relation = self._a[j]
         if relation.dtype != object:
-            coeff = ex._exact(coeff, self._nf_bound)
-        return i, self._nf_product[j], coeff[i] * relation
-
-    def expand(self, key: np.ndarray, start: np.ndarray, length: np.ndarray,
-               coeff: np.ndarray, keys: int) -> tuple:
-        """The sum of coeff[i] times the normal forms at start and length,
-        as (key, nbc product, coefficient) columns merged by key[i] (below
-        `keys`) and nbc product, zeros dropped: a CSR expansion (rewrite)
-        in chunks of at most MAX_TERMS rows."""
-        sizes, parts = (keys, len(self.products)), []
-        for rows in _slices(length, MAX_TERMS):
-            i, nbc, c = self.rewrite(start[rows], length[rows], coeff[rows])
-            parts.append(ex._merge((key[rows][i], nbc, c), sizes))
-        return parts[0] if len(parts) == 1 else ex._merge(_concat(parts), sizes)
+            coeff = ex._exact(coeff, self._bound)
+        return i, self._child[j], coeff[i] * relation
 
     def reflect(self, lines: np.ndarray, products: np.ndarray) -> np.ndarray:
         """R_l of each product, l at line position lines[i]: a gather
@@ -569,77 +569,40 @@ class _Arrangement:
     def _reserve(self) -> None:
         """Room for every product id in the per-product arrays."""
         n = len(self.products)
-        if len(self._nf) < n:
+        if len(self._memo) < n:
             self.images = _grown(self.images, n, -1, axis=1)
-            self._nf = _grown(self._nf, n, -1)
+            self._memo = _grown(self._memo, n, -1)
 
-    def _store(self, products: np.ndarray, length: np.ndarray, nbc: np.ndarray,
-               coeff: np.ndarray) -> None:
-        """Append the products' normal forms to the CSR columns: the next
-        length[i] rows of (nbc, coeff) are those of products[i]."""
-        self._nf[products, 0] = self._nf_size + length.cumsum() - length
-        self._nf[products, 1] = length
-        size = self._nf_size + len(nbc)
-        self._nf_product = _grown(self._nf_product, size, 0)
-        self._nf_coeff = _grown(self._nf_coeff, size, 0)
-        if coeff.dtype == object:   # merged as objects where only a bound passed int64
-            coeff = ex._column(coeff.tolist())
-        if coeff.dtype == object:
-            self._nf_coeff = self._nf_coeff.astype(object)
-        elif len(coeff):
-            self._nf_bound = max(self._nf_bound, int(np.abs(coeff).max()))
-        self._nf_product[self._nf_size:size] = nbc
-        self._nf_coeff[self._nf_size:size] = coeff
-        self._nf_size = size
-        self._nf_count += len(products)
-
-    def reduce_all(self, products: np.ndarray) -> None:
-        """Give the products (none reduced yet) and everything they rewrite
-        into their rows in the CSR columns.
-
-        Broken circuits are searched for all pending products at once, each
-        marked _SEARCHED in the memo; the children not yet marked or reduced
-        form the next round. A searched product without rewrites is nbc, its
-        row itself. The others are then assembled in rounds from the joined
-        rewrite columns, each taking those whose children all have rows:
-        the children are expanded by rewrite and merged by (parent, nbc
-        product). Every rewrite descends in multiset order, so each round
-        takes some. Raises NormalFormTooLarge before a search round would
-        take the memo past MAX_REDUCED_PRODUCTS products."""
-        rounds, parts = [], []
-        while len(products):
-            rounds.append(products)
-            if self._nf_count + sum(map(len, rounds)) > MAX_REDUCED_PRODUCTS:
-                self._nf[self._nf[:, 1] == _SEARCHED, 1] = -1   # not reduced
-                raise NormalFormTooLarge()
-            self._nf[products, 1] = _SEARCHED
-            parts.append(self._broken_circuits(products))
-            if not len(parts[-1][0]):   # no rewrites, so no children
-                break
-            self._reserve()
-            children = _distinct(parts[-1][1])
-            products = children[self._nf[children, 1] == -1]
-        parent, child, a = _concat(parts)
-        searched = np.concatenate(rounds)
-        rewritten = np.zeros(len(self.products), dtype=bool)
-        rewritten[parent] = True
-        nbc = searched[~rewritten[searched]]
-        self._store(nbc, np.ones_like(nbc), nbc, np.ones_like(nbc))
-        if not len(parent):
-            return
-        # a product's rewrite rows are consecutive: number the products
-        new = np.ones(len(parent), dtype=bool)
-        new[1:] = parent[1:] != parent[:-1]
-        parents, parent = parent[new], new.cumsum() - 1
-        n = len(parents)
-        waiting = np.ones(n, dtype=bool)
-        while waiting.any():
-            # the parents none of whose children waits for its rows
-            ready = waiting & (np.bincount(parent[self._nf[child, 1] < 0], minlength=n) == 0)
-            taken = ready[parent]
-            index, nbc, coeff = self.expand(parent[taken], *self._nf[child[taken]].T, a[taken], n)
-            self._store(parents[ready], np.bincount(index, minlength=n)[ready], nbc, coeff)
-            waiting &= ~ready
+    def _search(self, products: np.ndarray) -> np.ndarray:
+        """The products' memo lengths, after one search of those not searched
+        yet, whose rewrites (see _broken_circuits) join the memo: (child,
+        a_D) rows, none for an nbc product. Raises NormalFormTooLarge,
+        searching nothing, past MAX_REDUCED_PRODUCTS searched products."""
+        self._reserve()
+        length = self._memo[products, 1]
+        if length.min(initial=0) >= 0:
+            return length
+        new = _distinct(products[length < 0])
+        if self._count + len(new) > MAX_REDUCED_PRODUCTS:
+            raise NormalFormTooLarge()
+        parent, child, a = self._broken_circuits(new)
+        self._count += len(new)
+        self._memo[new, 1] = 0
+        if len(parent):   # a product's rows are consecutive
+            first = np.flatnonzero(np.concatenate([[True], parent[1:] != parent[:-1]]))
+            self._memo[parent[first], 0] = self._size + first
+            self._memo[parent[first], 1] = np.diff(first, append=len(parent))
+            size = self._size + len(parent)
+            self._child = _grown(self._child, size, 0)
+            self._a = _grown(self._a, size, 0)
+            if a.dtype == object:
+                self._a = self._a.astype(object)
+            else:
+                self._bound = max(self._bound, int(np.abs(a).max()))
+            self._child[self._size:size] = child
+            self._a[self._size:size] = a
+            self._size = size
+        return self._memo[products, 1]
 
     def _broken_circuits(self, products: np.ndarray) -> tuple:
         """The rewrites of the products by one broken circuit each, relation
@@ -859,13 +822,14 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
     (_Arrangement.reflect), signed by the input group's head. The rows at
     the end of a subset go to the result, in the group of their head and
     kernels. With `normal`, the input is brought to normal form over the
-    cut arrangement and so is every reflected row, by a CSR expansion with
-    the level's new products reduced in one batch, so terms that cancel
-    only as functions (cutset branches on a normal-form integral) drop
-    too. Equal rows of a level are merged and zeros dropped by one sort and
-    reduce. A level is built in chunks of at most MAX_TERMS rows before
-    merging, and the merged result and the level being built together hold
-    at most MAX_TERMS rows, else TooManyTerms.
+    cut arrangement, and so are a level's kept and reflected rows, keyed by
+    (node, input group), by one call of _Arrangement.normalize, so terms
+    that cancel only as functions (cutset branches on a normal-form
+    integral) drop too. Equal rows of a level are merged and zeros dropped
+    by one sort and reduce. A level is built in chunks of at most MAX_TERMS
+    kept and reflected rows before merging, and the merged result and the
+    level being built together hold at most MAX_TERMS rows, else
+    TooManyTerms.
     """
     forest = _forest(operators, arrangement.line_position)
     node = np.zeros(len(terms.coeff), dtype=np.int64) if roots is None else roots
@@ -915,7 +879,7 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
         count = forest.count[node]
         if not count.any():
             break
-        for rows in _slices(count, MAX_TERMS):
+        for rows in _slices(2 * count, MAX_TERMS):
             parent, edge = _expand(forest.start[node[rows]], count[rows])
             g, p, c = group[rows][parent], product[rows][parent], coeff[rows][parent]
             line, child = forest.line[edge], forest.child[edge]
@@ -923,19 +887,13 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
                 raise ex.KernelReflection(arrangement.lines[line[carried[g, line].argmax()]])
             reflected = c * reflected_sign[g, line]
             image = arrangement.reflect(line, p)
-            if normal:
-                start, length = arrangement.normal_forms(image)
-            else:
-                length = np.ones(len(image), dtype=np.int64)
-            for at in _slices(length + 1, MAX_TERMS):
-                if normal:
-                    i, images, values = arrangement.rewrite(start[at], length[at], reflected[at])
-                else:
-                    i, images, values = slice(None), image[at], reflected[at]
-                sizes = sizes[:2] + (len(arrangement.products),)
-                add(ex._merge((np.concatenate([child[at], child[at][i]]),
-                               np.concatenate([g[at], g[at][i]]), np.concatenate([p[at], images]),
-                               np.concatenate([c[at], values])), sizes))
+            # the kept and the reflected rows, keyed by (node, input group)
+            key, keys = np.tile(child * sizes[1] + g, 2), sizes[0] * sizes[1]
+            p, c = np.concatenate([p, image]), np.concatenate([c, reflected])
+            key, p, c = (arrangement.normalize(key, p, c, keys) if normal
+                         else ex._merge((key, p, c), (keys, len(arrangement.products))))
+            sizes = sizes[:2] + (len(arrangement.products),)
+            add((*np.divmod(key, sizes[1]), p, c))
         node, group, product, coeff = (level[0] if len(level) == 1
                                        else ex._merge(_concat(level), sizes))
     return finished(result)

@@ -493,8 +493,8 @@ def test_merge_drops_zero_rows_and_sums_mixed_objects_exactly():
 
 
 def test_no_product_is_searched_for_a_broken_circuit_twice(g4, monkeypatch):
-    # the CSR columns are the one normal-form memo: once a call has
-    # searched a product, it reads the product's rows from them
+    # the memo keeps each searched product's rewrite rows: once a call has
+    # searched a product, it rewrites the product through them
     integral = engine.matsubara_integral(g4)
     searched: list[int] = []
     search = engine._Arrangement._broken_circuits
@@ -674,18 +674,60 @@ def test_normal_form_past_its_budget_is_refused(monkeypatch):
         monkeypatch.setattr(engine, "MAX_REDUCED_PRODUCTS", count - 1)
         with pytest.raises(engine.NormalFormTooLarge, match=f"more than {count - 1}"):
             engine.matsubara_integral(cycle_graph(n))
-    # a refused reduction (at the budget of 1,469 the loop leaves) stores
-    # nothing and leaves no product marked as searched, so the same
-    # arrangement then reduces in full
+    # a refused normalization (at the budget of 1,469 the loop leaves)
+    # searches nothing past the budget and keeps only complete memo
+    # entries, so the same arrangement then reduces in full
     g = cycle_graph(6)
     arrangement, total = engine._tree_products(
         g, [engine.solve_tree(g, tree) for tree in gr.enumerate_spanning_trees(g)])
     with pytest.raises(engine.NormalFormTooLarge):
         arrangement.normalize_all(total)
-    assert engine._SEARCHED not in arrangement._nf[:, 1]
     monkeypatch.setattr(engine, "MAX_REDUCED_PRODUCTS", 1470)
     assert (arrangement.freeze(arrangement.normalize_all(total), 2 ** g.num_lines)
             == engine.matsubara_integral(g))
+
+
+def test_the_memo_holds_one_rewrite_per_searched_product(monkeypatch):
+    # the memo keeps exactly the rows _broken_circuits returns: each
+    # searched product's (child, a_D) rows, none for an nbc product, and
+    # length -1 for a product not searched
+    g = cycle_graph(6)
+    trees = [engine.solve_tree(g, tree) for tree in gr.enumerate_spanning_trees(g)]
+    searched, returned = [], []
+    search = engine._Arrangement._broken_circuits
+
+    def recorded(self, products):
+        searched.extend(products.tolist())
+        returned.append(search(self, products))
+        return returned[-1]
+
+    monkeypatch.setattr(engine._Arrangement, "_broken_circuits", recorded)
+    arrangement, total = engine._tree_products(g, trees)
+    nf = arrangement.normalize_all(total)
+    rows: dict[int, list] = {product: [] for product in searched}
+    for parent, child, a in returned:
+        for product, row in zip(parent.tolist(), zip(child.tolist(), a.tolist())):
+            rows[product].append(row)
+    assert arrangement._size == sum(map(len, rows.values())) == 1664
+    memo = arrangement._memo[:len(arrangement.products)]
+    assert np.flatnonzero(memo[:, 1] >= 0).tolist() == sorted(searched)
+    for product, expected in rows.items():
+        start, length = memo[product].tolist()
+        assert list(zip(arrangement._child[start:start + length].tolist(),
+                        arrangement._a[start:start + length].tolist())) == expected
+    assert (memo[nf.product, 1] == 0).all()
+    # a refusal searches nothing past the budget and leaves only complete
+    # entries, so a rerun on the same arrangement searches no product twice
+    monkeypatch.setattr(engine, "MAX_REDUCED_PRODUCTS", 1469)
+    arrangement, total = engine._tree_products(g, trees)
+    searched.clear()
+    with pytest.raises(engine.NormalFormTooLarge):
+        arrangement.normalize_all(total)
+    assert 0 < len(searched) == (arrangement._memo[:, 1] >= 0).sum() < 1469
+    monkeypatch.setattr(engine, "MAX_REDUCED_PRODUCTS", 1470)
+    again = arrangement.normalize_all(total)
+    assert len(searched) == len(set(searched)) == 1470
+    assert [column.tolist() for column in again] == [column.tolist() for column in nf]
 
 
 def test_thermal_operator_past_its_term_budget_is_refused(monkeypatch, g4):
@@ -719,10 +761,10 @@ def test_levels_past_the_term_budget_are_built_in_chunks(monkeypatch, g4):
 
 
 def test_every_memo_expansion_keeps_to_the_term_budget(monkeypatch):
-    # normalize_all and reduce_all's assembly expand rows through the
-    # normal-form memo in chunks: at a budget of 16 rows no expansion
-    # passes it unless it rewrites a single term, and the integrals of the
-    # 5- and 6-rings do not change
+    # every pass of normalize expands rows through the rewrite memo in
+    # chunks: at a budget of 16 rows no expansion passes it unless it
+    # rewrites a single term, and the integrals of the 5- and 6-rings do
+    # not change
     expected = {n: engine.matsubara_integral(cycle_graph(n)) for n in (5, 6)}
     expansions = []
     rewrite = engine._Arrangement.rewrite
