@@ -16,6 +16,8 @@ function, here 20 terms for every hierarchy. For two-vertex graphs the two
 already coincide.
 """
 
+import functools
+
 from matsum import engine, fixtures, oracles
 from matsum import expressions as ex
 from matsum import graph as gr
@@ -35,9 +37,9 @@ n = {"a": 1, "b": -2, "c": 1}
 
 def tree_basis(graph, hierarchy=None):
     """The unnormalized tree products of all spanning trees, summed."""
-    return ex.Expression(
-        t for tree in gr.enumerate_spanning_trees(graph)
-        for t in engine.tree_product(graph, engine.solve_tree(graph, tree, hierarchy)).terms)
+    return functools.reduce(ex.add, (
+        engine.tree_product(graph, engine.solve_tree(graph, tree, hierarchy))
+        for tree in gr.enumerate_spanning_trees(graph)))
 
 
 base_raw, base = tree_basis(g), engine.matsubara_integral(g)

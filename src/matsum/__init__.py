@@ -7,7 +7,6 @@ from .engine import (
     TreeSolution,
     annihilator_check,
     apply_operator,
-    cut_forms,
     matsubara_integral,
     matsubara_sum,
     normal_form,

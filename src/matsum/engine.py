@@ -48,12 +48,12 @@ names a sorted tuple of form ranks, and packed terms are three columns
 denominator. R_i flips i's bit of each cut form's sign pattern; on product
 ids it is a gather through the line's product-id map, filled once per new
 product, and its only sign is the parity of q_i in the group's head. Each
-factor nbe_i (1 - R_i) runs on the columns of a whole level of the walk:
-its kept and reflected rows are rewritten to normal form by one
-fixed-point loop (_Arrangement.normalize), each pass searching its new
-products in one batch and expanding its rows one rewrite step, and equal
-rows are merged, zeros dropped, by the package's one exact merge
-(expressions._merge).
+factor nbe_i (1 - R_i) runs on the columns of a whole level of the walk.
+Rows are rewritten to normal form by one fixed-point loop
+(_Arrangement.normalize), each pass searching its new products in one
+batch and expanding its rows one rewrite step: at every level for one
+operator, once on the total for per-tree operators. Equal rows are
+merged, zeros dropped, by the package's one exact merge (expressions._merge).
 Coefficients stay exact: int64 while a bound on every product and sum of
 the level fits, Python ints and Fractions in an object column otherwise.
 Nothing is put in canonical order during the walk: each route freezes its
@@ -244,20 +244,6 @@ def normal_form(graph: MatsubaraGraph, e: Expression) -> Expression:
 # normal form: no-broken-circuit reduction over the cut arrangement
 # ---------------------------------------------------------------------------
 
-def cut_forms(graph: MatsubaraGraph) -> tuple[ex.LinearForm, ...]:
-    """The cut arrangement of the graph, in normal-form order: forms whose
-    q coefficients share one sign first, then forms with fewer q's, then
-    LinearForm order.
-
-    A bond of the graph with root-free side S and crossing lines C
-    contributes the 2^|C| forms i*N(S) + sum_{l in C} +-q_l, already
-    sign-normalized since N(S) leads with +1. Every denominator of every
-    integral and sum evaluation of the graph is one of them: the tree lines
-    of a spanning tree cut it along bonds, and reflections only flip signs.
-    """
-    return _Arrangement(graph).forms
-
-
 class NotACutForm(ex.ExpressionError):
     def __init__(self, form: ex.LinearForm):
         super().__init__(f"denominator {ex.render_form(form, 'text')} is not a "
@@ -322,7 +308,8 @@ class _Arrangement:
     packed terms (_Terms) over it: forms, products and (head, kernels)
     groups.
 
-    Forms are named by their rank in normal-form order, and a product
+    Forms are named by their rank in normal-form order (same-sign forms
+    first, then fewer q's, then LinearForm order), and a product
     1/prod_{D in T} D by its sorted rank tuple T (repeats allowed), interned
     to an id in first-seen order. T is in normal form when its forms
     contain no broken circuit: no circuit of the arrangement with its
@@ -355,7 +342,7 @@ class _Arrangement:
         self._bonds = bonds = gr.bonds(graph)
         self.lines = tuple(sorted(graph.line_ids))
         self.line_position = {lid: i for i, lid in enumerate(self.lines)}
-        # the forms in cut_forms order, each with its cut (bond b, sign
+        # the forms in normal-form order, each with its cut (bond b, sign
         # pattern): bit len(C)-1-j of the pattern is set when line C[j] of the
         # bond has -q, so the patterns 0 and 2^len(C) - 1 are the same-sign forms
         keyed = []
@@ -499,10 +486,6 @@ class _Arrangement:
         return ex._canonical(self.forms, [head for head, _ in self.groups],
                              [kernels for _, kernels in self.groups], self.products, scale,
                              terms.group, terms.group, terms.product, terms.coeff)
-
-    def merge(self, terms: _Terms) -> _Terms:
-        """Terms with equal (group, product) merged, zeros dropped."""
-        return _Terms(*ex._merge(terms, (len(self.groups), len(self.products))))
 
     def normalize_all(self, terms: _Terms) -> _Terms:
         """The normal form of packed terms, merged with zeros dropped."""
@@ -810,10 +793,11 @@ def _forest(operators: Sequence[Iterable[LineSubset]], line_position: dict) -> _
 
 
 def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
-          terms: _Terms, roots: np.ndarray | None = None, normal: bool = True) -> _Terms:
-    """Apply operators to packed terms and return the sum of their images,
-    merged; each operator is a list of subsets, and row i of the terms is
-    acted on by operator roots[i] (default: the first).
+          terms: _Terms, roots: np.ndarray | None = None) -> _Terms:
+    """Apply operators to packed terms and return the normal form over the
+    cut arrangement of the sum of their images; each operator is a list of
+    subsets, and row i of the terms is acted on by operator roots[i]
+    (default: the first).
 
     Level by level over the prefix tries of the subsets (_forest), each row
     of a level carrying its node and its input group: the kernels a row has
@@ -821,27 +805,28 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
     nbe_l (1 - R_l) to the rows of its parent, on columns: R_l is a gather
     (_Arrangement.reflect), signed by the input group's head. The rows at
     the end of a subset go to the result, in the group of their head and
-    kernels. With `normal`, the input is brought to normal form over the
-    cut arrangement, and so are a level's kept and reflected rows, keyed by
-    (node, input group), by one call of _Arrangement.normalize, so terms
-    that cancel only as functions (cutset branches on a normal-form
-    integral) drop too. Equal rows of a level are merged and zeros dropped
-    by one sort and reduce. A level is built in chunks of at most MAX_TERMS
-    kept and reflected rows before merging, and the merged result and the
-    level being built together hold at most MAX_TERMS rows, else
+    kernels. Without roots, the input is brought to normal form, and so
+    are a level's kept and reflected rows, keyed by (node, input group), by
+    one call of _Arrangement.normalize, so terms that cancel only as
+    functions (cutset branches on a normal-form integral) drop too. With
+    roots (the direct route's trees), the levels are only merged and their
+    total is normalized once. Equal rows of a level are merged and zeros
+    dropped by one sort and reduce. A level is built in chunks of at most
+    MAX_TERMS kept and reflected rows before merging, and the merged result
+    and the level being built together hold at most MAX_TERMS rows, else
     TooManyTerms.
     """
     forest = _forest(operators, arrangement.line_position)
-    node = np.zeros(len(terms.coeff), dtype=np.int64) if roots is None else roots
     odd, carried = arrangement.parities()
     # (1 - R_l) keeps a term and adds its image times -(R_l's sign), which
     # is -1 where q_l is odd in the head
     reflected_sign = np.where(odd, 1, -1)
     carries = carried.any()
     sizes = (len(forest.leaf), len(odd), 0)   # node, input group, product
-    if normal:   # one operator: normalize_all merges rows
+    normal = roots is None
+    if normal:   # normalize_all merges rows
         terms = arrangement.normalize_all(terms)
-        node = np.zeros(len(terms.coeff), dtype=np.int64)
+    node = np.zeros(len(terms.coeff), dtype=np.int64) if normal else roots
     group, product, coeff = terms
 
     def finished(parts: list[tuple]) -> _Terms:
@@ -858,7 +843,9 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
         terms = _Terms(np.array(ids, dtype=np.int64)[new.cumsum() - 1], product, coeff)
         # the rows are unique by (node, input group, product), so by
         # (group, product) unless two pairs give one group
-        return terms if len(set(ids)) == len(ids) else arrangement.merge(terms)
+        if len(set(ids)) == len(ids):
+            return terms
+        return _Terms(*ex._merge(terms, (len(arrangement.groups), len(arrangement.products))))
 
     def add(part: tuple) -> None:
         """Add a merged part to the level being built; the rows held are
@@ -896,7 +883,8 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
             add((*np.divmod(key, sizes[1]), p, c))
         node, group, product, coeff = (level[0] if len(level) == 1
                                        else ex._merge(_concat(level), sizes))
-    return finished(result)
+    total = finished(result)
+    return total if normal else arrangement.normalize_all(total)
 
 
 def _rows(parts: list) -> int:
@@ -1002,15 +990,13 @@ def matsubara_sum(
     trees = gr.enumerate_spanning_trees(graph)
     arrangement, products = _tree_products(
         graph, [solve_tree(graph, tree, hierarchy) for tree in trees])
-    scale = 2 ** graph.num_lines
     if method == "operator":
-        return arrangement.freeze(
-            _walk(arrangement, [operator_reduced(graph).subsets], products), scale)
-    # tree t's rows are acted on by the subsets of its non-tree lines
-    roots = np.arange(len(trees)).repeat(len(products.coeff) // len(trees))
-    total = _walk(arrangement, [gr.line_subsets(set(graph.line_ids) - set(tree))
-                                for tree in trees], products, roots, normal=False)
-    return arrangement.freeze(arrangement.normalize_all(total), scale)
+        operators, roots = [operator_reduced(graph).subsets], None
+    else:   # tree t's rows are acted on by the subsets of its non-tree lines
+        operators = [gr.line_subsets(set(graph.line_ids) - set(tree)) for tree in trees]
+        roots = np.arange(len(trees)).repeat(len(products.coeff) // len(trees))
+    return arrangement.freeze(_walk(arrangement, operators, products, roots),
+                              2 ** graph.num_lines)
 
 
 def annihilator_check(

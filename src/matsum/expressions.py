@@ -382,25 +382,19 @@ def _form_value(form: LinearForm, q_values, n_values) -> complex:
 
 
 def _first_failure(e: Expression, q_values, n_values) -> Exception:
-    """What eval_numeric's term loop raises: the first error among the
-    factors of the first row that has one, in the loop's order."""
-    def error(compute) -> Exception | None:
+    """What eval_numeric's term loop raises: the first error of the first
+    row that has one, its factors computed in the loop's order."""
+    for h, _, p, c in e.rows.tolist():
+        pi_power, q_exponents = e.heads[h]
         try:
-            compute()
+            e.numerators[c] / e.scale
+            (2.0 * math.pi) ** pi_power
+            for l, x in q_exponents:
+                float(q_values[l] ** x)
+            for f in e.products[p]:
+                _form_value(e.forms[f], q_values, n_values)
         except (ArithmeticError, ZeroDenominator) as exc:
             return exc
-
-    coeffs = [[error(lambda: c / e.scale)] for c in e.numerators]
-    heads = [[error(lambda: (2.0 * math.pi) ** k)]
-             + [error(lambda: float(q_values[l] ** x)) for l, x in q_exponents]
-             for k, q_exponents in e.heads]
-    forms = [error(lambda: _form_value(f, q_values, n_values)) for f in e.forms]
-    products = [[forms[f] for f in product] for product in e.products]
-    tables = (coeffs, heads, products)   # a row's factors, in the loop's order
-    ids = e.rows[:, [COEFF, HEAD, PRODUCT]].T
-    failed = [np.array([any(entry) for entry in table])[i] for table, i in zip(tables, ids)]
-    row = int(np.argmax(failed[0] | failed[1] | failed[2]))
-    return next(x for table, i in zip(tables, ids) for x in table[i[row]] if x)
 
 
 def _smith(d: complex) -> tuple[bool, float, float]:

@@ -416,7 +416,7 @@ def test_random_operators_match_the_subset_by_subset_reference(g4):
                 engine.apply_operator(engine.OperatorSpec(subsets + (refused,), g), e)
     # products of zero to three forms, some repeated, outside the pipeline's
     # shape of V - 1 distinct forms
-    forms = engine.cut_forms(g4)
+    forms = engine._Arrangement(g4).forms
     e = ex.Expression([make_term(1, 1, {1: -1, 2: 1}, (), forms[:2]),
                        make_term(Fraction(-1, 3), 0, {}, (), [forms[5], forms[5], forms[30]]),
                        make_term(2, 0, {3: 1}, (), [forms[12]]), make_term(3, 0, {}, (), [])])
@@ -586,7 +586,7 @@ def test_hot_paths_stay_on_the_packed_tables(g4, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_cut_forms_of_g4(g4):
-    forms = engine.cut_forms(g4)
+    forms = engine._Arrangement(g4).forms
     assert len(gr.bonds(g4)) == 6
     assert len(forms) == len(set(forms)) == 40
     same_sign = [len({c for _, c in f.q}) == 1 for f in forms]
@@ -605,7 +605,7 @@ def test_reflection_of_a_cut_form_is_a_bit_flip(g2, g3, g4):
     rng = np.random.default_rng(20260810)
     for g in [g2, g3, g4] + [fixtures.random_graph(rng, 5, 7) for _ in range(10)]:
         arrangement = engine._Arrangement(g)
-        forms = engine.cut_forms(g)
+        forms = engine._Arrangement(g).forms
         products = arrangement.intern(np.arange(len(forms))[:, None])
         # R_l's sign on a group is -1 iff q_l is odd in its head
         group = arrangement.group(((0, ()), ()))
@@ -637,7 +637,7 @@ def test_exact_search_gives_the_same_normal_form(monkeypatch):
     monkeypatch.setattr(engine._Arrangement, "_bond_search",
                         lambda self, group: batches.append(len(group)) or search(self, group))
     wide_integral = engine.matsubara_integral(wide)
-    assert len(engine.cut_forms(wide)) == 32784 and len(batches) == 2
+    assert len(engine._Arrangement(wide).forms) == 32784 and len(batches) == 2
     monkeypatch.setattr(engine._Arrangement, "_bond_search",
                         lambda self, group: (engine._NO_REWRITES, group))
     for g, (integral, total) in zip(graphs, expected):
@@ -730,6 +730,21 @@ def test_the_memo_holds_one_rewrite_per_searched_product(monkeypatch):
     assert [column.tolist() for column in again] == [column.tolist() for column in nf]
 
 
+def test_a_walk_with_roots_returns_the_direct_sum_in_normal_form(g4):
+    # one operator per tree, each tree's rows rooted at its own: the walk
+    # merges the raw levels and normalizes their total once
+    for g in (g4, fixtures.random_graph(np.random.default_rng(7), 5, 7)):
+        trees = gr.enumerate_spanning_trees(g)
+        arrangement, products = engine._tree_products(
+            g, [engine.solve_tree(g, tree) for tree in trees])
+        roots = np.arange(len(trees)).repeat(len(products.coeff) // len(trees))
+        forest = [gr.line_subsets(set(g.line_ids) - set(tree)) for tree in trees]
+        result = engine._walk(arrangement, forest, products, roots)
+        assert (arrangement.freeze(result, 2 ** g.num_lines)
+                == engine.matsubara_sum(g, "direct"))
+        assert not arrangement._search(result.product).any()
+
+
 def test_thermal_operator_past_its_term_budget_is_refused(monkeypatch, g4):
     integral = engine.matsubara_integral(g4)
     full = len(engine.matsubara_sum(g4))
@@ -793,7 +808,7 @@ def test_normal_form_of_repeated_and_dependent_denominators(g4, monkeypatch):
     # products outside the pipeline's shape: a squared form, two forms of
     # one 3-line bond, three of them (still independent), and five of them,
     # which are dependent; the exact search handles them
-    forms = engine.cut_forms(g4)
+    forms = engine._Arrangement(g4).forms
     by_n: dict = {}
     for f in forms:
         by_n.setdefault(f.n, []).append(f)
@@ -860,7 +875,7 @@ def test_exact_search_alone_gives_the_normal_form_of_random_products(monkeypatch
         return rewrites, declined
 
     for g in graphs:
-        forms, v = engine.cut_forms(g), g.num_vertices
+        forms, v = engine._Arrangement(g).forms, g.num_vertices
         random_terms = ex.Expression([
             make_term(Fraction(int(rng.choice([-3, -1, 1, 2])), int(rng.integers(1, 4))), 0, {},
                       (), [forms[i] for i in rng.integers(0, len(forms), rng.integers(0, v + 2))])
