@@ -12,9 +12,10 @@ eval          numeric value of the closed form at given q / N values
 verify        compare closed forms against the numeric oracles (JSON lines)
 gaudin-check  residuals of the tree-decomposition identity on random tuples
 
-Exit codes: 0 success, 1 graph validation failure or a graph too large to
-evaluate, 2 verification failure, 64 usage error. Results go to stdout,
-diagnostics to stderr.
+Exit codes: 0 success, 1 graph validation failure, a graph too large to
+evaluate, or stdout closed before the output was written (nothing is
+printed then), 2 verification failure, 64 usage error. Results go to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -283,7 +285,15 @@ def _dispatch(args, g: graph.MatsubaraGraph) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at the null device, so that the
+        # flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

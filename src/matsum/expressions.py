@@ -30,7 +30,8 @@ equal rows by _merge, the one exact merge of the package (the engine's
 walk and normal-form memo use it too). The Term constructor, add, JSON
 parsing and the engine all call it. Rendering, equality
 and evaluation read the tables, so each distinct factor is formatted or
-evaluated once. The JSON form of an expression is its tables (see
+evaluated once. Text and LaTeX are laid out as one column of token ids,
+each naming a string formatted once, and joined in one pass. The JSON form of an expression is its tables (see
 from_dict), written by json.dumps with the rows joined from their ids'
 decimal strings, and parsed by checking each table entry once and the
 rows by columns. Loops over the rows zip the four columns, read as lists:
@@ -43,6 +44,7 @@ Everything is an immutable value and all operations are pure functions.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -229,6 +231,17 @@ def _ranked(column: np.ndarray, table: Sequence) -> tuple[np.ndarray, list]:
     column, entries = _used(column, table)
     ranks, distinct = _rank(entries)
     return ranks[column], distinct
+
+
+def _distinct(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a column of integers in range(size),
+    ascending, and each entry's index among them: marked in a flat table
+    of the range, or by a sort where the table would be sparse."""
+    if size > 8 * len(key):
+        return np.unique(key, return_inverse=True)
+    marked = np.zeros(size, dtype=bool)
+    marked[key] = True
+    return np.flatnonzero(marked), (np.cumsum(marked) - 1)[key]
 
 
 def _canonical(forms: Sequence[LinearForm], heads: Sequence[tuple],
@@ -445,21 +458,12 @@ def eval_numeric(
 
     h, k, p, c = e.rows.T
     # the rows are sorted by head and kernels: number the runs of one
-    # (head, kernels) pair, and mark the (run, coefficient) pairs the rows
-    # use in a flat table, or by a sort where the table would be sparse
+    # (head, kernels) pair, and find the (run, coefficient) pairs the rows
+    # use
     key = h * len(e.kernel_sets) + k
     starts = np.r_[True, key[1:] != key[:-1]]
     runs = np.cumsum(starts) - 1
-    key = runs * len(coeffs) + c
-    size = (int(runs[-1]) + 1) * len(coeffs)
-    if size > 8 * len(key):
-        used, key = np.unique(key, return_inverse=True)
-        spread = slice(None)
-    else:
-        marked = np.zeros(size, dtype=bool)
-        marked[key] = True
-        used = np.flatnonzero(marked)
-        spread = np.cumsum(marked) - 1
+    used, inverse = _distinct(runs * len(coeffs) + c, (int(runs[-1]) + 1) * len(coeffs))
     run_heads, run_kernels = h[starts].tolist(), k[starts].tolist()
     prefixes: dict[tuple[int, int], complex] = {}
     numerators = []
@@ -474,7 +478,7 @@ def eval_numeric(
         for x in kernels[run_kernels[run]]:
             value *= x
         numerators.append(value)
-    z = np.array(numerators)[spread][key]
+    z = np.array(numerators)[inverse]
     re, im = z.real.copy(), z.imag.copy()
 
     # the products' j-th forms, -1 past a product's end
@@ -537,6 +541,21 @@ def _kernel_bits(kernels: tuple[int, ...], fmt: str) -> list[str]:
     return [f"nbe(q{l})" if fmt == "text" else f"n_B(q_{{{l}}})" for l in kernels]
 
 
+#: Tokens gathered per step of _emit.
+_CHUNK = 1 << 16
+
+
+def _emit(strings: Sequence[str], ids: np.ndarray) -> str:
+    """The strings at the ids, joined: the ids are gathered a chunk at a
+    time and the output is built by one join."""
+    table = np.empty(len(strings), dtype=object)
+    table[:] = strings
+    parts: list[str] = []
+    for start in range(0, len(ids), _CHUNK):
+        parts += table[ids[start:start + _CHUNK]].tolist()
+    return "".join(parts)
+
+
 def render(e: Expression, fmt: str = "text") -> str:
     """Render an expression as text, latex, or json (lossless)."""
     if fmt == "json":
@@ -567,74 +586,97 @@ def _render_factored(e: Expression, fmt: str) -> str:
     """(2 pi)^L/prod 2q_i [sum over denominator products of
     (kernel sum)/(product)], for an expression with one head whose q
     exponents are all -1; coefficients are shown times 2^I, so that the
-    1/2^I of the prefactor reads as the 2q_i."""
+    1/2^I of the prefactor reads as the 2q_i.
+
+    Each product is a group: an opener, its rows by kernel count and then
+    kernels, and a closer that writes the product. A row's token is its
+    piece (first in its group, sign shown, coefficient, kernels); each
+    distinct piece, opener and closer is formatted once, and the tokens
+    are laid out in one id column for _emit.
+    """
     ((pi_power, qexp),) = e.heads
     nlines = len(qexp)
-    if fmt == "text":
+    text = fmt == "text"
+    if text:
         two_pi = "2π" if pi_power == 1 else f"(2π)^{pi_power}" if pi_power else "1"
         denom = "·".join(f"2q{l}" for l, _ in qexp)
-        prefix = f"({two_pi}/({denom}))" if nlines else two_pi
+        prefix = f"({two_pi}/({denom}))[" if nlines else f"{two_pi}["
+        opener, suffix = "(", "]"
     else:
         two_pi = "2\\pi" if pi_power == 1 else f"(2\\pi)^{{{pi_power}}}" if pi_power else "1"
         denom = " \\, ".join(f"2q_{{{l}}}" for l, _ in qexp)
-        prefix = f"\\frac{{{two_pi}}}{{{denom}}}" if nlines else two_pi
+        prefix = (f"\\frac{{{two_pi}}}{{{denom}}}" if nlines else two_pi) + "\\left["
+        opener, suffix = "\\frac{", "\\right]"
 
-    # each product's terms, by kernel count and then kernels; every product
-    # is used, so the groups are the products in order
-    rows = e.rows
-    kernel_rank = np.argsort(np.argsort(
-        np.array([len(ks) for ks in e.kernel_sets]), kind="stable"), kind="stable")
-    order = np.lexsort((kernel_rank[rows[:, KERNELS]], rows[:, PRODUCT]))
-    products, kernels, coeffs = (rows[order, col] for col in (PRODUCT, KERNELS, COEFF))
-    negative = np.array([c < 0 for c in e.numerators])[coeffs]
-    starts = np.flatnonzero(np.r_[True, products[1:] != products[:-1]])
+    # the rows by product, then kernel rank; every product is used, so the
+    # groups are the products in order and a row's group is its product
+    kernel_sets, nk, nc = e.kernel_sets, len(e.kernel_sets), len(e.numerators)
+    kernel_rank = np.empty(nk, dtype=np.int64)
+    kernel_rank[sorted(range(nk), key=lambda k: len(kernel_sets[k]))] = np.arange(nk)
+    rows = e.rows[(e.rows[:, PRODUCT] * nk + kernel_rank[e.rows[:, KERNELS]]).argsort()]
+    products, kernels, coeffs = rows[:, PRODUCT], rows[:, KERNELS], rows[:, COEFF]
+    sizes = np.bincount(products, minlength=len(e.products))
+    starts = sizes.cumsum() - sizes
+    # the numerators ascend, so the negative ones come first; a group whose
+    # rows are all negative is shown negated
+    negative = coeffs < bisect.bisect_left(e.numerators, 0)
     group_negative = np.logical_and.reduceat(negative, starts)
-    first = np.zeros(len(order), dtype=bool)
-    first[starts] = True
-    # a group whose terms are all negative is shown negated
-    shown_negative = negative != np.repeat(group_negative, np.diff(np.r_[starts, len(order)]))
+    # a row's piece: (first in its group, sign shown, coefficient, kernels)
+    span = nc * nk
+    key = ((negative != group_negative[products]) * nc + coeffs) * nk + kernels
+    key[starts] += 2 * span
+    used, piece = _distinct(key, 4 * span)
 
+    joiner = "*" if text else " "
     shown = [_ratio_str(abs(c) << nlines, e.scale) for c in e.numerators]
     unit = [abs(c) << nlines == e.scale for c in e.numerators]
-    joiner = "*" if fmt == "text" else " "
-    bodies: dict[tuple[int, int], str] = {}
-    pieces = []
-    for is_first, neg, c, k in zip(first.tolist(), shown_negative.tolist(),
-                                   coeffs.tolist(), kernels.tolist()):
-        body = bodies.get((c, k))
+    kernel_text: dict[int, str] = {}
+    strings = []
+    for u in used.tolist():
+        flags, c = divmod(u, span)
+        c, k = divmod(c, nk)
+        body = kernel_text.get(k)
         if body is None:
-            kparts = _kernel_bits(e.kernel_sets[k], fmt)
-            body = bodies[c, k] = joiner.join(
-                ([shown[c]] if not unit[c] or not kparts else []) + kparts)
-        pieces.append(_PREFIX[is_first, neg] + body)
+            body = kernel_text[k] = joiner.join(_kernel_bits(kernel_sets[k], fmt))
+        # a unit coefficient is not shown before kernels
+        if not body:
+            body = shown[c]
+        elif not unit[c]:
+            body = shown[c] + joiner + body
+        strings.append(_PREFIX[flags >= 2, flags % 2 == 1] + body)
 
-    form_strs = [f"({render_form(f, fmt)})" for f in e.forms]
-    sep = "·" if fmt == "text" else ""
-    ends = np.r_[starts[1:], len(order)].tolist()
-    chunks: list[str] = []
-    for product, start, end, neg in zip(e.products, starts.tolist(), ends,
-                                        group_negative.tolist()):
-        numer = "".join(pieces[start:end])
-        dstr = sep.join(form_strs[f] for f in product)
-        if not dstr:
-            frac = f"({numer})"
-        elif fmt == "text":
-            frac = f"({numer})/{dstr}"
-        else:
-            frac = f"\\frac{{{numer}}}{{{dstr}}}"
-        chunks.append(_PREFIX[not chunks, neg] + frac)
-    body = "".join(chunks)
-    if fmt == "text":
-        return f"{prefix}[{body}]"
-    return f"{prefix}\\left[{body}\\right]"
+    # then the openers of the groups after the first, plain and negated,
+    # and the closers; the first opener and the last closer carry the
+    # prefix and the suffix
+    forms = [f"({render_form(f, fmt)})" for f in e.forms]
+    sep = "·" if text else ""
+    close = ")/{}" if text else "}}{{{}}}"
+    closers = [close.format(sep.join(forms[f] for f in product)) if product else ")"
+               for product in e.products]
+    closers[-1] += suffix
+    first_opener = "(" if not e.products[0] or text else opener
+    shift = len(strings)
+    strings += [_PREFIX[False, False] + opener, _PREFIX[False, True] + opener, *closers,
+                prefix + _PREFIX[True, bool(group_negative[0])] + first_opener]
+
+    # group g's opener, rows and closer come after the 2g openers and
+    # closers of the earlier groups
+    group = np.arange(len(e.products))
+    opens = starts + 2 * group
+    ids = np.empty(len(rows) + 2 * len(group), dtype=np.int64)
+    ids[np.arange(1, len(rows) + 1) + 2 * products] = piece
+    ids[opens] = shift + group_negative
+    ids[opens + sizes + 1] = shift + 2 + group
+    ids[0] = len(strings) - 1
+    return _emit(strings, ids)
 
 
 def _render_plain(e: Expression, fmt: str) -> str:
     """Term by term: |coeff|, (2 pi)^k, q powers, kernels and 1/(form)s
-    joined, each term signed."""
+    joined, each term signed; four tokens per row, laid out for _emit."""
     text = fmt == "text"
     joiner = "·" if text else " \\, "
-    coeffs = [_ratio_str(abs(c), e.scale) for c in e.numerators]
+    coeffs = [_PREFIX[False, c < 0] + _ratio_str(abs(c), e.scale) for c in e.numerators]
     heads = []
     for pi_power, q_exponents in e.heads:
         bits = []
@@ -648,10 +690,14 @@ def _render_plain(e: Expression, fmt: str) -> str:
     kernels = ["".join(joiner + b for b in _kernel_bits(ks, fmt)) for ks in e.kernel_sets]
     forms = [f"{joiner}1/({render_form(f, fmt)})" for f in e.forms]
     products = ["".join(forms[f] for f in product) for product in e.products]
-    negative = [c < 0 for c in e.numerators]
-    return "".join(
-        _PREFIX[i == 0, negative[c]] + coeffs[c] + heads[h] + kernels[k] + products[p]
-        for i, (h, k, p, c) in enumerate(zip(*e.rows.T.tolist())))
+    strings = coeffs + heads + kernels + products
+    ids = e.rows[:, [COEFF, HEAD, KERNELS, PRODUCT]] + np.cumsum(
+        [0, len(coeffs), len(heads), len(kernels)])
+    # the first term's sign has no separator
+    c = e.numerators[e.rows[0, COEFF]]
+    strings.append(_PREFIX[True, c < 0] + _ratio_str(abs(c), e.scale))
+    ids[0, 0] = len(strings) - 1
+    return _emit(strings, ids.ravel())
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")

@@ -271,16 +271,26 @@ def line_subsets(ids: Iterable[int], max_size: int | None = None) -> Iterator[Li
         yield from itertools.combinations(ids, size)
 
 
+def _cuts(graph: MatsubaraGraph, max_size: int) -> Iterator[tuple[LineSubset, bool]]:
+    """Each line subset of size 0..max_size in line_subsets order, and
+    whether removing it disconnects the graph; the lines' endpoint bitmasks
+    are built once."""
+    ids, pairs = graph.line_ids, graph._pairs(graph.lines)
+    every = (1 << graph.num_vertices) - 1
+    for subset in line_subsets(ids, max_size):
+        yield subset, _reach(1, [p for lid, p in zip(ids, pairs) if lid not in subset]) != every
+
+
 def non_cutset_subsets(graph: MatsubaraGraph, max_size: int) -> list[LineSubset]:
     """All line subsets of size 0..max_size that do not disconnect the graph,
     by size, then lexicographic on sorted line ids."""
-    return [s for s in line_subsets(graph.line_ids, max_size) if not is_cutset(graph, s)]
+    return [s for s, cut in _cuts(graph, max_size) if not cut]
 
 
 def cutset_subsets(graph: MatsubaraGraph, max_size: int) -> list[LineSubset]:
     """All line subsets of size 1..max_size that disconnect the graph, in the
     order of non_cutset_subsets."""
-    return [s for s in line_subsets(graph.line_ids, max_size) if is_cutset(graph, s)]
+    return [s for s, cut in _cuts(graph, max_size) if cut]
 
 
 def fundamental_cutset(

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -374,3 +379,23 @@ def test_sum_past_the_term_budget_exits_1(capsys, g4_path, monkeypatch):
         assert code == 1
         assert out == ""
         assert err == "graph too large: the thermal operator needs more than 50 terms\n"
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # K4's sum in LaTeX (151 kB) does not fit a pipe's 64 kB buffer, so the
+    # writer is still printing when the reader takes one byte and closes
+    names = "abcd"
+    k4 = gr.make_graph(list(names), [(i + 1, a, b) for i, (a, b) in
+                                     enumerate(itertools.combinations(names, 2))])
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps(graph_to_dict(k4)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "matsum.cli", "sum", "--graph", str(path),
+                             "--format", "latex"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"\\"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

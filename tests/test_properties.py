@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from conftest import reference_sum_g2
 from matsum import engine, fixtures
 from matsum import expressions as ex
 from matsum import graph as gr
+from reference import make_term
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -121,3 +123,44 @@ def test_packed_consumers_match_the_term_loops(seed):
             n = {v: 0 if degenerate else int(rng.integers(-3, 4))
                  for v in list(g.vertices[:-1]) + ["a"]}
             assert _value(ex.eval_numeric, e, q, n) == _value(reference.eval_numeric, e, q, n)
+
+
+_VERTICES, _LINES = ("a", "b"), (1, 2, 3)
+
+
+@st.composite
+def _term_lists(draw):
+    """Four to sixteen terms over vertices a, b and lines 1-3 that reach
+    every branch of the render: one head whose q exponents are all -1 (at
+    times over no lines), or, one time in three, a second head besides,
+    which takes the term-by-term render; products of zero to two forms of a
+    small pool, so that products repeat and some are empty; kernels or
+    none; coefficients of either sign, often a unit once the prefactor's
+    1/2^I is taken out, so that some groups have only negative rows."""
+    lines = st.lists(st.sampled_from(_LINES), unique=True, max_size=3)
+    heads = [(draw(st.integers(0, 2)),
+              dict.fromkeys(draw(st.sampled_from([(), (1,), (2, 3), (1, 2, 3)])), -1))]
+    if draw(st.integers(0, 2)) == 0:
+        heads.append((draw(st.integers(0, 2)),
+                      {l: draw(st.sampled_from([-2, -1, 1])) for l in draw(lines)}))
+    raw = st.tuples(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+                    st.lists(st.integers(-1, 1), min_size=3, max_size=3))
+    pool = [ex.normalize_form(zip(_VERTICES, n), zip(_LINES, q))
+            for n, q in draw(st.lists(raw.filter(lambda f: any(f[0]) or any(f[1])),
+                                      min_size=1, max_size=3))]
+    terms = []
+    for _ in range(draw(st.integers(4, 16))):
+        pi_power, q_exponents = draw(st.sampled_from(heads))
+        dens = draw(st.lists(st.sampled_from(pool), max_size=2))
+        coeff = Fraction(draw(st.sampled_from([1, -1, 3, -2])),
+                         draw(st.sampled_from([1, 2 ** len(q_exponents)])))
+        terms.append(make_term(coeff * math.prod(sign for _, sign in dens), pi_power,
+                               q_exponents, draw(lines), [f for f, _ in dens]))
+    return terms
+
+
+@given(_term_lists())
+def test_render_matches_the_term_loop_on_random_terms(terms):
+    e = ex.Expression(terms)
+    for fmt in ("text", "latex"):
+        assert ex.render(e, fmt) == reference.render(e, fmt)
