@@ -51,9 +51,9 @@ product, and its only sign is the parity of q_i in the group's head. Each
 factor nbe_i (1 - R_i) runs on the columns of a whole level of the walk.
 Rows are rewritten to normal form by one fixed-point loop
 (_Arrangement.normalize), each pass searching its new products in one
-batch and expanding its rows one rewrite step: at every level for one
-operator, once on the total for per-tree operators. Equal rows are
-merged, zeros dropped, by the package's one exact merge (expressions._merge).
+batch and expanding its rows one rewrite step: on a walk's input and at
+every level of it, by both routes. Equal rows are merged, zeros dropped,
+by the package's one exact merge (expressions._merge).
 Coefficients stay exact: int64 while a bound on every product and sum of
 the level fits, Python ints and Fractions in an object column otherwise.
 Nothing is put in canonical order during the walk: each route freezes its
@@ -471,9 +471,7 @@ class _Arrangement:
         products = np.array([self.product(tuple(sorted(forms[f] for f in product)))
                              for product in e.products], dtype=np.int64)
         heads, kernels, product, coeff = e.rows.T
-        key = heads * len(e.kernel_sets) + kernels
-        new = np.ones(len(key), dtype=bool)
-        new[1:] = key[1:] != key[:-1]
+        new = ex._starts(heads * len(e.kernel_sets) + kernels)
         groups = np.array([self.group((e.heads[h], e.kernel_sets[k])) for h, k in
                            zip(heads[new].tolist(), kernels[new].tolist())], dtype=np.int64)
         return _Terms(groups[np.cumsum(new) - 1], products[product],
@@ -572,7 +570,7 @@ class _Arrangement:
         self._count += len(new)
         self._memo[new, 1] = 0
         if len(parent):   # a product's rows are consecutive
-            first = np.flatnonzero(np.concatenate([[True], parent[1:] != parent[:-1]]))
+            first = np.flatnonzero(ex._starts(parent))
             self._memo[parent[first], 0] = self._size + first
             self._memo[parent[first], 1] = np.diff(first, append=len(parent))
             size = self._size + len(parent)
@@ -805,16 +803,14 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
     nbe_l (1 - R_l) to the rows of its parent, on columns: R_l is a gather
     (_Arrangement.reflect), signed by the input group's head. The rows at
     the end of a subset go to the result, in the group of their head and
-    kernels. Without roots, the input is brought to normal form, and so
-    are a level's kept and reflected rows, keyed by (node, input group), by
-    one call of _Arrangement.normalize, so terms that cancel only as
-    functions (cutset branches on a normal-form integral) drop too. With
-    roots (the direct route's trees), the levels are only merged and their
-    total is normalized once. Equal rows of a level are merged and zeros
-    dropped by one sort and reduce. A level is built in chunks of at most
-    MAX_TERMS kept and reflected rows before merging, and the merged result
-    and the level being built together hold at most MAX_TERMS rows, else
-    TooManyTerms.
+    kernels. The input, keyed by (root node, input group), and each level's
+    kept and reflected rows, keyed by (node, input group), are brought to
+    normal form by one call of _Arrangement.normalize each, so terms that
+    cancel only as functions (cutset branches on a normal-form integral)
+    drop too, and equal rows merge with zeros dropped. A level is built in
+    chunks of at most MAX_TERMS kept and reflected rows before merging, and
+    the merged result and the level being built together hold at most
+    MAX_TERMS rows, else TooManyTerms.
     """
     forest = _forest(operators, arrangement.line_position)
     odd, carried = arrangement.parities()
@@ -823,20 +819,19 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
     reflected_sign = np.where(odd, 1, -1)
     carries = carried.any()
     sizes = (len(forest.leaf), len(odd), 0)   # node, input group, product
-    normal = roots is None
-    if normal:   # normalize_all merges rows
-        terms = arrangement.normalize_all(terms)
-    node = np.zeros(len(terms.coeff), dtype=np.int64) if normal else roots
-    group, product, coeff = terms
+    keys = sizes[0] * sizes[1]   # rows are keyed by (node, input group)
+    if roots is None:
+        roots = np.zeros(len(terms.coeff), dtype=np.int64)
+    key, product, coeff = arrangement.normalize(roots * sizes[1] + terms.group, terms.product,
+                                                terms.coeff, keys)
+    node, group = np.divmod(key, sizes[1])
 
     def finished(parts: list[tuple]) -> _Terms:
         """The rows at subsets' ends in the groups of their heads and
         kernels, merged. A level's rows come sorted by node and input
         group, so equal (node, input group) pairs are runs."""
         node, group, product, coeff = _concat(parts)
-        new = np.empty(len(node), dtype=bool)
-        new[:1] = True
-        new[1:] = (node[1:] != node[:-1]) | (group[1:] != group[:-1])
+        new = ex._starts(node) | ex._starts(group)
         ids = [arrangement.group((head, tuple(sorted(kernels + forest.path[n]))))
                for (head, kernels), n in zip(map(arrangement.groups.__getitem__,
                                                  group[new].tolist()), node[new].tolist())]
@@ -874,17 +869,15 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
                 raise ex.KernelReflection(arrangement.lines[line[carried[g, line].argmax()]])
             reflected = c * reflected_sign[g, line]
             image = arrangement.reflect(line, p)
-            # the kept and the reflected rows, keyed by (node, input group)
-            key, keys = np.tile(child * sizes[1] + g, 2), sizes[0] * sizes[1]
-            p, c = np.concatenate([p, image]), np.concatenate([c, reflected])
-            key, p, c = (arrangement.normalize(key, p, c, keys) if normal
-                         else ex._merge((key, p, c), (keys, len(arrangement.products))))
+            # the kept and the reflected rows
+            key, p, c = arrangement.normalize(np.tile(child * sizes[1] + g, 2),
+                                              np.concatenate([p, image]),
+                                              np.concatenate([c, reflected]), keys)
             sizes = sizes[:2] + (len(arrangement.products),)
             add((*np.divmod(key, sizes[1]), p, c))
         node, group, product, coeff = (level[0] if len(level) == 1
                                        else ex._merge(_concat(level), sizes))
-    total = finished(result)
-    return total if normal else arrangement.normalize_all(total)
+    return finished(result)
 
 
 def _rows(parts: list) -> int:
@@ -935,8 +928,7 @@ def _grown(array: np.ndarray, size: int, fill, axis: int = 0) -> np.ndarray:
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of an integer column, ascending."""
     values = np.sort(values)
-    return values[:1] if len(values) < 2 else values[
-        np.concatenate([[True], values[1:] != values[:-1]])]
+    return values[ex._starts(values)]
 
 
 def apply_operator(spec: OperatorSpec, e: Expression) -> Expression:
@@ -979,8 +971,8 @@ def matsubara_sum(
                        matsubara_integral(graph)) does it.
     method="direct":   each tree product gets the operator of all
                        subsets of its non-tree lines,
-                       prod_l (1 + nbe_l (1 - R_l)); every tree accumulates
-                       into one packed total, brought to normal form once.
+                       prod_l (1 + nbe_l (1 - R_l)); all trees are walked
+                       at once, their rows in normal form at every level.
     Each call packs the tree products once over the graph's cut
     arrangement; the result does not depend on the route or the regulator
     hierarchy.

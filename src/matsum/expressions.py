@@ -233,11 +233,19 @@ def _ranked(column: np.ndarray, table: Sequence) -> tuple[np.ndarray, list]:
     return ranks[column], distinct
 
 
-def _distinct(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a column of integers in range(size),
-    ascending, and each entry's index among them: marked in a flat table
-    of the range, or by a sort where the table would be sparse."""
-    if size > 8 * len(key):
+def _starts(key: np.ndarray) -> np.ndarray:
+    """Where the runs of equal values of a column start, as a mask."""
+    starts = np.empty(len(key), dtype=bool)
+    starts[:1] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    return starts
+
+
+def _distinct(key: np.ndarray, size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a column, ascending, and each entry's index
+    among them. Integers in range(size) are marked in a flat table of the
+    range, unless it would be sparse; other columns (no size) are sorted."""
+    if size is None or size > 8 * len(key):
         return np.unique(key, return_inverse=True)
     marked = np.zeros(size, dtype=bool)
     marked[key] = True
@@ -286,12 +294,12 @@ def _canonical(forms: Sequence[LinearForm], heads: Sequence[tuple],
         forms = [forms[f] for f in form_ids]
         products = [tuple(map(renumber.__getitem__, product)) for product in products]
     low = int(coeff.min()) if coeff.dtype != object else 0
-    if coeff.dtype != object and int(coeff.max()) - low < len(coeff):
-        # int64 values in a range no longer than the column: rank them
-        # through a flat table of the range
-        c, distinct = _used(coeff - low, range(low, int(coeff.max()) + 1))
+    if coeff.dtype != object and int(coeff.max()) - low <= _INT64_MAX:
+        # int64 values whose range fits int64: ranked from the least
+        distinct, c = _distinct(coeff - low, int(coeff.max()) - low + 1)
+        distinct = (distinct + low).tolist()
     else:
-        distinct, c = np.unique(coeff, return_inverse=True)
+        distinct, c = _distinct(coeff)
         distinct = distinct.tolist()
     rows = np.empty((len(coeff), 4), dtype=np.int64)
     rows[:, HEAD], rows[:, KERNELS], rows[:, PRODUCT], rows[:, COEFF] = h, k, p, c
@@ -320,11 +328,11 @@ def _merge(columns: tuple, sizes: Sequence[int]) -> tuple:
             key = key * size + column
         order = key.argsort()
         key = key[order]
-        new = key[1:] != key[:-1]
-        if new.all():
+        starts = _starts(key)
+        if starts.all():
             ids, coeff = [column[order] for column in ids], coeff[order]
         else:
-            starts = np.concatenate([[0], new.nonzero()[0] + 1])
+            starts = np.flatnonzero(starts)
             # each sum has at most len(key) terms
             coeff = np.add.reduceat(_exact(coeff[order], len(key)), starts)
             ids = [column[order[starts]] for column in ids]
@@ -461,7 +469,7 @@ def eval_numeric(
     # (head, kernels) pair, and find the (run, coefficient) pairs the rows
     # use
     key = h * len(e.kernel_sets) + k
-    starts = np.r_[True, key[1:] != key[:-1]]
+    starts = _starts(key)
     runs = np.cumsum(starts) - 1
     used, inverse = _distinct(runs * len(coeffs) + c, (int(runs[-1]) + 1) * len(coeffs))
     run_heads, run_kernels = h[starts].tolist(), k[starts].tolist()

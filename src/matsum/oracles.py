@@ -368,15 +368,12 @@ def check_gaudin_identity(
         t_values[ln.head] += n_tuple[ln.id]
         t_values[ln.tail] -= n_tuple[ln.id]
     if claimed_n is not None:
-        non_root = graph.vertices[:-1]
-        implied_root = -sum(claimed_n[v] for v in non_root)
-        for v in non_root:
+        # the t_values sum to zero, so the root's follows from the others
+        for v in graph.vertices[:-1]:
             if t_values[v] != claimed_n[v]:
                 raise ConstraintViolated(
                     f"vertex {v!r}: tuple gives N={t_values[v]}, claimed {claimed_n[v]}"
                 )
-        if t_values[graph.root] != implied_root:
-            raise ConstraintViolated("root constraint violated")
 
     lhs = 1.0 + 0j
     for ln in graph.lines:

@@ -256,6 +256,8 @@ def test_eval_malformed_items_exit_64(capsys, g2_path):
                            "--q", "x:0.7,2:0.5", "--n", "a:1"), "--q")
     assert_usage_error(run(capsys, "eval", "--graph", g2_path,
                            "--q", "1:0.7,2:0.5", "--n", "a:1.5"), "--n")
+    assert_usage_error(run(capsys, "eval", "--graph", g2_path,
+                           "--q", "1:1,1:2", "--n", "a:1"), "--q: 1 given twice")
 
 
 def test_eval_missing_line_or_vertex_exits_64(capsys, g2_path):

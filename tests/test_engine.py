@@ -760,19 +760,21 @@ def test_thermal_operator_past_its_term_budget_is_refused(monkeypatch, g4):
     assert len(engine.matsubara_sum(g4)) == full
 
 
-def test_levels_past_the_term_budget_are_built_in_chunks(monkeypatch, g4):
-    # at a budget of the sum's own size, a level of the direct route expands
-    # to more rows than the budget before merging: it is built in chunks,
-    # and the result does not change
-    expected = {method: engine.matsubara_sum(g4, method) for method in ("operator", "direct")}
-    chunks = []
-    slices = engine._slices
-    monkeypatch.setattr(engine, "_slices", lambda sizes, limit: chunks.append(
-        sum(sizes) > limit) or slices(sizes, limit))
-    monkeypatch.setattr(engine, "MAX_TERMS", len(expected["operator"]))
+def test_levels_past_the_term_budget_are_built_in_chunks(monkeypatch):
+    # at a budget of the 6-ring's own sum size (2,300 terms), a level of
+    # either route expands to more rows than the budget before merging: it
+    # is built in chunks, and the results do not change
+    ring = cycle_graph(6)
+    expected = {method: engine.matsubara_sum(ring, method) for method in ("operator", "direct")}
+    budget, slices = len(expected["operator"]), engine._slices
     for method, total in expected.items():
-        assert engine.matsubara_sum(g4, method) == total
-    assert any(chunks)
+        chunks = []
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_slices", lambda sizes, limit: chunks.append(
+                sum(sizes) > limit) or slices(sizes, limit))
+            patch.setattr(engine, "MAX_TERMS", budget)
+            assert engine.matsubara_sum(ring, method) == total
+        assert any(chunks), method
 
 
 def test_every_memo_expansion_keeps_to_the_term_budget(monkeypatch):
@@ -793,15 +795,20 @@ def test_every_memo_expansion_keeps_to_the_term_budget(monkeypatch):
 
 
 def test_normal_form_rejects_a_denominator_that_is_not_a_cut_form(g4):
-    form, _ = ex.normalize_form([("a", 1)], [(1, 1), (3, 1)])   # no bond cuts 1 and 3 alone
-    e = ex.Expression([make_term(1, 0, {}, (), [form])])
-    with pytest.raises(engine.NotACutForm):
-        engine.normal_form(g4, e)
-    for spec in (engine.operator_reduced(g4), engine.OperatorSpec((), g4)):
+    # no bond cuts 1 and 3 alone; i(N_a + N_c) + q1 + q2 + q3 + q4 crosses
+    # the lines at a and c, but a and c are not adjacent, so {a, c} is the
+    # side of no bond
+    for n_part, q_part in (([("a", 1)], [(1, 1), (3, 1)]),
+                           ([("a", 1), ("c", 1)], [(1, 1), (2, 1), (3, 1), (4, 1)])):
+        form, _ = ex.normalize_form(n_part, q_part)
+        e = ex.Expression([make_term(1, 0, {}, (), [form])])
         with pytest.raises(engine.NotACutForm):
-            engine.apply_operator(spec, e)
-    with pytest.raises(engine.NotACutForm):
-        engine.annihilator_check(g4, (1, 2), e)
+            engine.normal_form(g4, e)
+        for spec in (engine.operator_reduced(g4), engine.OperatorSpec((), g4)):
+            with pytest.raises(engine.NotACutForm):
+                engine.apply_operator(spec, e)
+        with pytest.raises(engine.NotACutForm):
+            engine.annihilator_check(g4, (1, 2), e)
 
 
 def test_normal_form_of_repeated_and_dependent_denominators(g4, monkeypatch):

@@ -496,6 +496,17 @@ def test_render_deterministic():
     assert ex.render(e, "json") == ex.render(e, "json")
 
 
+def test_expressions_are_immutable_values(g4):
+    operator, direct = (engine.matsubara_sum(g4, method) for method in ("operator", "direct"))
+    assert operator == direct and hash(operator) == hash(direct)
+    with pytest.raises(AttributeError):
+        operator.scale = 2
+    with pytest.raises(AttributeError):
+        del operator.scale
+    assert repr(operator) == f"Expression({ex.render(operator)!r})"
+    assert (operator == 1) is False
+
+
 def test_json_rejects_a_form_that_is_not_sign_normalized():
     data = json.loads(ex.render(reference_integral_g2(), "json"))
     data["forms"][1] = {"n": {"a": -1}, "q": {"1": 1, "2": 1}}

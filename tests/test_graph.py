@@ -36,6 +36,8 @@ def test_validate_rejects_disconnected():
     with pytest.raises(gr.Disconnected):
         gr.make_graph(["a", "b", "c", "d"],
                       [(1, "a", "b"), (2, "b", "a"), (3, "c", "d"), (4, "d", "c")])
+    with pytest.raises(gr.Disconnected):
+        gr.validate_graph({"vertices": [], "edges": []})
 
 
 def test_validate_rejects_duplicate_ids():
@@ -54,6 +56,8 @@ def test_validate_rejects_too_many_lines():
     edges = [(i, "a", "b") for i in range(1, 18)]
     with pytest.raises(gr.GraphTooLarge):
         gr.make_graph(["a", "b"], edges)
+    with pytest.raises(gr.GraphTooLarge):
+        list(gr.line_subsets(range(1, 18)))
 
 
 def test_validate_rejects_boolean_edge_id():
@@ -219,6 +223,8 @@ def test_fundamental_cutset_g4(g4):
     side, crossing = gr.fundamental_cutset(g4, (2, 3, 4), 3)
     assert side == {"b"}
     assert crossing == {3: 1, 1: -1, 5: -1}
+    with pytest.raises(gr.UnknownLine):
+        gr.fundamental_cutset(g4, (2, 3, 4), 1)   # line 1 is not in the tree
 
 
 def test_fundamental_cycle_parallel_pair(g2):

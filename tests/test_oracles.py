@@ -312,6 +312,21 @@ def test_verify_sum_g2():
     assert all(r.passed for r in reports)
 
 
+def test_random_point_redraws_degenerate_points_and_gives_up_after_100(g2, monkeypatch):
+    # G2's sum has the form i*N_a - q1 + q2, which vanishes at q1 = q2, N_a = 0
+    s = engine.matsubara_sum(g2)
+    degenerate, regular = ({1: 1.0, 2: 1.0}, {"a": 0}), ({1: 1.0, 2: 2.0}, {"a": 0})
+    draws = iter([degenerate, regular])
+    monkeypatch.setattr(oracles, "_draw", lambda graph, rng: next(draws))
+    q, n, value = oracles._random_point(g2, s, np.random.default_rng(0))
+    assert (q, n) == regular and value == ex.eval_numeric(s, q, n)
+    count = []
+    monkeypatch.setattr(oracles, "_draw", lambda graph, rng: count.append(1) or degenerate)
+    with pytest.raises(RuntimeError):
+        oracles._random_point(g2, s, np.random.default_rng(0))
+    assert len(count) == 100
+
+
 def test_verify_integral_g2():
     reports = oracles.verify_integral(fixtures.g2(), 20, 1e-9, seed=3)
     assert all(r.passed for r in reports)

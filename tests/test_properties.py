@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given
@@ -164,3 +167,22 @@ def test_render_matches_the_term_loop_on_random_terms(terms):
     e = ex.Expression(terms)
     for fmt in ("text", "latex"):
         assert ex.render(e, fmt) == reference.render(e, fmt)
+
+
+def test_a_failing_property_does_not_stop_the_run(tmp_path):
+    # when a property fails, Hypothesis's pytest plugin imports libcst, which
+    # warns of a deprecation; the run must report the failure and go on
+    (tmp_path / "test_pair.py").write_text(
+        "from hypothesis import given\n"
+        "from hypothesis import strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x != x\n\n\n"
+        "def test_runs_after():\n"
+        "    pass\n")
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(config), "--rootdir", str(tmp_path), "test_pair.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
