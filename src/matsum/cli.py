@@ -13,9 +13,9 @@ verify        compare closed forms against the numeric oracles (JSON lines)
 gaudin-check  residuals of the tree-decomposition identity on random tuples
 
 Exit codes: 0 success, 1 graph validation failure, a graph too large to
-evaluate, or stdout closed before the output was written (nothing is
-printed then), 2 verification failure, 64 usage error. Results go to
-stdout, diagnostics to stderr.
+evaluate (over its budget or out of memory), or stdout closed before the
+output was written (nothing is printed then), 2 verification failure, 64
+usage error. Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -172,6 +172,9 @@ def run(argv: list[str]) -> int:
         return 64
     except graph.GraphTooLarge as exc:
         print(f"graph too large: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("graph too large: out of memory", file=sys.stderr)
         return 1
 
 

@@ -267,12 +267,12 @@ class NormalFormTooLarge(gr.GraphTooLarge):
 
 
 #: Most terms one walk of the thermal operator holds at once, in its
-#: merged result and the level it is building; a level's rows before
-#: merging, and every pass of a normalization (_Arrangement.normalize), are
-#: built in chunks of at most this many. Valid graphs reach it: the
-#: triangle with 2, 2 and 9 parallel lines has 7.0M sum terms, and each
-#: added line roughly triples them; 2, 2 and 8 gives 2.3M terms and peaks
-#: at about 490 MB, and 2, 2 and 9 is refused at about 700 MB.
+#: result and the level it is building; a level's rows before merging and
+#: each pass of a normalization are built in chunks of at most this many.
+#: Valid graphs reach it: the triangle with 2, 2 and 9 parallel lines has
+#: 7.0M sum terms, each added line roughly tripling them. `matsum sum` peaks
+#: at about 480 MB (operator route) and 650 MB (direct) on 2, 2 and 8 (2.3M
+#: terms), and refuses 2, 2 and 9 at about 560 and 970 MB.
 MAX_TERMS = 1 << 22
 
 
@@ -801,16 +801,20 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
     of a level carrying its node and its input group: the kernels a row has
     gained are the lines on its node's path. Each edge applies
     nbe_l (1 - R_l) to the rows of its parent, on columns: R_l is a gather
-    (_Arrangement.reflect), signed by the input group's head. The rows at
-    the end of a subset go to the result, in the group of their head and
-    kernels. The input, keyed by (root node, input group), and each level's
-    kept and reflected rows, keyed by (node, input group), are brought to
-    normal form by one call of _Arrangement.normalize each, so terms that
-    cancel only as functions (cutset branches on a normal-form integral)
-    drop too, and equal rows merge with zeros dropped. A level is built in
-    chunks of at most MAX_TERMS kept and reflected rows before merging, and
-    the merged result and the level being built together hold at most
-    MAX_TERMS rows, else TooManyTerms.
+    (_Arrangement.reflect), signed by the input group's head. The input,
+    keyed by (root node, input group), and each level's kept and reflected
+    rows, keyed by (node, input group), are brought to normal form by one
+    call of _Arrangement.normalize each, so terms that cancel only as
+    functions (cutset branches on a normal-form integral) drop too, and
+    equal rows merge with zeros dropped. Each level's rows at subsets' ends
+    join the result once, in the groups of their heads and kernels (finish).
+    No row meets a line of its kernels (else KernelReflection), so an output
+    group's kernels are an input group's and a subset, disjoint: where all
+    input groups have as many kernels (none, on both routes), rows of one
+    group end at one level, and the result stays merged (freeze merges
+    any rest). A level is built in chunks of at most MAX_TERMS kept and
+    reflected rows before merging, and the result and the level being built
+    together hold at most MAX_TERMS rows, else TooManyTerms.
     """
     forest = _forest(operators, arrangement.line_position)
     odd, carried = arrangement.parities()
@@ -826,21 +830,18 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
                                                 terms.coeff, keys)
     node, group = np.divmod(key, sizes[1])
 
-    def finished(parts: list[tuple]) -> _Terms:
-        """The rows at subsets' ends in the groups of their heads and
-        kernels, merged. A level's rows come sorted by node and input
+    def finish(node, group, product, coeff) -> None:
+        """Add a level's rows at subsets' ends to the result, in the groups
+        of their heads and kernels. The level comes sorted by node and input
         group, so equal (node, input group) pairs are runs."""
-        node, group, product, coeff = _concat(parts)
         new = ex._starts(node) | ex._starts(group)
         ids = [arrangement.group((head, tuple(sorted(kernels + forest.path[n]))))
                for (head, kernels), n in zip(map(arrangement.groups.__getitem__,
                                                  group[new].tolist()), node[new].tolist())]
-        terms = _Terms(np.array(ids, dtype=np.int64)[new.cumsum() - 1], product, coeff)
-        # the rows are unique by (node, input group, product), so by
-        # (group, product) unless two pairs give one group
-        if len(set(ids)) == len(ids):
-            return terms
-        return _Terms(*ex._merge(terms, (len(arrangement.groups), len(arrangement.products))))
+        part = (np.array(ids, dtype=np.int64)[new.cumsum() - 1], product, coeff)
+        if len(set(ids)) < len(ids):
+            part = ex._merge(part, (len(arrangement.groups), len(arrangement.products)))
+        result.append(part)
 
     def add(part: tuple) -> None:
         """Add a merged part to the level being built; the rows held are
@@ -848,15 +849,14 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
         nonlocal level
         level.append(part)
         if _rows(result) + _rows(level) > MAX_TERMS:
-            # count the level merged, and the result by group
             level = [ex._merge(_concat(level), sizes)]
-            if len(finished(result).coeff) + _rows(level) > MAX_TERMS:
+            if _rows(result) + _rows(level) > MAX_TERMS:
                 raise TooManyTerms()
 
-    result = [(node[:0], group[:0], product[:0], coeff[:0])]
+    result = [(group[:0], product[:0], coeff[:0])]
     while len(node):
         leaf = forest.leaf[node]
-        result.append((node[leaf], group[leaf], product[leaf], coeff[leaf]))
+        finish(node[leaf], group[leaf], product[leaf], coeff[leaf])
         level: list[tuple] = []
         count = forest.count[node]
         if not count.any():
@@ -877,7 +877,7 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
             add((*np.divmod(key, sizes[1]), p, c))
         node, group, product, coeff = (level[0] if len(level) == 1
                                        else ex._merge(_concat(level), sizes))
-    return finished(result)
+    return _Terms(*_concat(result))
 
 
 def _rows(parts: list) -> int:

@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import os
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -381,6 +383,40 @@ def test_sum_past_the_term_budget_exits_1(capsys, g4_path, monkeypatch):
         assert code == 1
         assert out == ""
         assert err == "graph too large: the thermal operator needs more than 50 terms\n"
+
+
+def test_sum_out_of_memory_exits_1_in_one_line(capsys, g4_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(engine, "matsubara_sum", exhausted)
+    code, out, err = run(capsys, "sum", "--graph", g4_path)
+    assert code == 1
+    assert out == ""
+    assert err == "graph too large: out of memory\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the child's VmPeak")
+def test_sum_past_the_address_space_limit_exits_1_in_one_line():
+    # the child's address space is capped 64 MB above what importing the CLI
+    # takes, so K5's sum (about 300 MB) runs out of memory
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"), OPENBLAS_NUM_THREADS="1")
+    probe = subprocess.run(
+        [sys.executable, "-c", "import matsum.cli; print(open('/proc/self/status').read())"],
+        capture_output=True, text=True, env=env, check=True)
+    peak = int(re.search(r"^VmPeak:\s*(\d+) kB", probe.stdout, re.M).group(1)) * 1024
+    limit = peak + (64 << 20)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "matsum.cli", "sum", "--graph",
+                           str(repo / "fixtures" / "k5.json")],
+                          capture_output=True, env=env, preexec_fn=cap, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == b"graph too large: out of memory\n"
 
 
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
