@@ -31,13 +31,15 @@ walk and normal-form memo use it too). The Term constructor, add, JSON
 parsing and the engine all call it. Rendering, equality
 and evaluation read the tables, so each distinct factor is formatted or
 evaluated once. Text and LaTeX are laid out as one column of token ids,
-each naming a string formatted once, and joined in one pass. The JSON form of an expression is its tables (see
-from_dict), written by json.dumps with the rows joined from their ids'
-decimal strings, and parsed by checking each table entry once and the
-rows by columns. Loops over the rows zip the four columns, read as lists:
-no Python list is made per row, so a large expression's rows add no work
-for the cyclic garbage collector. `Expression.terms` builds Term tuples on
-access, for callers that read terms one at a time.
+each naming a string formatted once, and joined in one pass. The JSON
+form of an expression is its tables (see from_dict): json.dumps writes
+all but the rows, which are laid out as token ids too. Parsing reads a
+table so laid out from the text as one int64 array (see _split_terms),
+json.loads only the rest, and checks each table entry once and the rows
+by columns. Loops over the rows zip the four columns, read as lists: no
+Python list is made per row, so a large expression's rows add no work
+for the cyclic garbage collector. `Expression.terms` builds Term tuples
+on access, for callers that read terms one at a time.
 
 Everything is an immutable value and all operations are pure functions.
 """
@@ -576,11 +578,18 @@ def render(e: Expression, fmt: str = "text") -> str:
             "coeffs": [_ratio_str(c, e.scale) for c in e.numerators],
         })
         # "terms" last, each row written as json.dumps writes a list of
-        # ints, from the decimal strings of the ids gathered by columns
-        digits = np.array([str(i) for i in range(int(e.rows.max(initial=0)) + 1)], dtype=object)
-        rows = "], [".join(map(", ".join, zip(*(digits[ids].tolist() for ids in e.rows.T))))
-        terms = f"[{rows}]" if len(e.rows) else ""
-        return f'{tables[:-1]}, "terms": [{terms}]}}'
+        # ints: a token per id, "i, " in the first three columns and
+        # "i], [" in the last, the first and last tokens carrying the rest
+        # of the document
+        head = f'{tables[:-1]}, "terms": ['
+        if e.is_empty():
+            return head + "]}"
+        count = int(e.rows.max()) + 1
+        strings = [f"{i}, " for i in range(count)] + [f"{i}], [" for i in range(count)]
+        ids = e.rows + [0, 0, 0, count]
+        strings += [f"{head}[{e.rows[0, HEAD]}, ", f"{e.rows[-1, COEFF]}]]}}"]
+        ids[0, HEAD], ids[-1, COEFF] = len(strings) - 2, len(strings) - 1
+        return _emit(strings, ids.ravel())
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown format {fmt!r}")
     if e.is_empty():
@@ -796,21 +805,23 @@ def _indices(ids, sizes: Iterable[int], what: str) -> list[int]:
     return ids
 
 
-def _index_rows(rows: list, sizes: tuple[int, ...]) -> np.ndarray | None:
+def _index_rows(rows: list | np.ndarray, sizes: tuple[int, ...]) -> np.ndarray | None:
     """rows as an int64 array when each is an array of len(sizes) integers,
     the j-th in range(sizes[j]), else None; checked in passes over the
-    whole table, not row by row. Booleans and floats are not integers."""
-    if (operator.countOf(map(type, rows), list) != len(rows)
-            or operator.countOf(map(len, rows), len(sizes)) != len(rows)):
-        return None
-    flat = list(itertools.chain.from_iterable(rows))
-    if operator.countOf(map(type, flat), int) != len(flat):
-        return None
-    try:
-        table = np.fromiter(flat, np.int64, len(flat)).reshape(-1, len(sizes))
-    except OverflowError:
-        return None
-    return table if ((table >= 0) & (table < sizes)).all() else None
+    whole table, not row by row. Booleans and floats are not integers.
+    An int64 array of rows (see _split_terms) is only range-checked."""
+    if type(rows) is list:
+        if (operator.countOf(map(type, rows), list) != len(rows)
+                or operator.countOf(map(len, rows), len(sizes)) != len(rows)):
+            return None
+        flat = list(itertools.chain.from_iterable(rows))
+        if operator.countOf(map(type, flat), int) != len(flat):
+            return None
+        try:
+            rows = np.fromiter(flat, np.int64, len(flat)).reshape(-1, len(sizes))
+        except OverflowError:
+            return None
+    return rows if ((rows >= 0) & (rows < sizes)).all() else None
 
 
 def from_dict(data: dict) -> Expression:
@@ -828,9 +839,17 @@ def from_dict(data: dict) -> Expression:
     rows merge and zero terms drop.
 
     Each table entry is checked once and the rows by columns (see
-    _index_rows); the checked tables and the rows' four columns then go to
-    _canonical() as they stand, with no work per row in Python.
+    _index_rows), as one int64 array; the checked tables and the array's
+    four columns then go to _canonical() as they stand, with no work per
+    row in Python. parse_expression reads the rows of a rendered document
+    as that array straight from its text.
     """
+    return _from_tables(data)
+
+
+def _from_tables(data: dict, rows: np.ndarray | None = None) -> Expression:
+    """from_dict(data), or, given rows, from_dict of data with its empty
+    "terms" table replaced by the rows of that int64 array."""
     _object(data, _TABLES, "expression")
     tables = {name: enumerate(_typed(data[name], list, f"expression: {name}"))
               for name in _TABLES}
@@ -841,10 +860,11 @@ def from_dict(data: dict) -> Expression:
                      for i, p in tables["products"])
     coeffs = [_parse_rational(c, f"coeffs[{i}]") for i, c in tables["coeffs"]]
     sizes = (len(heads), len(kernel_sets), len(products), len(coeffs))
-    rows = _index_rows(data["terms"], sizes)
+    terms = data["terms"] if rows is None else rows
+    rows = _index_rows(terms, sizes)
     if rows is None:
         # name the first bad entry
-        for i, row in tables["terms"]:
+        for i, row in enumerate(terms if type(terms) is list else terms.tolist()):
             if len(_indices(row, sizes, f"terms[{i}]")) != len(sizes):
                 raise ExpressionError(f"terms[{i}] must have {len(sizes)} indices, got {row!r}")
 
@@ -854,8 +874,75 @@ def from_dict(data: dict) -> Expression:
                       values[rows[:, COEFF]])
 
 
+#: The "terms" key, and a row of its table in render's layout with the
+#: digits deleted.
+_TERMS_KEY = '"terms": ['
+_ROW_SKELETON = b"[, , , ], "
+_DIGITS = b"0123456789"
+#: The rows' punctuation as spaces, which np.fromstring skips.
+_SPACES = bytes.maketrans(b"[],", b"   ")
+#: Ids are read up to _MAX_ID; one below it has 1 + (the powers it reaches)
+#: digits.
+_MAX_ID = 10 ** 18
+_POWERS = 10 ** np.arange(1, 18, dtype=np.int64)
+
+
+def _split_terms(text: str) -> tuple[str, np.ndarray] | None:
+    """The document with an empty "terms" table, and its rows as an (n, 4)
+    int64 array, when the text ends as render writes the table: the last
+    '"terms": [' key, then rows "[a, b, c, d]" of non-negative integers
+    with no leading zeros joined by ", ", then "]}" and JSON whitespace.
+    Else None.
+
+    Such a tail holds no '"', so the key is not inside a string unless its
+    quote is escaped; and it ends the document, so the key is the top-level
+    object's last, the one json.loads keeps. The rows are read by bytes:
+    with the digits deleted they must be the skeleton "[, , , ], " n times,
+    and the 4n values np.fromstring reads must be below 10**18 and have as
+    many digits as the text, which rejects leading zeros and values too
+    long to read exactly.
+    """
+    end = len(text)
+    while end and text[end - 1] in " \t\n\r":
+        end -= 1
+    start = text.rfind(_TERMS_KEY, 0, end)
+    if start < 1 or text[start - 1] == "\\" or not text.endswith("]}", 0, end):
+        return None
+    head = text[:start] + '"terms": []}'
+    if end - start == len(_TERMS_KEY) + 2:
+        return head, np.empty((0, 4), dtype=np.int64)
+    try:
+        body = text[start + len(_TERMS_KEY):end - 2].encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    skeleton = body.translate(None, _DIGITS)
+    count = (len(skeleton) + 2) // len(_ROW_SKELETON)
+    digits = len(body) - len(skeleton)
+    if skeleton + b", " != _ROW_SKELETON * count:
+        return None
+    values = np.fromstring(body.translate(_SPACES), dtype=np.int64, sep=" ")
+    if (len(values) != 4 * count or values.max() >= _MAX_ID
+            or np.searchsorted(_POWERS, values, side="right").sum() + len(values) != digits):
+        return None
+    return head, values.reshape(count, 4)
+
+
 def parse_expression(text: str) -> Expression:
-    """from_dict of a JSON text; text that is not JSON raises ExpressionError."""
+    """from_dict of a JSON text; text that is not JSON raises ExpressionError.
+
+    A text whose "terms" table is laid out as render writes it has the
+    table read from the text as an int64 array, and only the rest parsed
+    by json.loads (see _split_terms); any other text is parsed whole. Both
+    give the same Expression, or raise the same error.
+    """
+    split = _split_terms(text) if type(text) is str else None
+    if split is not None:
+        try:
+            data = json.loads(split[0])
+        except (json.JSONDecodeError, RecursionError):
+            pass    # parsed whole below, so that the error names the text
+        else:
+            return _from_tables(data, split[1])
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

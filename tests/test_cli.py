@@ -147,6 +147,10 @@ def test_sum_json_roundtrip(capsys, g2_path):
     from matsum import engine, fixtures
 
     assert parsed == engine.matsubara_sum(fixtures.g2())
+    # the output ends in a newline after the rendered table, which is
+    # read from the text and gives what parsing it whole gives
+    assert out.endswith("]]}\n") and ex._split_terms(out) is not None
+    assert parsed == ex.from_dict(json.loads(out))
 
 
 def test_sum_latex(capsys, g2_path):

@@ -746,14 +746,19 @@ def test_a_walk_with_roots_returns_the_direct_sum_in_normal_form(g4):
         assert not arrangement._search(result.product).any()
 
 
-def test_the_direct_route_holds_no_more_than_its_result_needs():
-    # the triangle with 2, 2 and 5 parallel lines (81,922 sum terms): each
-    # level's finished rows join the walk's result regrouped once, so the
-    # direct route's traced peak stays within 2.5x the operator route's
-    # (3.3x while the walk held them all until it returned)
-    triangle = gr.make_graph(["a", "b", "c"], [
+def triangle_225():
+    """The triangle with 2, 2 and 5 parallel lines (81,922 sum terms)."""
+    return gr.make_graph(["a", "b", "c"], [
         (i + 1, u, v) for i, (u, v) in enumerate([("a", "b")] * 2 + [("b", "c")] * 2
                                                  + [("c", "a")] * 5)])
+
+
+def test_the_direct_route_holds_no_more_than_its_result_needs():
+    # the 2/2/5 triangle: each level's finished rows join the walk's
+    # result regrouped once, so the direct route's traced peak stays within
+    # 2.5x the operator route's (3.3x while the walk held them all until
+    # it returned)
+    triangle = triangle_225()
     sums, peaks = {}, {}
     for method in ("operator", "direct"):
         tracemalloc.start()
@@ -765,6 +770,21 @@ def test_the_direct_route_holds_no_more_than_its_result_needs():
     assert sums["direct"] == sums["operator"]
     assert len(sums["direct"]) == 81922
     assert peaks["direct"] <= 2.5 * peaks["operator"], peaks
+
+
+def test_parsing_a_large_sum_holds_a_few_times_its_text():
+    # the 2/2/5 triangle's sum as JSON (1.49 MB): its table is read from
+    # the text as integer columns, so parsing it peaks at about 6.7x the
+    # text's length (13.8x while json.loads built a list per row)
+    text = ex.render(engine.matsubara_sum(triangle_225()), "json")
+    tracemalloc.start()
+    try:
+        parsed = ex.parse_expression(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 81922
+    assert peak <= 9 * len(text), peak / len(text)
 
 
 def test_thermal_operator_past_its_term_budget_is_refused(monkeypatch, g4):

@@ -646,3 +646,93 @@ def test_json_errors_name_their_table_entry(change, error, message):
     with pytest.raises(error) as info:
         ex.from_dict(data)
     assert str(info.value) == message
+    # json.dumps writes rows of integers as render does, so the text's
+    # table is read as an array; other rows are parsed whole
+    with pytest.raises(error) as info:
+        ex.parse_expression(json.dumps(data))
+    assert str(info.value) == message
+
+
+def _parsed_whole(text):
+    """What parse_expression gives for a text parsed whole by json.loads:
+    the Expression, or the type and message of the error it raises."""
+    try:
+        return ex.from_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        return ex.ExpressionError, f"expression is not JSON: {exc}"
+    except ex.ExpressionError as exc:
+        return type(exc), str(exc)
+
+
+def _g2_sum_json():
+    return ex.render(reference_sum_g2(), "json")
+
+
+def _with_first_row(row):
+    """The G2 sum's JSON with its first row, [0, 0, 0, 0], written as [row]."""
+    def make():
+        head, rest = _g2_sum_json().split('"terms": [[0, 0, 0, 0]', 1)
+        return f'{head}"terms": [[{row}]{rest}'
+    return make
+
+
+def _terms_first():
+    data = json.loads(_g2_sum_json())
+    return json.dumps({"terms": data.pop("terms"), **data})
+
+
+def _renamed_vertex():
+    data = json.loads(_g2_sum_json())
+    for f in data["forms"]:
+        f["n"] = {'terms": [': c for c in f["n"].values()}
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("make, read", [
+    # a table in render's layout is read from the text
+    pytest.param(_g2_sum_json, True, id="rendered"),
+    pytest.param(lambda: _g2_sum_json() + " \n\t\r", True, id="trailing_whitespace"),
+    pytest.param(lambda: ex.render(ex.EMPTY, "json"), True, id="empty_expression"),
+    pytest.param(lambda: re.sub(r'"terms": \[.*', '"terms": []}', _g2_sum_json()), True,
+                 id="empty_terms_table"),
+    pytest.param(_with_first_row("1, 0, 0, 0"), True, id="first_row_index_out_of_range"),
+    pytest.param(_with_first_row("999999999999999999, 0, 0, 0"), True, id="id_of_18_digits"),
+    pytest.param(lambda: _g2_sum_json().replace('"terms"', '"terms": [[0, 5, 0, 0]], "terms"'),
+                 True, id="duplicate_terms_key_last_valid"),
+    pytest.param(lambda: _g2_sum_json()[:-1] + ', "terms": [[0, 0, 0, 0]]}', True,
+                 id="duplicate_terms_key_last_read"),
+    pytest.param(_renamed_vertex, True, id="vertex_named_like_the_key"),
+    # anything else is parsed whole
+    pytest.param(_with_first_row("01, 0, 0, 0"), False, id="leading_zero"),
+    pytest.param(_with_first_row("00, 0, 0, 0"), False, id="zero_written_twice"),
+    pytest.param(_with_first_row(", 0, 0, 0"), False, id="missing_id"),
+    pytest.param(_with_first_row("0, 0, 0, 0, 0"), False, id="row_too_long"),
+    pytest.param(_with_first_row("1000000000000000000, 0, 0, 0"), False, id="id_of_19_digits"),
+    pytest.param(_with_first_row("9999999999999999999, 0, 0, 0"), False,
+                 id="id_of_19_digits_past_int64"),
+    pytest.param(_with_first_row("1180591620717411303424, 0, 0, 0"), False, id="id_of_22_digits"),
+    pytest.param(_with_first_row("\u0660, 0, 0, 0"), False, id="non_ascii_digit"),
+    pytest.param(_with_first_row("0,\u00a00, 0, 0"), False, id="non_ascii_space"),
+    pytest.param(lambda: json.dumps(json.loads(_g2_sum_json()), indent=1), False, id="indented"),
+    pytest.param(_terms_first, False, id="terms_not_the_last_key"),
+    pytest.param(lambda: _g2_sum_json()[:-1] + ', "x\\"terms": [[0, 0, 0, 0]]}', False,
+                 id="key_ending_in_the_key"),
+    pytest.param(lambda: _g2_sum_json()[:-1], False, id="unclosed_document"),
+    # a rendered tail after text that is not JSON: the error names the text
+    pytest.param(lambda: "[" + _g2_sum_json(), True, id="document_in_an_array"),
+    pytest.param(lambda: _g2_sum_json().replace('"forms": ', '"forms" ', 1), True,
+                 id="bad_json_before_the_table"),
+])
+def test_parse_reads_rendered_tables_and_parses_the_rest_whole(make, read):
+    # a text gives the same Expression, or the same error, whether its
+    # table is read from the text or the whole text is parsed; `read`
+    # says whether the text ends in a table laid out as render writes it
+    text = make()
+    assert (ex._split_terms(text) is not None) == read
+    expected = _parsed_whole(text)
+    if isinstance(expected, ex.Expression):
+        assert ex.parse_expression(text) == expected
+    else:
+        with pytest.raises(ex.ExpressionError) as info:
+            ex.parse_expression(text)
+        assert (type(info.value), str(info.value)) == expected
