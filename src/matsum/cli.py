@@ -257,6 +257,10 @@ def _dispatch(args, g: graph.MatsubaraGraph) -> int:
                 print(f"cannot verify sum: {exc}", file=sys.stderr)
                 return 1
         else:
+            # the quadrature loads SciPy on its first call; load it before the
+            # recording starts, so that only the quadrature's own warnings print
+            import scipy.integrate  # noqa: F401
+
             try:
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")

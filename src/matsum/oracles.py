@@ -5,6 +5,9 @@ variables), adaptive quadrature on the tangent-substituted axes for the
 integrals (cycle rank <= 2), the Bose-Einstein kernel, Gaudin-identity
 residuals, and verification reports comparing oracle values against the
 evaluated closed forms.
+
+SciPy is loaded only when `quadrature_integral` runs (`matsum verify
+--target integral`); importing this module or the package does not load it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import engine as eng
 from . import expressions as ex
@@ -173,6 +175,8 @@ def quadrature_integral(
     line-id order, and the jacobian 1 + x^2. Each integrand value is the
     float that evaluating every line afresh at every call gives.
     """
+    from scipy import integrate  # the package's only SciPy use, loaded here
+
     rank = gr.cycle_rank(graph)
     if rank > 2:
         raise RankTooHigh(f"cycle rank {rank} > 2")

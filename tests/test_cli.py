@@ -423,6 +423,38 @@ def test_sum_past_the_address_space_limit_exits_1_in_one_line():
     assert proc.stderr == b"graph too large: out of memory\n"
 
 
+def test_only_the_integral_oracle_loads_scipy():
+    # a fresh interpreter: importing the package and running every command
+    # but the quadrature check leaves SciPy unloaded
+    repo = Path(__file__).resolve().parent.parent
+    child = """if True:
+        import contextlib, io, json, sys
+        g2 = sys.argv[1]
+        loaded = {}
+        import matsum
+        loaded["import matsum"] = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        import matsum.cli
+        loaded["import matsum.cli"] = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        codes = {}
+        for step, extra in (("sum", []), ("eval", ["--q", "1:0.7,2:1.1", "--n", "a:1"]),
+                            ("verify sum", ["--target", "sum"]), ("gaudin-check", []),
+                            ("verify integral", ["--target", "integral"])):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes[step] = matsum.cli.run([step.split()[0], "--graph", g2] + extra)
+            loaded[step] = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        print(json.dumps({"codes": codes, "loaded": loaded}))
+    """
+    proc = subprocess.run([sys.executable, "-c", child, str(repo / "fixtures" / "g2.json")],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(repo / "src")))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert set(report["codes"].values()) == {0}, report["codes"]
+    loaded = report["loaded"]
+    assert "scipy.integrate" in loaded.pop("verify integral")
+    assert loaded == {step: [] for step in loaded}, loaded
+
+
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
     # K4's sum in LaTeX (151 kB) does not fit a pipe's 64 kB buffer, so the
     # writer is still printing when the reader takes one byte and closes
