@@ -28,9 +28,11 @@ canonical, one column of ids per table and one exact coefficient column:
 it ranks the tables, renumbers the columns by array gathers and merges
 equal rows by _merge, the one exact merge of the package (the engine's
 walk and normal-form memo use it too). The Term constructor, add, JSON
-parsing and the engine all call it. Rendering, equality
-and evaluation read the tables, so each distinct factor is formatted or
-evaluated once. Text and LaTeX are laid out as one column of token ids,
+parsing and the engine all call it. Rendering and equality
+read the tables, so each distinct factor is formatted once. Evaluation
+is planned once per expression: its first call derives integer tables
+for whole-array passes over the rows and keeps them with the expression,
+outside its value (see eval_rows). Text and LaTeX are laid out as one column of token ids,
 each naming a string formatted once, and joined in one pass. The JSON
 form of an expression is its tables (see from_dict): json.dumps writes
 all but the rows, which are laid out as token ids too. Parsing reads a
@@ -137,10 +139,17 @@ class Expression:
     the canonical terms back. The library itself builds expressions through
     _canonical(); this term-list view stays public because the benchmark's
     self-test and workloads build and read expressions through it.
+
+    The value is the tables alone. The first evaluation stores the
+    expression's evaluation plan in a private slot (see eval_rows), which
+    equality, hashing, pickling and rendering ignore: an evaluated
+    expression and an unevaluated equal one compare and hash equal and
+    pickle to the same bytes.
     """
 
-    __slots__ = ("forms", "products", "heads", "kernel_sets", "numerators", "scale",
-                 "rows")
+    #: the value's fields; _plan holds the evaluation plan once built
+    _FIELDS = ("forms", "products", "heads", "kernel_sets", "numerators", "scale", "rows")
+    __slots__ = _FIELDS + ("_plan",)
 
     def __new__(cls, terms: Iterable[Term] = ()) -> "Expression":
         # one table entry per term: its denominators, concatenated, are
@@ -192,7 +201,7 @@ class Expression:
         raise AttributeError("Expression is immutable")
 
     def __reduce__(self):
-        return _frozen, tuple(getattr(self, name) for name in self.__slots__)
+        return _frozen, tuple(getattr(self, name) for name in self._FIELDS)
 
     def __repr__(self) -> str:
         return f"Expression({render(self)!r})"
@@ -202,7 +211,7 @@ def _frozen(forms, products, heads, kernel_sets, numerators, scale, rows) -> Exp
     rows.flags.writeable = False
     e = object.__new__(Expression)
     for name, value in zip(Expression.__slots__,
-                           (forms, products, heads, kernel_sets, numerators, scale, rows)):
+                           (forms, products, heads, kernel_sets, numerators, scale, rows, None)):
         object.__setattr__(e, name, value)
     return e
 
@@ -391,6 +400,132 @@ def add(e1: Expression, e2: Expression) -> Expression:
 # numeric evaluation
 # ---------------------------------------------------------------------------
 
+class _Plan(NamedTuple):
+    """What evaluating an expression does at every point, as integer tables
+    (see eval_rows). Positions index the point's q and N values gathered in
+    `lines` and `vertices` order."""
+
+    lines: tuple[int, ...]
+    vertices: tuple[str, ...]
+    #: the distinct (vertex position, coefficient) pairs of the forms
+    n_pairs: tuple[tuple[int, int], ...]
+    #: each form's q terms in its term order, then its N terms, padded, as
+    #: ids into a point's values: the lines' q, their -q, the n_pairs'
+    #: products, then a 0.0 that pads
+    terms: np.ndarray
+    #: per head, (line position, exponent) for each q power
+    powers: tuple[tuple[tuple[int, int], ...], ...]
+    #: positions of the kernel lines
+    kernel_lines: tuple[int, ...]
+    #: per (head, coefficient) prefix: complex(coeff * (2 pi)^k) and the
+    #: head; None when a coefficient or a power of 2 pi overflows
+    bases: list[complex] | None
+    prefix_heads: tuple[int, ...]
+    #: per numerator, by descending kernel count: its prefix, then its
+    #: j-th kernel's position among the kernel lines, for the first
+    #: len(column) numerators
+    numerator_prefix: np.ndarray
+    kernel_columns: tuple[np.ndarray, ...]
+    #: per row, by descending product length: its numerator, then its j-th
+    #: form, for the first len(column) rows; the rows in row order are
+    #: these at `unsort` (None when the two orders agree)
+    row_numerators: np.ndarray
+    form_columns: tuple[np.ndarray, ...]
+    unsort: np.ndarray | None
+
+
+def _padded(lengths: np.ndarray, entries, pad: int) -> np.ndarray:
+    """Rows of the given lengths as a table padded with `pad`, the rows'
+    entries given in order, as ints or an int array."""
+    table = np.full((len(lengths), int(lengths.max(initial=0))), pad, dtype=np.intp)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = (
+        entries if isinstance(entries, np.ndarray)
+        else np.fromiter(entries, np.intp, int(lengths.sum())))
+    return table
+
+
+def _lengths(rows: Sequence[Sequence]) -> np.ndarray:
+    return np.fromiter(map(len, rows), np.intp, len(rows))
+
+
+def _columns(table: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> tuple:
+    """The j-th column of the table at the ids whose length passes j, for
+    ids ordered by descending length."""
+    counts = len(ids) - np.cumsum(np.bincount(lengths, minlength=table.shape[1]))
+    return tuple(column.take(ids[:count]) for column, count in zip(table.T.copy(),
+                                                                   counts.tolist()))
+
+
+def _build_plan(e: Expression) -> _Plan:
+    """The plan of a nonempty expression."""
+    q_terms, n_terms = [f.q for f in e.forms], [f.n for f in e.forms]
+    q_flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(q_terms)),
+                         np.intp).reshape(-1, 2)
+    kernel_lines = sorted({l for ks in e.kernel_sets for l in ks})
+    lines = sorted(set(q_flat[:, 0].tolist()) | set(kernel_lines)
+                   | {l for _, q_exponents in e.heads for l, _ in q_exponents})
+    line_at = {l: i for i, l in enumerate(lines)}
+    n_pairs = tuple(dict.fromkeys(itertools.chain.from_iterable(n_terms)))
+    # each form's q terms, then its N terms, as ids into a point's values:
+    # the lines' q, their -q, the N terms' values, then a 0.0 that pads
+    n_ids = {pair: 2 * len(lines) + i for i, pair in enumerate(n_pairs)}
+    terms = _padded(_lengths(q_terms + n_terms), np.concatenate((
+        np.searchsorted(lines, q_flat[:, 0]) + (q_flat[:, 1] < 0) * len(lines),
+        np.fromiter(map(n_ids.__getitem__, itertools.chain.from_iterable(n_terms)), np.intp))),
+        2 * len(lines) + len(n_pairs))
+    vertices = tuple(dict.fromkeys(v for v, _ in n_pairs))
+    vertex_at = {v: i for i, v in enumerate(vertices)}
+    kernel_at = {l: i for i, l in enumerate(kernel_lines)}
+
+    # the rows are sorted by head and kernels: number the runs of one
+    # (head, kernels) pair, and find the (run, coefficient) numerators the
+    # rows use
+    h, k, p, c = e.rows.T
+    nc = len(e.numerators)
+    starts = _starts(h * len(e.kernel_sets) + k)
+    runs = np.cumsum(starts) - 1
+    used, row_numerators = _distinct(runs * nc + c, (int(runs[-1]) + 1) * nc)
+    run, coeff = np.divmod(used, nc)
+    head, kernels = h[starts][run], k[starts][run]
+    # the numerators by descending kernel count, so that those with a j-th
+    # kernel come first
+    kernel_count = _lengths(e.kernel_sets)
+    kernel_table = _padded(kernel_count, map(kernel_at.__getitem__,
+                                             itertools.chain.from_iterable(e.kernel_sets)), -1)
+    kernel_count = kernel_count[kernels]
+    order = np.argsort(-kernel_count, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    row_numerators = rank[row_numerators]
+    kernel_columns = _columns(kernel_table, kernels[order], kernel_count[order])
+    prefixes, numerator_prefix = _distinct((head * nc + coeff)[order], len(e.heads) * nc)
+    prefix_heads, prefix_coeffs = (ids.tolist() for ids in np.divmod(prefixes, nc))
+    try:
+        bases = [complex(e.numerators[ci] / e.scale * (2.0 * math.pi) ** e.heads[hi][0])
+                 for hi, ci in zip(prefix_heads, prefix_coeffs)]
+    except ArithmeticError:
+        bases = None
+
+    # the rows by descending product length, so that those with a j-th
+    # form come first
+    length = _lengths(e.products)
+    product_table = _padded(length, itertools.chain.from_iterable(e.products), -1)
+    length = length[p]
+    if (length[1:] <= length[:-1]).all():
+        unsort = None
+    else:
+        order = np.argsort(-length, kind="stable")
+        unsort = np.empty_like(order)
+        unsort[order] = np.arange(len(order))
+        p, row_numerators, length = p[order], row_numerators[order], length[order]
+    return _Plan(tuple(lines), vertices, tuple((vertex_at[v], c) for v, c in n_pairs), terms,
+                 tuple(tuple((line_at[l], x) for l, x in q_exponents)
+                       for _, q_exponents in e.heads),
+                 tuple(line_at[l] for l in kernel_lines), bases, tuple(prefix_heads),
+                 numerator_prefix, kernel_columns, row_numerators,
+                 _columns(product_table, p, length), unsort)
+
+
 def _form_value(form: LinearForm, q_values, n_values) -> complex:
     re = 0.0
     for l, c in form.q:
@@ -405,8 +540,8 @@ def _form_value(form: LinearForm, q_values, n_values) -> complex:
 
 
 def _first_failure(e: Expression, q_values, n_values) -> Exception:
-    """What eval_numeric's term loop raises: the first error of the first
-    row that has one, its factors computed in the loop's order."""
+    """What the term loop raises: the first error of the first row that
+    has one, its factors computed in the loop's order."""
     for h, _, p, c in e.rows.tolist():
         pi_power, q_exponents = e.heads[h]
         try:
@@ -420,93 +555,139 @@ def _first_failure(e: Expression, q_values, n_values) -> Exception:
             return exc
 
 
-def _smith(d: complex) -> tuple[bool, float, float]:
-    """CPython's division by d (Smith's method) as (by_imag, ratio, scale):
-    x / d is ((x.real + x.imag * ratio) / scale, (x.imag - x.real * ratio) / scale)
-    with ratio = d.imag / d.real when |d.real| >= |d.imag|, else
-    ((x.real * ratio + x.imag) / scale, (x.imag * ratio - x.real) / scale)
-    with ratio = d.real / d.imag; a NaN part of d gives NaN."""
-    if abs(d.real) >= abs(d.imag):
-        ratio = d.imag / d.real
-        return False, ratio, d.real + d.imag * ratio
-    if abs(d.imag) >= abs(d.real):
-        ratio = d.real / d.imag
-        return True, ratio, d.real * ratio + d.imag
-    return False, math.nan, math.nan
+def _gather(values: Mapping, keys: Sequence, what: str) -> list:
+    """The values at the keys, in order; a missing one raises
+    ExpressionError naming it."""
+    try:
+        return [values[key] for key in keys]
+    except KeyError:
+        missing = next(key for key in keys if key not in values)
+        raise ExpressionError(f"no value for {what} {missing!r}") from None
+
+
+def eval_rows(
+    e: Expression, q_values: Mapping[int, float], n_values: Mapping[str, float]
+) -> np.ndarray:
+    """Each row's value at (q, N), in row order, as complex128; eval_numeric
+    is their row_sum. Each is bit for bit that of a term-by-term loop:
+    complex(coeff * (2 pi)^k) times each q power, then each kernel, in
+    turn, divided by each form of its product in turn as CPython's complex
+    division does (Smith's method).
+
+    The first call builds the expression's plan (see _Plan) and keeps it
+    with the expression; each call then does whole-array passes. The q and
+    N values are gathered into vectors, a missing one raising
+    ExpressionError. NumPy adds up the form values in each form's term
+    order and finds their Smith ratios and scales; Python computes nbe per
+    kernel line and the few (head, coefficient) prefixes of the
+    numerators; NumPy multiplies in the numerators' kernels and divides
+    the rows by their forms, one column of the padded product table at a
+    time. Building a plan twice, as threads that first evaluate one
+    expression at once may, gives equal plans, so whichever is kept is
+    right.
+
+    A factor that cannot be computed raises what the loop raises: at the
+    first row with one, the OverflowError of its coefficient, (2 pi)^k or
+    q powers, else ZeroDenominator naming its first form that is zero.
+    """
+    if e.is_empty():
+        return np.zeros(0, dtype=complex)
+    plan = e._plan
+    if plan is None:
+        plan = _build_plan(e)
+        object.__setattr__(e, "_plan", plan)
+    q = _gather(q_values, plan.lines, "line")
+    n = _gather(n_values, plan.vertices, "vertex")
+    if plan.bases is None:
+        raise _first_failure(e, q_values, n_values)
+    # factors in the order the loop meets them in a term
+    try:
+        powers = [[float(q[i] ** x) for i, x in head] for head in plan.powers]
+        values = np.array(q, dtype=float)
+        values = np.concatenate((values, -values, [float(c * n[i]) for i, c in plan.n_pairs],
+                                 [0.0]))
+    except ArithmeticError:
+        raise _first_failure(e, q_values, n_values) from None
+    # overflow and NaN follow IEEE arithmetic, as in the loop, without warnings
+    with np.errstate(all="ignore"):
+        parts = np.zeros(len(plan.terms))
+        for column in plan.terms.T:
+            parts += values[column]
+        re, im = parts[:len(e.forms)], parts[len(e.forms):]
+        if ((re == 0) & (im == 0)).any():
+            raise _first_failure(e, q_values, n_values)
+        kernels = np.array([nbe(q[i]) for i in plan.kernel_lines], dtype=float)
+
+        # x / d is ((x.real * u + x.imag * v) / s, (x.imag * u - x.real * v) / s)
+        # with r = d.imag / d.real, (u, v) = (1, r) when |d.real| >= |d.imag|,
+        # else r = d.real / d.imag, (u, v) = (r, 1); a NaN part of d makes
+        # r and s NaN, as CPython's division does
+        by_imag = np.abs(im) > np.abs(re)
+        ratio = np.where(by_imag, re / im, im / re)
+        scale = np.where(by_imag, re * ratio + im, re + im * ratio)
+        u, v = np.where(by_imag, ratio, 1.0), np.where(by_imag, 1.0, ratio)
+
+        prefixes = []
+        for value, head in zip(plan.bases, plan.prefix_heads):
+            for x in powers[head]:
+                value *= x
+            prefixes.append(value)
+        prefixes = np.array(prefixes, dtype=complex)
+        re, im = prefixes.real[plan.numerator_prefix], prefixes.imag[plan.numerator_prefix]
+        # CPython multiplies a complex by a float as by complex(x, 0.0)
+        for column in plan.kernel_columns:
+            x, a, b = kernels[column], re[:len(column)], im[:len(column)]
+            a[:], b[:] = a * x - b * 0.0, a * 0.0 + b * x
+
+        re, im = re[plan.row_numerators], im[plan.row_numerators]
+        # each step rounded as above, into buffers that every column
+        # reuses: a fresh array per step would cost a large expression a
+        # page fault per page of it at every point
+        work = np.empty((5, len(plan.form_columns[0]) if plan.form_columns else 0))
+        for column in plan.form_columns:
+            m = len(column)
+            a, b = re[:m], im[:m]
+            s, x, y, t, w = work[:, :m]
+            # the ids are in range, so clipping them leaves them as they are
+            scale.take(column, out=s, mode="clip")
+            u.take(column, out=x, mode="clip")
+            v.take(column, out=y, mode="clip")
+            np.multiply(a, x, out=t)
+            np.multiply(b, y, out=w)
+            t += w
+            np.multiply(b, x, out=w)
+            y *= a
+            w -= y
+            np.divide(t, s, out=a)
+            np.divide(w, s, out=b)
+    rows = np.empty(len(re), dtype=complex)
+    if plan.unsort is None:
+        rows.real, rows.imag = re, im
+    else:
+        rows.real, rows.imag = re[plan.unsort], im[plan.unsort]
+    return rows
+
+
+def row_sum(rows: np.ndarray) -> complex:
+    """Row values (see eval_rows) added in order from 0j, as the term loop
+    adds them, as a Python complex."""
+    if not len(rows):
+        return 0j
+    with np.errstate(all="ignore"):
+        total = np.cumsum(rows)[-1]
+    # the loop's sum starts at 0j, which makes a total of -0.0 a 0.0
+    return complex(float(total.real) + 0.0, float(total.imag) + 0.0)
 
 
 def eval_numeric(
     e: Expression, q_values: Mapping[int, float], n_values: Mapping[str, float]
 ) -> complex:
-    """Substitute numeric values (q > 0, integer N over non-root vertices).
-
-    The value is bit for bit that of a term-by-term loop, as a Python
-    complex. Each numerator the rows use, per (head, kernels, coefficient):
-    complex(coeff * (2 pi)^k) times each q power and then each kernel in
-    turn, is computed once in Python complex arithmetic. NumPy then divides
-    each row's numerator by each form of its product in turn, as CPython's
-    complex division does (Smith's method), and sums the rows in order.
-
-    A factor that cannot be computed raises what the loop raises: at the
-    first term with one, the OverflowError of its coefficient, (2 pi)^k or
-    q powers, else ZeroDenominator naming its first form that is zero.
-    """
-    if e.is_empty():
-        return 0j
-    # factors in the order the loop meets them in a term
-    try:
-        coeffs = [c / e.scale for c in e.numerators]
-        pi_powers = [(2.0 * math.pi) ** pi_power for pi_power, _ in e.heads]
-        powers = [[float(q_values[l] ** exp) for l, exp in q_exponents]
-                  for _, q_exponents in e.heads]
-        forms = [_form_value(f, q_values, n_values) for f in e.forms]
-    except (ArithmeticError, ZeroDenominator):
-        raise _first_failure(e, q_values, n_values) from None
-    kernel_of = {l: nbe(q_values[l]) for l in sorted({l for ks in e.kernel_sets for l in ks})}
-    kernels = [[kernel_of[l] for l in ks] for ks in e.kernel_sets]
-    by_imag, ratio, scale = np.array([_smith(d) for d in forms], dtype=float).reshape(-1, 3).T
-
-    h, k, p, c = e.rows.T
-    # the rows are sorted by head and kernels: number the runs of one
-    # (head, kernels) pair, and find the (run, coefficient) pairs the rows
-    # use
-    key = h * len(e.kernel_sets) + k
-    starts = _starts(key)
-    runs = np.cumsum(starts) - 1
-    used, inverse = _distinct(runs * len(coeffs) + c, (int(runs[-1]) + 1) * len(coeffs))
-    run_heads, run_kernels = h[starts].tolist(), k[starts].tolist()
-    prefixes: dict[tuple[int, int], complex] = {}
-    numerators = []
-    for run, ci in zip(*(ids.tolist() for ids in np.divmod(used, len(coeffs)))):
-        hi = run_heads[run]
-        value = prefixes.get((hi, ci))
-        if value is None:
-            value = complex(coeffs[ci] * pi_powers[hi])
-            for x in powers[hi]:
-                value *= x
-            prefixes[hi, ci] = value
-        for x in kernels[run_kernels[run]]:
-            value *= x
-        numerators.append(value)
-    z = np.array(numerators)[inverse]
-    re, im = z.real.copy(), z.imag.copy()
-
-    # the products' j-th forms, -1 past a product's end
-    width = max(map(len, e.products))
-    table = np.array([product + (-1,) * (width - len(product)) for product in e.products])
-    # overflow and NaN follow IEEE arithmetic, as in the loop, without warnings
-    with np.errstate(all="ignore"):
-        for column in table.T:
-            # rows whose product has no j-th form are left alone
-            at = slice(None) if column.min() >= 0 else np.flatnonzero(column[p] >= 0)
-            flip, r, s = (part[column][p[at]] for part in (by_imag != 0, ratio, scale))
-            a, b = re[at], im[at]
-            re[at], im[at] = (np.where(flip, a * r + b, a + b * r) / s,
-                              np.where(flip, b * r - a, b - a * r) / s)
-        z.real, z.imag = re, im
-        total = np.cumsum(z)[-1]
-    # the loop's sum starts at 0j, which makes a total of -0.0 a 0.0
-    return complex(float(total.real) + 0.0, float(total.imag) + 0.0)
+    """Substitute numeric values (q > 0, integer N over non-root vertices):
+    the row_sum of eval_rows(e, q_values, n_values), bit for bit the value
+    of a term-by-term loop, as a Python complex. A missing q or N value
+    raises ExpressionError naming its line or vertex; a factor that cannot
+    be computed raises what the loop raises (see eval_rows)."""
+    return row_sum(eval_rows(e, q_values, n_values))
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,8 @@ class VerificationReport:
     convergence: float
     tolerance: float
     passed: bool
+    #: the rows' summed magnitudes over their sum's (see _conditioning)
+    conditioning: float
 
     def to_json(self) -> str:
         return json.dumps(
@@ -259,18 +261,30 @@ class VerificationReport:
                 "convergence": self.convergence,
                 "tolerance": self.tolerance,
                 "pass": self.passed,
+                "conditioning": self.conditioning,
             }
         )
 
 
-def _make_report(symbolic, oracle, convergence, tolerance, q_values, n_values):
+def _make_report(symbolic, oracle, convergence, tolerance, q_values, n_values,
+                 conditioning):
     abs_err = abs(symbolic - oracle)
     rel_err = abs_err / abs(oracle) if oracle != 0 else math.inf
     passed = rel_err <= tolerance or (abs(oracle) < 1 and abs_err <= tolerance)
     return VerificationReport(
         dict(q_values), dict(n_values), symbolic, oracle,
-        abs_err, rel_err, convergence, tolerance, passed,
+        abs_err, rel_err, convergence, tolerance, passed, conditioning,
     )
+
+
+def _conditioning(rows: np.ndarray, value: complex) -> float:
+    """How much the float sum of an expression's rows (see
+    expressions.eval_rows), `value`, can lose to cancellation: the sum of
+    the rows' |value| over |value|, at least 1 up to rounding and inf when
+    the value is 0. Rounding the rows alone can leave a relative error of
+    about this number times the float epsilon."""
+    total = np.abs(np.complex128(value))
+    return float(np.abs(rows).sum() / total) if total else math.inf
 
 
 def _draw(graph: MatsubaraGraph, rng: np.random.Generator):
@@ -296,28 +310,31 @@ def gaudin_draws(graph: MatsubaraGraph, trials: int, seed: int):
 
 
 def _random_point(graph: MatsubaraGraph, expr: ex.Expression, rng: np.random.Generator):
-    """Draw (q, N) until the expression evaluates; degenerate draws redraw."""
+    """Draw (q, N) until the expression evaluates, and give its rows'
+    values there; degenerate draws redraw."""
     for attempt in range(100):
         q_values, n_values = _draw(graph, rng)
         try:
-            value = ex.eval_numeric(expr, q_values, n_values)
+            rows = ex.eval_rows(expr, q_values, n_values)
         except ex.ZeroDenominator:
             logger.debug("degenerate draw (attempt %d), redrawing", attempt)
             continue
-        return q_values, n_values, value
+        return q_values, n_values, rows
     raise RuntimeError("could not draw a non-degenerate evaluation point")
 
 
 def _trials(graph: MatsubaraGraph, expr: ex.Expression, trials: int, tolerance: float,
             seed: int, oracle) -> list[VerificationReport]:
     """One report per trial: the expression evaluated at a random point
-    against oracle(n_values, q_values) -> (value, convergence)."""
+    against oracle(n_values, q_values) -> (value, convergence), with the
+    conditioning of its rows there."""
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(trials):
-        q_values, n_values, value = _random_point(graph, expr, rng)
-        reports.append(_make_report(value.real, *oracle(n_values, q_values),
-                                    tolerance, q_values, n_values))
+        q_values, n_values, rows = _random_point(graph, expr, rng)
+        value = ex.row_sum(rows)
+        reports.append(_make_report(value.real, *oracle(n_values, q_values), tolerance,
+                                    q_values, n_values, _conditioning(rows, value)))
     return reports
 
 

@@ -9,6 +9,8 @@ import math
 import pickle
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -278,6 +280,69 @@ def test_stress_sum_evaluates_bit_for_bit():
         n = {v: int(points.integers(-3, 4)) for v in g.vertices[:-1]}
         assert (_outcome(ex.eval_numeric, total, q, n)
                 == _outcome(reference.eval_numeric, total, q, n))
+
+
+def test_eval_names_a_missing_value():
+    s = engine.matsubara_sum(fixtures.g2())
+    with pytest.raises(ex.ExpressionError, match="no value for line 2"):
+        ex.eval_numeric(s, {1: 1.0}, {"a": 1})
+    with pytest.raises(ex.ExpressionError, match="no value for vertex 'a'"):
+        ex.eval_numeric(s, {1: 1.0, 2: 2.0}, {})
+    # values the expression does not read may be missing or extra
+    assert ex.eval_numeric(s, {1: 1.0, 2: 2.0, 9: 0.0}, {"a": 1, "z": 5}) == ex.eval_numeric(
+        s, {1: 1.0, 2: 2.0}, {"a": 1})
+
+
+def _unevaluated(e: ex.Expression) -> ex.Expression:
+    return pickle.loads(pickle.dumps(e))
+
+
+def test_eval_plan_is_not_part_of_the_value():
+    s = engine.matsubara_sum(fixtures.g4())
+    copy_ = _unevaluated(s)
+    ex.eval_numeric(s, {i: 0.4 + 0.3 * i for i in range(1, 6)}, {"a": 1, "b": -2, "c": 1})
+    assert s._plan is not None and copy_._plan is None
+    assert s == copy_ and hash(s) == hash(copy_)
+    assert pickle.dumps(s) == pickle.dumps(copy_)
+    assert ex.render(s, "json") == ex.render(copy_, "json")
+
+
+def test_eval_builds_the_plan_once(monkeypatch):
+    s = _unevaluated(engine.matsubara_sum(fixtures.g4()))
+    built = []
+    build = ex._build_plan
+    monkeypatch.setattr(ex, "_build_plan", lambda e: built.append(e) or build(e))
+    q, n = {i: 0.4 + 0.3 * i for i in range(1, 6)}, {"a": 1, "b": -2, "c": 1}
+    first = repr(ex.eval_numeric(s, q, n))
+    assert repr(ex.eval_numeric(s, q, n)) == first == repr(reference.eval_numeric(s, q, n))
+    assert len(built) == 1
+
+
+def test_threads_evaluating_a_fresh_expression_agree():
+    # the plan is built by whichever thread evaluates first and published
+    # without a lock: every thread's values must be the sequential ones
+    g = fixtures.random_graph(np.random.default_rng(20260810), 5, 7)
+    s = engine.matsubara_sum(g)
+    rng = np.random.default_rng(5)
+    points = [({l: float(rng.uniform(0.3, 3.0)) for l in sorted(g.line_ids)},
+               {v: int(rng.integers(-3, 4)) for v in g.vertices[:-1]}) for _ in range(4)]
+    expected = [repr(ex.eval_numeric(_unevaluated(s), q, n)) for q, n in points]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fresh = _unevaluated(s)
+            results: list = []
+            threads = [threading.Thread(target=lambda: results.append(
+                [repr(ex.eval_numeric(fresh, q, n)) for q, n in points])) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * len(threads)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_stress_sum_json_roundtrip_is_byte_identical():

@@ -318,8 +318,8 @@ def test_random_point_redraws_degenerate_points_and_gives_up_after_100(g2, monke
     degenerate, regular = ({1: 1.0, 2: 1.0}, {"a": 0}), ({1: 1.0, 2: 2.0}, {"a": 0})
     draws = iter([degenerate, regular])
     monkeypatch.setattr(oracles, "_draw", lambda graph, rng: next(draws))
-    q, n, value = oracles._random_point(g2, s, np.random.default_rng(0))
-    assert (q, n) == regular and value == ex.eval_numeric(s, q, n)
+    q, n, rows = oracles._random_point(g2, s, np.random.default_rng(0))
+    assert (q, n) == regular and ex.row_sum(rows) == ex.eval_numeric(s, q, n)
     count = []
     monkeypatch.setattr(oracles, "_draw", lambda graph, rng: count.append(1) or degenerate)
     with pytest.raises(RuntimeError):
@@ -336,17 +336,30 @@ def test_verify_report_json_shape():
     report = oracles.verify_sum(fixtures.g2(), 1, 200, 1e-4, seed=1)[0]
     data = json.loads(report.to_json())
     assert set(data) == {"q", "n", "symbolic", "oracle", "abs_error",
-                         "rel_error", "convergence", "tolerance", "pass"}
+                         "rel_error", "convergence", "tolerance", "pass", "conditioning"}
     assert data["pass"] is True
 
 
+def test_verify_reports_the_conditioning_of_the_rows(g2, g3, g4):
+    for g in (g2, g3, g4):
+        for r in oracles.verify_sum(g, 3, 100, 1e-3, seed=1):
+            assert r.conditioning >= 1.0
+    # a one-row expression has nothing to cancel
+    one_row = ex.from_dict({"forms": [{"n": {"a": 1}, "q": {"1": 1, "2": 1}}],
+                            "heads": [{"two_pi_pow": 1, "q_exp": {"1": -1, "2": -1}}],
+                            "kernels": [[1]], "products": [[0]], "coeffs": ["-1/4"],
+                            "terms": [[0, 0, 0, 0]]})
+    reports = oracles._trials(g2, one_row, 5, 1e-3, 0, lambda n, q: (0.0, 0.0))
+    assert [r.conditioning for r in reports] == [1.0] * 5
+
+
 def test_verify_pass_rule():
-    r = oracles._make_report(1.0, 1.0 + 5e-7, 0.0, 1e-6, {}, {})
+    r = oracles._make_report(1.0, 1.0 + 5e-7, 0.0, 1e-6, {}, {}, 1.0)
     assert r.passed
-    r = oracles._make_report(1.0, 1.1, 0.0, 1e-6, {}, {})
+    r = oracles._make_report(1.0, 1.1, 0.0, 1e-6, {}, {}, 1.0)
     assert not r.passed
     # small oracle values switch to the absolute-error criterion
-    r = oracles._make_report(1e-9, 5e-8, 0.0, 1e-6, {}, {})
+    r = oracles._make_report(1e-9, 5e-8, 0.0, 1e-6, {}, {}, 1.0)
     assert r.passed
 
 
