@@ -418,12 +418,8 @@ class _Arrangement:
         """The products' sorted ranks as rows, padded at the end with
         len(self.forms), a rank past the forms that sorts last."""
         ranks = list(map(self.products.__getitem__, products))
-        widths = set(map(len, ranks))
-        width = max(widths, default=0)
-        if len(widths) > 1:
-            pad = (len(self.forms),)
-            ranks = [r + pad * (width - len(r)) for r in ranks]
-        return np.array(ranks, dtype=np.int64).reshape(len(ranks), width)
+        return ex._padded(ex._lengths(ranks), itertools.chain.from_iterable(ranks),
+                          len(self.forms))
 
     def group(self, key: tuple) -> int:
         """The id of a (head, kernels) group."""
@@ -540,7 +536,8 @@ class _Arrangement:
         new = images < 0
         if new.any():
             n = len(self.lines)
-            product, line = np.divmod(_distinct(products[new] * n + lines[new]), n)
+            product, line = np.divmod(
+                ex._distinct(products[new] * n + lines[new], len(self.products) * n)[0], n)
             flipped = self.flips[line[:, None], self._ranks(product.tolist())]
             flipped.sort(axis=1)
             self.images[line, product] = self.intern(flipped)
@@ -563,7 +560,7 @@ class _Arrangement:
         length = self._memo[products, 1]
         if length.min(initial=0) >= 0:
             return length
-        new = _distinct(products[length < 0])
+        new = ex._distinct(products[length < 0], len(self.products))[0]
         if self._count + len(new) > MAX_REDUCED_PRODUCTS:
             raise NormalFormTooLarge()
         parent, child, a = self._broken_circuits(new)
@@ -597,8 +594,7 @@ class _Arrangement:
         (circuits have three members).
         """
         nv = self.graph.num_vertices - 1
-        sizes = np.fromiter(map(len, map(self.products.__getitem__, products.tolist())),
-                            np.int64, len(products))
+        sizes = ex._lengths(list(map(self.products.__getitem__, products.tolist())))
         basis = products[(sizes > 1) & (sizes == nv)]
         rows = max(1, _BATCH_ELEMENTS // (len(self._bonds) * self.graph.num_lines))
         searched = [self._bond_search(basis[start:start + rows])
@@ -923,12 +919,6 @@ def _grown(array: np.ndarray, size: int, fill, axis: int = 0) -> np.ndarray:
     padding = np.empty(shape, dtype=array.dtype)
     padding.fill(fill)
     return np.concatenate([array, padding], axis=axis)
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of an integer column, ascending."""
-    values = np.sort(values)
-    return values[ex._starts(values)]
 
 
 def apply_operator(spec: OperatorSpec, e: Expression) -> Expression:

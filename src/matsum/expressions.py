@@ -421,17 +421,16 @@ class _Plan(NamedTuple):
     #: head; None when a coefficient or a power of 2 pi overflows
     bases: list[complex] | None
     prefix_heads: tuple[int, ...]
-    #: per numerator, by descending kernel count: its prefix, then its
-    #: j-th kernel's position among the kernel lines, for the first
-    #: len(column) numerators
+    #: per numerator: its prefix, then per column of the kernel table its
+    #: j-th kernel's position among the kernel lines (0 where it has none)
+    #: and where it has one, True when all do
     numerator_prefix: np.ndarray
-    kernel_columns: tuple[np.ndarray, ...]
-    #: per row, by descending product length: its numerator, then its j-th
-    #: form, for the first len(column) rows; the rows in row order are
-    #: these at `unsort` (None when the two orders agree)
+    kernel_columns: tuple[tuple[np.ndarray, np.ndarray | bool], ...]
+    #: per row, in row order: its numerator, then per column of the
+    #: product table its j-th form (form 0 where it has none) and where its
+    #: product has one, True when all do
     row_numerators: np.ndarray
-    form_columns: tuple[np.ndarray, ...]
-    unsort: np.ndarray | None
+    form_columns: tuple[tuple[np.ndarray, np.ndarray | bool], ...]
 
 
 def _padded(lengths: np.ndarray, entries, pad: int) -> np.ndarray:
@@ -448,12 +447,13 @@ def _lengths(rows: Sequence[Sequence]) -> np.ndarray:
     return np.fromiter(map(len, rows), np.intp, len(rows))
 
 
-def _columns(table: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> tuple:
-    """The j-th column of the table at the ids whose length passes j, for
-    ids ordered by descending length."""
-    counts = len(ids) - np.cumsum(np.bincount(lengths, minlength=table.shape[1]))
-    return tuple(column.take(ids[:count]) for column, count in zip(table.T.copy(),
-                                                                   counts.tolist()))
+def _masked(table: np.ndarray, lengths: np.ndarray, ids: np.ndarray) -> tuple:
+    """Each column of a table padded with a valid id at the ids, contiguous,
+    with where the ids' rows reach it: True where all do, so that a full
+    column runs no masked loop."""
+    lengths = lengths[ids]
+    return tuple((column.take(ids), True if (has := lengths > j).all() else has)
+                 for j, column in enumerate(table.T.copy()))
 
 
 def _build_plan(e: Expression) -> _Plan:
@@ -487,18 +487,10 @@ def _build_plan(e: Expression) -> _Plan:
     used, row_numerators = _distinct(runs * nc + c, (int(runs[-1]) + 1) * nc)
     run, coeff = np.divmod(used, nc)
     head, kernels = h[starts][run], k[starts][run]
-    # the numerators by descending kernel count, so that those with a j-th
-    # kernel come first
     kernel_count = _lengths(e.kernel_sets)
     kernel_table = _padded(kernel_count, map(kernel_at.__getitem__,
-                                             itertools.chain.from_iterable(e.kernel_sets)), -1)
-    kernel_count = kernel_count[kernels]
-    order = np.argsort(-kernel_count, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    row_numerators = rank[row_numerators]
-    kernel_columns = _columns(kernel_table, kernels[order], kernel_count[order])
-    prefixes, numerator_prefix = _distinct((head * nc + coeff)[order], len(e.heads) * nc)
+                                             itertools.chain.from_iterable(e.kernel_sets)), 0)
+    prefixes, numerator_prefix = _distinct(head * nc + coeff, len(e.heads) * nc)
     prefix_heads, prefix_coeffs = (ids.tolist() for ids in np.divmod(prefixes, nc))
     try:
         bases = [complex(e.numerators[ci] / e.scale * (2.0 * math.pi) ** e.heads[hi][0])
@@ -506,24 +498,14 @@ def _build_plan(e: Expression) -> _Plan:
     except ArithmeticError:
         bases = None
 
-    # the rows by descending product length, so that those with a j-th
-    # form come first
     length = _lengths(e.products)
-    product_table = _padded(length, itertools.chain.from_iterable(e.products), -1)
-    length = length[p]
-    if (length[1:] <= length[:-1]).all():
-        unsort = None
-    else:
-        order = np.argsort(-length, kind="stable")
-        unsort = np.empty_like(order)
-        unsort[order] = np.arange(len(order))
-        p, row_numerators, length = p[order], row_numerators[order], length[order]
+    product_table = _padded(length, itertools.chain.from_iterable(e.products), 0)
     return _Plan(tuple(lines), vertices, tuple((vertex_at[v], c) for v, c in n_pairs), terms,
                  tuple(tuple((line_at[l], x) for l, x in q_exponents)
                        for _, q_exponents in e.heads),
                  tuple(line_at[l] for l in kernel_lines), bases, tuple(prefix_heads),
-                 numerator_prefix, kernel_columns, row_numerators,
-                 _columns(product_table, p, length), unsort)
+                 numerator_prefix, _masked(kernel_table, kernel_count, kernels),
+                 row_numerators, _masked(product_table, length, p))
 
 
 def _form_value(form: LinearForm, q_values, n_values) -> complex:
@@ -581,9 +563,10 @@ def eval_rows(
     order and finds their Smith ratios and scales; Python computes nbe per
     kernel line and the few (head, coefficient) prefixes of the
     numerators; NumPy multiplies in the numerators' kernels and divides
-    the rows by their forms, one column of the padded product table at a
-    time. Building a plan twice, as threads that first evaluate one
-    expression at once may, gives equal plans, so whichever is kept is
+    the rows by their forms, one column of the padded kernel and product
+    tables at a time, in row order, writing only where a numerator or row
+    has that column. Building a plan twice, as threads that first evaluate
+    one expression at once may, gives equal plans, so whichever is kept is
     right.
 
     A factor that cannot be computed raises what the loop raises: at the
@@ -635,19 +618,19 @@ def eval_rows(
         prefixes = np.array(prefixes, dtype=complex)
         re, im = prefixes.real[plan.numerator_prefix], prefixes.imag[plan.numerator_prefix]
         # CPython multiplies a complex by a float as by complex(x, 0.0)
-        for column in plan.kernel_columns:
-            x, a, b = kernels[column], re[:len(column)], im[:len(column)]
-            a[:], b[:] = a * x - b * 0.0, a * 0.0 + b * x
+        for column, has in plan.kernel_columns:
+            x = kernels[column]
+            a, b = re * x - im * 0.0, re * 0.0 + im * x
+            np.copyto(re, a, where=has)
+            np.copyto(im, b, where=has)
 
-        re, im = re[plan.row_numerators], im[plan.row_numerators]
+        a, b = re[plan.row_numerators], im[plan.row_numerators]
         # each step rounded as above, into buffers that every column
         # reuses: a fresh array per step would cost a large expression a
-        # page fault per page of it at every point
-        work = np.empty((5, len(plan.form_columns[0]) if plan.form_columns else 0))
-        for column in plan.form_columns:
-            m = len(column)
-            a, b = re[:m], im[:m]
-            s, x, y, t, w = work[:, :m]
+        # page fault per page of it at every point; a row without a j-th
+        # form is left as it is
+        s, x, y, t, w = np.empty((5, len(a)))
+        for column, has in plan.form_columns:
             # the ids are in range, so clipping them leaves them as they are
             scale.take(column, out=s, mode="clip")
             u.take(column, out=x, mode="clip")
@@ -658,13 +641,10 @@ def eval_rows(
             np.multiply(b, x, out=w)
             y *= a
             w -= y
-            np.divide(t, s, out=a)
-            np.divide(w, s, out=b)
-    rows = np.empty(len(re), dtype=complex)
-    if plan.unsort is None:
-        rows.real, rows.imag = re, im
-    else:
-        rows.real, rows.imag = re[plan.unsort], im[plan.unsort]
+            np.divide(t, s, out=a, where=has)
+            np.divide(w, s, out=b, where=has)
+    rows = np.empty(len(a), dtype=complex)
+    rows.real, rows.imag = a, b
     return rows
 
 

@@ -235,6 +235,10 @@ def quadrature_integral(
 # verification protocol
 # ---------------------------------------------------------------------------
 
+#: the VerificationReport fields its JSON writes under another name
+_JSON_KEYS = {"q_values": "q", "n_values": "n", "passed": "pass"}
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     q_values: dict[int, float]
@@ -250,20 +254,9 @@ class VerificationReport:
     conditioning: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "q": {str(k): v for k, v in sorted(self.q_values.items())},
-                "n": {k: v for k, v in sorted(self.n_values.items())},
-                "symbolic": self.symbolic,
-                "oracle": self.oracle,
-                "abs_error": self.abs_error,
-                "rel_error": self.rel_error,
-                "convergence": self.convergence,
-                "tolerance": self.tolerance,
-                "pass": self.passed,
-                "conditioning": self.conditioning,
-            }
-        )
+        """The fields in order under their JSON names, q and N sorted by key."""
+        return json.dumps({_JSON_KEYS.get(k, k): dict(sorted(v.items())) if isinstance(v, dict)
+                           else v for k, v in vars(self).items()})
 
 
 def _make_report(symbolic, oracle, convergence, tolerance, q_values, n_values,

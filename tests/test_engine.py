@@ -731,6 +731,48 @@ def test_the_memo_holds_one_rewrite_per_searched_product(monkeypatch):
     assert [column.tolist() for column in again] == [column.tolist() for column in nf]
 
 
+#: Products searched for a broken circuit (the arrangement's count when it
+#: freezes its result) by matsubara_sum's operator and direct routes and by
+#: matsubara_integral, as measured; a pin may only go down.
+SEARCHED_PRODUCTS = {"G4": (232, 208, 90), "stress": (581, 592, 57),
+                     "8-ring": (85_008, 53_224, 25_268)}
+#: normalize, _search and _bond_search calls over the 53 graphs of
+#: acceptance criterion 6, by the operator and the direct route.
+CORPUS_CALLS = {"operator": (212, 413, 250), "direct": (212, 413, 244)}
+
+
+def test_engine_work_stays_within_its_pins(g2, g3, g4, monkeypatch):
+    searched: list[int] = []
+    freeze = engine._Arrangement.freeze
+    monkeypatch.setattr(engine._Arrangement, "freeze", lambda self, terms, scale:
+                        searched.append(self._count) or freeze(self, terms, scale))
+    rng = np.random.default_rng(3)
+    stress = fixtures.random_graph(rng, 4, 8)
+    while stress.num_lines != 8:
+        stress = fixtures.random_graph(rng, 4, 8)
+    for name, g in (("G4", g4), ("stress", stress), ("8-ring", cycle_graph(8))):
+        searched.clear()
+        engine.matsubara_sum(g)
+        engine.matsubara_sum(g, "direct")
+        engine.matsubara_integral(g)
+        assert len(searched) == 3 and all(
+            0 < n <= pin for n, pin in zip(searched, SEARCHED_PRODUCTS[name])), (name, searched)
+
+    calls = dict.fromkeys(("normalize", "_search", "_bond_search"), 0)
+    for method in calls:
+        def counted(self, *args, _method=getattr(engine._Arrangement, method), _name=method):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(engine._Arrangement, method, counted)
+    rng = np.random.default_rng(20260810)
+    corpus = [g2, g3, g4] + [fixtures.random_graph(rng, 5, 7) for _ in range(50)]
+    for route, pins in CORPUS_CALLS.items():
+        calls.update(dict.fromkeys(calls, 0))
+        for g in corpus:
+            engine.matsubara_sum(g, route)
+        assert all(0 < n <= pin for n, pin in zip(calls.values(), pins)), (route, calls)
+
+
 def test_a_walk_with_roots_returns_the_direct_sum_in_normal_form(g4):
     # one operator per tree, each tree's rows rooted at its own: the walk
     # merges the raw levels and normalizes their total once
