@@ -536,8 +536,7 @@ class _Arrangement:
         new = images < 0
         if new.any():
             n = len(self.lines)
-            product, line = np.divmod(
-                ex._distinct(products[new] * n + lines[new], len(self.products) * n)[0], n)
+            product, line = np.divmod(_unique(products[new] * n + lines[new]), n)
             flipped = self.flips[line[:, None], self._ranks(product.tolist())]
             flipped.sort(axis=1)
             self.images[line, product] = self.intern(flipped)
@@ -560,7 +559,7 @@ class _Arrangement:
         length = self._memo[products, 1]
         if length.min(initial=0) >= 0:
             return length
-        new = ex._distinct(products[length < 0], len(self.products))[0]
+        new = _unique(products[length < 0])
         if self._count + len(new) > MAX_REDUCED_PRODUCTS:
             raise NormalFormTooLarge()
         parent, child, a = self._broken_circuits(new)
@@ -885,6 +884,12 @@ def _concat(parts: Sequence[tuple]) -> tuple:
     if len(parts) == 1:
         return tuple(parts[0])
     return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending."""
+    values = np.sort(values)
+    return values[ex._starts(values)]
 
 
 def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,22 +23,25 @@ An Expression is stored packed, as integer tables:
     numerator, the rows in (head, kernels, denominators) order.
 
 The tables hold only what the rows use, so equal expressions have equal
-fields. _canonical() builds every expression from tables that need not be
+fields. _canonical() builds an expression from tables that need not be
 canonical, one column of ids per table and one exact coefficient column:
 it ranks the tables, renumbers the columns by array gathers and merges
 equal rows by _merge, the one exact merge of the package (the engine's
-walk and normal-form memo use it too). The Term constructor, add, JSON
-parsing and the engine all call it. Rendering and equality
+walk and normal-form memo use it too). The Term constructor, add and the
+engine all call it, and so does JSON parsing for a document that is not
+already canonical. Rendering and equality
 read the tables, so each distinct factor is formatted once. Evaluation
 is planned once per expression: its first call derives integer tables
 for whole-array passes over the rows and keeps them with the expression,
 outside its value (see eval_rows). Text and LaTeX are laid out as one column of token ids,
 each naming a string formatted once, and joined in one pass. The JSON
 form of an expression is its tables (see from_dict): json.dumps writes
-all but the rows, which are laid out as token ids too. Parsing reads a
-table so laid out from the text as one int64 array (see _split_terms),
-json.loads only the rest, and checks each table entry once and the rows
-by columns. Loops over the rows zip the four columns, read as lists: no
+all but the rows, which are laid out as token ids too, three per row.
+Parsing reads a table so laid out from the text as one int64 array (see
+_split_terms), json.loads only the rest, checks each form, head, kernel
+set and coefficient once and the products and rows by columns, and keeps
+tables that pass one order check (see _in_order), as those render writes
+do, as they stand. Loops over the rows zip the four columns, read as lists: no
 Python list is made per row, so a large expression's rows add no work
 for the cyclic garbage collector. `Expression.terms` builds Term tuples
 on access, for callers that read terms one at a time.
@@ -739,17 +742,22 @@ def render(e: Expression, fmt: str = "text") -> str:
             "coeffs": [_ratio_str(c, e.scale) for c in e.numerators],
         })
         # "terms" last, each row written as json.dumps writes a list of
-        # ints: a token per id, "i, " in the first three columns and
-        # "i], [" in the last, the first and last tokens carrying the rest
-        # of the document
+        # ints, in three tokens: "h, k, " per distinct (head, kernels)
+        # pair, "p, " and "c], [", the first and last tokens carrying the
+        # rest of the document
         head = f'{tables[:-1]}, "terms": ['
         if e.is_empty():
             return head + "]}"
-        count = int(e.rows.max()) + 1
-        strings = [f"{i}, " for i in range(count)] + [f"{i}], [" for i in range(count)]
-        ids = e.rows + [0, 0, 0, count]
-        strings += [f"{head}[{e.rows[0, HEAD]}, ", f"{e.rows[-1, COEFF]}]]}}"]
-        ids[0, HEAD], ids[-1, COEFF] = len(strings) - 2, len(strings) - 1
+        nk = len(e.kernel_sets)
+        pairs, pair = _distinct(e.rows[:, HEAD] * nk + e.rows[:, KERNELS], len(e.heads) * nk)
+        strings = [f"{h}, {k}, " for h, k in zip(*(ids.tolist() for ids in np.divmod(pairs, nk)))]
+        strings += [f"{p}, " for p in range(len(e.products))]
+        strings += [f"{c}], [" for c in range(len(e.numerators))]
+        strings += [f"{head}[{strings[pair[0]]}", f"{e.rows[-1, COEFF]}]]}}"]
+        ids = np.empty((len(e.rows), 3), dtype=np.int64)
+        ids[:, 0] = pair
+        ids[:, 1:] = e.rows[:, PRODUCT:] + [len(pairs), len(pairs) + len(e.products)]
+        ids[0, 0], ids[-1, -1] = len(strings) - 2, len(strings) - 1
         return _emit(strings, ids.ravel())
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -966,23 +974,61 @@ def _indices(ids, sizes: Iterable[int], what: str) -> list[int]:
     return ids
 
 
+def _flat_ints(lists: list, width: int | None = None) -> np.ndarray | None:
+    """The entries of a list of arrays, concatenated into an int64 array,
+    when every entry is an integer that fits and, given a width, every
+    array has that many; else None. Checked in passes over the whole list,
+    not array by array. Booleans and floats are not integers."""
+    if (operator.countOf(map(type, lists), list) != len(lists)
+            or width is not None and operator.countOf(map(len, lists), width) != len(lists)):
+        return None
+    flat = list(itertools.chain.from_iterable(lists))
+    if operator.countOf(map(type, flat), int) != len(flat):
+        return None
+    try:
+        return np.fromiter(flat, np.int64, len(flat))
+    except OverflowError:
+        return None
+
+
 def _index_rows(rows: list | np.ndarray, sizes: tuple[int, ...]) -> np.ndarray | None:
     """rows as an int64 array when each is an array of len(sizes) integers,
-    the j-th in range(sizes[j]), else None; checked in passes over the
-    whole table, not row by row. Booleans and floats are not integers.
-    An int64 array of rows (see _split_terms) is only range-checked."""
+    the j-th in range(sizes[j]), else None (see _flat_ints). An int64
+    array of rows (see _split_terms) is only range-checked."""
     if type(rows) is list:
-        if (operator.countOf(map(type, rows), list) != len(rows)
-                or operator.countOf(map(len, rows), len(sizes)) != len(rows)):
+        rows = _flat_ints(rows, len(sizes))
+        if rows is None:
             return None
-        flat = list(itertools.chain.from_iterable(rows))
-        if operator.countOf(map(type, flat), int) != len(flat):
-            return None
-        try:
-            rows = np.fromiter(flat, np.int64, len(flat)).reshape(-1, len(sizes))
-        except OverflowError:
-            return None
+        rows = rows.reshape(-1, len(sizes))
     return rows if ((rows >= 0) & (rows < sizes)).all() else None
+
+
+def _ascending(table: Sequence) -> bool:
+    return all(map(operator.lt, table, itertools.islice(table, 1, None)))
+
+
+def _in_order(forms: tuple, heads: tuple, kernel_sets: tuple, products: tuple,
+              form_ids: np.ndarray, numerators: list[int], scale: int, rows: np.ndarray) -> bool:
+    """Whether _canonical would return checked tables and rows as they
+    stand: the rows strictly ascending in (head, kernels, product), each
+    table strictly ascending, each product's form ids (concatenated in
+    form_ids) non-decreasing, every entry used, and no numerator zero and
+    no factor of the scale common to all. Also False when the rows'
+    (head, kernels, product) key would not fit int64."""
+    sizes = (len(heads), len(kernel_sets), len(products), len(numerators))
+    if not (math.prod(sizes[:COEFF]) <= _INT64_MAX and _ascending(forms)
+            and _ascending(heads) and _ascending(kernel_sets) and _ascending(products)
+            and _ascending(numerators) and 0 not in numerators
+            and math.gcd(scale, *numerators) == 1):
+        return False
+    h, k, p, _ = rows.T
+    key = (h * sizes[KERNELS] + k) * sizes[PRODUCT] + p
+    product_of = np.repeat(np.arange(len(products)), _lengths(products))
+    return bool((key[1:] > key[:-1]).all()
+                and (np.diff(product_of * len(forms) + form_ids) >= 0).all()
+                and np.bincount(form_ids, minlength=len(forms)).all()
+                and all(np.bincount(column, minlength=size).all()
+                        for column, size in zip(rows.T, sizes)))
 
 
 def from_dict(data: dict) -> Expression:
@@ -999,11 +1045,14 @@ def from_dict(data: dict) -> Expression:
     sign-normalized. The tables need not be canonical: repeated entries and
     rows merge and zero terms drop.
 
-    Each table entry is checked once and the rows by columns (see
-    _index_rows), as one int64 array; the checked tables and the array's
-    four columns then go to _canonical() as they stand, with no work per
-    row in Python. parse_expression reads the rows of a rendered document
-    as that array straight from its text.
+    Each form, head, kernel list and coefficient is checked once, and the
+    products and rows by columns (see _flat_ints), the rows as one int64
+    array. Tables and rows already in canonical order, as render writes
+    them, pass one order check (_in_order) and make the Expression as they
+    stand; those of any other document, and the array's four columns, go
+    to _canonical(), with no work per row in Python. parse_expression
+    reads the rows of a rendered document as that array straight from its
+    text.
     """
     return _from_tables(data)
 
@@ -1012,16 +1061,20 @@ def _from_tables(data: dict, rows: np.ndarray | None = None) -> Expression:
     """from_dict(data), or, given rows, from_dict of data with its empty
     "terms" table replaced by the rows of that int64 array."""
     _object(data, _TABLES, "expression")
-    tables = {name: enumerate(_typed(data[name], list, f"expression: {name}"))
-              for name in _TABLES}
-    forms = tuple(_parse_form(fd, f"forms[{i}]") for i, fd in tables["forms"])
-    heads = tuple(_parse_head(hd, f"heads[{i}]") for i, hd in tables["heads"])
-    kernel_sets = tuple(_parse_kernels(ks, f"kernels[{i}]") for i, ks in tables["kernels"])
-    products = tuple(tuple(_indices(p, itertools.repeat(len(forms)), f"products[{i}]"))
-                     for i, p in tables["products"])
-    coeffs = [_parse_rational(c, f"coeffs[{i}]") for i, c in tables["coeffs"]]
+    tables = {name: _typed(data[name], list, f"expression: {name}") for name in _TABLES}
+    forms = tuple(_parse_form(fd, f"forms[{i}]") for i, fd in enumerate(tables["forms"]))
+    heads = tuple(_parse_head(hd, f"heads[{i}]") for i, hd in enumerate(tables["heads"]))
+    kernel_sets = tuple(_parse_kernels(ks, f"kernels[{i}]")
+                        for i, ks in enumerate(tables["kernels"]))
+    form_ids = _flat_ints(tables["products"])
+    if form_ids is None or not ((form_ids >= 0) & (form_ids < len(forms))).all():
+        # name the first bad entry
+        for i, p in enumerate(tables["products"]):
+            _indices(p, itertools.repeat(len(forms)), f"products[{i}]")
+    products = tuple(map(tuple, tables["products"]))
+    coeffs = [_parse_rational(c, f"coeffs[{i}]") for i, c in enumerate(tables["coeffs"])]
     sizes = (len(heads), len(kernel_sets), len(products), len(coeffs))
-    terms = data["terms"] if rows is None else rows
+    terms = tables["terms"] if rows is None else rows
     rows = _index_rows(terms, sizes)
     if rows is None:
         # name the first bad entry
@@ -1030,9 +1083,11 @@ def _from_tables(data: dict, rows: np.ndarray | None = None) -> Expression:
                 raise ExpressionError(f"terms[{i}] must have {len(sizes)} indices, got {row!r}")
 
     scale = math.lcm(*(den for _, den in coeffs))
-    values = _column([num * (scale // den) for num, den in coeffs])
+    values = [num * (scale // den) for num, den in coeffs]
+    if _in_order(forms, heads, kernel_sets, products, form_ids, values, scale, rows):
+        return _frozen(forms, products, heads, kernel_sets, tuple(values), scale, rows)
     return _canonical(forms, heads, kernel_sets, products, scale, *rows.T[:COEFF],
-                      values[rows[:, COEFF]])
+                      _column(values)[rows[:, COEFF]])
 
 
 #: The "terms" key, and a row of its table in render's layout with the

@@ -736,6 +736,15 @@ def test_the_memo_holds_one_rewrite_per_searched_product(monkeypatch):
 #: matsubara_integral, as measured; a pin may only go down.
 SEARCHED_PRODUCTS = {"G4": (232, 208, 90), "stress": (581, 592, 57),
                      "8-ring": (85_008, 53_224, 25_268)}
+#: Rows entering each _Arrangement.normalize call (the tree products', then
+#: the walk's levels') of matsubara_sum's operator and direct routes, call
+#: by call, as measured; a pin may only go down.
+NORMALIZED_ROWS = {
+    "G4": ((64, 200, 512), (64, 384, 404)),
+    "stress": ((84, 96, 716, 3088, 8120, 12748, 9684),
+               (84, 1224, 6286, 17028, 25758, 20722, 6924)),
+    "8-ring": ((1024, 54912), (1024, 32768)),
+}
 #: normalize, _search and _bond_search calls over the 53 graphs of
 #: acceptance criterion 6, by the operator and the direct route.
 CORPUS_CALLS = {"operator": (212, 413, 250), "direct": (212, 413, 244)}
@@ -743,17 +752,23 @@ CORPUS_CALLS = {"operator": (212, 413, 250), "direct": (212, 413, 244)}
 
 def test_engine_work_stays_within_its_pins(g2, g3, g4, monkeypatch):
     searched: list[int] = []
-    freeze = engine._Arrangement.freeze
+    rows: list[int] = []
+    freeze, normalize = engine._Arrangement.freeze, engine._Arrangement.normalize
     monkeypatch.setattr(engine._Arrangement, "freeze", lambda self, terms, scale:
                         searched.append(self._count) or freeze(self, terms, scale))
+    monkeypatch.setattr(engine._Arrangement, "normalize", lambda self, key, *args:
+                        rows.append(len(key)) or normalize(self, key, *args))
     rng = np.random.default_rng(3)
     stress = fixtures.random_graph(rng, 4, 8)
     while stress.num_lines != 8:
         stress = fixtures.random_graph(rng, 4, 8)
     for name, g in (("G4", g4), ("stress", stress), ("8-ring", cycle_graph(8))):
         searched.clear()
-        engine.matsubara_sum(g)
-        engine.matsubara_sum(g, "direct")
+        for route, pins in zip(("operator", "direct"), NORMALIZED_ROWS[name]):
+            rows.clear()
+            engine.matsubara_sum(g, route)
+            assert len(rows) == len(pins) and all(
+                n <= pin for n, pin in zip(rows, pins)), (name, route, rows)
         engine.matsubara_integral(g)
         assert len(searched) == 3 and all(
             0 < n <= pin for n, pin in zip(searched, SEARCHED_PRODUCTS[name])), (name, searched)

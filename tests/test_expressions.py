@@ -801,3 +801,88 @@ def test_parse_reads_rendered_tables_and_parses_the_rest_whole(make, read):
         with pytest.raises(ex.ExpressionError) as info:
             ex.parse_expression(text)
         assert (type(info.value), str(info.value)) == expected
+
+
+def _counted_canonical(monkeypatch) -> list:
+    """A list that gets the arguments of each _canonical call from now on."""
+    calls = []
+    canonical = ex._canonical
+
+    def counted(*args):
+        calls.append(args)
+        return canonical(*args)
+    monkeypatch.setattr(ex, "_canonical", counted)
+    return calls
+
+
+def test_a_rendered_document_is_read_back_without_canonicalizing(g2, g3, g4, monkeypatch):
+    # its tables and rows pass one order check and are kept as they stand
+    rng = np.random.default_rng(3)
+    stress = fixtures.random_graph(rng, 4, 8)
+    while stress.num_lines != 8:
+        stress = fixtures.random_graph(rng, 4, 8)
+    rng = np.random.default_rng(20260810)
+    graphs = [g2, g3, g4, stress] + [fixtures.random_graph(rng, 5, 7) for _ in range(50)]
+    sums = [engine.matsubara_sum(g) for g in graphs]
+    calls = _counted_canonical(monkeypatch)
+    for s in sums:
+        text = ex.render(s, "json")
+        back = ex.parse_expression(text)
+        assert back == s and back._tables() == s._tables() and ex.render(back, "json") == text
+        assert back.rows.dtype == np.int64 and not back.rows.flags.writeable
+    assert calls == []
+
+
+def _swap_first_rows(doc):
+    doc["terms"][:2] = doc["terms"][1::-1]
+
+
+def _append_unused_form(doc):
+    # a vertex named after every other sorts the form last
+    doc["forms"].append({"n": {"zz": 1}, "q": {}})
+
+
+def _repeat_last_product(doc):
+    # the copy is used by the last row of the last product, which stays
+    # last in its (head, kernels) run
+    doc["products"].append(doc["products"][-1])
+    last = [row for row in doc["terms"] if row[2] == len(doc["products"]) - 2]
+    assert len(last) > 1
+    last[-1][2] += 1
+
+
+def _reverse_the_last_product(doc):
+    # reversed, it still sorts after every other product
+    assert len(set(doc["products"][-1])) > 1
+    doc["products"][-1].reverse()
+
+
+def _zero_the_first_positive_coefficient(doc):
+    coeffs = doc["coeffs"]
+    coeffs[next(i for i, c in enumerate(coeffs) if Fraction(c) > 0)] = "0"
+
+
+def _unreduce_the_coefficients(doc):
+    # ["-1/32", "1/32"] becomes ["-2/64", "2/64"]
+    doc["coeffs"] = [f"{2 * Fraction(c).numerator}/{2 * Fraction(c).denominator}"
+                     for c in doc["coeffs"]]
+
+
+def _empty_the_terms(doc):
+    doc["terms"] = []
+
+
+@pytest.mark.parametrize("mutate", [
+    _swap_first_rows, _append_unused_form, _repeat_last_product, _reverse_the_last_product,
+    _zero_the_first_positive_coefficient, _unreduce_the_coefficients, _empty_the_terms,
+], ids=lambda mutate: mutate.__name__.strip("_"))
+def test_a_document_out_of_canonical_order_is_canonicalized(g4, mutate, monkeypatch):
+    # one condition of the order check broken in the G4 sum's document:
+    # read from the text or from the dict, it goes through _canonical
+    doc = json.loads(ex.render(engine.matsubara_sum(g4), "json"))
+    mutate(doc)
+    expected = reference.from_dict(doc)
+    calls = _counted_canonical(monkeypatch)
+    assert ex.parse_expression(json.dumps(doc)) == expected
+    assert ex.from_dict(doc) == expected
+    assert len(calls) == 2
