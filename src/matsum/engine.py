@@ -808,8 +808,9 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
     input groups have as many kernels (none, on both routes), rows of one
     group end at one level, and the result stays merged (freeze merges
     any rest). A level is built in chunks of at most MAX_TERMS kept and
-    reflected rows before merging, and the result and the level being built
-    together hold at most MAX_TERMS rows, else TooManyTerms.
+    reflected rows, each merged into the level as it is made, and the
+    result and the level together hold at most MAX_TERMS rows, else
+    TooManyTerms.
     """
     forest = _forest(operators, arrangement.line_position)
     odd, carried = arrangement.parities()
@@ -838,21 +839,11 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
             part = ex._merge(part, (len(arrangement.groups), len(arrangement.products)))
         result.append(part)
 
-    def add(part: tuple) -> None:
-        """Add a merged part to the level being built; the rows held are
-        counted exactly when an upper bound passes the budget."""
-        nonlocal level
-        level.append(part)
-        if _rows(result) + _rows(level) > MAX_TERMS:
-            level = [ex._merge(_concat(level), sizes)]
-            if _rows(result) + _rows(level) > MAX_TERMS:
-                raise TooManyTerms()
-
     result = [(group[:0], product[:0], coeff[:0])]
     while len(node):
         leaf = forest.leaf[node]
         finish(node[leaf], group[leaf], product[leaf], coeff[leaf])
-        level: list[tuple] = []
+        level = None
         count = forest.count[node]
         if not count.any():
             break
@@ -869,9 +860,11 @@ def _walk(arrangement: _Arrangement, operators: Sequence[Iterable[LineSubset]],
                                               np.concatenate([p, image]),
                                               np.concatenate([c, reflected]), keys)
             sizes = sizes[:2] + (len(arrangement.products),)
-            add((*np.divmod(key, sizes[1]), p, c))
-        node, group, product, coeff = (level[0] if len(level) == 1
-                                       else ex._merge(_concat(level), sizes))
+            part = (*np.divmod(key, sizes[1]), p, c)
+            level = part if level is None else ex._merge(_concat([level, part]), sizes)
+            if _rows(result) + len(level[-1]) > MAX_TERMS:
+                raise TooManyTerms()
+        node, group, product, coeff = level
     return _Terms(*_concat(result))
 
 

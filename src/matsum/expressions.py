@@ -420,10 +420,9 @@ class _Plan(NamedTuple):
     powers: tuple[tuple[tuple[int, int], ...], ...]
     #: positions of the kernel lines
     kernel_lines: tuple[int, ...]
-    #: per (head, coefficient) prefix: complex(coeff * (2 pi)^k) and the
-    #: head; None when a coefficient or a power of 2 pi overflows
-    bases: list[complex] | None
+    #: the head and coefficient ids of each (head, coefficient) prefix
     prefix_heads: tuple[int, ...]
+    prefix_coeffs: tuple[int, ...]
     #: per numerator: its prefix, then per column of the kernel table its
     #: j-th kernel's position among the kernel lines (0 where it has none)
     #: and where it has one, True when all do
@@ -494,19 +493,14 @@ def _build_plan(e: Expression) -> _Plan:
     kernel_table = _padded(kernel_count, map(kernel_at.__getitem__,
                                              itertools.chain.from_iterable(e.kernel_sets)), 0)
     prefixes, numerator_prefix = _distinct(head * nc + coeff, len(e.heads) * nc)
-    prefix_heads, prefix_coeffs = (ids.tolist() for ids in np.divmod(prefixes, nc))
-    try:
-        bases = [complex(e.numerators[ci] / e.scale * (2.0 * math.pi) ** e.heads[hi][0])
-                 for hi, ci in zip(prefix_heads, prefix_coeffs)]
-    except ArithmeticError:
-        bases = None
+    prefix_heads, prefix_coeffs = (tuple(ids.tolist()) for ids in np.divmod(prefixes, nc))
 
     length = _lengths(e.products)
     product_table = _padded(length, itertools.chain.from_iterable(e.products), 0)
     return _Plan(tuple(lines), vertices, tuple((vertex_at[v], c) for v, c in n_pairs), terms,
                  tuple(tuple((line_at[l], x) for l, x in q_exponents)
                        for _, q_exponents in e.heads),
-                 tuple(line_at[l] for l in kernel_lines), bases, tuple(prefix_heads),
+                 tuple(line_at[l] for l in kernel_lines), prefix_heads, prefix_coeffs,
                  numerator_prefix, _masked(kernel_table, kernel_count, kernels),
                  row_numerators, _masked(product_table, length, p))
 
@@ -564,13 +558,13 @@ def eval_rows(
     N values are gathered into vectors, a missing one raising
     ExpressionError. NumPy adds up the form values in each form's term
     order and finds their Smith ratios and scales; Python computes nbe per
-    kernel line and the few (head, coefficient) prefixes of the
-    numerators; NumPy multiplies in the numerators' kernels and divides
-    the rows by their forms, one column of the padded kernel and product
-    tables at a time, in row order, writing only where a numerator or row
-    has that column. Building a plan twice, as threads that first evaluate
-    one expression at once may, gives equal plans, so whichever is kept is
-    right.
+    kernel line and, for each of the few (head, coefficient) prefixes of
+    the numerators, complex(coeff * (2 pi)^k) times its q powers; NumPy
+    multiplies in the numerators' kernels and divides the rows by their
+    forms, one column of the padded kernel and product tables at a time,
+    in row order, writing only where a numerator or row has that column.
+    Building a plan twice, as threads that first evaluate one expression
+    at once may, gives equal plans, so whichever is kept is right.
 
     A factor that cannot be computed raises what the loop raises: at the
     first row with one, the OverflowError of its coefficient, (2 pi)^k or
@@ -584,10 +578,10 @@ def eval_rows(
         object.__setattr__(e, "_plan", plan)
     q = _gather(q_values, plan.lines, "line")
     n = _gather(n_values, plan.vertices, "vertex")
-    if plan.bases is None:
-        raise _first_failure(e, q_values, n_values)
     # factors in the order the loop meets them in a term
     try:
+        bases = [complex(e.numerators[c] / e.scale * (2.0 * math.pi) ** e.heads[h][0])
+                 for h, c in zip(plan.prefix_heads, plan.prefix_coeffs)]
         powers = [[float(q[i] ** x) for i, x in head] for head in plan.powers]
         values = np.array(q, dtype=float)
         values = np.concatenate((values, -values, [float(c * n[i]) for i, c in plan.n_pairs],
@@ -614,7 +608,7 @@ def eval_rows(
         u, v = np.where(by_imag, ratio, 1.0), np.where(by_imag, 1.0, ratio)
 
         prefixes = []
-        for value, head in zip(plan.bases, plan.prefix_heads):
+        for value, head in zip(bases, plan.prefix_heads):
             for x in powers[head]:
                 value *= x
             prefixes.append(value)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -49,6 +50,24 @@ def cycle_graph(n: int):
     """n vertices in a ring, line i from v{i-1} to v{i mod n}."""
     names = [f"v{i}" for i in range(n)]
     return make_graph(names, [(i + 1, names[i], names[(i + 1) % n]) for i in range(n)])
+
+
+def stress_graph() -> MatsubaraGraph:
+    """The benchmark's stress graph: the first draw of
+    random_graph(default_rng(3), 4, 8) with 8 lines (cycle rank 6)."""
+    rng = np.random.default_rng(3)
+    g = fixtures.random_graph(rng, 4, 8)
+    while g.num_lines != 8:
+        g = fixtures.random_graph(rng, 4, 8)
+    return g
+
+
+def corpus() -> list[MatsubaraGraph]:
+    """The 53-graph corpus: G2-G4, then 50 draws of
+    random_graph(default_rng(20260810), 5, 7)."""
+    rng = np.random.default_rng(20260810)
+    return [fixtures.g2(), fixtures.g3(), fixtures.g4()] + [
+        fixtures.random_graph(rng, 5, 7) for _ in range(50)]
 
 
 def form(n_pairs, q_pairs):

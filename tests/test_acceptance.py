@@ -16,11 +16,12 @@ import time
 import numpy as np
 import pytest
 
-from matsum import engine, fixtures, oracles
+from matsum import engine, oracles
 from matsum import expressions as ex
 from matsum import graph as gr
 
 from conftest import (
+    corpus,
     reference_integral_g2,
     reference_integral_g4,
     reference_integral_g4_value,
@@ -123,9 +124,8 @@ def test_criterion_5_g3_g4_sum_verification(g3, g4):
     assert elapsed < 120.0
 
 
-def test_criterion_6_theorem_path_equivalence(g2, g3, g4):
-    rng = np.random.default_rng(SEED)
-    graphs = [g2, g3, g4] + [fixtures.random_graph(rng, 5, 7) for _ in range(50)]
+def test_criterion_6_theorem_path_equivalence():
+    graphs = corpus()
     for g in graphs:
         integral = engine.matsubara_integral(g)
         s_op = engine.apply_operator(engine.operator_reduced(g), integral)

@@ -16,12 +16,14 @@ from matsum import expressions as ex
 from matsum import graph as gr
 
 from conftest import (
+    corpus,
     cycle_graph,
     reference_integral_g2,
     reference_integral_g3,
     reference_integral_g4,
     reference_integral_g4_value,
     reference_sum_g2,
+    stress_graph,
 )
 import reference
 from reference import incidence_sign, kernel_multiply, make_term, reflection_difference
@@ -328,16 +330,9 @@ def _reference_operator(spec, e):
     return parts[0]
 
 
-def _kernel_graphs():
-    rng = np.random.default_rng(20260810)
-    return [fixtures.g2(), fixtures.g3(), fixtures.g4()] + [
-        fixtures.random_graph(rng, 5, 7) for _ in range(10)
-    ]
-
-
 @pytest.mark.parametrize("index", range(13))
 def test_operator_routes_match_subset_by_subset_reference(index):
-    g = _kernel_graphs()[index]
+    g = corpus()[index]
     # the reference walks the raw tree-basis assembly as it is
     raw = _raw_integral(g)
     reduced = _reference_operator(engine.operator_reduced(g), raw)
@@ -435,10 +430,7 @@ def test_coefficients_past_int64_stay_exact(g4):
     # every result is the unscaled one times the factor, exactly
     k = 3 ** 45
     assert k > 2 ** 63
-    rng = np.random.default_rng(3)
-    stress = fixtures.random_graph(rng, 4, 8)
-    while stress.num_lines != 8:
-        stress = fixtures.random_graph(rng, 4, 8)
+    stress = stress_graph()
     tree = gr.enumerate_spanning_trees(stress)[0]
     cases = [(g4, engine.matsubara_integral(g4)),
              (stress, engine.tree_product(stress, engine.solve_tree(stress, tree)))]
@@ -533,10 +525,7 @@ STRESS_NORMAL_SUM_VALUES = (
 
 
 def test_stress_sum_is_byte_identical():
-    rng = np.random.default_rng(3)
-    g = fixtures.random_graph(rng, 4, 8)
-    while g.num_lines != 8:
-        g = fixtures.random_graph(rng, 4, 8)
+    g = stress_graph()
     raw = _reference_operator(engine.operator_reduced(g), _raw_integral(g))
     assert len(raw) == STRESS_SUM_TERMS
     digest = hashlib.sha256(reference.render(raw, "json").encode("utf-8")).hexdigest()
@@ -599,12 +588,11 @@ def test_cut_forms_of_g4(g4):
     assert all(len({c for _, c in f.q}) == 1 for t in integral.terms for f in t.denominators)
 
 
-def test_reflection_of_a_cut_form_is_a_bit_flip(g2, g3, g4):
+def test_reflection_of_a_cut_form_is_a_bit_flip():
     # the engine reflects cut-form ids without renormalizing; every cut form
     # leads with +N(S), so the reference flip of any form gives the same form
     # with sign +1
-    rng = np.random.default_rng(20260810)
-    for g in [g2, g3, g4] + [fixtures.random_graph(rng, 5, 7) for _ in range(10)]:
+    for g in corpus()[:13]:
         arrangement = engine._Arrangement(g)
         forms = engine._Arrangement(g).forms
         products = arrangement.intern(np.arange(len(forms))[:, None])
@@ -625,7 +613,7 @@ def test_exact_search_gives_the_same_normal_form(monkeypatch):
     # the batched float search and the exact Fraction search are independent
     # implementations of the same rewriting; any broken circuit either one
     # missed would leave a different form
-    graphs = [fixtures.g4()] + _kernel_graphs()[3:7]
+    graphs = [fixtures.g4()] + corpus()[3:7]
     expected = [(engine.matsubara_integral(g), engine.matsubara_sum(g)) for g in graphs]
     # a triangle with 2, 2 and 12 parallel lines: 3 bonds, but 32,784 cut
     # forms; its products fit one batch per round, as batches are sized by
@@ -750,7 +738,7 @@ NORMALIZED_ROWS = {
 CORPUS_CALLS = {"operator": (212, 413, 250), "direct": (212, 413, 244)}
 
 
-def test_engine_work_stays_within_its_pins(g2, g3, g4, monkeypatch):
+def test_engine_work_stays_within_its_pins(g4, monkeypatch):
     searched: list[int] = []
     rows: list[int] = []
     freeze, normalize = engine._Arrangement.freeze, engine._Arrangement.normalize
@@ -758,10 +746,7 @@ def test_engine_work_stays_within_its_pins(g2, g3, g4, monkeypatch):
                         searched.append(self._count) or freeze(self, terms, scale))
     monkeypatch.setattr(engine._Arrangement, "normalize", lambda self, key, *args:
                         rows.append(len(key)) or normalize(self, key, *args))
-    rng = np.random.default_rng(3)
-    stress = fixtures.random_graph(rng, 4, 8)
-    while stress.num_lines != 8:
-        stress = fixtures.random_graph(rng, 4, 8)
+    stress = stress_graph()
     for name, g in (("G4", g4), ("stress", stress), ("8-ring", cycle_graph(8))):
         searched.clear()
         for route, pins in zip(("operator", "direct"), NORMALIZED_ROWS[name]):
@@ -779,11 +764,10 @@ def test_engine_work_stays_within_its_pins(g2, g3, g4, monkeypatch):
             calls[_name] += 1
             return _method(self, *args)
         monkeypatch.setattr(engine._Arrangement, method, counted)
-    rng = np.random.default_rng(20260810)
-    corpus = [g2, g3, g4] + [fixtures.random_graph(rng, 5, 7) for _ in range(50)]
+    graphs = corpus()
     for route, pins in CORPUS_CALLS.items():
         calls.update(dict.fromkeys(calls, 0))
-        for g in corpus:
+        for g in graphs:
             engine.matsubara_sum(g, route)
         assert all(0 < n <= pin for n, pin in zip(calls.values(), pins)), (route, calls)
 
@@ -873,6 +857,10 @@ def test_levels_past_the_term_budget_are_built_in_chunks(monkeypatch):
                 sum(sizes) > limit) or slices(sizes, limit))
             patch.setattr(engine, "MAX_TERMS", budget)
             assert engine.matsubara_sum(ring, method) == total
+            # the budget counts the merged rows held: one row fewer is refused
+            patch.setattr(engine, "MAX_TERMS", budget - 1)
+            with pytest.raises(engine.TooManyTerms):
+                engine.matsubara_sum(ring, method)
         assert any(chunks), method
 
 

@@ -21,7 +21,7 @@ import reference
 from matsum import engine, fixtures
 from matsum import expressions as ex
 
-from conftest import form, reference_integral_g2, reference_sum_g2
+from conftest import corpus, form, reference_integral_g2, reference_sum_g2, stress_graph
 from reference import kernel_multiply, make_term, reflect
 
 
@@ -257,6 +257,30 @@ def test_eval_overflow_is_the_term_loops():
         loop = _outcome(reference.eval_numeric, e, tiny, {})
         assert loop.startswith(raised)
         assert _outcome(ex.eval_numeric, e, tiny, {}) == loop
+    # a (head, coefficient) prefix whose coefficient or (2 pi)^k overflows
+    # a float raises what the loop raises, when the plan is built and when
+    # it is reused: its OverflowError, or the ZeroDenominator of an earlier
+    # row; q1 - q2, which vanishes at q, is the first form
+    q = {1: 1.5, 2: 1.5}
+    big = str(10 ** 400)
+    base = {"forms": [{"n": {}, "q": {"1": 1, "2": 1}}, {"n": {}, "q": {"1": 1, "2": -1}}],
+            "heads": [{"two_pi_pow": 0, "q_exp": {}}], "kernels": [[]], "products": [[0], [1]]}
+    for doc, raised in (
+            ({"coeffs": [big], "terms": [[0, 0, 0, 0]]},
+             "OverflowError: integer division result too large for a float"),
+            ({"coeffs": ["1", big], "terms": [[0, 0, 1, 1], [0, 0, 0, 0]]}, "OverflowError: "),
+            ({"coeffs": ["1", big], "terms": [[0, 0, 1, 0], [0, 0, 0, 1]]},
+             "ZeroDenominator: form q1 - q2 vanished"),
+            ({"heads": [{"two_pi_pow": 1000, "q_exp": {}}], "coeffs": ["1"],
+              "terms": [[0, 0, 0, 0]]}, "OverflowError: "),
+            ({"heads": [{"two_pi_pow": 0, "q_exp": {}}, {"two_pi_pow": 1000, "q_exp": {}}],
+              "coeffs": ["1"], "terms": [[0, 0, 1, 0], [1, 0, 0, 0]]},
+             "ZeroDenominator: form q1 - q2 vanished")):
+        e = ex.from_dict({**base, **doc})
+        loop = _outcome(reference.eval_numeric, e, q, {})
+        assert loop.startswith(raised)
+        assert _outcome(ex.eval_numeric, e, q, {}) == loop
+        assert e._plan is not None and _outcome(ex.eval_numeric, e, q, {}) == loop
     # a value that underflows to -0.0 sums to 0.0, as the loop's from 0j does
     e = ex.from_dict({"forms": [], "heads": [{"two_pi_pow": 0, "q_exp": {"1": 2}}],
                       "kernels": [[]], "products": [[]], "coeffs": ["-1"],
@@ -268,10 +292,7 @@ def test_eval_overflow_is_the_term_loops():
 def test_stress_sum_evaluates_bit_for_bit():
     # the benchmark's stress graph: 8 lines, cycle rank 6, tens of thousands
     # of sum terms over a few hundred (kernels, coefficient) numerators
-    rng = np.random.default_rng(3)
-    g = fixtures.random_graph(rng, 4, 8)
-    while g.num_lines != 8:
-        g = fixtures.random_graph(rng, 4, 8)
+    g = stress_graph()
     total = engine.matsubara_sum(g)
     assert len(total) > 20_000
     points = np.random.default_rng(20260810)
@@ -346,10 +367,7 @@ def test_threads_evaluating_a_fresh_expression_agree():
 
 
 def test_stress_sum_json_roundtrip_is_byte_identical():
-    rng = np.random.default_rng(3)
-    g = fixtures.random_graph(rng, 4, 8)
-    while g.num_lines != 8:
-        g = fixtures.random_graph(rng, 4, 8)
+    g = stress_graph()
     total = engine.matsubara_sum(g)
     text = ex.render(total, "json")
     back = ex.parse_expression(text)
@@ -815,14 +833,9 @@ def _counted_canonical(monkeypatch) -> list:
     return calls
 
 
-def test_a_rendered_document_is_read_back_without_canonicalizing(g2, g3, g4, monkeypatch):
+def test_a_rendered_document_is_read_back_without_canonicalizing(monkeypatch):
     # its tables and rows pass one order check and are kept as they stand
-    rng = np.random.default_rng(3)
-    stress = fixtures.random_graph(rng, 4, 8)
-    while stress.num_lines != 8:
-        stress = fixtures.random_graph(rng, 4, 8)
-    rng = np.random.default_rng(20260810)
-    graphs = [g2, g3, g4, stress] + [fixtures.random_graph(rng, 5, 7) for _ in range(50)]
+    graphs = corpus() + [stress_graph()]
     sums = [engine.matsubara_sum(g) for g in graphs]
     calls = _counted_canonical(monkeypatch)
     for s in sums:
