@@ -339,7 +339,7 @@ class _Arrangement:
 
     def __init__(self, graph: MatsubaraGraph):
         self.graph = graph
-        self._bonds = bonds = gr.bonds(graph)
+        bonds = gr.bonds(graph)
         self.lines = tuple(sorted(graph.line_ids))
         self.line_position = {lid: i for i, lid in enumerate(self.lines)}
         # the forms in normal-form order, each with its cut (bond b, sign
@@ -376,7 +376,8 @@ class _Arrangement:
         # the integer vectors of the forms over (non-root N's, q's)
         # (_exact_rewrite, and the check of _bond_search's relations); and
         # as floats, per bond its N-part and its lines, per rank the form's
-        # N- and q-parts (_bond_search)
+        # N- and q-parts (_bond_search: reading the integer ones there
+        # measured 4% slower on the 8-ring's direct route, 2-vCPU host)
         bond_n = np.array([[v in side for v in graph.vertices[:-1]] for side, _ in bonds],
                           dtype=np.int64).reshape(len(bonds), -1)
         self.vectors = np.concatenate([bond_n[bond], np.where(pattern[:, None] & weight, -1,
@@ -442,17 +443,17 @@ class _Arrangement:
 
     def cut_rank(self, side: frozenset[str], minus: Iterable[int]) -> int:
         """The rank of i*N(side) + sum_l +-q_l over the bond with root-free
-        side `side`, with -q on the lines `minus`."""
+        side `side`, with -q on the lines `minus`; a line that does not
+        cross the bond adds nothing."""
         b = self._bond_of[side]
-        lines = self._bonds[b][1]
-        pattern = sum(1 << (len(lines) - 1 - lines.index(l)) for l in minus)
+        pattern = sum(self._weight[b, self.line_position[l]] for l in minus)
         return int(self._form_at[self._offset[b] + pattern])
 
     def rank(self, form: ex.LinearForm) -> int:
         """The rank of a cut form; raises NotACutForm for any other form."""
         try:
             rank = self.cut_rank(frozenset(v for v, _ in form.n), [l for l, c in form.q if c < 0])
-        except (KeyError, ValueError, IndexError):  # no bond has the side, or it lacks a -q line
+        except KeyError:  # no bond has the side, or the graph lacks a -q line
             rank = None
         if rank is None or self.forms[rank] != form:
             raise NotACutForm(form)
@@ -595,7 +596,7 @@ class _Arrangement:
         nv = self.graph.num_vertices - 1
         sizes = ex._lengths(list(map(self.products.__getitem__, products.tolist())))
         basis = products[(sizes > 1) & (sizes == nv)]
-        rows = max(1, _BATCH_ELEMENTS // (len(self._bonds) * self.graph.num_lines))
+        rows = max(1, _BATCH_ELEMENTS // self._weight.size)
         searched = [self._bond_search(basis[start:start + rows])
                     for start in range(0, len(basis), rows)]
         parts = [rewrites for rewrites, _ in searched]

@@ -62,7 +62,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .kernels import nbe
+from .kernels import ZeroArgument, nbe
 
 
 class ExpressionError(ValueError):
@@ -521,16 +521,18 @@ def _form_value(form: LinearForm, q_values, n_values) -> complex:
 def _first_failure(e: Expression, q_values, n_values) -> Exception:
     """What the term loop raises: the first error of the first row that
     has one, its factors computed in the loop's order."""
-    for h, _, p, c in e.rows.tolist():
+    for h, k, p, c in e.rows.tolist():
         pi_power, q_exponents = e.heads[h]
         try:
             e.numerators[c] / e.scale
             (2.0 * math.pi) ** pi_power
             for l, x in q_exponents:
                 float(q_values[l] ** x)
+            for l in e.kernel_sets[k]:
+                nbe(q_values[l])
             for f in e.products[p]:
                 _form_value(e.forms[f], q_values, n_values)
-        except (ArithmeticError, ZeroDenominator) as exc:
+        except (ArithmeticError, ZeroArgument, ZeroDenominator) as exc:
             return exc
 
 
@@ -568,7 +570,8 @@ def eval_rows(
 
     A factor that cannot be computed raises what the loop raises: at the
     first row with one, the OverflowError of its coefficient, (2 pi)^k or
-    q powers, else ZeroDenominator naming its first form that is zero.
+    q powers, else the ZeroArgument of a kernel whose q is 0, else
+    ZeroDenominator naming its first form that is zero.
     """
     if e.is_empty():
         return np.zeros(0, dtype=complex)
@@ -583,10 +586,11 @@ def eval_rows(
         bases = [complex(e.numerators[c] / e.scale * (2.0 * math.pi) ** e.heads[h][0])
                  for h, c in zip(plan.prefix_heads, plan.prefix_coeffs)]
         powers = [[float(q[i] ** x) for i, x in head] for head in plan.powers]
+        kernels = np.array([nbe(q[i]) for i in plan.kernel_lines], dtype=float)
         values = np.array(q, dtype=float)
         values = np.concatenate((values, -values, [float(c * n[i]) for i, c in plan.n_pairs],
                                  [0.0]))
-    except ArithmeticError:
+    except (ArithmeticError, ZeroArgument):
         raise _first_failure(e, q_values, n_values) from None
     # overflow and NaN follow IEEE arithmetic, as in the loop, without warnings
     with np.errstate(all="ignore"):
@@ -596,7 +600,6 @@ def eval_rows(
         re, im = parts[:len(e.forms)], parts[len(e.forms):]
         if ((re == 0) & (im == 0)).any():
             raise _first_failure(e, q_values, n_values)
-        kernels = np.array([nbe(q[i]) for i in plan.kernel_lines], dtype=float)
 
         # x / d is ((x.real * u + x.imag * v) / s, (x.imag * u - x.real * v) / s)
         # with r = d.imag / d.real, (u, v) = (1, r) when |d.real| >= |d.imag|,

@@ -205,31 +205,12 @@ def cycle_rank(graph: MatsubaraGraph) -> int:
 
 
 def enumerate_spanning_trees(graph: MatsubaraGraph) -> list[LineSubset]:
-    """All spanning trees, as sorted line-id tuples in lexicographic order.
-
-    Backtracking over lines sorted by id: at each step either take the next
-    line whose endpoints the chosen lines do not yet join, or skip it,
-    pruning branches that cannot reach V-1 lines.
-    """
-    lines, pairs = graph.lines, graph._pairs(graph.lines)
-    target = graph.num_vertices - 1
-    trees: list[LineSubset] = []
-
-    def extend(start: int, chosen: list[int], joined: list[int]):
-        if len(chosen) == target:
-            # target acyclic lines on V vertices leave exactly one component
-            trees.append(tuple(chosen))
-            return
-        for pos in range(start, len(lines)):
-            if len(chosen) + (len(lines) - pos) < target:
-                break
-            low = pairs[pos] & -pairs[pos]
-            if _reach(low, joined) & pairs[pos] != low:
-                continue  # would close a cycle
-            extend(pos + 1, chosen + [lines[pos].id], joined + [pairs[pos]])
-
-    extend(0, [], [])
-    return trees
+    """All spanning trees, as sorted line-id tuples in lexicographic order:
+    the (V-1)-line subsets whose lines join every vertex, so hold no cycle."""
+    every = (1 << graph.num_vertices) - 1
+    pairs = dict(zip(graph.line_ids, graph._pairs(graph.lines)))
+    return [tree for tree in itertools.combinations(graph.line_ids, graph.num_vertices - 1)
+            if _reach(1, map(pairs.__getitem__, tree)) == every]
 
 
 def is_cutset(graph: MatsubaraGraph, subset: Iterable[int]) -> bool:

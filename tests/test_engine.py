@@ -884,9 +884,11 @@ def test_every_memo_expansion_keeps_to_the_term_budget(monkeypatch):
 def test_normal_form_rejects_a_denominator_that_is_not_a_cut_form(g4):
     # no bond cuts 1 and 3 alone; i(N_a + N_c) + q1 + q2 + q3 + q4 crosses
     # the lines at a and c, but a and c are not adjacent, so {a, c} is the
-    # side of no bond
+    # side of no bond; i N_a + q1 + q2 - q3 is over the bond {a}, which
+    # line 3 does not cross
     for n_part, q_part in (([("a", 1)], [(1, 1), (3, 1)]),
-                           ([("a", 1), ("c", 1)], [(1, 1), (2, 1), (3, 1), (4, 1)])):
+                           ([("a", 1), ("c", 1)], [(1, 1), (2, 1), (3, 1), (4, 1)]),
+                           ([("a", 1)], [(1, 1), (2, 1), (3, -1)])):
         form, _ = ex.normalize_form(n_part, q_part)
         e = ex.Expression([make_term(1, 0, {}, (), [form])])
         with pytest.raises(engine.NotACutForm):

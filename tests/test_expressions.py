@@ -20,6 +20,7 @@ import pytest
 import reference
 from matsum import engine, fixtures
 from matsum import expressions as ex
+from matsum.kernels import ZeroArgument
 
 from conftest import corpus, form, reference_integral_g2, reference_sum_g2, stress_graph
 from reference import kernel_multiply, make_term, reflect
@@ -159,7 +160,7 @@ def _outcome(evaluate, e, q, n) -> str:
     """The repr of the value, or the type and message of what it raised."""
     try:
         return repr(evaluate(e, q, n))
-    except (ex.ZeroDenominator, OverflowError) as exc:
+    except (ex.ZeroDenominator, OverflowError, ZeroArgument) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -279,6 +280,24 @@ def test_eval_overflow_is_the_term_loops():
         e = ex.from_dict({**base, **doc})
         loop = _outcome(reference.eval_numeric, e, q, {})
         assert loop.startswith(raised)
+        assert _outcome(ex.eval_numeric, e, q, {}) == loop
+        assert e._plan is not None and _outcome(ex.eval_numeric, e, q, {}) == loop
+    # a kernel whose q is 0 raises the loop's ZeroArgument at the first row
+    # that carries it, ahead of a later row's vanished form or overflowing
+    # coefficient and of its own row's forms
+    q = {1: 0.0, 2: 1.0, 3: 1.0, 4: 1.0}
+    head = [{"two_pi_pow": 0, "q_exp": {}}]
+    for doc in (
+            {"forms": [{"n": {}, "q": {"2": 1, "3": -1}}], "kernels": [[1]],
+             "products": [[0]], "coeffs": ["1"], "terms": [[0, 0, 0, 0]]},
+            {"forms": [{"n": {}, "q": {"3": 1, "4": 1}}, {"n": {}, "q": {"3": 1, "4": -1}}],
+             "kernels": [[1], [2]], "products": [[0], [1]], "coeffs": ["1"],
+             "terms": [[0, 0, 0, 0], [0, 1, 1, 0]]},
+            {"forms": [{"n": {}, "q": {"3": 1, "4": 1}}], "kernels": [[1], [2]],
+             "products": [[0]], "coeffs": ["1", big], "terms": [[0, 0, 0, 0], [0, 1, 0, 1]]}):
+        e = ex.from_dict({"heads": head, **doc})
+        loop = _outcome(reference.eval_numeric, e, q, {})
+        assert loop == "ZeroArgument: nbe(z) has a pole at z = 0"
         assert _outcome(ex.eval_numeric, e, q, {}) == loop
         assert e._plan is not None and _outcome(ex.eval_numeric, e, q, {}) == loop
     # a value that underflows to -0.0 sums to 0.0, as the loop's from 0j does

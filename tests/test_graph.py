@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from matsum import fixtures
 from matsum import graph as gr
 
-from conftest import graph_to_dict
+from conftest import cycle_graph, graph_to_dict
 from reference import count_spanning_trees, fundamental_cycle, incidence_sign
 
 
@@ -133,14 +135,27 @@ def test_tree_counts_match(g2, g3, g4):
 
 def test_tree_counts_match_random_corpus():
     rng = np.random.default_rng(2024)
-    for _ in range(100):
-        g = fixtures.random_graph(rng, max_vertices=6, max_lines=9)
+    graphs = [fixtures.random_graph(rng, max_vertices=6, max_lines=9) for _ in range(100)]
+    # up to the size cap: the fixture files, 16 parallel lines, and the
+    # 9-ring with 7 seeded chords (9 vertices, 16 lines)
+    repo = Path(__file__).resolve().parent.parent
+    graphs += [gr.validate_graph(json.loads(path.read_text()))
+               for path in sorted((repo / "fixtures").glob("*.json"))]
+    graphs.append(gr.make_graph(["a", "b"], [(i, "a", "b") for i in range(1, gr.MAX_LINES + 1)]))
+    ring, rng = cycle_graph(9), np.random.default_rng(1)
+    chords = [rng.choice(9, size=2, replace=False) for _ in range(7)]
+    graphs.append(gr.make_graph(ring.vertices, [(ln.id, ln.tail, ln.head) for ln in ring.lines] + [
+        (10 + i, f"v{a}", f"v{b}") for i, (a, b) in enumerate(chords)]))
+    assert graphs[-1].num_lines == gr.MAX_LINES
+    for g in graphs:
         trees = gr.enumerate_spanning_trees(g)
         assert count_spanning_trees(g) == len(trees)
+        assert trees == sorted(trees)
         rank = gr.cycle_rank(g)
         for t in trees:
             assert len(t) == g.num_vertices - 1
             assert g.num_lines - len(t) == rank
+            assert not gr.is_cutset(g, set(g.line_ids) - set(t))
 
 
 def _bfs_component(graph, start, removed):
