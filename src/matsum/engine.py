@@ -37,9 +37,10 @@ searches at most MAX_REDUCED_PRODUCTS products and raises
 NormalFormTooLarge past that.
 
 Both routes, apply_operator for any operator and tree_product share one
-per-call _Arrangement, which owns the forms and their tables (built once,
-with the forms), the products, the (head, kernels) groups, the memo of
-broken-circuit rewrites and the reflections. Form ids are the
+per-call _Arrangement, which owns the cut forms' tables (built once, from
+integer keys; a form is built only where it is read), the products, the
+(head, kernels) groups, the memo of broken-circuit rewrites and the
+reflections. Form ids are the
 arrangement's ranks: tree products are built in them (looked up by bond
 and sign pattern), and an input Expression is packed from its tables into
 them, a form outside the arrangement raising NotACutForm. A product id
@@ -325,8 +326,11 @@ class _Arrangement:
     (_bond_search); what it declines, and products of other widths, go to
     the exact search (_exact_rewrite), which is also the tests' reference.
 
-    The tables over the forms are built with them, once: the rank of each
-    cut (bond, sign pattern), the flips of R_l and what the search reads.
+    The tables over the forms are built once, from integer keys: the rank
+    of each cut (bond, sign pattern), the flips of R_l and what the search
+    reads. A form itself (LinearForm) is built only where it is read, by
+    rank (arrangement[rank]): the forms a frozen result uses and those
+    checked by rank.
     The memo holds the one rewrite the search finds for each product, in
     compressed sparse rows (CSR): per product id the start and length of
     its rows in two flat columns, (child product id, a_D), the length -1
@@ -342,37 +346,41 @@ class _Arrangement:
         bonds = gr.bonds(graph)
         self.lines = tuple(sorted(graph.line_ids))
         self.line_position = {lid: i for i, lid in enumerate(self.lines)}
-        # the forms in normal-form order, each with its cut (bond b, sign
-        # pattern): bit len(C)-1-j of the pattern is set when line C[j] of the
-        # bond has -q, so the patterns 0 and 2^len(C) - 1 are the same-sign forms
-        keyed = []
-        for b, (side, lines) in enumerate(bonds):
-            n = tuple((v, 1) for v in graph.vertices[:-1] if v in side)
-            all_minus = (1 << len(lines)) - 1
-            for pattern, signs in enumerate(itertools.product((1, -1), repeat=len(lines))):
-                form = ex.LinearForm(n, tuple(zip(lines, signs)))
-                keyed.append((0 < pattern < all_minus, len(lines), form, b, pattern))
-        keyed.sort()
-        _, _, self.forms, bond, pattern = zip(*keyed)
-        bond, pattern = np.array(bond, dtype=np.int64), np.array(pattern, dtype=np.int64)
+        # the cuts (bond b, sign pattern) at offset[b] + pattern: bit
+        # len(C)-1-j of the pattern is set when line C[j] of the bond has -q,
+        # so the patterns 0 and 2^len(C) - 1 are the same-sign forms. Each
+        # form leads with +N(S) for its bond's root-free side S
+        self._sides = [tuple((v, 1) for v in graph.vertices[:-1] if v in side)
+                       for side, _ in bonds]
         self._bond_of = {side: b for b, (side, _) in enumerate(bonds)}
+        widths = np.array([len(lines) for _, lines in bonds], dtype=np.int64)
+        sizes = 1 << widths
+        self._offset = np.cumsum(sizes) - sizes
+        bond = np.repeat(np.arange(len(bonds)), sizes)
+        pattern = np.arange(len(bond)) - self._offset[bond]
+        # ranked in normal-form order from integer keys, with no form built:
+        # same-sign first, then by bond width and side (LinearForm order on
+        # the N-parts), then by descending pattern (a -q sorts before a +q)
+        side_rank = np.empty(len(bonds), dtype=np.int64)
+        side_rank[sorted(range(len(bonds)), key=self._sides.__getitem__)] = np.arange(len(bonds))
+        mixed = (pattern > 0) & (pattern < sizes[bond] - 1)
+        order = np.lexsort((-pattern, side_rank[bond], widths[bond], mixed))
+        #: the number of forms, also the rank past them (the pad of intern)
+        self.form_count = len(order)
+        self._bond, pattern = bond[order], pattern[order]
+        self._form_at = np.empty(self.form_count, dtype=np.int64)
+        self._form_at[order] = np.arange(self.form_count)
         # per bond its lines' weights in the sign pattern (by line position)
-        # and the offset of its patterns; per pattern offset the rank
         self._weight = np.array([[1 << (len(lines) - 1 - lines.index(lid)) if lid in lines else 0
                                   for lid in self.lines] for _, lines in bonds],
                                 dtype=np.int64).reshape(len(bonds), -1)
-        self._offset = np.array(list(itertools.accumulate(
-            (1 << len(lines) for _, lines in bonds), initial=0)))
-        start, weight = self._offset[bond], self._weight[bond]
-        self._form_at = np.empty(len(self.forms), dtype=np.int64)
-        self._form_at[start + pattern] = np.arange(len(self.forms))
+        start, weight = self._offset[self._bond], self._weight[self._bond]
         #: by line position and rank: the rank of the form with q_l negated,
         #: its line's bit of the sign pattern flipped with no renormalization,
-        #: as forms lead with +N(S); and one rank past the forms (the pad of
-        #: intern) that maps to itself
-        self.flips = np.empty((len(self.lines), len(self.forms) + 1), dtype=np.int64)
+        #: as forms lead with +N(S); and the rank past the forms maps to itself
+        self.flips = np.empty((len(self.lines), self.form_count + 1), dtype=np.int64)
         self.flips[:, :-1] = self._form_at[start + (pattern ^ weight.T)]
-        self.flips[:, -1] = len(self.forms)
+        self.flips[:, -1] = self.form_count
         # the integer vectors of the forms over (non-root N's, q's)
         # (_exact_rewrite, and the check of _bond_search's relations); and
         # as floats, per bond its N-part and its lines, per rank the form's
@@ -380,8 +388,8 @@ class _Arrangement:
         # measured 4% slower on the 8-ring's direct route, 2-vCPU host)
         bond_n = np.array([[v in side for v in graph.vertices[:-1]] for side, _ in bonds],
                           dtype=np.int64).reshape(len(bonds), -1)
-        self.vectors = np.concatenate([bond_n[bond], np.where(pattern[:, None] & weight, -1,
-                                                              weight > 0)], axis=1)
+        self.vectors = np.concatenate([bond_n[self._bond],
+                                       np.where(pattern[:, None] & weight, -1, weight > 0)], axis=1)
         self._bond_n, self._bond_lines = bond_n.astype(float), (self._weight > 0).astype(float)
         parts = self.vectors.astype(float)
         self._n, self._q = parts[:, :bond_n.shape[1]], parts[:, bond_n.shape[1]:]
@@ -409,18 +417,18 @@ class _Arrangement:
 
     def intern(self, rows: np.ndarray) -> np.ndarray:
         """The ids of the products whose sorted ranks are the rows, padded
-        at the end with len(self.forms) (see _ranks)."""
-        keys, pad = rows.tolist(), len(self.forms)
+        at the end with form_count (see _ranks)."""
+        keys, pad = rows.tolist(), self.form_count
         if rows.size and rows[:, -1].max() == pad:
             keys = [row[:row.index(pad)] if row[-1] == pad else row for row in keys]
         return np.fromiter(map(self.product, map(tuple, keys)), np.int64, len(keys))
 
     def _ranks(self, products: list[int]) -> np.ndarray:
         """The products' sorted ranks as rows, padded at the end with
-        len(self.forms), a rank past the forms that sorts last."""
+        form_count, a rank past the forms that sorts last."""
         ranks = list(map(self.products.__getitem__, products))
         return ex._padded(ex._lengths(ranks), itertools.chain.from_iterable(ranks),
-                          len(self.forms))
+                          self.form_count)
 
     def group(self, key: tuple) -> int:
         """The id of a (head, kernels) group."""
@@ -449,13 +457,25 @@ class _Arrangement:
         pattern = sum(self._weight[b, self.line_position[l]] for l in minus)
         return int(self._form_at[self._offset[b] + pattern])
 
+    def __getitem__(self, rank: int) -> ex.LinearForm:
+        """The cut form of a rank, built from the q-part of its vector on
+        each read (forms are built only where read)."""
+        row = self.vectors[rank, len(self.graph.vertices) - 1:].tolist()
+        return ex.LinearForm(self._sides[self._bond[rank]],
+                             tuple(itertools.compress(zip(self.lines, row), row)))
+
+    @property
+    def forms(self) -> list[ex.LinearForm]:
+        """Every cut form, by rank, built on each access."""
+        return [self[rank] for rank in range(self.form_count)]
+
     def rank(self, form: ex.LinearForm) -> int:
         """The rank of a cut form; raises NotACutForm for any other form."""
         try:
             rank = self.cut_rank(frozenset(v for v, _ in form.n), [l for l, c in form.q if c < 0])
         except KeyError:  # no bond has the side, or the graph lacks a -q line
             rank = None
-        if rank is None or self.forms[rank] != form:
+        if rank is None or self[rank] != form:
             raise NotACutForm(form)
         return rank
 
@@ -477,8 +497,10 @@ class _Arrangement:
     def freeze(self, terms: _Terms, scale: int) -> Expression:
         """The canonical Expression of packed terms with coefficients over
         `scale` (see _canonical). Coefficients may be rationals (a rewrite
-        relation with a fractional coefficient); the scale absorbs them."""
-        return ex._canonical(self.forms, [head for head, _ in self.groups],
+        relation with a fractional coefficient); the scale absorbs them.
+        The arrangement gives _canonical its forms by rank, so only the
+        forms of the products the terms use are built."""
+        return ex._canonical(self, [head for head, _ in self.groups],
                              [kernels for _, kernels in self.groups], self.products, scale,
                              terms.group, terms.group, terms.product, terms.coeff)
 
@@ -636,13 +658,13 @@ class _Arrangement:
             basis = np.abs(np.linalg.det(n_parts)) > 0.5
             declined, group, ranks = group[~basis], group[basis], ranks[basis]
             inverse = np.linalg.inv(n_parts[basis])
-        none = len(self.forms)
+        none = self.form_count
         coeffs = self._bond_n @ inverse                          # n x bonds x k
         q = coeffs @ self._q[ranks]                              # n x bonds x I
         # per bond: the form with q's sign pattern, kept where the pattern is
         # valid and the form lies below every member it relates to; a
         # member's own bond gives the member itself, which is not below it
-        h = self._form_at[self._offset[:-1] + ((q < 0) * self._weight).sum(axis=2)]
+        h = self._form_at[self._offset + ((q < 0) * self._weight).sum(axis=2)]
         below = h < np.where(np.abs(coeffs) > 0.5, ranks[:, None, :], none).min(axis=2)
         valid = (np.abs(np.abs(q) - self._bond_lines) < 1e-6).all(axis=2)
         h = np.where(below & valid, h, none)                     # n x bonds

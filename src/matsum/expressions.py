@@ -38,12 +38,13 @@ each naming a string formatted once, and joined in one pass. The JSON
 form of an expression is its tables (see from_dict): json.dumps writes
 all but the rows, which are laid out as token ids too, three per row.
 Parsing reads a table so laid out from the text as one int64 array (see
-_split_terms), json.loads only the rest, checks each form, head, kernel
-set and coefficient once and the products and rows by columns, and keeps
-tables that pass one order check (see _in_order), as those render writes
-do, as they stand. Loops over the rows zip the four columns, read as lists: no
-Python list is made per row, so a large expression's rows add no work
-for the cyclic garbage collector. `Expression.terms` builds Term tuples
+_split_terms), json.loads only the rest, checks the forms and kernel sets
+by whole-table passes, each head and coefficient once and the products
+and rows by columns, and keeps tables that pass one order check (see
+_in_order), as those render writes do, as they stand. Loops over the
+rows zip the four columns, read as lists: no Python list is made per
+row, so a large expression's rows add no work for the cyclic garbage
+collector. `Expression.terms` builds Term tuples
 on access, for callers that read terms one at a time.
 
 Everything is an immutable value and all operations are pure functions.
@@ -273,7 +274,8 @@ def _canonical(forms: Sequence[LinearForm], heads: Sequence[tuple],
     """The canonical Expression of terms given as columns: term i is
     coeff[i] / scale times the head heads[head_col[i]] and the kernels
     kernel_sets[kernel_col[i]], over the forms forms[f] for f in
-    products[product_col[i]].
+    products[product_col[i]]. Only forms[f] for the f of the products the
+    terms use is read, so forms may build each form when it is read.
 
     The tables may repeat entries and hold entries no term uses; a product
     may list its forms in any order and repeat them; the coefficients are
@@ -1000,6 +1002,69 @@ def _index_rows(rows: list | np.ndarray, sizes: tuple[int, ...]) -> np.ndarray |
     return rows if ((rows >= 0) & (rows < sizes)).all() else None
 
 
+def _runs_ascend(flat: list, lengths: Iterable[int]) -> bool:
+    """Whether each run of the list, cut at the lengths, ascends strictly:
+    every descent falls where a run starts."""
+    starts = set(itertools.accumulate(lengths))
+    return starts.issuperset(itertools.compress(
+        itertools.count(1), map(operator.ge, flat, itertools.islice(flat, 1, None))))
+
+
+def _rendered_forms(table: list) -> tuple[LinearForm, ...] | None:
+    """The forms of a table whose every entry is in render's layout, else
+    None: objects of exactly "n" and "q", each n mapping strings to nonzero
+    integers and each q decimal line ids, ascending, to +-1, and each form
+    led by a positive coefficient. Checked in passes over the whole table,
+    not form by form (see _parse_form)."""
+    count = len(table)
+    if (operator.countOf(map(type, table), dict) != count
+            or operator.countOf(map(len, table), 2) != count):
+        return None
+    try:
+        ns = list(map(operator.itemgetter("n"), table))
+        qs = list(map(operator.itemgetter("q"), table))
+    except KeyError:
+        return None
+    if operator.countOf(map(type, ns + qs), dict) != 2 * count:
+        return None
+    n_keys = list(itertools.chain.from_iterable(ns))
+    n_values = list(itertools.chain.from_iterable(map(dict.values, ns)))
+    q_keys = list(itertools.chain.from_iterable(qs))
+    q_values = list(itertools.chain.from_iterable(map(dict.values, qs)))
+    if (operator.countOf(map(type, n_keys), str) != len(n_keys)
+            or operator.countOf(map(type, n_values), int) != len(n_values) or 0 in n_values
+            or operator.countOf(map(type, q_keys), str) != len(q_keys)
+            or operator.countOf(map(type, q_values), int) != len(q_values)
+            or operator.countOf(q_values, 1) + operator.countOf(q_values, -1) != len(q_values)):
+        return None
+    try:
+        ids = {key: int(key) for key in set(q_keys)}
+    except ValueError:
+        return None
+    q_ids = list(map(ids.__getitem__, q_keys))
+    q_lengths = list(map(len, qs))
+    # a form's lead: its first N coefficient, or its first q's with none
+    leads = [next(iter((n or q).values())) for n, q in zip(ns, qs) if n or q]
+    if (not all(map(operator.eq, map(str, ids.values()), ids))
+            or not _runs_ascend(q_ids, q_lengths)
+            or len(leads) != count or min(leads, default=1) < 0):
+        return None
+    starts = list(itertools.accumulate(q_lengths, initial=0))
+    pairs = list(zip(q_ids, q_values))
+    return tuple(map(LinearForm, map(tuple, map(dict.items, ns)),
+                     map(tuple, map(pairs.__getitem__, map(slice, starts, starts[1:])))))
+
+
+def _rendered_kernels(table: list) -> tuple[tuple[int, ...], ...] | None:
+    """The kernel sets of a table whose every entry is an array of integers
+    in strictly ascending order, as render writes them, else None. Checked
+    in passes over the whole table (see _flat_ints and _parse_kernels)."""
+    flat = _flat_ints(table)
+    if flat is None or not _runs_ascend(flat.tolist(), map(len, table)):
+        return None
+    return tuple(map(tuple, table))
+
+
 def _ascending(table: Sequence) -> bool:
     return all(map(operator.lt, table, itertools.islice(table, 1, None)))
 
@@ -1042,7 +1107,9 @@ def from_dict(data: dict) -> Expression:
     sign-normalized. The tables need not be canonical: repeated entries and
     rows merge and zero terms drop.
 
-    Each form, head, kernel list and coefficient is checked once, and the
+    Forms and kernel sets in render's layout are checked by whole-table
+    passes (see _rendered_forms and _rendered_kernels), and a table not in
+    it entry by entry; each head and coefficient is checked once, and the
     products and rows by columns (see _flat_ints), the rows as one int64
     array. Tables and rows already in canonical order, as render writes
     them, pass one order check (_in_order) and make the Expression as they
@@ -1059,10 +1126,13 @@ def _from_tables(data: dict, rows: np.ndarray | None = None) -> Expression:
     "terms" table replaced by the rows of that int64 array."""
     _object(data, _TABLES, "expression")
     tables = {name: _typed(data[name], list, f"expression: {name}") for name in _TABLES}
-    forms = tuple(_parse_form(fd, f"forms[{i}]") for i, fd in enumerate(tables["forms"]))
+    # a table not in render's layout is read entry by entry (an empty one
+    # reads the same either way)
+    forms = _rendered_forms(tables["forms"]) or tuple(
+        _parse_form(fd, f"forms[{i}]") for i, fd in enumerate(tables["forms"]))
     heads = tuple(_parse_head(hd, f"heads[{i}]") for i, hd in enumerate(tables["heads"]))
-    kernel_sets = tuple(_parse_kernels(ks, f"kernels[{i}]")
-                        for i, ks in enumerate(tables["kernels"]))
+    kernel_sets = _rendered_kernels(tables["kernels"]) or tuple(
+        _parse_kernels(ks, f"kernels[{i}]") for i, ks in enumerate(tables["kernels"]))
     form_ids = _flat_ints(tables["products"])
     if form_ids is None or not ((form_ids >= 0) & (form_ids < len(forms))).all():
         # name the first bad entry

@@ -204,13 +204,20 @@ def cycle_rank(graph: MatsubaraGraph) -> int:
     return graph.num_lines - graph.num_vertices + 1
 
 
-def enumerate_spanning_trees(graph: MatsubaraGraph) -> list[LineSubset]:
-    """All spanning trees, as sorted line-id tuples in lexicographic order:
-    the (V-1)-line subsets whose lines join every vertex, so hold no cycle."""
+def spanning_trees(graph: MatsubaraGraph) -> Iterator[LineSubset]:
+    """Each spanning tree once, as a sorted line-id tuple, lazily and in
+    lexicographic order: the (V-1)-line subsets whose lines join every
+    vertex, so hold no cycle."""
     every = (1 << graph.num_vertices) - 1
     pairs = dict(zip(graph.line_ids, graph._pairs(graph.lines)))
-    return [tree for tree in itertools.combinations(graph.line_ids, graph.num_vertices - 1)
-            if _reach(1, map(pairs.__getitem__, tree)) == every]
+    return (tree for tree in itertools.combinations(graph.line_ids, graph.num_vertices - 1)
+            if _reach(1, map(pairs.__getitem__, tree)) == every)
+
+
+def enumerate_spanning_trees(graph: MatsubaraGraph) -> list[LineSubset]:
+    """All spanning trees, as sorted line-id tuples in lexicographic order
+    (see spanning_trees)."""
+    return list(spanning_trees(graph))
 
 
 def is_cutset(graph: MatsubaraGraph, subset: Iterable[int]) -> bool:

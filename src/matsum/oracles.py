@@ -60,7 +60,7 @@ class QuadratureResult(NamedTuple):
 
 def _independent_layout(graph: MatsubaraGraph):
     """First spanning tree, its solution, and the sorted non-tree lines."""
-    tree = gr.enumerate_spanning_trees(graph)[0]
+    tree = next(gr.spanning_trees(graph))
     sol = eng.solve_tree(graph, tree)
     free = sorted(set(graph.line_ids) - set(tree))
     return sol, free

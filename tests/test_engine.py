@@ -738,6 +738,29 @@ NORMALIZED_ROWS = {
 CORPUS_CALLS = {"operator": (212, 413, 250), "direct": (212, 413, 244)}
 
 
+#: Cut forms built (arrangement[rank]) by matsubara_integral on two
+#: vertices joined by 16 lines, whose one bond has 65,536 forms, as
+#: measured; a pin may only go down.
+WIDE_BOND_FORMS_BUILT = 2
+
+
+def test_a_wide_bond_builds_only_the_forms_it_reads(monkeypatch):
+    melon = gr.make_graph(["a", "b"], [(lid, "b", "a") for lid in range(1, 17)])
+    built: list[int] = []
+    form = engine._Arrangement.__getitem__
+    monkeypatch.setattr(engine._Arrangement, "__getitem__", lambda self, rank:
+                        built.append(rank) or form(self, rank))
+    integral = engine.matsubara_integral(melon)
+    assert len(built) <= WIDE_BOND_FORMS_BUILT
+    assert engine._Arrangement(melon).form_count == 1 << 16
+    # (2 pi)^15 / prod 2q_l times 1/(iN_a + sum q) - 1/(iN_a - sum q)
+    lines = tuple(range(1, 17))
+    assert integral == ex.Expression([
+        make_term(Fraction(sign, 1 << 16), 15, {l: -1 for l in lines}, (),
+                  [ex.LinearForm((("a", 1),), tuple((l, sign) for l in lines))])
+        for sign in (1, -1)])
+
+
 def test_engine_work_stays_within_its_pins(g4, monkeypatch):
     searched: list[int] = []
     rows: list[int] = []

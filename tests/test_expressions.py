@@ -918,3 +918,84 @@ def test_a_document_out_of_canonical_order_is_canonicalized(g4, mutate, monkeypa
     assert ex.parse_expression(json.dumps(doc)) == expected
     assert ex.from_dict(doc) == expected
     assert len(calls) == 2
+
+
+def _zero_an_n_coefficient(doc):
+    doc["forms"][0]["n"]["zz"] = 0
+
+
+def _zero_a_q_coefficient(doc):
+    doc["forms"][-1]["q"]["99"] = 0
+
+
+def _reverse_the_q_keys(doc):
+    q = doc["forms"][0]["q"]
+    assert len(q) > 1
+    doc["forms"][0]["q"] = dict(reversed(q.items()))
+
+
+def _reverse_a_kernel_list(doc):
+    kernels = next(ks for ks in doc["kernels"] if len(ks) > 1)
+    kernels.reverse()
+
+
+def _counted_entry_parsers(monkeypatch) -> list:
+    """A list that gets the name of each _parse_form and _parse_kernels
+    call from now on."""
+    calls = []
+    for name in ("_parse_form", "_parse_kernels"):
+        def counted(value, what, _parse=getattr(ex, name), _name=name):
+            calls.append(_name)
+            return _parse(value, what)
+        monkeypatch.setattr(ex, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mutate", [
+    _zero_an_n_coefficient, _zero_a_q_coefficient, _reverse_the_q_keys, _reverse_a_kernel_list,
+], ids=lambda mutate: mutate.__name__.strip("_"))
+def test_entries_outside_render_layout_read_as_their_tidy_twins(g4, mutate, monkeypatch):
+    # a valid form or kernel list that render would not write is read
+    # entry by entry, to the same Expression as the rendered document's
+    s = engine.matsubara_sum(g4)
+    text = ex.render(s, "json")
+    doc = json.loads(text)
+    mutate(doc)
+    calls = _counted_entry_parsers(monkeypatch)
+    for back in (ex.from_dict(doc), ex.parse_expression(json.dumps(doc))):
+        assert back == s and ex.render(back, "json") == text
+    assert calls
+
+
+def test_a_rendered_document_checks_forms_and_kernel_sets_by_whole_tables(g4, monkeypatch):
+    sums = [engine.matsubara_sum(g) for g in (g4, stress_graph())]
+    calls = _counted_entry_parsers(monkeypatch)
+    for s in sums:
+        text = ex.render(s, "json")
+        assert ex.parse_expression(text) == s and ex.from_dict(json.loads(text)) == s
+    assert calls == []
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (_set(("forms", 0), {"n": {}, "q": {"1": -1, "2": 1}}), ex.ExpressionError,
+     "forms[0]: denominator is not sign-normalized"),
+    (_set(("forms", 0), {"n": {"a": 0}, "q": {"1": -1}}), ex.ExpressionError,
+     "forms[0]: denominator is not sign-normalized"),
+    (_set(("forms", 0, "n", "a"), True), ex.ExpressionError,
+     "forms[0]: n['a'] must be an integer, got True"),
+    (_set(("forms", 3, "q"), {"01": 1}), ex.ExpressionError, "forms[3]: q: '01' is not a line id"),
+    (_set(("forms", 1, "q"), {"2": 1, "1": 2}), ex.ExpressionError,
+     "forms[1]: q coefficient 2 outside {-1,0,+1}"),
+    (_set(("kernels", 2), [2, 1, 1]), ex.DuplicateKernel,
+     "kernels[2]: term already carries the kernel of line 1"),
+    (_set(("kernels", 1), [1.0]), ex.ExpressionError, "kernels[1][0] must be an integer, got 1.0"),
+])
+def test_entries_the_table_pass_declines_raise_the_entry_errors(change, error, message):
+    # the whole-table checks accept only render's layout; a bad entry is
+    # named as the entry-by-entry reading names it
+    data = json.loads(ex.render(reference_sum_g2(), "json"))
+    change(data)
+    for read in (ex.from_dict, lambda d: ex.parse_expression(json.dumps(d))):
+        with pytest.raises(error) as info:
+            read(data)
+        assert str(info.value) == message

@@ -138,6 +138,17 @@ def test_brute_force_is_pinned(g4):
                                                        "0.18887538040605092")
 
 
+def test_the_oracles_lay_out_the_first_tree_without_listing_the_rest(g4, monkeypatch):
+    first = gr.enumerate_spanning_trees(g4)[0]
+    monkeypatch.setattr(gr, "enumerate_spanning_trees",
+                        lambda graph: pytest.fail("every spanning tree listed"))
+    solution, free = oracles._independent_layout(g4)
+    assert solution.tree == first and free == sorted(set(g4.line_ids) - set(first))
+    res = oracles.brute_force_sum(g4, {"a": 1, "b": -2, "c": 1},
+                                  {1: 0.7, 2: 1.1, 3: 1.6, 4: 0.9, 5: 2.3}, 100)
+    assert math.isfinite(res.value)
+
+
 def test_brute_force_memory_is_one_slab(g4):
     n, q = {"a": 1, "b": -2, "c": 1}, {1: 0.7, 2: 1.1, 3: 1.6, 4: 0.9, 5: 2.3}
     tracemalloc.start()
