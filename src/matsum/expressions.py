@@ -1002,20 +1002,13 @@ def _index_rows(rows: list | np.ndarray, sizes: tuple[int, ...]) -> np.ndarray |
     return rows if ((rows >= 0) & (rows < sizes)).all() else None
 
 
-def _runs_ascend(flat: list, lengths: Iterable[int]) -> bool:
-    """Whether each run of the list, cut at the lengths, ascends strictly:
-    every descent falls where a run starts."""
-    starts = set(itertools.accumulate(lengths))
-    return starts.issuperset(itertools.compress(
-        itertools.count(1), map(operator.ge, flat, itertools.islice(flat, 1, None))))
-
-
-def _rendered_forms(table: list) -> tuple[LinearForm, ...] | None:
-    """The forms of a table whose every entry is in render's layout, else
-    None: objects of exactly "n" and "q", each n mapping strings to nonzero
-    integers and each q decimal line ids, ascending, to +-1, and each form
-    led by a positive coefficient. Checked in passes over the whole table,
-    not form by form (see _parse_form)."""
+def _forms(table: list) -> tuple[LinearForm, ...] | None:
+    """The forms of a table whose every entry is a valid form, else None:
+    objects of exactly "n" and "q", each n mapping strings to integers and
+    each q decimal line ids to -1, 0 or +1. Each form is tidied as
+    normalize_form tidies it, zero coefficients dropped and q sorted by line
+    id, and must then be nonzero and led by a positive coefficient. Checked
+    in passes over the whole table, not form by form (see _parse_form)."""
     count = len(table)
     if (operator.countOf(map(type, table), dict) != count
             or operator.countOf(map(len, table), 2) != count):
@@ -1032,37 +1025,39 @@ def _rendered_forms(table: list) -> tuple[LinearForm, ...] | None:
     q_keys = list(itertools.chain.from_iterable(qs))
     q_values = list(itertools.chain.from_iterable(map(dict.values, qs)))
     if (operator.countOf(map(type, n_keys), str) != len(n_keys)
-            or operator.countOf(map(type, n_values), int) != len(n_values) or 0 in n_values
+            or operator.countOf(map(type, n_values), int) != len(n_values)
             or operator.countOf(map(type, q_keys), str) != len(q_keys)
             or operator.countOf(map(type, q_values), int) != len(q_values)
-            or operator.countOf(q_values, 1) + operator.countOf(q_values, -1) != len(q_values)):
+            or sum(map(q_values.count, (-1, 0, 1))) != len(q_values)):
         return None
     try:
         ids = {key: int(key) for key in set(q_keys)}
     except ValueError:
         return None
-    q_ids = list(map(ids.__getitem__, q_keys))
-    q_lengths = list(map(len, qs))
+    if not all(map(operator.eq, map(str, ids.values()), ids)):
+        return None
+    # distinct keys are distinct line ids, so the pairs sort by line id
+    n_terms = [tuple(itertools.compress(n.items(), n.values())) for n in ns]
+    q_terms = [tuple(sorted(itertools.compress(zip(map(ids.__getitem__, q), q.values()),
+                                               q.values()))) for q in qs]
     # a form's lead: its first N coefficient, or its first q's with none
-    leads = [next(iter((n or q).values())) for n, q in zip(ns, qs) if n or q]
-    if (not all(map(operator.eq, map(str, ids.values()), ids))
-            or not _runs_ascend(q_ids, q_lengths)
-            or len(leads) != count or min(leads, default=1) < 0):
+    leads = [(n or q)[0][1] for n, q in zip(n_terms, q_terms) if n or q]
+    if len(leads) != count or min(leads, default=1) < 0:
         return None
-    starts = list(itertools.accumulate(q_lengths, initial=0))
-    pairs = list(zip(q_ids, q_values))
-    return tuple(map(LinearForm, map(tuple, map(dict.items, ns)),
-                     map(tuple, map(pairs.__getitem__, map(slice, starts, starts[1:])))))
+    return tuple(map(LinearForm, n_terms, q_terms))
 
 
-def _rendered_kernels(table: list) -> tuple[tuple[int, ...], ...] | None:
-    """The kernel sets of a table whose every entry is an array of integers
-    in strictly ascending order, as render writes them, else None. Checked
-    in passes over the whole table (see _flat_ints and _parse_kernels)."""
-    flat = _flat_ints(table)
-    if flat is None or not _runs_ascend(flat.tolist(), map(len, table)):
+def _kernel_sets(table: list) -> tuple[tuple[int, ...], ...] | None:
+    """The kernel sets of a table whose every entry is an array of distinct
+    integers, each sorted, else None. Checked in passes over the whole
+    table, not set by set (see _parse_kernels)."""
+    if operator.countOf(map(type, table), list) != len(table):
         return None
-    return tuple(map(tuple, table))
+    flat = list(itertools.chain.from_iterable(table))
+    if (operator.countOf(map(type, flat), int) != len(flat)
+            or sum(map(len, map(set, table))) != len(flat)):
+        return None
+    return tuple(map(tuple, map(sorted, table)))
 
 
 def _ascending(table: Sequence) -> bool:
@@ -1107,16 +1102,16 @@ def from_dict(data: dict) -> Expression:
     sign-normalized. The tables need not be canonical: repeated entries and
     rows merge and zero terms drop.
 
-    Forms and kernel sets in render's layout are checked by whole-table
-    passes (see _rendered_forms and _rendered_kernels), and a table not in
-    it entry by entry; each head and coefficient is checked once, and the
-    products and rows by columns (see _flat_ints), the rows as one int64
-    array. Tables and rows already in canonical order, as render writes
-    them, pass one order check (_in_order) and make the Expression as they
-    stand; those of any other document, and the array's four columns, go
-    to _canonical(), with no work per row in Python. parse_expression
-    reads the rows of a rendered document as that array straight from its
-    text.
+    One pass over each whole table reads it (see _forms, _kernel_sets and
+    _flat_ints), tidying entries render would not write: zero coefficients
+    drop, and q terms and kernel lists sort. Each head and coefficient is
+    checked once, and the rows read as one int64 array. A table a pass
+    declines is named entry by entry: the first bad entry raises. Tables
+    and rows already in canonical order, as render writes them, pass one
+    order check (_in_order) and make the Expression as they stand; those
+    of any other document, and the array's four columns, go to
+    _canonical(), with no work per row in Python. parse_expression reads
+    the rows of a rendered document as that array straight from its text.
     """
     return _from_tables(data)
 
@@ -1126,13 +1121,17 @@ def _from_tables(data: dict, rows: np.ndarray | None = None) -> Expression:
     "terms" table replaced by the rows of that int64 array."""
     _object(data, _TABLES, "expression")
     tables = {name: _typed(data[name], list, f"expression: {name}") for name in _TABLES}
-    # a table not in render's layout is read entry by entry (an empty one
-    # reads the same either way)
-    forms = _rendered_forms(tables["forms"]) or tuple(
-        _parse_form(fd, f"forms[{i}]") for i, fd in enumerate(tables["forms"]))
+    forms = _forms(tables["forms"])
+    if forms is None:
+        # name the first bad entry
+        for i, fd in enumerate(tables["forms"]):
+            _parse_form(fd, f"forms[{i}]")
     heads = tuple(_parse_head(hd, f"heads[{i}]") for i, hd in enumerate(tables["heads"]))
-    kernel_sets = _rendered_kernels(tables["kernels"]) or tuple(
-        _parse_kernels(ks, f"kernels[{i}]") for i, ks in enumerate(tables["kernels"]))
+    kernel_sets = _kernel_sets(tables["kernels"])
+    if kernel_sets is None:
+        # name the first bad entry
+        for i, ks in enumerate(tables["kernels"]):
+            _parse_kernels(ks, f"kernels[{i}]")
     form_ids = _flat_ints(tables["products"])
     if form_ids is None or not ((form_ids >= 0) & (form_ids < len(forms))).all():
         # name the first bad entry

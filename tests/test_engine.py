@@ -266,10 +266,21 @@ def test_full_equals_reduced_on_fixtures(g2, g3, g4):
             engine.apply_operator(engine.operator_reduced(g), e)
 
 
-def test_kernel_degree_bounded_by_cycle_rank(g2, g3, g4):
-    for g in (g2, g3, g4):
+def test_kernel_degree_reaches_cycle_rank():
+    # the largest kernel set has exactly cycle-rank lines, on G2-G4, the
+    # corpus and the stress graph
+    for g in corpus() + [stress_graph()]:
         s = engine.matsubara_sum(g)
-        assert all(len(t.kernels) <= gr.cycle_rank(g) for t in s.terms)
+        assert max(map(len, s.kernel_sets)) == gr.cycle_rank(g), g
+
+
+def test_zero_temperature_terms_are_the_integral():
+    # at zero temperature every kernel vanishes: the sum's terms with no
+    # kernel, made canonical, are the Matsubara integral
+    for g in corpus() + [stress_graph()]:
+        s = engine.matsubara_sum(g)
+        assert ex.Expression(t for t in s.terms if not t.kernels) == \
+            engine.matsubara_integral(g), g
 
 
 def test_sum_numeric_against_brute_force_g3(g3):

@@ -955,8 +955,8 @@ def _counted_entry_parsers(monkeypatch) -> list:
     _zero_an_n_coefficient, _zero_a_q_coefficient, _reverse_the_q_keys, _reverse_a_kernel_list,
 ], ids=lambda mutate: mutate.__name__.strip("_"))
 def test_entries_outside_render_layout_read_as_their_tidy_twins(g4, mutate, monkeypatch):
-    # a valid form or kernel list that render would not write is read
-    # entry by entry, to the same Expression as the rendered document's
+    # a valid form or kernel list that render would not write is tidied by
+    # the whole-table pass, to the same Expression as the rendered document's
     s = engine.matsubara_sum(g4)
     text = ex.render(s, "json")
     doc = json.loads(text)
@@ -964,7 +964,7 @@ def test_entries_outside_render_layout_read_as_their_tidy_twins(g4, mutate, monk
     calls = _counted_entry_parsers(monkeypatch)
     for back in (ex.from_dict(doc), ex.parse_expression(json.dumps(doc))):
         assert back == s and ex.render(back, "json") == text
-    assert calls
+    assert calls == []
 
 
 def test_a_rendered_document_checks_forms_and_kernel_sets_by_whole_tables(g4, monkeypatch):
@@ -991,8 +991,8 @@ def test_a_rendered_document_checks_forms_and_kernel_sets_by_whole_tables(g4, mo
     (_set(("kernels", 1), [1.0]), ex.ExpressionError, "kernels[1][0] must be an integer, got 1.0"),
 ])
 def test_entries_the_table_pass_declines_raise_the_entry_errors(change, error, message):
-    # the whole-table checks accept only render's layout; a bad entry is
-    # named as the entry-by-entry reading names it
+    # the whole-table checks decline a bad entry, which is then named as
+    # the entry-by-entry reading names it
     data = json.loads(ex.render(reference_sum_g2(), "json"))
     change(data)
     for read in (ex.from_dict, lambda d: ex.parse_expression(json.dumps(d))):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -167,6 +167,61 @@ def test_render_matches_the_term_loop_on_random_terms(terms):
     e = ex.Expression(terms)
     for fmt in ("text", "latex"):
         assert ex.render(e, fmt) == reference.render(e, fmt)
+
+
+@st.composite
+def _tables(draw, good, bad):
+    """Zero to three good entries, and half the time one of them replaced by
+    a bad one."""
+    table = draw(st.lists(good, max_size=3))
+    if table and draw(st.booleans()):
+        table[draw(st.integers(0, len(table) - 1))] = draw(bad)
+    return table
+
+
+#: Integers as a table may hold them: zero, negative and beyond int64.
+_INTEGERS = st.sampled_from([-2, -1, 0, 1, 2, 2**64])
+#: Those integers, and booleans and floats, which no table accepts.
+_NUMBERS = st.one_of(_INTEGERS, st.sampled_from([True, False, 1.0, -0.5]))
+_LINE_KEYS = st.sampled_from(["1", "2", "3", "10", "-1"])
+#: Forms valid but for a zero form or a negative lead, with zero
+#: coefficients and q keys in any order.
+_GOOD_FORMS = st.fixed_dictionaries({
+    "n": st.dictionaries(st.sampled_from("abc"), _INTEGERS, max_size=3),
+    "q": st.dictionaries(_LINE_KEYS, st.integers(-1, 1), max_size=4)})
+_BAD_FORMS = st.one_of(
+    st.fixed_dictionaries({
+        "n": st.dictionaries(st.sampled_from("abc"), _NUMBERS, max_size=3),
+        "q": st.dictionaries(st.one_of(_LINE_KEYS, st.sampled_from(["01", "x", "+2"])),
+                             _NUMBERS, max_size=4)}),
+    st.sampled_from([[], {"n": {}}, {"n": {}, "q": []}, {"n": {1: 1}, "q": {}},
+                     {"n": {}, "q": {1: 1}}, {"n": {"a": 1}, "q": {}, "x": {}}]))
+_GOOD_KERNELS = st.lists(st.sampled_from([-1, 1, 2, 3, 2**64]), max_size=3)
+_BAD_KERNELS = st.one_of(st.lists(_NUMBERS, max_size=4), st.sampled_from([{}, "1", 1]))
+
+
+def _entry_reads(parse, table: list) -> tuple | None:
+    """What parse reads from each entry of the table, or None when one
+    raises."""
+    try:
+        return tuple(parse(entry, f"[{i}]") for i, entry in enumerate(table))
+    except ex.ExpressionError:
+        return None
+
+
+@settings(max_examples=300)
+@given(_tables(_GOOD_FORMS, _BAD_FORMS))
+def test_the_forms_pass_declines_exactly_the_tables_the_entry_parser_rejects(table):
+    # zero coefficients, q keys in any order and negative leads: the
+    # whole-table pass reads what _parse_form reads, so that when it
+    # declines a table, naming the entries raises
+    assert ex._forms(table) == _entry_reads(ex._parse_form, table)
+
+
+@settings(max_examples=300)
+@given(_tables(_GOOD_KERNELS, _BAD_KERNELS))
+def test_the_kernels_pass_declines_exactly_the_tables_the_entry_parser_rejects(table):
+    assert ex._kernel_sets(table) == _entry_reads(ex._parse_kernels, table)
 
 
 def test_a_failing_property_does_not_stop_the_run(tmp_path):
