@@ -8,13 +8,16 @@ Stages, per graph G with V vertices, I lines and cycle rank L = I - V + 1:
      non-tree lines l (solve_tree). The cuts a non-tree line crosses give its
      fundamental cycle, and the cycle's member ranked highest by a hierarchy
      of regulator magnitudes fixes its regulator sign eps_l = +-1
-     (TreeSolution.epsilon).
+     (TreeSolution.epsilon). All trees of a call are solved in one batch,
+     as integer arrays over (tree, tree line, line) (_solve_trees);
+     solve_tree is its one-tree view.
   2. Each tree contributes (2 pi)^L * prod_k 1/(2 q_k) times the product over
      tree lines j of the reflection-difference pair of
      1/(q_j + sum_l eps_l b_l q_l - i sum_v a_v N_v)       (tree_product).
      Up to sign, that denominator is a cut form of j's fundamental bond, and
-     the pair flips q_j in it alone. Summing over trees gives the integral
-     evaluation (matsubara_integral).
+     the pair flips q_j in it alone; the forms of all trees are found from
+     the batch's arrays at once (_tree_products). Summing over trees gives
+     the integral evaluation (matsubara_integral).
   3. The sum evaluation follows either by applying the thermal operator
      sum over non-cutset line subsets S of prod_{i in S} nbe_i (1 - R_i)
      to the integral (operator route), or tree by tree with the operator
@@ -116,7 +119,8 @@ def solve_tree(
     graph: MatsubaraGraph, tree: Iterable[int], hierarchy: Sequence[int] | None = None
 ) -> TreeSolution:
     """Solve the vertex constraints along a spanning tree and fix the
-    regulator signs, both from the tree lines' fundamental cuts.
+    regulator signs, both from the tree lines' fundamental cuts: the one-tree
+    view of _solve_trees.
 
     For tree line j, summing the constraints over the side of its fundamental
     cut gives n_j = sum_{v in side} N_v - sum_{crossing l != j} sign_l n_l;
@@ -128,26 +132,90 @@ def solve_tree(
     lines are not a spanning tree or the hierarchy is not a permutation of
     the line ids.
     """
-    if hierarchy is not None and sorted(hierarchy) != sorted(graph.line_ids):
-        raise gr.GraphError("hierarchy must be a permutation of the line ids")
-    rank = {lid: pos for pos, lid in enumerate(graph.line_ids if hierarchy is None else hierarchy)}
+    ranks = _hierarchy_ranks(graph, hierarchy)
     tree_ids = tuple(sorted(tree))
     if (len(tree_ids) != graph.num_vertices - 1
             or gr.is_cutset(graph, set(graph.line_ids) - set(tree_ids))):
         raise gr.GraphError(f"lines {list(tree_ids)} are not a spanning tree")
-    omega: dict[int, OmegaForm] = {}
-    cycles = {l: [(l, 1)] for l in graph.line_ids if l not in tree_ids}
-    for j in tree_ids:
-        side, crossing = gr.fundamental_cutset(graph, tree_ids, j)
-        root_in = graph.root in side
-        line_part = tuple(sorted((l, -sign) for l, sign in crossing.items() if l != j))
-        omega[j] = OmegaForm(tuple((v, -1 if root_in else 1) for v in graph.vertices[:-1]
-                                   if (v in side) != root_in), line_part)
-        for l, b in line_part:
-            cycles[l].append((j, b))
-    epsilon = {l: min(cycle, key=lambda member: rank[member[0]])[1]
-               for l, cycle in cycles.items()}
-    return TreeSolution(tree_ids, omega, epsilon)
+    return _solve_trees(graph, [tree_ids], ranks).solutions()[0]
+
+
+class _Trees(NamedTuple):
+    """Spanning trees of one graph solved at once (_solve_trees), as integer
+    arrays over (tree, tree line, line); a line is named by its position in
+    graph.line_ids, and each tree's lines ascend. Tree line j's fundamental
+    cut splits off the side j points into; S is the cut's side without the
+    root, so that n_j = a N(S) - sum_{l != j} cross_l n_l."""
+
+    graph: MatsubaraGraph
+    tree: np.ndarray      # T x k: the tree lines
+    side: np.ndarray      # T x k: S as a vertex bitmask, a bond's side
+    sign: np.ndarray      # T x k: a, +1 where j points into S, else -1
+    cross: np.ndarray     # T x k x I: +1 per line into j's side, -1 out of it
+    epsilon: np.ndarray   # T x I: eps_l of each non-tree line, 0 on tree lines
+
+    def solutions(self) -> list[TreeSolution]:
+        """Each tree's TreeSolution (see solve_tree), in order."""
+        ids, names = self.graph.line_ids, self.graph.vertices[:-1]
+        out = []
+        for tree, sides, signs, cross, epsilon in zip(
+                self.tree.tolist(), self.side.tolist(), self.sign.tolist(),
+                self.cross.tolist(), self.epsilon.tolist()):
+            omega = {ids[j]: OmegaForm(
+                tuple((v, a) for i, v in enumerate(names) if side >> i & 1),
+                tuple((l, -c) for i, (l, c) in enumerate(zip(ids, row)) if c and i != j))
+                for j, side, a, row in zip(tree, sides, signs, cross)}
+            out.append(TreeSolution(tuple(ids[j] for j in tree), omega,
+                                    {l: e for l, e in zip(ids, epsilon) if e}))
+        return out
+
+
+def _hierarchy_ranks(graph: MatsubaraGraph, hierarchy: Sequence[int] | None) -> np.ndarray:
+    """Each line's rank in the hierarchy (0 highest), by line position;
+    raises GraphError when the hierarchy is not a permutation of the line
+    ids."""
+    ids = graph.line_ids
+    if hierarchy is None:
+        return np.arange(len(ids))
+    if sorted(hierarchy) != sorted(ids):
+        raise gr.GraphError("hierarchy must be a permutation of the line ids")
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[[ids.index(lid) for lid in hierarchy]] = np.arange(len(ids))
+    return ranks
+
+
+def _solve_trees(graph: MatsubaraGraph, trees: Sequence[LineSubset],
+                 ranks: np.ndarray | None = None) -> _Trees:
+    """The spanning trees (sorted line-id tuples) solved at once, with the
+    regulator signs of the hierarchy ranks (default: ascending line id; see
+    solve_tree). Each tree line's side is its head's reach over the tree's
+    other lines; the rest is arrays: which side each line's ends lie on,
+    and per non-tree line the member of its fundamental cycle ranked first,
+    by a masked argmin over the tree lines whose cuts it crosses."""
+    position = {lid: i for i, lid in enumerate(graph.line_ids)}
+    pairs, bit = graph._pairs(graph.lines), graph._bit
+    tree = np.array([[position[lid] for lid in t] for t in trees],
+                    dtype=np.int64).reshape(len(trees), graph.num_vertices - 1)
+    reach = [[gr._reach(bit[graph.lines[j].head], [pairs[o] for o in t if o != j]) for j in t]
+             for t in tree.tolist()]
+    side = np.array(reach, dtype=np.int64).reshape(tree.shape)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    # whether each line's head, and its tail, lies on the side j points into
+    ends = side[:, :, None, None] >> np.array([[index[ln.head] for ln in graph.lines],
+                                               [index[ln.tail] for ln in graph.lines]]) & 1
+    cross = ends[:, :, 0] - ends[:, :, 1]
+    root = side >> (graph.num_vertices - 1) & 1
+    side ^= root * ((1 << graph.num_vertices) - 1)
+    if ranks is None:
+        ranks = np.arange(graph.num_lines)
+    # a non-tree line's cycle: itself (+1) and each tree line j whose cut
+    # it crosses, with sign -cross; on tree lines eps is 0
+    member = np.where(cross, ranks[tree][:, :, None], graph.num_lines)
+    rows, lines = np.arange(len(tree))[:, None], np.arange(graph.num_lines)
+    first = member.argmin(axis=1)
+    epsilon = np.where(member[rows, first, lines] < ranks, -cross[rows, first, lines], 1)
+    epsilon[rows, tree] = 0
+    return _Trees(graph, tree, side, 1 - 2 * root, cross, epsilon)
 
 
 def tree_product(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
@@ -160,36 +228,23 @@ def tree_product(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
     1/(q_j - i Omega_j) - 1/(-q_j - i Omega_j). The result has 2^(V-1)
     terms and depends on the regulator signs of the solution.
     """
-    arrangement, total = _tree_products(graph, [solution])
+    arrangement, total = _tree_products(_given(graph, solution))
     return arrangement.freeze(total, 2 ** graph.num_lines)
 
 
-def _tree_forms(arrangement: "_Arrangement",
-                solution: TreeSolution) -> tuple[int, list[int], list[int]]:
-    """A tree product's base term (2 pi)^L / prod_k (2 q_k) over the tree
-    lines' denominators, as its sign and the ranks of its forms, and the
-    ranks of those forms with q_j flipped for their tree line j. Line j's
-    denominator, with N-part a N(S) (a = +-1, S its fundamental bond's
-    root-free side), is s = -a times the cut form
-    i N(S) + s (q_j + sum_l eps_l b_l q_l)."""
-    sign, forms, flipped = 1, [], []
-    for j in solution.tree:
-        om = solution.omega[j]
-        s = -om.n_part[0][1]
-        q = ((j, s),) + tuple((l, s * solution.epsilon[l] * b) for l, b in om.line_part)
-        rank = arrangement.cut_rank(frozenset(v for v, _ in om.n_part),
-                                    [l for l, c in q if c < 0])
-        sign *= s
-        forms.append(rank)
-        flipped.append(int(arrangement.flips[arrangement.line_position[j], rank]))
-    return sign, forms, flipped
+def _given(graph: MatsubaraGraph, solution: TreeSolution) -> _Trees:
+    """The solution's tree solved in a batch, with the solution's
+    regulator signs."""
+    trees = _solve_trees(graph, [solution.tree])
+    return trees._replace(epsilon=np.array([[solution.epsilon.get(lid, 0)
+                                              for lid in graph.line_ids]]))
 
 
 def tree_integral(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
     """Contribution of one spanning tree to the integral evaluation: the
     normal form (see normal_form) of its tree_product. The contributions of
     all trees add up to matsubara_integral."""
-    arrangement, total = _tree_products(graph, [solution])
+    arrangement, total = _tree_products(_given(graph, solution))
     return arrangement.freeze(arrangement.normalize_all(total), 2 ** graph.num_lines)
 
 
@@ -199,31 +254,42 @@ def matsubara_integral(
     """Closed-form evaluation of the Matsubara integral: the tree products
     of all spanning trees, summed and brought to normal form once. The
     result does not depend on the regulator hierarchy."""
-    arrangement, total = _tree_products(graph, [
-        solve_tree(graph, tree, hierarchy) for tree in gr.enumerate_spanning_trees(graph)])
+    arrangement, total = _tree_products(_solve_trees(
+        graph, gr.enumerate_spanning_trees(graph), _hierarchy_ranks(graph, hierarchy)))
     return arrangement.freeze(arrangement.normalize_all(total), 2 ** graph.num_lines)
 
 
-def _tree_products(graph: MatsubaraGraph, solutions: Sequence[TreeSolution]):
-    """The packed tree products of the solutions' trees over the graph's
-    cut arrangement, unmerged, 2^(V-1) rows per tree in the solutions'
-    order: all in one group, of head (2 pi)^L / prod_k q_k and no kernels,
+def _tree_products(trees: _Trees):
+    """The packed tree products of the solved trees over the graph's cut
+    arrangement, unmerged, 2^(V-1) rows per tree in the trees' order: all
+    in one group, of head (2 pi)^L / prod_k q_k and no kernels,
     coefficients over 2^I.
 
-    A tree product is its base term (see _tree_forms) times (1 + R_j) for
+    A tree product's base term is (2 pi)^L / prod_k (2 q_k) over the tree
+    lines' denominators. Line j's, with N-part a N(S), is s = -a times the
+    cut form i N(S) + s (q_j + sum_l eps_l b_l q_l) of j's fundamental bond,
+    whose rank is found by the bond's side and the form's sign pattern, for
+    all trees at once. The product is the base term times (1 + R_j) for
     each tree line j. No other line's form has q_j and the head is odd in
     q_j, so (1 + R_j) pairs j's form (+1) with its q_j-flipped form (-1);
-    the terms are the pairs' products, built for all trees at once."""
+    the terms are the pairs' products."""
+    graph = trees.graph
     arrangement = _Arrangement(graph)
     group = arrangement.group(
         ((gr.cycle_rank(graph), tuple((lid, -1) for lid in graph.line_ids)), ()))
-    signs, forms, flipped = zip(*(_tree_forms(arrangement, s) for s in solutions))
+    # the form's q_l has sign s = -a on j and a eps_l cross_l on a non-tree
+    # l, so it is -q where cross_l is a on j and -a eps_l on a non-tree l
+    minus = trees.cross == trees.sign[:, :, None] * np.where(trees.epsilon > 0, -1, 1)[:, None, :]
+    bond = np.searchsorted(arrangement._masks, trees.side)
+    forms = arrangement._form_at[arrangement._offset[bond]
+                                 + (minus * arrangement._weight[bond]).sum(axis=2)]
+    flipped = arrangement.flips[trees.tree, forms]
     k = graph.num_vertices - 1
     # term t of a tree takes tree line j's flipped form where bit j of t is set
     bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
-    ranks = np.where(bits, np.array(flipped)[:, None, :], np.array(forms)[:, None, :])
+    ranks = np.where(bits, flipped[:, None, :], forms[:, None, :])
     products = arrangement.intern(np.sort(ranks, axis=2).reshape(-1, k))
-    coeff = (np.array(signs)[:, None] * (1 - 2 * (bits.sum(axis=1) & 1))).reshape(-1)
+    coeff = ((-trees.sign).prod(axis=1)[:, None] * (1 - 2 * (bits.sum(axis=1) & 1))).reshape(-1)
     return arrangement, _Terms(np.full(len(products), group), products, coeff)
 
 
@@ -343,31 +409,31 @@ class _Arrangement:
 
     def __init__(self, graph: MatsubaraGraph):
         self.graph = graph
-        bonds = gr.bonds(graph)
+        bonds = gr._bonds(graph)
         self.lines = tuple(sorted(graph.line_ids))
         self.line_position = {lid: i for i, lid in enumerate(self.lines)}
+        #: the bonds' root-free sides as vertex bitmasks, ascending
+        self._masks = np.array([mask for mask, _ in bonds], dtype=np.int64)
+        self._sides = [tuple((v, 1) for i, v in enumerate(graph.vertices[:-1]) if mask >> i & 1)
+                       for mask, _ in bonds]
         # the cuts (bond b, sign pattern) at offset[b] + pattern: bit
         # len(C)-1-j of the pattern is set when line C[j] of the bond has -q,
         # so the patterns 0 and 2^len(C) - 1 are the same-sign forms. Each
         # form leads with +N(S) for its bond's root-free side S
-        self._sides = [tuple((v, 1) for v in graph.vertices[:-1] if v in side)
-                       for side, _ in bonds]
-        self._bond_of = {side: b for b, (side, _) in enumerate(bonds)}
-        widths = np.array([len(lines) for _, lines in bonds], dtype=np.int64)
-        sizes = 1 << widths
-        self._offset = np.cumsum(sizes) - sizes
-        bond = np.repeat(np.arange(len(bonds)), sizes)
-        pattern = np.arange(len(bond)) - self._offset[bond]
+        widths = [len(lines) for _, lines in bonds]
+        offset = list(itertools.accumulate((1 << w for w in widths), initial=0))
+        self._offset = np.array(offset[:-1], dtype=np.int64)
         # ranked in normal-form order from integer keys, with no form built:
         # same-sign first, then by bond width and side (LinearForm order on
         # the N-parts), then by descending pattern (a -q sorts before a +q)
-        side_rank = np.empty(len(bonds), dtype=np.int64)
-        side_rank[sorted(range(len(bonds)), key=self._sides.__getitem__)] = np.arange(len(bonds))
-        mixed = (pattern > 0) & (pattern < sizes[bond] - 1)
-        order = np.lexsort((-pattern, side_rank[bond], widths[bond], mixed))
+        by = sorted(range(len(bonds)), key=lambda b: (widths[b], self._sides[b]))
+        order = np.concatenate([np.array([at for b in by for at in (offset[b + 1] - 1, offset[b])],
+                                         dtype=np.int64)]
+                               + [np.arange(offset[b + 1] - 2, offset[b], -1) for b in by])
         #: the number of forms, also the rank past them (the pad of intern)
-        self.form_count = len(order)
-        self._bond, pattern = bond[order], pattern[order]
+        self.form_count = offset[-1]
+        self._bond = np.searchsorted(self._offset, order, side="right") - 1
+        pattern = order - self._offset[self._bond]
         self._form_at = np.empty(self.form_count, dtype=np.int64)
         self._form_at[order] = np.arange(self.form_count)
         # per bond its lines' weights in the sign pattern (by line position)
@@ -386,8 +452,7 @@ class _Arrangement:
         # as floats, per bond its N-part and its lines, per rank the form's
         # N- and q-parts (_bond_search: reading the integer ones there
         # measured 4% slower on the 8-ring's direct route, 2-vCPU host)
-        bond_n = np.array([[v in side for v in graph.vertices[:-1]] for side, _ in bonds],
-                          dtype=np.int64).reshape(len(bonds), -1)
+        bond_n = self._masks[:, None] >> np.arange(graph.num_vertices - 1) & 1
         self.vectors = np.concatenate([bond_n[self._bond],
                                        np.where(pattern[:, None] & weight, -1, weight > 0)], axis=1)
         self._bond_n, self._bond_lines = bond_n.astype(float), (self._weight > 0).astype(float)
@@ -449,14 +514,6 @@ class _Arrangement:
         return (np.array(odd, dtype=bool).reshape(shape),
                 np.array(carried, dtype=bool).reshape(shape))
 
-    def cut_rank(self, side: frozenset[str], minus: Iterable[int]) -> int:
-        """The rank of i*N(side) + sum_l +-q_l over the bond with root-free
-        side `side`, with -q on the lines `minus`; a line that does not
-        cross the bond adds nothing."""
-        b = self._bond_of[side]
-        pattern = sum(self._weight[b, self.line_position[l]] for l in minus)
-        return int(self._form_at[self._offset[b] + pattern])
-
     def __getitem__(self, rank: int) -> ex.LinearForm:
         """The cut form of a rank, built from the q-part of its vector on
         each read (forms are built only where read)."""
@@ -472,8 +529,10 @@ class _Arrangement:
     def rank(self, form: ex.LinearForm) -> int:
         """The rank of a cut form; raises NotACutForm for any other form."""
         try:
-            rank = self.cut_rank(frozenset(v for v, _ in form.n), [l for l, c in form.q if c < 0])
-        except KeyError:  # no bond has the side, or the graph lacks a -q line
+            b = int(np.searchsorted(self._masks, sum(self.graph._bit[v] for v, _ in form.n)))
+            pattern = sum(self._weight[b, self.line_position[l]] for l, c in form.q if c < 0)
+            rank = int(self._form_at[self._offset[b] + pattern])
+        except (KeyError, IndexError):  # an unknown vertex or -q line, or no bond's side
             rank = None
         if rank is None or self[rank] != form:
             raise NotACutForm(form)
@@ -992,7 +1051,7 @@ def matsubara_sum(
         raise ValueError(f"unknown method {method!r}")
     trees = gr.enumerate_spanning_trees(graph)
     arrangement, products = _tree_products(
-        graph, [solve_tree(graph, tree, hierarchy) for tree in trees])
+        _solve_trees(graph, trees, _hierarchy_ranks(graph, hierarchy)))
     if method == "operator":
         operators, roots = [operator_reduced(graph).subsets], None
     else:   # tree t's rows are acted on by the subsets of its non-tree lines

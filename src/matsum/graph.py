@@ -235,14 +235,19 @@ def bonds(graph: MatsubaraGraph) -> list[tuple[frozenset[str], LineSubset]]:
     are sorted. Bonds are exactly the fundamental cuts of spanning trees.
     Deterministic order, by the side's vertex bitmask in vertex order.
     """
+    return [(frozenset(v for v, b in graph._bit.items() if b & mask), lines)
+            for mask, lines in _bonds(graph)]
+
+
+def _bonds(graph: MatsubaraGraph) -> list[tuple[int, LineSubset]]:
+    """The bonds as in bonds, each side as its vertex bitmask, ascending."""
     pairs = graph._pairs(graph.lines)
 
     def connected(mask: int) -> bool:
         return _reach(mask & -mask, (p for p in pairs if p & mask == p)) == mask
 
     every = (1 << graph.num_vertices) - 1
-    return [(frozenset(v for v, b in graph._bit.items() if b & mask),
-             tuple(ln.id for ln, p in zip(graph.lines, pairs) if p & mask not in (0, p)))
+    return [(mask, tuple(ln.id for ln, p in zip(graph.lines, pairs) if p & mask not in (0, p)))
             for mask in range(1, 1 << (graph.num_vertices - 1))  # root bit clear
             if connected(mask) and connected(every ^ mask)]
 

@@ -395,12 +395,11 @@ def check_gaudin_identity(
 
     saddle = {lid: -1j * q_values[lid] for lid in graph.line_ids}
     rhs = 0j
-    for tree in gr.enumerate_spanning_trees(graph):
-        sol = eng.solve_tree(graph, tree)
+    for sol in eng._solve_trees(graph, gr.enumerate_spanning_trees(graph)).solutions():
         contrib = 1.0 + 0j
         for j in sol.tree:
             contrib /= q_values[j] - 1j * sol.omega[j].value(t_values, saddle)
-        for l in sorted(set(graph.line_ids) - set(tree)):
+        for l in sorted(set(graph.line_ids) - set(sol.tree)):
             contrib /= q_values[l] - 1j * n_tuple[l]
         rhs += contrib
     return abs(lhs - rhs) / abs(lhs)

@@ -3,17 +3,21 @@ known closed-form evaluations, built directly through the expression API."""
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from matsum import engine, fixtures
 from matsum import expressions as ex
-from matsum import fixtures
-from matsum.graph import MatsubaraGraph, make_graph
+from matsum import graph as gr
+from matsum.graph import MatsubaraGraph, make_graph, validate_graph
 
+import reference
 from reference import make_term
 
 # Property tests run a fixed, bounded set of examples, so every run of the
@@ -68,6 +72,29 @@ def corpus() -> list[MatsubaraGraph]:
     rng = np.random.default_rng(20260810)
     return [fixtures.g2(), fixtures.g3(), fixtures.g4()] + [
         fixtures.random_graph(rng, 5, 7) for _ in range(50)]
+
+
+def fixture_graphs() -> list[MatsubaraGraph]:
+    """The graphs of fixtures/*.json, by file name."""
+    root = Path(__file__).resolve().parent.parent
+    return [validate_graph(json.loads(path.read_text()))
+            for path in sorted((root / "fixtures").glob("*.json"))]
+
+
+def check_tree_stage(graph: MatsubaraGraph, hierarchy=None) -> None:
+    """Assert that the batched tree stage is the per-tree reference under
+    the hierarchy: every tree's TreeSolution, by the batch and by
+    solve_tree, and the packed tree products (interned product list,
+    product column and coefficients)."""
+    trees = gr.enumerate_spanning_trees(graph)
+    solutions = [reference.solve_tree(graph, tree, hierarchy) for tree in trees]
+    batch = engine._solve_trees(graph, trees, engine._hierarchy_ranks(graph, hierarchy))
+    assert batch.solutions() == solutions
+    assert [engine.solve_tree(graph, tree, hierarchy) for tree in trees] == solutions
+    arrangement, total = engine._tree_products(batch)
+    expected, terms = reference.tree_products(graph, solutions)
+    assert arrangement.products == expected.products
+    assert [column.tolist() for column in total] == [column.tolist() for column in terms]
 
 
 def form(n_pairs, q_pairs):

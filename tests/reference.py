@@ -8,7 +8,11 @@ The engine derives what it needs of these from fundamental cuts, so
 epsilon_signs and tree_product below rebuild its regulator signs and tree
 products the way it did before: each sign from the top-ranked member of
 the DFS cycle, each tree line's form sign-normalized, and the tree lines'
-reflection pairs applied to whole expressions.
+reflection pairs applied to whole expressions. The engine solves all
+spanning trees of a call in one batch of arrays; solve_tree, tree_forms
+and tree_products are its tree stage as it was before, one tree and one
+tree line at a time through graph.fundamental_cutset, and
+arrangement_tables its cut arrangement's tables as NumPy ranked them.
 
 The term-by-term reflection algebra acts on one Expression at a time in
 exact Fraction arithmetic, so the tests can fold an operator subset by
@@ -37,9 +41,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import integrate
 
+from matsum import engine
 from matsum import graph as gr
 from matsum import oracles
-from matsum.engine import TreeSolution
+from matsum.engine import OmegaForm, TreeSolution
 from matsum.expressions import (
     DuplicateKernel,
     Expression,
@@ -192,6 +197,98 @@ def tree_product(graph: MatsubaraGraph, solution: TreeSolution) -> Expression:
     for j in solution.tree:
         e = add(e, reflect(e, j))
     return e
+
+
+def solve_tree(graph: MatsubaraGraph, tree: Iterable[int],
+               hierarchy: Sequence[int] | None = None) -> TreeSolution:
+    """The engine's solve_tree as it was before it solved all trees in one
+    batch: tree line by tree line through graph.fundamental_cutset, each
+    non-tree line's cycle collected from the cuts it crosses."""
+    if hierarchy is not None and sorted(hierarchy) != sorted(graph.line_ids):
+        raise gr.GraphError("hierarchy must be a permutation of the line ids")
+    rank = {lid: pos for pos, lid in enumerate(graph.line_ids if hierarchy is None else hierarchy)}
+    tree_ids = tuple(sorted(tree))
+    if (len(tree_ids) != graph.num_vertices - 1
+            or gr.is_cutset(graph, set(graph.line_ids) - set(tree_ids))):
+        raise gr.GraphError(f"lines {list(tree_ids)} are not a spanning tree")
+    omega: dict[int, OmegaForm] = {}
+    cycles = {l: [(l, 1)] for l in graph.line_ids if l not in tree_ids}
+    for j in tree_ids:
+        side, crossing = gr.fundamental_cutset(graph, tree_ids, j)
+        root_in = graph.root in side
+        line_part = tuple(sorted((l, -sign) for l, sign in crossing.items() if l != j))
+        omega[j] = OmegaForm(tuple((v, -1 if root_in else 1) for v in graph.vertices[:-1]
+                                   if (v in side) != root_in), line_part)
+        for l, b in line_part:
+            cycles[l].append((j, b))
+    epsilon = {l: min(cycle, key=lambda member: rank[member[0]])[1]
+               for l, cycle in cycles.items()}
+    return TreeSolution(tree_ids, omega, epsilon)
+
+
+def tree_forms(arrangement, ranks: dict, solution: TreeSolution) -> tuple[int, list, list]:
+    """A tree product's sign, its forms' ranks and their q_j-flipped ranks,
+    one tree line at a time as the engine's _tree_forms found them; `ranks`
+    maps each of the arrangement's forms to its rank."""
+    sign, forms, flipped = 1, [], []
+    for j in solution.tree:
+        om = solution.omega[j]
+        s = -om.n_part[0][1]
+        q = ((j, s),) + tuple((l, s * solution.epsilon[l] * b) for l, b in om.line_part)
+        rank = ranks[LinearForm(tuple((v, 1) for v, _ in om.n_part), tuple(sorted(q)))]
+        sign *= s
+        forms.append(rank)
+        flipped.append(int(arrangement.flips[arrangement.line_position[j], rank]))
+    return sign, forms, flipped
+
+
+def tree_products(graph: MatsubaraGraph, solutions: Sequence[TreeSolution]):
+    """The engine's _tree_products as it was before the batch: the packed
+    tree products of per-tree solutions, packed from tree_forms."""
+    arrangement = engine._Arrangement(graph)
+    group = arrangement.group(
+        ((gr.cycle_rank(graph), tuple((lid, -1) for lid in graph.line_ids)), ()))
+    ranks = {form: rank for rank, form in enumerate(arrangement.forms)}
+    signs, forms, flipped = zip(*(tree_forms(arrangement, ranks, s) for s in solutions))
+    k = graph.num_vertices - 1
+    bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+    table = np.where(bits, np.array(flipped)[:, None, :], np.array(forms)[:, None, :])
+    products = arrangement.intern(np.sort(table, axis=2).reshape(-1, k))
+    coeff = (np.array(signs)[:, None] * (1 - 2 * (bits.sum(axis=1) & 1))).reshape(-1)
+    return arrangement, engine._Terms(np.full(len(products), group), products, coeff)
+
+
+def arrangement_tables(graph: MatsubaraGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cut arrangement's _form_at, flips and vectors as the engine
+    ranked them before it ranked the bonds in Python: every form's keys
+    laid out by NumPy and sorted by one np.lexsort."""
+    bonds = gr.bonds(graph)
+    lines = tuple(sorted(graph.line_ids))
+    sides = [tuple((v, 1) for v in graph.vertices[:-1] if v in side) for side, _ in bonds]
+    widths = np.array([len(c) for _, c in bonds], dtype=np.int64)
+    sizes = 1 << widths
+    offset = np.cumsum(sizes) - sizes
+    bond = np.repeat(np.arange(len(bonds)), sizes)
+    pattern = np.arange(len(bond)) - offset[bond]
+    side_rank = np.empty(len(bonds), dtype=np.int64)
+    side_rank[sorted(range(len(bonds)), key=sides.__getitem__)] = np.arange(len(bonds))
+    mixed = (pattern > 0) & (pattern < sizes[bond] - 1)
+    order = np.lexsort((-pattern, side_rank[bond], widths[bond], mixed))
+    count = len(order)
+    bond, pattern = bond[order], pattern[order]
+    form_at = np.empty(count, dtype=np.int64)
+    form_at[order] = np.arange(count)
+    weight = np.array([[1 << (len(c) - 1 - c.index(lid)) if lid in c else 0 for lid in lines]
+                       for _, c in bonds], dtype=np.int64).reshape(len(bonds), -1)
+    flips = np.empty((len(lines), count + 1), dtype=np.int64)
+    flips[:, :-1] = form_at[offset[bond] + (pattern ^ weight[bond].T)]
+    flips[:, -1] = count
+    bond_n = np.array([[v in side for v in graph.vertices[:-1]] for side, _ in bonds],
+                      dtype=np.int64).reshape(len(bonds), -1)
+    vectors = np.concatenate([bond_n[bond],
+                              np.where(pattern[:, None] & weight[bond], -1, weight[bond] > 0)],
+                             axis=1)
+    return form_at, flips, vectors
 
 
 # ---------------------------------------------------------------------------

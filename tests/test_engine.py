@@ -11,13 +11,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matsum import engine, fixtures
+from matsum import engine, fixtures, oracles
 from matsum import expressions as ex
 from matsum import graph as gr
 
 from conftest import (
+    check_tree_stage,
     corpus,
     cycle_graph,
+    fixture_graphs,
     reference_integral_g2,
     reference_integral_g3,
     reference_integral_g4,
@@ -145,6 +147,46 @@ def test_tree_product_in_cut_ids_is_the_reflected_normalized_product():
     for g, tree, hierarchy in _trees_and_hierarchies():
         sol = engine.solve_tree(g, tree, hierarchy)
         assert engine.tree_product(g, sol) == reference.tree_product(g, sol)
+
+
+# ---------------------------------------------------------------------------
+# the tree stage in one batch
+# ---------------------------------------------------------------------------
+
+def _stage_graphs():
+    """G2-G4 and the rest of the 53 corpus graphs, the stress graph and
+    every fixture file."""
+    return corpus() + [stress_graph()] + fixture_graphs()
+
+
+def test_batched_tree_stage_is_the_per_tree_solver():
+    # the default and the reversed hierarchy, on graphs of up to 125 trees
+    for g in _stage_graphs():
+        for hierarchy in (None, sorted(g.line_ids)[::-1]):
+            check_tree_stage(g, hierarchy)
+
+
+def test_the_pipeline_solves_every_tree_in_one_batch(g4, monkeypatch):
+    # the integral, both sum routes and the Gaudin check solve no tree alone
+    def alone(*args, **kwargs):
+        raise AssertionError("a tree solved alone")
+
+    monkeypatch.setattr(engine, "solve_tree", alone)
+    monkeypatch.setattr(gr, "fundamental_cutset", alone)
+    assert engine.matsubara_integral(g4) == engine.normal_form(g4, reference_integral_g4())
+    assert engine.matsubara_sum(g4) == engine.matsubara_sum(g4, "direct")
+    q = {lid: 0.5 + 0.3 * lid for lid in g4.line_ids}
+    assert oracles.check_gaudin_identity(g4, q, {1: 1, 2: -1, 3: 2, 4: -2, 5: 1}) < 1e-12
+
+
+def test_arrangement_tables_are_ranked_as_by_lexsort():
+    # the bonds ranked in Python give the tables the NumPy ranking gave
+    for g in _stage_graphs():
+        arrangement = engine._Arrangement(g)
+        form_at, flips, vectors = reference.arrangement_tables(g)
+        assert np.array_equal(arrangement._form_at, form_at)
+        assert np.array_equal(arrangement.flips, flips)
+        assert np.array_equal(arrangement.vectors, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +721,7 @@ def test_normal_form_past_its_budget_is_refused(monkeypatch):
     # entries, so the same arrangement then reduces in full
     g = cycle_graph(6)
     arrangement, total = engine._tree_products(
-        g, [engine.solve_tree(g, tree) for tree in gr.enumerate_spanning_trees(g)])
+        engine._solve_trees(g, gr.enumerate_spanning_trees(g)))
     with pytest.raises(engine.NormalFormTooLarge):
         arrangement.normalize_all(total)
     monkeypatch.setattr(engine, "MAX_REDUCED_PRODUCTS", 1470)
@@ -692,7 +734,7 @@ def test_the_memo_holds_one_rewrite_per_searched_product(monkeypatch):
     # searched product's (child, a_D) rows, none for an nbc product, and
     # length -1 for a product not searched
     g = cycle_graph(6)
-    trees = [engine.solve_tree(g, tree) for tree in gr.enumerate_spanning_trees(g)]
+    trees = engine._solve_trees(g, gr.enumerate_spanning_trees(g))
     searched, returned = [], []
     search = engine._Arrangement._broken_circuits
 
@@ -702,7 +744,7 @@ def test_the_memo_holds_one_rewrite_per_searched_product(monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(engine._Arrangement, "_broken_circuits", recorded)
-    arrangement, total = engine._tree_products(g, trees)
+    arrangement, total = engine._tree_products(trees)
     nf = arrangement.normalize_all(total)
     rows: dict[int, list] = {product: [] for product in searched}
     for parent, child, a in returned:
@@ -719,7 +761,7 @@ def test_the_memo_holds_one_rewrite_per_searched_product(monkeypatch):
     # a refusal searches nothing past the budget and leaves only complete
     # entries, so a rerun on the same arrangement searches no product twice
     monkeypatch.setattr(engine, "MAX_REDUCED_PRODUCTS", 1469)
-    arrangement, total = engine._tree_products(g, trees)
+    arrangement, total = engine._tree_products(trees)
     searched.clear()
     with pytest.raises(engine.NormalFormTooLarge):
         arrangement.normalize_all(total)
@@ -811,8 +853,7 @@ def test_a_walk_with_roots_returns_the_direct_sum_in_normal_form(g4):
     # merges the raw levels and normalizes their total once
     for g in (g4, fixtures.random_graph(np.random.default_rng(7), 5, 7)):
         trees = gr.enumerate_spanning_trees(g)
-        arrangement, products = engine._tree_products(
-            g, [engine.solve_tree(g, tree) for tree in trees])
+        arrangement, products = engine._tree_products(engine._solve_trees(g, trees))
         roots = np.arange(len(trees)).repeat(len(products.coeff) // len(trees))
         forest = [gr.line_subsets(set(g.line_ids) - set(tree)) for tree in trees]
         result = engine._walk(arrangement, forest, products, roots)

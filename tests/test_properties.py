@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import reference_sum_g2
+from conftest import check_tree_stage, reference_sum_g2
 from matsum import engine, fixtures
 from matsum import expressions as ex
 from matsum import graph as gr
@@ -44,6 +44,13 @@ def test_normal_form_is_hierarchy_independent_and_idempotent(seed):
     assert engine.matsubara_sum(g, "direct", hierarchy=hierarchy) == total
     assert engine.normal_form(g, integral) == integral
     assert engine.normal_form(g, total) == total
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_batched_tree_stage_is_the_per_tree_solver_under_any_hierarchy(seed):
+    rng = np.random.default_rng(seed)
+    g = fixtures.random_graph(rng, 6, 9)
+    check_tree_stage(g, [int(x) for x in rng.permutation(sorted(g.line_ids))])
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
